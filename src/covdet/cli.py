@@ -200,6 +200,8 @@ def run_experiment(
     so detectors face identical scenarios. ``progress``, if given, is
     called with each finished row. Returns the aggregate rows.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     rows = []
     out_path = Path(out_path)
     if per_trial_dir is not None:
@@ -215,8 +217,11 @@ def run_experiment(
                 if pool is None:
                     records = [_trial_task(t) for t in tasks]
                 else:
-                    # map preserves task order, so merging is by trial index
-                    records = list(pool.map(_trial_task, tasks, chunksize=4))
+                    # map preserves task order, so merging is by trial index;
+                    # about four chunks per worker keeps every worker busy
+                    # on small cells and the hand-off cost low on big ones
+                    chunksize = max(1, len(tasks) // (4 * workers))
+                    records = list(pool.map(_trial_task, tasks, chunksize=chunksize))
                 row = aggregate(records)
                 rows.append(row)
                 if progress is not None:
@@ -251,12 +256,15 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     sweep_keys = {"detectors", "antennas", "trials"}
     sweep = {k: data.pop(k) for k in list(data) if k in sweep_keys}
     config = config_from_dict(data)
-    if "seed" in overrides and overrides["seed"] is not None:
+    if overrides.get("seed") is not None:
         config = dataclasses.replace(config, rng_seed=int(overrides["seed"]))
     validate(config)
 
-    detectors = overrides.get("detectors") or sweep.get("detectors") or ["cd_e", "bcd"]
-    detectors = tuple(detectors)
+    def pick(key, default):
+        value = overrides.get(key)
+        return value if value is not None else sweep.get(key, default)
+
+    detectors = tuple(pick("detectors", ["cd_e", "bcd"]))
     if not detectors:
         raise ConfigError("detector list is empty")
     for name in detectors:
@@ -264,12 +272,12 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
             raise ConfigError(
                 f"unknown detector {name!r}, expected one of {DETECTOR_NAMES}"
             )
-    antennas = overrides.get("antennas") or sweep.get("antennas") or [config.num_antennas]
-    antennas = tuple(int(m) for m in antennas)
+    antennas = tuple(int(m) for m in pick("antennas", [config.num_antennas]))
+    if not antennas:
+        raise ConfigError("antenna list is empty")
     if any(m < 1 for m in antennas):
         raise ConfigError(f"antenna counts must be positive, got {antennas}")
-    trials = overrides.get("trials") or sweep.get("trials") or 1000
-    trials = int(trials)
+    trials = int(pick("trials", 1000))
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     return ExperimentPlan(
@@ -348,6 +356,9 @@ def main(argv=None) -> int:
             workers=args.workers,
             progress=progress,
         )
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (NumericalDegeneracyError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,18 +9,18 @@ Two detectors over the same covariance-matching objective:
   delay block at a time, keeping at most one nonzero delay per device
   at every step, then thresholding.
 
-Both maintain Sigma^{-1} by rank-one updates and the objective by
-closed-form increments, with a periodic dense refresh.
+Both visit coordinates through the kernel in ``likelihood`` (rank-one
+updates of Sigma^{-1}, closed-form objective increments) under one sweep
+driver that owns the visit order, the periodic dense refresh and the
+stop rule.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import likelihood
-from .likelihood import DENOMINATOR_GUARD
+from .likelihood import apply_rank_one, column_terms, step_increment
 from .siggen import effective_dictionary
 from .sysmodel import (
     ConvergenceError,
@@ -87,9 +87,54 @@ def _prepare(preambles: PreambleSet, sigma_tilde, config: SystemConfig):
             f"sample covariance shape {st.shape} does not match "
             f"window length {config.window_len}"
         )
+    if not np.all(np.isfinite(st)):
+        raise ValueError("sample covariance has NaN or Inf entries")
     dictionary = effective_dictionary(preambles, config.max_delay)
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
     return dictionary, st, state
+
+
+def _descend(state, st, config, num_units, visit, shuffle_rng, unit, estimate):
+    """The sweep driver both detectors share.
+
+    Each sweep calls ``visit(index, inv, objective)`` on every unit index
+    in ascending order (or a per-sweep random order when ``shuffle_rng``
+    is given); ``visit`` updates ``inv`` and gamma in place and returns
+    the new objective. Every ``RECOMPUTE_EVERY`` sweeps the state is
+    densely refreshed. Stops once a sweep improves the objective by at
+    most ``config.convergence_delta`` and returns the result whose
+    estimate is ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``.
+    """
+    trace = [state.objective]
+    for sweep in range(1, MAX_SWEEPS + 1):
+        order = range(num_units) if shuffle_rng is None else shuffle_rng.permutation(num_units)
+        inv = state.inv_sigma
+        objective = state.objective
+        try:
+            for index in order:
+                objective = visit(index, inv, objective)
+        except NumericalDegeneracyError as exc:
+            raise NumericalDegeneracyError(f"{exc} at sweep {sweep}, {unit} {index}") from exc
+        state.objective = objective
+        if sweep % RECOMPUTE_EVERY == 0:
+            likelihood.refresh_state(state, st)
+        trace.append(state.objective)
+        if trace[-2] - trace[-1] <= config.convergence_delta:
+            break
+    else:
+        raise ConvergenceError(
+            f"no convergence within {MAX_SWEEPS} sweeps "
+            f"(last decrement {trace[-2] - trace[-1]:.3e})"
+        )
+
+    gamma_hat = estimate(state.gamma)
+    return DetectionResult(
+        theta_hat=to_indicators(gamma_hat),
+        gamma_hat=gamma_hat,
+        iterations=sweep,
+        final_objective=float(trace[-1]),
+        objective_trace=np.asarray(trace),
+    )
 
 
 def run_cd_e(
@@ -97,7 +142,6 @@ def run_cd_e(
     sigma_tilde,
     config: SystemConfig,
     *,
-    recompute_every: int = RECOMPUTE_EVERY,
     shuffle_rng: np.random.Generator | None = None,
 ) -> DetectionResult:
     """Coordinate descent over all coordinates, then enforcement.
@@ -111,56 +155,21 @@ def run_cd_e(
     indicator pairs.
     """
     dictionary, st, state = _prepare(preambles, sigma_tilde, config)
-    num_columns = dictionary.shape[1]
     gamma_values = state.gamma.values.ravel()
 
-    trace = [state.objective]
-    for sweep in range(1, MAX_SWEEPS + 1):
-        if shuffle_rng is None:
-            column_order = range(num_columns)
-        else:
-            column_order = shuffle_rng.permutation(num_columns)
-        inv = state.inv_sigma
-        objective = state.objective
-        for j in column_order:
-            s = dictionary[:, j]
-            v = inv @ s
-            quad = float(np.real(np.vdot(s, v)))
-            if quad <= 0.0:
-                raise NumericalDegeneracyError(
-                    f"s^H Sigma^-1 s = {quad} <= 0 at column {j}"
-                )
-            fit = float(np.real(np.vdot(v, st @ v)))
-            eta = max((fit - quad) / (quad * quad), -gamma_values[j])
-            if eta == 0.0:
-                continue
-            denom = 1.0 + eta * quad
-            if denom < DENOMINATOR_GUARD:
-                raise NumericalDegeneracyError(
-                    f"update denominator {denom} below guard at column {j}"
-                )
-            objective += math.log1p(eta * quad) - eta * fit / denom
-            inv -= (eta / denom) * np.outer(v, v.conj())
-            gamma_values[j] = max(gamma_values[j] + eta, 0.0)
-        state.objective = objective
-        if sweep % recompute_every == 0:
-            likelihood.refresh_state(state, st)
-        trace.append(state.objective)
-        if trace[-2] - trace[-1] <= config.convergence_delta:
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence within {MAX_SWEEPS} sweeps "
-            f"(last decrement {trace[-2] - trace[-1]:.3e})"
-        )
+    def visit(j, inv, objective):
+        v, quad, fit, step = column_terms(inv, st, dictionary[:, j])
+        eta = max(step, -gamma_values[j])
+        if eta == 0.0:
+            return objective
+        delta, denom = step_increment(eta, quad, fit)
+        apply_rank_one(inv, v, eta, denom)
+        gamma_values[j] = max(gamma_values[j] + eta, 0.0)
+        return objective + delta
 
-    gamma_hat = threshold(enforce_block_sparsity(state.gamma), config.threshold_cd)
-    return DetectionResult(
-        theta_hat=to_indicators(gamma_hat),
-        gamma_hat=gamma_hat,
-        iterations=sweep,
-        final_objective=trace[-1],
-        objective_trace=np.asarray(trace),
+    return _descend(
+        state, st, config, dictionary.shape[1], visit, shuffle_rng, "column",
+        lambda gamma: threshold(enforce_block_sparsity(gamma), config.threshold_cd),
     )
 
 
@@ -169,7 +178,6 @@ def run_bcd(
     sigma_tilde,
     config: SystemConfig,
     *,
-    recompute_every: int = RECOMPUTE_EVERY,
     shuffle_rng: np.random.Generator | None = None,
     block_audit=None,
 ) -> DetectionResult:
@@ -191,89 +199,43 @@ def run_bcd(
     """
     dictionary, st, state = _prepare(preambles, sigma_tilde, config)
     num_delays = config.num_delays
-    num_devices = config.num_devices
     gamma_values = state.gamma.values
 
-    trace = [state.objective]
-    for sweep in range(1, MAX_SWEEPS + 1):
-        if shuffle_rng is None:
-            block_order = range(num_devices)
-        else:
-            block_order = shuffle_rng.permutation(num_devices)
-        inv = state.inv_sigma
-        objective = state.objective
-        for n in block_order:
-            base = n * num_delays
-            row = gamma_values[n]
-            # downdate the block's existing entry, if any, to reach the
-            # zeroed reference state shared by all candidates
-            old_tau = int(np.argmax(row))
-            old_value = row[old_tau]
-            if old_value > 0.0:
-                s = dictionary[:, base + old_tau]
-                v = inv @ s
-                quad = float(np.real(np.vdot(s, v)))
-                eta = -float(old_value)
-                denom = 1.0 + eta * quad
-                if denom < DENOMINATOR_GUARD:
-                    raise NumericalDegeneracyError(
-                        f"downdate denominator {denom} below guard at device {n}"
-                    )
-                fit = float(np.real(np.vdot(v, st @ v)))
-                objective += math.log1p(eta * quad) - eta * fit / denom
-                inv -= (eta / denom) * np.outer(v, v.conj())
-                row[old_tau] = 0.0
-            # speculative candidates: optimal step and objective change
-            # per delay, all measured from the zeroed state
-            best_tau = -1
-            best_eta = 0.0
-            best_delta = 0.0  # the keep-empty candidate
-            best_v = None
-            best_quad = 0.0
-            for tau in range(num_delays):
-                s = dictionary[:, base + tau]
-                v = inv @ s
-                quad = float(np.real(np.vdot(s, v)))
-                if quad <= 0.0:
-                    raise NumericalDegeneracyError(
-                        f"s^H Sigma^-1 s = {quad} <= 0 at device {n}, delay {tau}"
-                    )
-                fit = float(np.real(np.vdot(v, st @ v)))
-                eta = (fit - quad) / (quad * quad)
-                if eta <= 0.0:
-                    continue
-                delta = math.log1p(eta * quad) - eta * fit / (1.0 + eta * quad)
-                if delta < best_delta:
-                    best_tau, best_eta, best_delta = tau, eta, delta
-                    best_v, best_quad = v, quad
-            if best_tau >= 0:
-                denom = 1.0 + best_eta * best_quad
-                if denom < DENOMINATOR_GUARD:
-                    raise NumericalDegeneracyError(
-                        f"commit denominator {denom} below guard at device {n}"
-                    )
-                objective += best_delta
-                inv -= (best_eta / denom) * np.outer(best_v, best_v.conj())
-                row[best_tau] = best_eta
-            if block_audit is not None:
-                block_audit(gamma_values)
-        state.objective = objective
-        if sweep % recompute_every == 0:
-            likelihood.refresh_state(state, st)
-        trace.append(state.objective)
-        if trace[-2] - trace[-1] <= config.convergence_delta:
-            break
-    else:
-        raise ConvergenceError(
-            f"no convergence within {MAX_SWEEPS} sweeps "
-            f"(last decrement {trace[-2] - trace[-1]:.3e})"
-        )
+    def visit(n, inv, objective):
+        base = n * num_delays
+        row = gamma_values[n]
+        # downdate the block's existing entry, if any, to reach the
+        # zeroed reference state shared by all candidates
+        old_tau = int(np.argmax(row))
+        if row[old_tau] > 0.0:
+            eta = -float(row[old_tau])
+            v, quad, fit, _ = column_terms(inv, st, dictionary[:, base + old_tau])
+            delta, denom = step_increment(eta, quad, fit)
+            apply_rank_one(inv, v, eta, denom)
+            objective += delta
+            row[old_tau] = 0.0
+        # speculative candidates: optimal step and objective change per
+        # delay, all measured from the zeroed state; keeping the block
+        # empty scores 0
+        best = None
+        best_delta = 0.0
+        for tau in range(num_delays):
+            v, quad, fit, eta = column_terms(inv, st, dictionary[:, base + tau])
+            if eta <= 0.0:
+                continue
+            delta, denom = step_increment(eta, quad, fit)
+            if delta < best_delta:
+                best, best_delta = (tau, eta, v, denom), delta
+        if best is not None:
+            tau, eta, v, denom = best
+            apply_rank_one(inv, v, eta, denom)
+            objective += best_delta
+            row[tau] = eta
+        if block_audit is not None:
+            block_audit(gamma_values)
+        return objective
 
-    gamma_hat = threshold(GammaEstimate(gamma_values.copy()), config.threshold_bcd)
-    return DetectionResult(
-        theta_hat=to_indicators(gamma_hat),
-        gamma_hat=gamma_hat,
-        iterations=sweep,
-        final_objective=trace[-1],
-        objective_trace=np.asarray(trace),
+    return _descend(
+        state, st, config, config.num_devices, visit, shuffle_rng, "device",
+        lambda gamma: threshold(gamma, config.threshold_bcd),
     )

@@ -6,6 +6,10 @@ The fit objective is ``log det(Sigma) + trace(Sigma^{-1} S_tilde)`` where
 on one tracked ``CovarianceState``: closed-form single-coordinate steps,
 Sherman-Morrison maintenance of ``Sigma^{-1}``, and matching closed-form
 objective increments, plus a dense refresh to bound accumulated drift.
+
+The coordinate math lives once, in the array kernel ``column_terms`` /
+``step_increment`` / ``apply_rank_one`` that both detectors call; the
+state-based step functions below are compositions of it.
 """
 
 from __future__ import annotations
@@ -103,22 +107,54 @@ def init_state(
     )
 
 
+def _project(inv: np.ndarray, s: np.ndarray):
+    """``(v, quad)`` with ``v = Sigma^{-1} s`` and ``quad = s^H Sigma^{-1} s``."""
+    v = inv @ s
+    quad = float(np.real(np.vdot(s, v)))
+    if quad <= 0.0:
+        raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {quad} <= 0")
+    return v, quad
+
+
+def column_terms(inv: np.ndarray, sigma_tilde: np.ndarray, s: np.ndarray):
+    """Everything one coordinate visit needs for dictionary column ``s``.
+
+    Returns ``(v, quad, fit, step)`` with ``v = Sigma^{-1} s``,
+    ``quad = s^H Sigma^{-1} s``, ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s``
+    and ``step = (fit - quad)/quad^2``, the unconstrained minimizer of the
+    objective along this coordinate.
+    """
+    v, quad = _project(inv, s)
+    fit = float(np.real(np.vdot(v, sigma_tilde @ v)))
+    return v, quad, fit, (fit - quad) / (quad * quad)
+
+
+def step_increment(eta: float, quad: float, fit: float):
+    """``(increment, denom)`` for adding ``eta`` on a coordinate.
+
+    Matrix-determinant lemma plus Sherman-Morrison give the exact
+    objective change ``log(1 + eta*quad) - eta*fit/denom`` with
+    ``denom = 1 + eta*quad``, which :func:`apply_rank_one` reuses.
+    """
+    denom = 1.0 + eta * quad
+    if denom < DENOMINATOR_GUARD:
+        raise NumericalDegeneracyError(f"update denominator {denom} below guard")
+    return math.log1p(eta * quad) - eta * fit / denom, denom
+
+
+def apply_rank_one(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
+    """Sherman-Morrison in place: ``inv -= eta * v v^H / denom``."""
+    inv -= (eta / denom) * np.outer(v, v.conj())
+
+
 def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int):
     """The two quadratic forms behind every coordinate formula.
 
     Returns ``(v, quad, fit)`` with ``v = Sigma^{-1} s``,
     ``quad = s^H Sigma^{-1} s`` and ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s``.
     """
-    st = _as_matrix(sigma_tilde)
     s = state.column(device, delay)
-    v = state.inv_sigma @ s
-    quad = float(np.real(np.vdot(s, v)))
-    if quad <= 0.0:
-        raise NumericalDegeneracyError(
-            f"s^H Sigma^-1 s = {quad} <= 0 at device {device}, delay {delay}"
-        )
-    fit = float(np.real(np.vdot(v, st @ v)))
-    return v, quad, fit
+    return column_terms(state.inv_sigma, _as_matrix(sigma_tilde), s)[:3]
 
 
 def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int) -> float:
@@ -128,9 +164,9 @@ def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int
     the non-negative minimizer along this coordinate:
     ``max{(fit - quad)/quad^2, -gamma[device, delay]}``.
     """
-    _, quad, fit = quadratic_terms(state, sigma_tilde, device, delay)
-    current = float(state.gamma.values[device, delay])
-    return max((fit - quad) / (quad * quad), -current)
+    s = state.column(device, delay)
+    step = column_terms(state.inv_sigma, _as_matrix(sigma_tilde), s)[3]
+    return max(step, -float(state.gamma.values[device, delay]))
 
 
 def objective_delta(
@@ -145,10 +181,7 @@ def objective_delta(
     if eta == 0.0:
         return 0.0
     _, quad, fit = quadratic_terms(state, sigma_tilde, device, delay)
-    denom = 1.0 + eta * quad
-    if denom < DENOMINATOR_GUARD:
-        raise NumericalDegeneracyError(f"update denominator {denom} below guard")
-    return math.log1p(eta * quad) - eta * fit / denom
+    return step_increment(eta, quad, fit)[0]
 
 
 def rank_one_inverse_update(
@@ -162,18 +195,14 @@ def rank_one_inverse_update(
     """
     if eta == 0.0:
         return
-    s = state.column(device, delay)
-    v = state.inv_sigma @ s
-    quad = float(np.real(np.vdot(s, v)))
-    denom = 1.0 + eta * quad
-    if denom < DENOMINATOR_GUARD:
-        raise NumericalDegeneracyError(f"update denominator {denom} below guard")
+    v, quad = _project(state.inv_sigma, state.column(device, delay))
+    _, denom = step_increment(eta, quad, 0.0)
     new_value = float(state.gamma.values[device, delay]) + eta
     if new_value < 0.0:
         if new_value < -1e-12:
             raise ValueError(f"update would drive gamma negative ({new_value})")
         new_value = 0.0
-    state.inv_sigma -= (eta / denom) * np.outer(v, v.conj())
+    apply_rank_one(state.inv_sigma, v, eta, denom)
     state.gamma.values[device, delay] = new_value
 
 

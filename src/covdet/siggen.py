@@ -172,23 +172,3 @@ def sample_covariance(received: ReceivedSignal) -> SampleCovariance:
     cov = (cov + cov.conj().T) / 2.0  # kill roundoff asymmetry
     return SampleCovariance(cov)
 
-
-def dump_matrix(path, matrix: np.ndarray) -> None:
-    """Write a complex matrix as text: a 'rows cols' header, then one
-    row per line of full-precision complex literals (row-major)."""
-    m = np.asarray(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{m.shape[0]} {m.shape[1]}\n")
-        for row in m:
-            fh.write(" ".join(repr(complex(v)) for v in row))
-            fh.write("\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    """Read a matrix written by :func:`dump_matrix`."""
-    with open(path, encoding="utf-8") as fh:
-        rows, cols = (int(tok) for tok in fh.readline().split())
-        out = np.empty((rows, cols), dtype=np.complex128)
-        for i in range(rows):
-            out[i] = [complex(tok) for tok in fh.readline().split()]
-    return out

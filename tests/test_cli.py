@@ -218,6 +218,26 @@ class TestRunExperiment:
             np.std(mdps, ddof=1) / math.sqrt(len(mdps))
         )
 
+    def test_dumped_final_objective_is_a_plain_float(self, tmp_path):
+        dump = tmp_path / "trials"
+        run_experiment(self.plan(trials=4), tmp_path / "r.csv", per_trial_dir=dump)
+        for detector in ("cd_e", "bcd"):
+            for m in (2, 4):
+                lines = (dump / f"trials_{detector}_M{m}.csv").read_text().splitlines()
+                for line in lines[1:]:
+                    assert math.isfinite(float(line.split(",")[5]))
+
+    def test_csv_independent_of_workers(self, tmp_path):
+        serial = tmp_path / "serial.csv"
+        pooled = tmp_path / "pooled.csv"
+        run_experiment(self.plan(trials=3), serial)
+        run_experiment(self.plan(trials=3), pooled, workers=2)
+        serial_lines = serial.read_text().splitlines()
+        pooled_lines = pooled.read_text().splitlines()
+        assert len(serial_lines) == len(pooled_lines)
+        for a, b in zip(serial_lines, pooled_lines):
+            assert a.split(",")[:-1] == b.split(",")[:-1]
+
     def test_progress_callback_sees_every_row(self, tmp_path):
         seen = []
         rows = run_experiment(
@@ -295,10 +315,12 @@ class TestLoadExperiment:
 
     def test_bad_antenna_and_trial_counts(self, tmp_path):
         path = write_experiment_file(tmp_path / "exp.json", micro_config())
-        with pytest.raises(ConfigError, match="antenna"):
-            load_experiment(path, {"antennas": [0]})
-        with pytest.raises(ConfigError, match="trials"):
-            load_experiment(path, {"trials": -2})
+        for antennas in ([0], []):
+            with pytest.raises(ConfigError, match="antenna"):
+                load_experiment(path, {"antennas": antennas})
+        for trials in (-2, 0):
+            with pytest.raises(ConfigError, match="trials"):
+                load_experiment(path, {"trials": trials})
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -345,6 +367,16 @@ class TestMain:
         ])
         assert code == 2
         assert "unknown detector" in capsys.readouterr().err
+
+    def test_zero_workers_exits_two(self, tmp_path, capsys):
+        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--config", str(path), "--out", str(out), "--workers", "0",
+        ])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_all_detector_names_are_runnable(self, tmp_path):
         path = write_experiment_file(tmp_path / "exp.json", micro_config())

@@ -146,6 +146,35 @@ class TestRunCdE:
         with pytest.raises(ValueError, match="sample covariance"):
             run_cd_e(preambles, np.eye(3), config)
 
+    def test_first_sweep_matches_public_step_functions(self):
+        # one ascending sweep driven by hand through the public step
+        # functions lands on the detector's first recorded objective
+        config = make_config(num_antennas=16)
+        preambles, _, st = make_scenario(config, 27)
+        dictionary = effective_dictionary(preambles, config.max_delay)
+        state = likelihood.init_state(
+            dictionary, config.sigma2, st.matrix, config.num_delays
+        )
+        objective = state.objective
+        for n in range(config.num_devices):
+            for tau in range(config.num_delays):
+                eta = likelihood.coordinate_step(state, st, n, tau)
+                objective += likelihood.objective_delta(state, st, n, tau, eta)
+                likelihood.rank_one_inverse_update(state, n, tau, eta)
+        result = run_cd_e(preambles, st, config)
+        assert result.objective_trace[1] == pytest.approx(objective, abs=1e-12)
+
+
+@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_sample_covariance_rejected(runner, bad):
+    config = make_config()
+    preambles, _, st = make_scenario(config, 29)
+    corrupted = st.matrix.copy()
+    corrupted[1, 2] = bad
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        runner(preambles, corrupted, config)
+
 
 class TestRunBcd:
     def test_pure_noise_detects_nothing(self):

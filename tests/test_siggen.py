@@ -7,11 +7,9 @@ from conftest import make_config, make_scenario
 from covdet.siggen import (
     complex_gaussian,
     draw_ground_truth,
-    dump_matrix,
     effective_dictionary,
     effective_sequence,
     generate_preambles,
-    load_matrix,
     sample_covariance,
     synthesize_received_signal,
 )
@@ -232,11 +230,3 @@ class TestSampleCovariance:
         assert 0.3 < errors[1] / errors[0] < 0.7
         assert 0.3 < errors[2] / errors[1] < 0.7
 
-
-class TestMatrixDump:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(15)
-        mat = complex_gaussian(rng, (4, 6))
-        path = tmp_path / "matrix.txt"
-        dump_matrix(path, mat)
-        np.testing.assert_array_equal(load_matrix(path), mat)
