@@ -10,9 +10,10 @@ Two detectors over the same covariance-matching objective:
   at every step, then thresholding.
 
 Both visit coordinates through the kernel in ``likelihood`` (rank-one
-updates of Sigma^{-1}, closed-form objective increments) under one sweep
-driver that owns the visit order, the periodic dense refresh and the
-stop rule.
+updates of Sigma^{-1}, closed-form objective increments, the fit form
+from a low-rank factor of the sample covariance) under one sweep driver
+that owns the visit order, the periodic dense refresh and the stop rule.
+``bcd`` scores a device's whole delay block with one kernel call.
 """
 
 from __future__ import annotations
@@ -69,7 +70,12 @@ def to_indicators(gamma: GammaEstimate) -> frozenset:
 
 
 def _prepare(preambles: PreambleSet, sigma_tilde, config: SystemConfig):
-    """Shared detector setup: dimension checks, dictionary, fresh state."""
+    """Shared detector setup: dimension checks, dictionary, fit factor,
+    fresh state.
+
+    The dictionary is Fortran-ordered so that a column or a device's
+    block of columns reaches BLAS without a copy.
+    """
     validate(config, allow_inactive=True)
     if preambles.preamble_len != config.preamble_len:
         raise ValueError(
@@ -89,9 +95,9 @@ def _prepare(preambles: PreambleSet, sigma_tilde, config: SystemConfig):
         )
     if not np.all(np.isfinite(st)):
         raise ValueError("sample covariance has NaN or Inf entries")
-    dictionary = effective_dictionary(preambles, config.max_delay)
+    dictionary = np.asfortranarray(effective_dictionary(preambles, config.max_delay))
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
-    return dictionary, st, state
+    return dictionary, st, likelihood.fit_factor(st), state
 
 
 def _descend(state, st, config, num_units, visit, shuffle_rng, unit, estimate):
@@ -154,11 +160,11 @@ def run_cd_e(
     (keep-max), thresholded at ``config.threshold_cd``, and converted to
     indicator pairs.
     """
-    dictionary, st, state = _prepare(preambles, sigma_tilde, config)
+    dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
     gamma_values = state.gamma.values.ravel()
 
     def visit(j, inv, objective):
-        v, quad, fit, step = column_terms(inv, st, dictionary[:, j])
+        v, quad, fit, step = column_terms(inv, factor_h, dictionary[:, j])
         eta = max(step, -gamma_values[j])
         if eta == 0.0:
             return objective
@@ -197,7 +203,7 @@ def run_bcd(
     ``block_audit``, if given, is called with the gamma matrix after
     every block commit (testing hook for the one-per-block invariant).
     """
-    dictionary, st, state = _prepare(preambles, sigma_tilde, config)
+    dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
     num_delays = config.num_delays
     gamma_values = state.gamma.values
 
@@ -209,26 +215,28 @@ def run_bcd(
         old_tau = int(np.argmax(row))
         if row[old_tau] > 0.0:
             eta = -float(row[old_tau])
-            v, quad, fit, _ = column_terms(inv, st, dictionary[:, base + old_tau])
+            v, quad, fit, _ = column_terms(inv, factor_h, dictionary[:, base + old_tau])
             delta, denom = step_increment(eta, quad, fit)
             apply_rank_one(inv, v, eta, denom)
             objective += delta
             row[old_tau] = 0.0
-        # speculative candidates: optimal step and objective change per
-        # delay, all measured from the zeroed state; keeping the block
-        # empty scores 0
+        # speculative candidates, all from one kernel call on the block:
+        # optimal step and objective change per delay, measured from the
+        # zeroed state; keeping the block empty scores 0
+        block = dictionary[:, base : base + num_delays]
+        v, quads, fits, steps = column_terms(inv, factor_h, block)
+        candidates = zip(quads.tolist(), fits.tolist(), steps.tolist())
         best = None
         best_delta = 0.0
-        for tau in range(num_delays):
-            v, quad, fit, eta = column_terms(inv, st, dictionary[:, base + tau])
+        for tau, (quad, fit, eta) in enumerate(candidates):
             if eta <= 0.0:
                 continue
             delta, denom = step_increment(eta, quad, fit)
             if delta < best_delta:
-                best, best_delta = (tau, eta, v, denom), delta
+                best, best_delta = (tau, eta, denom), delta
         if best is not None:
-            tau, eta, v, denom = best
-            apply_rank_one(inv, v, eta, denom)
+            tau, eta, denom = best
+            apply_rank_one(inv, v[:, tau], eta, denom)
             objective += best_delta
             row[tau] = eta
         if block_audit is not None:

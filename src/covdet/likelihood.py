@@ -10,6 +10,20 @@ objective increments, plus a dense refresh to bound accumulated drift.
 The coordinate math lives once, in the array kernel ``column_terms`` /
 ``step_increment`` / ``apply_rank_one`` that both detectors call; the
 state-based step functions below are compositions of it.
+
+The kernel never touches ``S_tilde`` itself. ``fit_factor`` returns
+``F^H`` with ``S_tilde = F F^H``, whose row count is the numerical rank
+of ``S_tilde`` (``M`` for ``M`` antennas below the window length ``D``,
+else ``D``), so the fit form ``s^H Sigma^{-1} S_tilde Sigma^{-1} s`` is
+``||F^H v||^2`` at ``O(D rank)`` instead of a ``D x D`` matvec.
+
+Every dense product of a detector run goes through scipy's BLAS and
+LAPACK: ``zgemv`` for a column, ``zgemm`` for a block of columns, an
+in-place ``zgerc`` for the rank-one update of the Fortran-ordered
+``Sigma^{-1}``, and ``zgemm`` plus a Cholesky factor for the dense
+refresh. Keeping them in one library matters: numpy ships its own BLAS
+with its own thread pool, and when threads are not pinned, alternating
+the two pools call by call costs up to milliseconds per call.
 """
 
 from __future__ import annotations
@@ -18,6 +32,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.blas import zgemm, zgemv, zgerc
 
 from .sysmodel import (
     CovarianceState,
@@ -42,7 +57,7 @@ def assemble_dictionary_covariance(
     if np.any(gamma_flat < 0):
         raise ValueError("gamma entries must be non-negative")
     scaled = dictionary * gamma_flat  # scales each column
-    cov = scaled @ dictionary.conj().T
+    cov = zgemm(1.0, scaled, dictionary, trans_b=2)
     cov[np.diag_indices_from(cov)] += sigma2
     return (cov + cov.conj().T) / 2.0
 
@@ -99,7 +114,7 @@ def init_state(
             f"dictionary has {num_columns} columns, not divisible into "
             f"blocks of {num_delays}"
         )
-    inv = np.eye(dim, dtype=np.complex128) / sigma2
+    inv = np.eye(dim, dtype=np.complex128, order="F") / sigma2
     objective = dim * math.log(sigma2) + float(np.real(np.trace(st))) / sigma2
     gamma = GammaEstimate(np.zeros((num_columns // num_delays, num_delays)))
     return CovarianceState(
@@ -107,25 +122,61 @@ def init_state(
     )
 
 
+def fit_factor(sigma_tilde) -> np.ndarray:
+    """``F^H`` with ``S_tilde = F F^H``, Fortran-ordered for BLAS.
+
+    Built from ``eigh`` of the sample covariance, which is Hermitian
+    positive semidefinite, keeping the eigenpairs above the
+    ``numpy.linalg.matrix_rank`` cutoff
+    ``w > w.max() * D * eps``: shape ``(M, D)`` for ``M < D`` antennas,
+    ``(D, D)`` otherwise. A zero ``S_tilde`` gives one zero row, so the
+    kernel never hands BLAS an empty operand.
+    """
+    st = _as_matrix(sigma_tilde)
+    dim = st.shape[0]
+    w, u = scipy.linalg.eigh(st)  # ascending eigenvalues
+    rank = max(1, int(np.count_nonzero(w > w[-1] * dim * np.finfo(np.float64).eps)))
+    lead = slice(dim - rank, dim)
+    return np.asfortranarray((u[:, lead] * np.sqrt(np.maximum(w[lead], 0.0))).conj().T)
+
+
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` in scipy's BLAS: ``zgemv`` for a column, ``zgemm`` for a block."""
+    return zgemv(1.0, a, b) if b.ndim == 1 else zgemm(1.0, a, b)
+
+
+def _inner(a: np.ndarray, b: np.ndarray):
+    """``Re(a^H b)``: a float for columns, one value per column for blocks."""
+    if a.ndim == 1:
+        return float(np.vdot(a, b).real)
+    return np.einsum("ij,ij->j", a.conj(), b).real
+
+
 def _project(inv: np.ndarray, s: np.ndarray):
-    """``(v, quad)`` with ``v = Sigma^{-1} s`` and ``quad = s^H Sigma^{-1} s``."""
-    v = inv @ s
-    quad = float(np.real(np.vdot(s, v)))
-    if quad <= 0.0:
-        raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {quad} <= 0")
+    """``(v, quad)`` with ``v = Sigma^{-1} s`` and ``quad = s^H Sigma^{-1} s``,
+    per column when ``s`` is a ``(D, k)`` block."""
+    v = _times(inv, s)
+    quad = _inner(s, v)
+    worst = quad if s.ndim == 1 else quad.min()
+    if worst <= 0.0:
+        raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {worst} <= 0")
     return v, quad
 
 
-def column_terms(inv: np.ndarray, sigma_tilde: np.ndarray, s: np.ndarray):
+def column_terms(inv: np.ndarray, factor_h: np.ndarray, s: np.ndarray):
     """Everything one coordinate visit needs for dictionary column ``s``.
 
     Returns ``(v, quad, fit, step)`` with ``v = Sigma^{-1} s``,
-    ``quad = s^H Sigma^{-1} s``, ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s``
-    and ``step = (fit - quad)/quad^2``, the unconstrained minimizer of the
-    objective along this coordinate.
+    ``quad = s^H Sigma^{-1} s``, ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s
+    = ||F^H v||^2`` for ``factor_h = fit_factor(S_tilde)``, and
+    ``step = (fit - quad)/quad^2``, the unconstrained minimizer of the
+    objective along this coordinate. ``s`` is one column (floats back)
+    or a ``(D, k)`` block of columns (``v`` is ``(D, k)``, the rest are
+    length-``k`` arrays).
     """
     v, quad = _project(inv, s)
-    fit = float(np.real(np.vdot(v, sigma_tilde @ v)))
+    w = _times(factor_h, v)
+    fit = _inner(w, w)
     return v, quad, fit, (fit - quad) / (quad * quad)
 
 
@@ -143,8 +194,15 @@ def step_increment(eta: float, quad: float, fit: float):
 
 
 def apply_rank_one(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
-    """Sherman-Morrison in place: ``inv -= eta * v v^H / denom``."""
-    inv -= (eta / denom) * np.outer(v, v.conj())
+    """Sherman-Morrison in place: ``inv -= eta * v v^H / denom``.
+
+    One BLAS ``zgerc`` on ``inv`` itself, which must be a Fortran-ordered
+    complex128 array: for any other layout BLAS would update a copy and
+    the update would be lost, so that raises ``ValueError`` instead.
+    """
+    if inv.dtype != np.complex128 or not inv.flags.f_contiguous:
+        raise ValueError("rank-one update needs a Fortran-ordered complex128 inverse")
+    zgerc(-eta / denom, v, v, a=inv, overwrite_a=1)
 
 
 def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int):
@@ -154,7 +212,7 @@ def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int
     ``quad = s^H Sigma^{-1} s`` and ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s``.
     """
     s = state.column(device, delay)
-    return column_terms(state.inv_sigma, _as_matrix(sigma_tilde), s)[:3]
+    return column_terms(state.inv_sigma, fit_factor(sigma_tilde), s)[:3]
 
 
 def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int) -> float:
@@ -165,7 +223,7 @@ def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int
     ``max{(fit - quad)/quad^2, -gamma[device, delay]}``.
     """
     s = state.column(device, delay)
-    step = column_terms(state.inv_sigma, _as_matrix(sigma_tilde), s)[3]
+    step = column_terms(state.inv_sigma, fit_factor(sigma_tilde), s)[3]
     return max(step, -float(state.gamma.values[device, delay]))
 
 
@@ -220,6 +278,7 @@ def refresh_state(state: CovarianceState, sigma_tilde) -> None:
         inv = scipy.linalg.cho_solve(factor, np.eye(state.dim, dtype=np.complex128))
     except np.linalg.LinAlgError as exc:
         raise NumericalDegeneracyError(f"dense refresh failed: {exc}") from exc
-    state.inv_sigma = (inv + inv.conj().T) / 2.0
+    state.inv_sigma = np.asfortranarray((inv + inv.conj().T) / 2.0)
     log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
-    state.objective = log_det + float(np.real(np.vdot(st, state.inv_sigma)))
+    # trace(Sigma^{-1} S_tilde) elementwise: np.vdot would use numpy's BLAS
+    state.objective = log_det + float(np.sum(np.real(st.conj() * state.inv_sigma)))

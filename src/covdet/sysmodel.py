@@ -326,7 +326,7 @@ class CovarianceState:
 
     dictionary: np.ndarray  # (D, N*(tau_max+1)) delayed signature columns
     sigma2: float
-    inv_sigma: np.ndarray  # (D, D) Hermitian positive definite
+    inv_sigma: np.ndarray  # (D, D) Hermitian positive definite, Fortran-ordered
     objective: float
     gamma: GammaEstimate
 

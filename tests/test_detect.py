@@ -176,6 +176,17 @@ def test_non_finite_sample_covariance_rejected(runner, bad):
         runner(preambles, corrupted, config)
 
 
+@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+def test_zero_sample_covariance_detects_nothing(runner):
+    # noiseless and no active device: the fit factor is a single zero row
+    config = make_config()
+    preambles = make_scenario(config, 31)[0]
+    zero = np.zeros((config.window_len, config.window_len))
+    result = runner(preambles, zero, config)
+    assert result.theta_hat == frozenset()
+    assert not np.any(result.gamma_hat.values)
+
+
 class TestRunBcd:
     def test_pure_noise_detects_nothing(self):
         config = make_config()
@@ -228,6 +239,34 @@ class TestRunBcd:
             candidate.values[3, tau] += eta
             dense = oracle.dense_objective(preambles, candidate, config.sigma2, st.matrix)
             assert base + delta == pytest.approx(dense, abs=1e-8)
+
+    def test_first_sweep_matches_public_step_functions(self):
+        # one ascending block sweep driven by hand through the public step
+        # functions lands on the detector's first recorded objective; every
+        # block starts empty in the first sweep, so there is no downdate
+        config = make_config(num_antennas=16)
+        preambles, _, st = make_scenario(config, 28)
+        dictionary = effective_dictionary(preambles, config.max_delay)
+        state = likelihood.init_state(
+            dictionary, config.sigma2, st.matrix, config.num_delays
+        )
+        objective = state.objective
+        for n in range(config.num_devices):
+            best = None
+            best_delta = 0.0
+            for tau in range(config.num_delays):
+                eta = likelihood.coordinate_step(state, st, n, tau)
+                if eta <= 0.0:
+                    continue
+                delta = likelihood.objective_delta(state, st, n, tau, eta)
+                if delta < best_delta:
+                    best, best_delta = (tau, eta), delta
+            if best is not None:
+                likelihood.rank_one_inverse_update(state, n, *best)
+                objective += best_delta
+        result = run_bcd(preambles, st, config)
+        assert result.iterations > 1
+        assert result.objective_trace[1] == pytest.approx(objective, abs=1e-12)
 
     def test_deterministic(self):
         config = make_config(num_antennas=16)

@@ -243,6 +243,109 @@ class TestRankOneInverseUpdate:
             likelihood.rank_one_inverse_update(state, 0, 0, -0.50001)
 
 
+def hermitian_inverse(dim, seed, order="F"):
+    """A random Hermitian positive definite matrix in the given layout."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.array(a @ a.conj().T + dim * np.eye(dim), order=order)
+
+
+class TestApplyRankOne:
+    def test_matches_dense_outer_product(self):
+        inv = hermitian_inverse(12, seed=60)
+        rng = np.random.default_rng(61)
+        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        expected = inv - (0.7 / 1.9) * np.outer(v, v.conj())
+        likelihood.apply_rank_one(inv, v, 0.7, 1.9)
+        rel = np.linalg.norm(inv - expected) / np.linalg.norm(expected)
+        assert rel < 1e-14
+
+    def test_mutates_given_array(self):
+        inv = hermitian_inverse(6, seed=62)
+        before = inv.copy()
+        likelihood.apply_rank_one(inv, np.ones(6, dtype=complex), 0.5, 2.0)
+        np.testing.assert_allclose(inv, before - 0.25 * np.ones((6, 6)), rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "inv",
+        [
+            hermitian_inverse(6, seed=63, order="C"),
+            hermitian_inverse(6, seed=63).astype(np.complex64, order="F"),
+        ],
+        ids=["c-ordered", "complex64"],
+    )
+    def test_layout_that_would_update_a_copy_rejected(self, inv):
+        before = inv.copy()
+        with pytest.raises(ValueError, match="Fortran-ordered complex128"):
+            likelihood.apply_rank_one(inv, np.ones(6, dtype=complex), 0.5, 2.0)
+        np.testing.assert_array_equal(inv, before)
+
+    def test_states_keep_fortran_order(self):
+        _, state, st = random_state(seed=64)
+        assert state.inv_sigma.flags.f_contiguous
+        likelihood.refresh_state(state, st)
+        assert state.inv_sigma.flags.f_contiguous
+
+
+class TestFitFactor:
+    @pytest.mark.parametrize("num_antennas", [4, 12, 64])
+    def test_reproduces_sample_covariance_at_its_rank(self, num_antennas):
+        config = make_config(num_antennas=num_antennas)
+        st = make_scenario(config, 65)[2].matrix
+        factor_h = likelihood.fit_factor(st)
+        dim = config.window_len
+        assert factor_h.shape == (min(num_antennas, dim), dim)
+        assert factor_h.flags.f_contiguous
+        rebuilt = factor_h.conj().T @ factor_h
+        assert np.linalg.norm(rebuilt - st) / np.linalg.norm(st) < 1e-12
+
+    def test_fit_form_matches_quadratic_form(self):
+        config = make_config(num_antennas=4)
+        st = make_scenario(config, 66)[2].matrix
+        factor_h = likelihood.fit_factor(st)
+        rng = np.random.default_rng(67)
+        for _ in range(5):
+            v = rng.standard_normal(config.window_len) + 1j * rng.standard_normal(
+                config.window_len
+            )
+            fit = np.linalg.norm(factor_h @ v) ** 2
+            assert fit == pytest.approx(float(np.real(np.vdot(v, st @ v))), rel=1e-12)
+
+    def test_zero_sample_covariance_gives_zero_fit(self):
+        dim = 7
+        factor_h = likelihood.fit_factor(np.zeros((dim, dim)))
+        assert factor_h.shape == (1, dim)
+        inv = np.eye(dim, dtype=np.complex128, order="F")
+        s = np.ones(dim, dtype=complex)
+        _, quad, fit, step = likelihood.column_terms(inv, factor_h, s)
+        assert (quad, fit, step) == (7.0, 0.0, -1.0 / 7.0)
+        block = np.asfortranarray(np.ones((dim, 3), dtype=complex))
+        _, quads, fits, _ = likelihood.column_terms(inv, factor_h, block)
+        np.testing.assert_array_equal(fits, 0.0)
+        np.testing.assert_array_equal(quads, 7.0)
+
+
+class TestColumnTermsBlock:
+    def test_block_matches_columns(self):
+        _, state, st = random_state(seed=68)
+        factor_h = likelihood.fit_factor(st)
+        block = np.asfortranarray(state.dictionary[:, 2:6])
+        v, quads, fits, steps = likelihood.column_terms(state.inv_sigma, factor_h, block)
+        for k in range(4):
+            col = likelihood.column_terms(state.inv_sigma, factor_h, block[:, k])
+            np.testing.assert_allclose(v[:, k], col[0], rtol=1e-13)
+            for got, want in zip((quads[k], fits[k], steps[k]), col[1:]):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+
+    def test_corrupted_block_detected(self):
+        _, state, st = random_state(seed=69)
+        state.inv_sigma[:] = -np.eye(state.dim)
+        with pytest.raises(NumericalDegeneracyError, match="<= 0"):
+            likelihood.column_terms(
+                state.inv_sigma, likelihood.fit_factor(st), state.dictionary[:, :3]
+            )
+
+
 class TestObjectiveDelta:
     def test_zero_step(self):
         _, state, st = random_state(seed=49)
