@@ -47,12 +47,12 @@ print(f"cell-edge power gain over unit noise: {config.cell_edge_gain:.4f}")
 # preamble samples.
 rng = np.random.default_rng(config.rng_seed)
 preambles = generate_preambles(config, rng)
-print(f"\npreamble matrix: {preambles.matrix.shape} "
-      f"(mean |s|^2 = {np.mean(np.abs(preambles.matrix) ** 2):.3f})")
+print(f"\npreamble matrix: {preambles.shape} "
+      f"(mean |s|^2 = {np.mean(np.abs(preambles) ** 2):.3f})")
 
 # A delayed preamble is the same sequence shifted down inside the
 # padded window; nothing else about the device changes.
-seq = preambles.matrix[:, 0]
+seq = preambles[:, 0]
 for tau in range(config.max_delay + 1):
     padded = effective_sequence(seq, tau, config.max_delay)
     lead = ", ".join(f"{x:.2f}" for x in padded[:4])
@@ -67,7 +67,7 @@ print("\nactive devices (device, delay):",
 # antenna: superimposed delayed preambles through i.i.d. Rayleigh
 # fading, plus unit-variance noise.
 received = synthesize_received_signal(preambles, truth, config, rng)
-print(f"received snapshots: {received.matrix.shape} "
+print(f"received snapshots: {received.shape} "
       f"(window x antennas)")
 
 # Averaging outer products over antennas gives the sample covariance,

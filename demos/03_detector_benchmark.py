@@ -14,7 +14,8 @@ The equivalent shell command for the shipped desk-scale study is:
 import tempfile
 from pathlib import Path
 
-from covdet import ExperimentPlan, SystemConfig, run_experiment
+from covdet import SystemConfig
+from covdet.cli import ExperimentPlan, run_experiment
 
 # 20 devices, 4 active, modest window; 40 trials per cell keeps this
 # demo around ten seconds. Every (detector, antennas) cell replays the

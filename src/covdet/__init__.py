@@ -2,40 +2,22 @@
 
 Library for detecting which devices transmitted, and with what symbol
 delay, from the sample covariance of a multi-antenna received signal:
-scenario synthesis, two coordinate-descent maximum-likelihood detectors,
-scoring metrics, and a seeded Monte Carlo experiment harness.
+scenario synthesis, two coordinate-descent maximum-likelihood detectors
+and scoring metrics. Preambles and received signals are plain arrays;
+the sample covariance is the one validated input type. The seeded Monte
+Carlo experiment runner is ``covdet.cli``.
 """
 
-from .cli import (
-    ExperimentPlan,
-    TrialRecord,
-    aggregate,
-    load_experiment,
-    run_experiment,
-    run_single_trial,
-    synchronous_config,
-)
-from .detect import (
-    enforce_block_sparsity,
-    run_bcd,
-    run_cd_e,
-    threshold,
-    to_indicators,
-)
+from .detect import run_bcd, run_cd_e
 from .likelihood import (
     assemble_covariance,
     coordinate_step,
-    evaluate_objective,
     init_state,
     objective_delta,
     rank_one_inverse_update,
-    refresh_state,
 )
 from .metrics import compute_fap, compute_mdp
 from .siggen import (
-    ReceivedSignal,
-    SampleCovariance,
-    complex_gaussian,
     draw_ground_truth,
     effective_dictionary,
     effective_sequence,
@@ -46,63 +28,30 @@ from .siggen import (
 from .sysmodel import (
     ConfigError,
     ConvergenceError,
-    CovarianceState,
-    DetectionResult,
     GammaEstimate,
-    GroundTruth,
     NumericalDegeneracyError,
-    PreambleSet,
     SystemConfig,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-    validate,
 )
 
 __all__ = [
     "ConfigError",
     "ConvergenceError",
-    "CovarianceState",
-    "DetectionResult",
-    "ExperimentPlan",
     "GammaEstimate",
-    "GroundTruth",
     "NumericalDegeneracyError",
-    "PreambleSet",
-    "ReceivedSignal",
-    "SampleCovariance",
     "SystemConfig",
-    "TrialRecord",
-    "aggregate",
     "assemble_covariance",
-    "complex_gaussian",
     "compute_fap",
     "compute_mdp",
-    "config_from_dict",
-    "config_to_dict",
     "coordinate_step",
     "draw_ground_truth",
     "effective_dictionary",
     "effective_sequence",
-    "enforce_block_sparsity",
-    "evaluate_objective",
     "generate_preambles",
     "init_state",
-    "load_config",
-    "load_experiment",
     "objective_delta",
     "rank_one_inverse_update",
-    "refresh_state",
     "run_bcd",
     "run_cd_e",
-    "run_experiment",
-    "run_single_trial",
     "sample_covariance",
-    "save_config",
-    "synchronous_config",
     "synthesize_received_signal",
-    "threshold",
-    "to_indicators",
-    "validate",
 ]

@@ -28,7 +28,6 @@ from .sysmodel import (
     DetectionResult,
     GammaEstimate,
     NumericalDegeneracyError,
-    PreambleSet,
     SystemConfig,
     validate,
 )
@@ -69,7 +68,7 @@ def to_indicators(gamma: GammaEstimate) -> frozenset:
     return frozenset((int(n), int(tau)) for n, tau in np.argwhere(gamma.values > 0.0))
 
 
-def _prepare(preambles: PreambleSet, sigma_tilde, config: SystemConfig):
+def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     """Shared detector setup: dimension checks, dictionary, fit factor,
     fresh state.
 
@@ -77,17 +76,13 @@ def _prepare(preambles: PreambleSet, sigma_tilde, config: SystemConfig):
     block of columns reaches BLAS without a copy.
     """
     validate(config, allow_inactive=True)
-    if preambles.preamble_len != config.preamble_len:
+    expected = (config.preamble_len, config.num_devices)
+    if preambles.shape != expected:
         raise ValueError(
-            f"preamble length {preambles.preamble_len} does not match "
-            f"config preamble_len {config.preamble_len}"
+            f"preambles must have shape (preamble length, device count) = "
+            f"{expected}, got {preambles.shape}"
         )
-    if preambles.num_devices != config.num_devices:
-        raise ValueError(
-            f"preamble count {preambles.num_devices} does not match "
-            f"config num_devices {config.num_devices}"
-        )
-    st = np.asarray(getattr(sigma_tilde, "matrix", sigma_tilde), dtype=np.complex128)
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
     if st.shape != (config.window_len, config.window_len):
         raise ValueError(
             f"sample covariance shape {st.shape} does not match "
@@ -100,24 +95,22 @@ def _prepare(preambles: PreambleSet, sigma_tilde, config: SystemConfig):
     return dictionary, st, likelihood.fit_factor(st), state
 
 
-def _descend(state, st, config, num_units, visit, shuffle_rng, unit, estimate):
+def _descend(state, st, config, num_units, visit, unit, estimate):
     """The sweep driver both detectors share.
 
     Each sweep calls ``visit(index, inv, objective)`` on every unit index
-    in ascending order (or a per-sweep random order when ``shuffle_rng``
-    is given); ``visit`` updates ``inv`` and gamma in place and returns
-    the new objective. Every ``RECOMPUTE_EVERY`` sweeps the state is
-    densely refreshed. Stops once a sweep improves the objective by at
+    in ascending order; ``visit`` updates ``inv`` and gamma in place and
+    returns the new objective. Every ``RECOMPUTE_EVERY`` sweeps the state
+    is densely refreshed. Stops once a sweep improves the objective by at
     most ``config.convergence_delta`` and returns the result whose
     estimate is ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``.
     """
     trace = [state.objective]
     for sweep in range(1, MAX_SWEEPS + 1):
-        order = range(num_units) if shuffle_rng is None else shuffle_rng.permutation(num_units)
         inv = state.inv_sigma
         objective = state.objective
         try:
-            for index in order:
+            for index in range(num_units):
                 objective = visit(index, inv, objective)
         except NumericalDegeneracyError as exc:
             raise NumericalDegeneracyError(f"{exc} at sweep {sweep}, {unit} {index}") from exc
@@ -143,18 +136,11 @@ def _descend(state, st, config, num_units, visit, shuffle_rng, unit, estimate):
     )
 
 
-def run_cd_e(
-    preambles: PreambleSet,
-    sigma_tilde,
-    config: SystemConfig,
-    *,
-    shuffle_rng: np.random.Generator | None = None,
-) -> DetectionResult:
+def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> DetectionResult:
     """Coordinate descent over all coordinates, then enforcement.
 
-    Sweeps every (device, delay) coordinate in ascending order (or a
-    per-sweep random order when ``shuffle_rng`` is given), applying the
-    closed-form step and the rank-one inverse update, until one full
+    Sweeps every (device, delay) coordinate in ascending order, applying
+    the closed-form step and the rank-one inverse update, until one full
     sweep improves the objective by at most ``config.convergence_delta``.
     The relaxed estimate is then reduced to one delay per device
     (keep-max), thresholded at ``config.threshold_cd``, and converted to
@@ -174,18 +160,13 @@ def run_cd_e(
         return objective + delta
 
     return _descend(
-        state, st, config, dictionary.shape[1], visit, shuffle_rng, "column",
+        state, st, config, dictionary.shape[1], visit, "column",
         lambda gamma: threshold(enforce_block_sparsity(gamma), config.threshold_cd),
     )
 
 
 def run_bcd(
-    preambles: PreambleSet,
-    sigma_tilde,
-    config: SystemConfig,
-    *,
-    shuffle_rng: np.random.Generator | None = None,
-    block_audit=None,
+    preambles: np.ndarray, sigma_tilde, config: SystemConfig, *, block_audit=None
 ) -> DetectionResult:
     """Block coordinate descent with one delay per device by construction.
 
@@ -244,6 +225,6 @@ def run_bcd(
         return objective
 
     return _descend(
-        state, st, config, config.num_devices, visit, shuffle_rng, "device",
+        state, st, config, config.num_devices, visit, "device",
         lambda gamma: threshold(gamma, config.threshold_bcd),
     )

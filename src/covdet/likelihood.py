@@ -34,20 +34,10 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import zgemm, zgemv, zgerc
 
-from .sysmodel import (
-    CovarianceState,
-    GammaEstimate,
-    NumericalDegeneracyError,
-    PreambleSet,
-)
+from .sysmodel import CovarianceState, GammaEstimate, NumericalDegeneracyError
 
 # 1 + eta * s^H Sigma^{-1} s below this is treated as a degenerate update
 DENOMINATOR_GUARD = 1e-12
-
-
-def _as_matrix(mat) -> np.ndarray:
-    """Accept a bare ndarray or any wrapper exposing ``.matrix``."""
-    return np.asarray(getattr(mat, "matrix", mat), dtype=np.complex128)
 
 
 def assemble_dictionary_covariance(
@@ -62,7 +52,7 @@ def assemble_dictionary_covariance(
     return (cov + cov.conj().T) / 2.0
 
 
-def assemble_covariance(preambles: PreambleSet, gamma: GammaEstimate, sigma2: float) -> np.ndarray:
+def assemble_covariance(preambles: np.ndarray, gamma: GammaEstimate, sigma2: float) -> np.ndarray:
     """Model covariance: sum of gamma-weighted delayed-signature outer
     products plus ``sigma2`` on the diagonal."""
     from .siggen import effective_dictionary  # local import avoids cycle
@@ -79,7 +69,7 @@ def evaluate_objective(mat: np.ndarray, sigma_tilde, *, inverse: bool = False) -
     diagonal entries), never from a raw determinant.
     """
     mat = np.asarray(mat, dtype=np.complex128)
-    st = _as_matrix(sigma_tilde)
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
     try:
         if inverse:
             chol = np.linalg.cholesky(mat)
@@ -103,7 +93,7 @@ def init_state(
     ``num_delays`` fixes the gamma block width; dictionary columns are
     device-major, delay-minor.
     """
-    st = _as_matrix(sigma_tilde)
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
     dim, num_columns = dictionary.shape
     if st.shape != (dim, dim):
         raise ValueError(
@@ -132,7 +122,7 @@ def fit_factor(sigma_tilde) -> np.ndarray:
     ``(D, D)`` otherwise. A zero ``S_tilde`` gives one zero row, so the
     kernel never hands BLAS an empty operand.
     """
-    st = _as_matrix(sigma_tilde)
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
     dim = st.shape[0]
     w, u = scipy.linalg.eigh(st)  # ascending eigenvalues
     rank = max(1, int(np.count_nonzero(w > w[-1] * dim * np.finfo(np.float64).eps)))
@@ -269,7 +259,7 @@ def refresh_state(state: CovarianceState, sigma_tilde) -> None:
 
     Called every few sweeps to wipe out accumulated rank-one roundoff.
     """
-    st = _as_matrix(sigma_tilde)
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
     cov = assemble_dictionary_covariance(
         state.dictionary, state.gamma.values.ravel(), state.sigma2
     )

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sysmodel import CovarianceState, GammaEstimate, PreambleSet
+from .sysmodel import CovarianceState, GammaEstimate
 
 
 def _delayed_columns(matrix: np.ndarray, max_delay: int) -> np.ndarray:
@@ -62,17 +62,17 @@ def dense_inverse(cov: np.ndarray) -> np.ndarray:
     return (eigvecs / eigvals) @ eigvecs.conj().T
 
 
-def dense_covariance(preambles: PreambleSet, gamma: GammaEstimate, sigma2: float) -> np.ndarray:
+def dense_covariance(preambles: np.ndarray, gamma: GammaEstimate, sigma2: float) -> np.ndarray:
     """Model covariance assembled independently of the library path."""
-    columns = _delayed_columns(preambles.matrix, gamma.num_delays - 1)
+    columns = _delayed_columns(preambles, gamma.num_delays - 1)
     return _covariance_from_columns(columns, gamma.values.ravel(), sigma2)
 
 
 def dense_objective(
-    preambles: PreambleSet, gamma: GammaEstimate, sigma2: float, sigma_tilde
+    preambles: np.ndarray, gamma: GammaEstimate, sigma2: float, sigma_tilde
 ) -> float:
     """Fit objective evaluated densely from first principles."""
-    st = np.asarray(getattr(sigma_tilde, "matrix", sigma_tilde), dtype=np.complex128)
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
     return _objective_from_cov(dense_covariance(preambles, gamma, sigma2), st)
 
 
@@ -90,7 +90,7 @@ def grid_min_1d(
     ``[-gamma[device, delay], upper]`` (default upper:
     ``gamma[device, delay] + 10``). Ties go to the smallest offset.
     """
-    st = np.asarray(getattr(sigma_tilde, "matrix", sigma_tilde), dtype=np.complex128)
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
     current = float(state.gamma.values[device, delay])
     if upper is None:
         upper = current + 10.0
@@ -154,7 +154,7 @@ def _optimize_support(
 
 
 def exhaustive_support_search(
-    preambles: PreambleSet,
+    preambles: np.ndarray,
     sigma_tilde,
     sigma2: float,
     candidate_budget: int = 20000,
@@ -167,13 +167,13 @@ def exhaustive_support_search(
     inferred from the sample covariance dimension. Only viable for tiny
     instances; the enumeration count must fit in ``candidate_budget``.
     """
-    st = np.asarray(getattr(sigma_tilde, "matrix", sigma_tilde), dtype=np.complex128)
-    num_devices = preambles.num_devices
-    max_delay = st.shape[0] - preambles.preamble_len
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
+    preamble_len, num_devices = preambles.shape
+    max_delay = st.shape[0] - preamble_len
     if max_delay < 0:
         raise ValueError(
             f"sample covariance dimension {st.shape[0]} smaller than "
-            f"preamble length {preambles.preamble_len}"
+            f"preamble length {preamble_len}"
         )
     num_delays = max_delay + 1
     total = (num_delays + 1) ** num_devices
@@ -181,7 +181,7 @@ def exhaustive_support_search(
         raise ValueError(
             f"support enumeration needs {total} candidates, budget is {candidate_budget}"
         )
-    columns = _delayed_columns(preambles.matrix, max_delay)
+    columns = _delayed_columns(preambles, max_delay)
     best = None
     for assignment in itertools.product(range(-1, num_delays), repeat=num_devices):
         support = tuple(

@@ -11,27 +11,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import GroundTruth, PreambleSet, SystemConfig
-
-
-@dataclass(frozen=True)
-class ReceivedSignal:
-    """Complex baseband samples, one column per receive antenna."""
-
-    matrix: np.ndarray  # (L + tau_max, M)
-
-    @property
-    def window_len(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_antennas(self) -> int:
-        return self.matrix.shape[1]
+from .sysmodel import GroundTruth, SystemConfig
 
 
 @dataclass(frozen=True)
 class SampleCovariance:
-    """Hermitian PSD average of the per-antenna outer products."""
+    """Hermitian PSD average of the per-antenna outer products.
+
+    The one validated input type of the detectors: the ML estimate
+    depends on the received signal only through this matrix. It is
+    square, finite and Hermitian, and converts to its matrix wherever
+    numpy expects an array.
+    """
 
     matrix: np.ndarray  # (L + tau_max, L + tau_max)
 
@@ -39,10 +30,15 @@ class SampleCovariance:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"sample covariance must be square, got shape {m.shape}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("sample covariance has NaN or Inf entries")
         scale = max(1.0, float(np.abs(m).max()))
         if np.abs(m - m.conj().T).max() > 1e-10 * scale:
             raise ValueError("sample covariance must be Hermitian")
         object.__setattr__(self, "matrix", m)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
@@ -51,9 +47,10 @@ def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0) -> 
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def generate_preambles(config: SystemConfig, rng: np.random.Generator) -> PreambleSet:
-    """Draw the L x N signature matrix with i.i.d. unit-variance entries."""
-    return PreambleSet(complex_gaussian(rng, (config.preamble_len, config.num_devices)))
+def generate_preambles(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """Draw the (L, N) signature matrix, one column per device, with
+    i.i.d. unit-variance entries."""
+    return complex_gaussian(rng, (config.preamble_len, config.num_devices))
 
 
 def effective_sequence(seq: np.ndarray, delay: int, max_delay: int) -> np.ndarray:
@@ -70,71 +67,62 @@ def effective_sequence(seq: np.ndarray, delay: int, max_delay: int) -> np.ndarra
     return out
 
 
-def effective_dictionary(preambles: PreambleSet, max_delay: int) -> np.ndarray:
+def effective_dictionary(preambles: np.ndarray, max_delay: int) -> np.ndarray:
     """Stack all delayed signatures into one (L+tau_max) x N*(tau_max+1) matrix.
 
     Columns are grouped per device, delay-major within a device: column
     ``n * (tau_max + 1) + tau`` is device ``n`` delayed by ``tau``.
     """
-    mat = preambles.matrix
-    length, num_devices = mat.shape
+    length, num_devices = preambles.shape
     num_delays = max_delay + 1
     out = np.zeros((length + max_delay, num_devices * num_delays), dtype=np.complex128)
     for tau in range(num_delays):
-        out[tau : tau + length, tau::num_delays] = mat
+        out[tau : tau + length, tau::num_delays] = preambles
     return out
 
 
-def draw_ground_truth(
-    config: SystemConfig,
-    rng: np.random.Generator,
-    delay_weights: np.ndarray | None = None,
-) -> GroundTruth:
+def draw_ground_truth(config: SystemConfig, rng: np.random.Generator) -> GroundTruth:
     """Draw the active set, per-device delays, and large-scale gains.
 
     The active set is uniform without replacement; delays are uniform on
-    {0, ..., tau_max} unless ``delay_weights`` gives another distribution.
-    All devices share the cell-edge gain (worst case), on the working
-    scale where the noise power is 1.
+    {0, ..., tau_max}. All devices share the cell-edge gain (worst case),
+    on the working scale where the noise power is 1.
     """
     active = np.sort(rng.choice(config.num_devices, size=config.num_active, replace=False))
-    if delay_weights is not None:
-        weights = np.asarray(delay_weights, dtype=np.float64)
-        if weights.shape != (config.num_delays,):
-            raise ValueError(f"delay_weights must have length {config.num_delays}")
-        probs = weights / weights.sum()
-        drawn = rng.choice(config.num_delays, size=config.num_active, p=probs)
-    else:
-        drawn = rng.integers(0, config.num_delays, size=config.num_active)
+    drawn = rng.integers(0, config.num_delays, size=config.num_active)
     delays = {int(n): int(tau) for n, tau in zip(active, drawn)}
     gains = np.full(config.num_devices, config.cell_edge_gain)
     return GroundTruth(active=active, delays=delays, gains=gains)
 
 
 def synthesize_received_signal(
-    preambles: PreambleSet,
+    preambles: np.ndarray,
     truth: GroundTruth,
     config: SystemConfig,
     rng: np.random.Generator,
     *,
     channels: np.ndarray | None = None,
     noise_variance: float | None = None,
-) -> ReceivedSignal:
+) -> np.ndarray:
     """Superpose the delayed signatures of the active devices plus noise.
 
-    Each active device contributes sqrt(gain) * delayed signature times
-    its CN(0, I) antenna channel row; the noise is entrywise CN(0, sigma2).
-    Channels are drawn in ascending device order, then the noise block,
-    so one generator reproduces the signal exactly.
+    Returns the ``(L + tau_max, M)`` received window, one column per
+    receive antenna. Each active device contributes sqrt(gain) * delayed
+    signature times its CN(0, I) antenna channel row; the noise is
+    entrywise CN(0, sigma2). Channels are drawn in ascending device
+    order, then the noise block, so one generator reproduces the signal
+    exactly.
 
     ``channels`` (one row per active device, ascending order) and
     ``noise_variance`` override the random draws; they exist for tests
     that need deterministic or noiseless signals.
     """
-    if preambles.preamble_len != config.preamble_len:
-        raise ValueError("preamble length inconsistent with config")
-    if preambles.num_devices != config.num_devices:
-        raise ValueError("number of preambles inconsistent with config")
+    expected = (config.preamble_len, config.num_devices)
+    if preambles.shape != expected:
+        raise ValueError(
+            f"preambles must have shape (preamble length, device count) = "
+            f"{expected}, got {preambles.shape}"
+        )
     window = config.window_len
     num_active = truth.num_active
     if channels is None:
@@ -151,7 +139,7 @@ def synthesize_received_signal(
         columns = np.empty((window, num_active), dtype=np.complex128)
         for k, n in enumerate(truth.active):
             n = int(n)
-            seq = effective_sequence(preambles.matrix[:, n], truth.delays[n], config.max_delay)
+            seq = effective_sequence(preambles[:, n], truth.delays[n], config.max_delay)
             columns[:, k] = np.sqrt(truth.gains[n]) * seq
         signal = columns @ channels
     if noise_variance is None:
@@ -160,12 +148,13 @@ def synthesize_received_signal(
         signal = signal + complex_gaussian(
             rng, (window, config.num_antennas), variance=noise_variance
         )
-    return ReceivedSignal(signal)
+    return signal
 
 
-def sample_covariance(received: ReceivedSignal) -> SampleCovariance:
-    """Average outer product of the antenna snapshots, (1/M) Y Y^H."""
-    y = received.matrix
+def sample_covariance(received: np.ndarray) -> SampleCovariance:
+    """Average outer product of the antenna snapshots, (1/M) Y Y^H, of
+    the ``(L + tau_max, M)`` received window."""
+    y = np.asarray(received, dtype=np.complex128)
     if y.shape[1] < 1:
         raise ValueError("need at least one antenna snapshot")
     cov = (y @ y.conj().T) / y.shape[1]

@@ -14,7 +14,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping
@@ -174,11 +173,6 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
     return c
 
 
-def config_to_dict(config: SystemConfig) -> dict:
-    """One key per field, suitable for JSON round-tripping."""
-    return {f.name: getattr(config, f.name) for f in fields(SystemConfig)}
-
-
 def config_from_dict(data: Mapping) -> SystemConfig:
     """Build a SystemConfig from a mapping; unknown or missing keys are errors."""
     known = {f.name for f in fields(SystemConfig)}
@@ -200,41 +194,6 @@ def config_from_dict(data: Mapping) -> SystemConfig:
                 raise ConfigError(f"{name} must be a number, got {value!r}")
             kwargs[name] = float(value)
     return SystemConfig(**kwargs)
-
-
-def save_config(config: SystemConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2)
-        fh.write("\n")
-
-
-def load_config(path) -> SystemConfig:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a single JSON object")
-    return config_from_dict(data)
-
-
-@dataclass(frozen=True)
-class PreambleSet:
-    """Signature sequences, one length-L complex column per device."""
-
-    matrix: np.ndarray  # (L, N) complex
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2:
-            raise ValueError(f"preamble matrix must be 2-D, got shape {m.shape}")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def preamble_len(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def num_devices(self) -> int:
-        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)

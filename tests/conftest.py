@@ -1,7 +1,11 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders and subprocess helpers for the test suite."""
+
+import os
+from pathlib import Path
 
 import numpy as np
 
+import covdet
 from covdet.siggen import (
     draw_ground_truth,
     generate_preambles,
@@ -39,3 +43,11 @@ def make_scenario(config: SystemConfig, seed: int):
     truth = draw_ground_truth(config, rng)
     received = synthesize_received_signal(preambles, truth, config, rng)
     return preambles, truth, sample_covariance(received)
+
+
+def package_env() -> dict:
+    """This environment with the tested package's ``src`` first on
+    PYTHONPATH, for running it in a subprocess."""
+    src = str(Path(covdet.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}

@@ -2,16 +2,13 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import covdet
-from conftest import DEFAULTS, make_config
+from conftest import DEFAULTS, make_config, package_env
 from covdet.cli import (
     CSV_HEADER,
     DETECTOR_NAMES,
@@ -394,15 +391,13 @@ class TestMain:
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + len(DETECTOR_NAMES)
 
-    def test_module_form_runs_without_warning(self):
-        # `python -m covdet` must not re-import the already imported cli
-        # module, which makes runpy print a RuntimeWarning
-        src = str(Path(covdet.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    @pytest.mark.parametrize("module", ["covdet", "covdet.cli"])
+    def test_module_form_runs_without_warning(self, module):
+        # a module form must not run a module that `import covdet` has
+        # already loaded, or runpy prints a RuntimeWarning
         proc = subprocess.run(
-            [sys.executable, "-m", "covdet", "--help"],
-            capture_output=True, text=True, env=env, timeout=60,
+            [sys.executable, "-m", module, "--help"],
+            capture_output=True, text=True, env=package_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
         assert "RuntimeWarning" not in proc.stderr

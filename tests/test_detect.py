@@ -124,15 +124,6 @@ class TestRunCdE:
         np.testing.assert_array_equal(a.gamma_hat.values, b.gamma_hat.values)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
 
-    def test_shuffled_order_still_converges(self):
-        config = make_config(num_antennas=256)
-        preambles, truth, st = make_scenario(config, 13)
-        result = run_cd_e(
-            preambles, st, config, shuffle_rng=np.random.default_rng(0)
-        )
-        assert result.theta_hat == truth.pairs
-        assert np.all(np.diff(result.objective_trace) <= 1e-9)
-
     def test_sweep_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(detect, "MAX_SWEEPS", 1)
         config = make_config(num_antennas=64)
@@ -140,11 +131,21 @@ class TestRunCdE:
         with pytest.raises(ConvergenceError, match="1 sweeps"):
             run_cd_e(preambles, st, config)
 
-    def test_dimension_mismatch_rejected(self):
+    @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda p, st: (p, np.eye(3)), "sample covariance"),
+            (lambda p, st: (p[:, 0], st), "preambles must have shape"),
+            (lambda p, st: (p.T, st), "preambles must have shape"),
+        ],
+        ids=["covariance", "1-D-preambles", "transposed-preambles"],
+    )
+    def test_dimension_mismatch_rejected(self, runner, corrupt, message):
         config = make_config()
-        preambles = make_scenario(config, 0)[0]
-        with pytest.raises(ValueError, match="sample covariance"):
-            run_cd_e(preambles, np.eye(3), config)
+        preambles, _, st = make_scenario(config, 0)
+        with pytest.raises(ValueError, match=message):
+            runner(*corrupt(preambles, st), config)
 
     def test_first_sweep_matches_public_step_functions(self):
         # one ascending sweep driven by hand through the public step

@@ -8,11 +8,7 @@ import pytest
 from conftest import make_config, make_scenario
 from covdet import likelihood, oracle
 from covdet.siggen import effective_dictionary
-from covdet.sysmodel import (
-    GammaEstimate,
-    NumericalDegeneracyError,
-    PreambleSet,
-)
+from covdet.sysmodel import GammaEstimate, NumericalDegeneracyError
 
 
 def scalar_state(sigma_tilde_value, gamma_value=0.0):
@@ -66,13 +62,13 @@ class TestAssembleCovariance:
         )
 
     def test_scalar_case(self):
-        preambles = PreambleSet(np.ones((1, 1), dtype=complex))
+        preambles = np.ones((1, 1), dtype=complex)
         gamma = GammaEstimate(np.array([[2.0]]))
         cov = likelihood.assemble_covariance(preambles, gamma, 1.0)
         assert cov == pytest.approx(np.array([[3.0]]))
 
     def test_negative_gamma_rejected(self):
-        preambles = PreambleSet(np.ones((1, 1), dtype=complex))
+        preambles = np.ones((1, 1), dtype=complex)
         with pytest.raises(ValueError, match="non-negative"):
             likelihood.assemble_covariance(
                 preambles, GammaEstimate(np.array([[-0.1]])), 1.0

@@ -1,4 +1,4 @@
-"""Domain types, validation, and config serialization."""
+"""Domain types, validation, and config parsing."""
 
 import dataclasses
 import math
@@ -12,11 +12,7 @@ from covdet.sysmodel import (
     DetectionResult,
     GammaEstimate,
     GroundTruth,
-    PreambleSet,
     config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
     validate,
 )
 
@@ -84,30 +80,24 @@ class TestSystemConfig:
 
 
 class TestConfigSerialization:
-    def test_file_round_trip(self, tmp_path):
-        config = make_config(num_devices=200, num_active=90, rng_seed=998877)
-        path = tmp_path / "config.json"
-        save_config(config, path)
-        assert load_config(path) == config
-
     def test_dict_round_trip(self):
         config = make_config()
-        assert config_from_dict(config_to_dict(config)) == config
+        assert config_from_dict(dataclasses.asdict(config)) == config
 
     def test_unknown_key_rejected(self):
-        data = config_to_dict(make_config())
+        data = dataclasses.asdict(make_config())
         data["snr_db"] = 10
         with pytest.raises(ConfigError, match="unknown config keys"):
             config_from_dict(data)
 
     def test_missing_key_rejected(self):
-        data = config_to_dict(make_config())
+        data = dataclasses.asdict(make_config())
         del data["bandwidth_hz"]
         with pytest.raises(ConfigError, match="missing config keys"):
             config_from_dict(data)
 
     def test_bool_rejected_for_numeric_field(self):
-        data = config_to_dict(make_config())
+        data = dataclasses.asdict(make_config())
         data["num_antennas"] = True
         with pytest.raises(ConfigError, match="num_antennas"):
             config_from_dict(data)
@@ -165,18 +155,6 @@ class TestGammaEstimate:
     def test_one_dimensional_values_rejected(self):
         with pytest.raises(ValueError, match="2-D"):
             GammaEstimate(np.zeros(4))
-
-
-class TestPreambleSet:
-    def test_dimensions(self):
-        mat = np.ones((16, 8), dtype=complex)
-        preambles = PreambleSet(mat)
-        assert preambles.preamble_len == 16
-        assert preambles.num_devices == 8
-
-    def test_non_matrix_rejected(self):
-        with pytest.raises(ValueError, match="2-D"):
-            PreambleSet(np.ones(16))
 
 
 class TestDetectionResult:
