@@ -13,7 +13,7 @@ Both visit coordinates through the kernel in ``likelihood`` (rank-one
 updates of Sigma^{-1}, closed-form objective increments, the fit form
 from a low-rank factor of the sample covariance) under one sweep driver
 that owns the visit order, the periodic dense refresh and the stop rule.
-``bcd`` scores a device's whole delay block with one kernel call.
+``bcd`` scores a device's whole delay block from one block product.
 """
 
 from __future__ import annotations
@@ -21,7 +21,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import likelihood
-from .likelihood import apply_rank_one, column_terms, step_increment
+from .likelihood import (
+    apply_rank_one,
+    best_candidate,
+    block_terms,
+    column_terms,
+    removal_terms,
+    step_increment,
+)
 from .siggen import effective_dictionary
 from .sysmodel import (
     ConvergenceError,
@@ -171,10 +178,14 @@ def run_bcd(
     """Block coordinate descent with one delay per device by construction.
 
     For each device block: the block's current nonzero entry (if any) is
-    removed with one rank-one downdate; each candidate delay is then
-    scored speculatively from that zeroed state with its own closed-form
-    optimum and objective increment; the candidate with minimal objective
-    is committed (ties to the smallest delay). Because re-inserting the
+    removed; each candidate delay is then scored speculatively from that
+    zeroed state with its own closed-form optimum and objective
+    increment; the candidate with minimal objective is committed (ties to
+    the smallest delay). The zeroed state's terms come from the block
+    product of the current state (``likelihood.removal_terms``), and
+    ``Sigma^{-1}`` changes only at the commit: a downdate and an update,
+    or a single update of the net change when the entry returns to its
+    delay. Because re-inserting the
     removed entry is always among the candidates, a block pass never
     increases the objective. Stops when a full pass over all blocks
     improves the objective by at most ``config.convergence_delta``, then
@@ -189,36 +200,37 @@ def run_bcd(
     gamma_values = state.gamma.values
 
     def visit(n, inv, objective):
-        base = n * num_delays
         row = gamma_values[n]
-        # downdate the block's existing entry, if any, to reach the
-        # zeroed reference state shared by all candidates
-        old_tau = int(np.argmax(row))
-        if row[old_tau] > 0.0:
-            eta = -float(row[old_tau])
-            v, quad, fit, _ = column_terms(inv, factor_h, dictionary[:, base + old_tau])
-            delta, denom = step_increment(eta, quad, fit)
-            apply_rank_one(inv, v, eta, denom)
+        block = dictionary[:, n * num_delays : (n + 1) * num_delays]
+        terms = block_terms(inv, factor_h, block)
+        # remove the block's existing entry, if any, to reach the zeroed
+        # reference state shared by all candidates; its terms come from
+        # the same block product, and Sigma^-1 changes only at the commit
+        old_tau = int(row.argmax())
+        removed = float(row[old_tau])
+        if removed > 0.0:
+            (delta, down_denom, u, quad_u), terms = removal_terms(
+                block, terms, old_tau, removed
+            )
             objective += delta
             row[old_tau] = 0.0
-        # speculative candidates, all from one kernel call on the block:
-        # optimal step and objective change per delay, measured from the
-        # zeroed state; keeping the block empty scores 0
-        block = dictionary[:, base : base + num_delays]
-        v, quads, fits, steps = column_terms(inv, factor_h, block)
-        candidates = zip(quads.tolist(), fits.tolist(), steps.tolist())
-        best = None
-        best_delta = 0.0
-        for tau, (quad, fit, eta) in enumerate(candidates):
-            if eta <= 0.0:
-                continue
-            delta, denom = step_increment(eta, quad, fit)
-            if delta < best_delta:
-                best, best_delta = (tau, eta, denom), delta
+        # the best candidate from the zeroed state; keeping the block
+        # empty scores 0
+        best = best_candidate(terms)
+        if best is not None and removed > 0.0 and best[0] == old_tau:
+            # re-inserted where it was: the removal and the commit are one
+            # rank-one update of the net change
+            net = best[1] - removed
+            apply_rank_one(inv, u, net, step_increment(net, quad_u, 0.0)[1])
+        else:
+            if removed > 0.0:
+                apply_rank_one(inv, u, -removed, down_denom)
+            if best is not None:
+                tau, eta, denom, _ = best
+                apply_rank_one(inv, terms[0][:, tau], eta, denom)
         if best is not None:
-            tau, eta, denom = best
-            apply_rank_one(inv, v[:, tau], eta, denom)
-            objective += best_delta
+            tau, eta, _, delta = best
+            objective += delta
             row[tau] = eta
         if block_audit is not None:
             block_audit(gamma_values)

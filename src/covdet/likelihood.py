@@ -7,23 +7,38 @@ on one tracked ``CovarianceState``: closed-form single-coordinate steps,
 Sherman-Morrison maintenance of ``Sigma^{-1}``, and matching closed-form
 objective increments, plus a dense refresh to bound accumulated drift.
 
-The coordinate math lives once, in the array kernel ``column_terms`` /
-``step_increment`` / ``apply_rank_one`` that both detectors call; the
-state-based step functions below are compositions of it.
+The coordinate math lives once, in the array kernel that both detectors
+call: ``column_terms`` / ``step_increment`` / ``apply_rank_one`` for one
+column, and ``block_terms`` / ``removal_terms`` / ``best_candidate`` for
+a device's block of delay columns. The state-based step functions below
+are compositions of it.
 
 The kernel never touches ``S_tilde`` itself. ``fit_factor`` returns
 ``F^H`` with ``S_tilde = F F^H``, whose row count is the numerical rank
 of ``S_tilde`` (``M`` for ``M`` antennas below the window length ``D``,
 else ``D``), so the fit form ``s^H Sigma^{-1} S_tilde Sigma^{-1} s`` is
-``||F^H v||^2`` at ``O(D rank)`` instead of a ``D x D`` matvec.
+``||F^H v||^2`` at ``O(D rank)`` instead of a ``D x D`` matvec. The
+state-based functions take one coordinate at a time, where the ``eigh``
+behind the factor would cost more than it saves, so they take the fit
+form as ``Re(v^H S_tilde v)`` from one ``zgemv`` instead.
+
+``bcd`` scores a block from the state with the block's entry removed.
+``removal_terms`` reaches that zeroed state's terms from the one block
+product of the current state by a Sherman-Morrison correction, rather
+than downdating ``Sigma^{-1}`` and multiplying again; when the entry
+goes back to the delay it came from, removal and commit are one
+rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
-LAPACK: ``zgemv`` for a column, ``zgemm`` for a block of columns, an
-in-place ``zgerc`` for the rank-one update of the Fortran-ordered
-``Sigma^{-1}``, and ``zgemm`` plus a Cholesky factor for the dense
-refresh. Keeping them in one library matters: numpy ships its own BLAS
-with its own thread pool, and when threads are not pinned, alternating
-the two pools call by call costs up to milliseconds per call.
+LAPACK: ``zgemv`` for a column, ``zdotc`` for the inner products of a
+column (a quarter of ``np.vdot``'s call overhead), ``zgemm`` for a block
+of columns and the diagonal of one more ``zgemm`` for their per-column
+inner products, an in-place ``zgerc`` for a rank-one update of the
+Fortran-ordered ``Sigma^{-1}`` or of a block's terms, and ``zgemm`` plus
+a Cholesky factor for the dense refresh. Keeping them in one library
+matters: numpy ships its own BLAS with its own thread pool, and when
+threads are not pinned, alternating the two pools call by call costs up
+to milliseconds per call.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ import math
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.blas import zgemm, zgemv, zgerc
+from scipy.linalg.blas import zdotc, zgemm, zgemv, zgerc
 
 from .sysmodel import CovarianceState, GammaEstimate, NumericalDegeneracyError
 
@@ -130,26 +145,23 @@ def fit_factor(sigma_tilde) -> np.ndarray:
     return np.asfortranarray((u[:, lead] * np.sqrt(np.maximum(w[lead], 0.0))).conj().T)
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` in scipy's BLAS: ``zgemv`` for a column, ``zgemm`` for a block."""
-    return zgemv(1.0, a, b) if b.ndim == 1 else zgemm(1.0, a, b)
+def _check_quad(worst) -> None:
+    """Raise unless the quadratic form ``s^H Sigma^{-1} s`` is positive."""
+    if worst <= 0.0:
+        raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {worst} <= 0")
 
 
-def _inner(a: np.ndarray, b: np.ndarray):
-    """``Re(a^H b)``: a float for columns, one value per column for blocks."""
-    if a.ndim == 1:
-        return float(np.vdot(a, b).real)
-    return np.einsum("ij,ij->j", a.conj(), b).real
+def _step(quad, fit):
+    """``(fit - quad)/quad^2``, the unconstrained minimizer of the
+    objective along a coordinate."""
+    return (fit - quad) / (quad * quad)
 
 
 def _project(inv: np.ndarray, s: np.ndarray):
-    """``(v, quad)`` with ``v = Sigma^{-1} s`` and ``quad = s^H Sigma^{-1} s``,
-    per column when ``s`` is a ``(D, k)`` block."""
-    v = _times(inv, s)
-    quad = _inner(s, v)
-    worst = quad if s.ndim == 1 else quad.min()
-    if worst <= 0.0:
-        raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {worst} <= 0")
+    """``(v, quad)`` with ``v = Sigma^{-1} s`` and ``quad = s^H Sigma^{-1} s``."""
+    v = zgemv(1.0, inv, s)
+    quad = zdotc(s, v).real
+    _check_quad(quad)
     return v, quad
 
 
@@ -160,14 +172,86 @@ def column_terms(inv: np.ndarray, factor_h: np.ndarray, s: np.ndarray):
     ``quad = s^H Sigma^{-1} s``, ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s
     = ||F^H v||^2`` for ``factor_h = fit_factor(S_tilde)``, and
     ``step = (fit - quad)/quad^2``, the unconstrained minimizer of the
-    objective along this coordinate. ``s`` is one column (floats back)
-    or a ``(D, k)`` block of columns (``v`` is ``(D, k)``, the rest are
-    length-``k`` arrays).
+    objective along this coordinate.
     """
     v, quad = _project(inv, s)
-    w = _times(factor_h, v)
-    fit = _inner(w, w)
-    return v, quad, fit, (fit - quad) / (quad * quad)
+    w = zgemv(1.0, factor_h, v)
+    fit = zdotc(w, w).real
+    return v, quad, fit, _step(quad, fit)
+
+
+def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``Re(a_j^H b_j)`` for every column ``j``: the diagonal of one
+    ``zgemm``, which for the few columns of a delay block is cheaper than
+    any elementwise reduction."""
+    return zgemm(1.0, a, b, trans_a=2).diagonal().real
+
+
+def block_terms(inv: np.ndarray, factor_h: np.ndarray, block: np.ndarray):
+    """The products behind :func:`column_terms` for a ``(D, k)`` block.
+
+    Returns ``(v, w, quad)``: ``v = Sigma^{-1} block`` is ``(D, k)``,
+    ``w = F^H v`` is ``(rank, k)`` and ``quad`` holds each column's
+    ``s^H Sigma^{-1} s``. :func:`best_candidate` turns them into fit
+    forms, steps and objective changes; :func:`removal_terms` corrects
+    them for a removed entry.
+    """
+    v = zgemm(1.0, inv, block)
+    return v, zgemm(1.0, factor_h, v), _column_inner(block, v)
+
+
+def removal_terms(block: np.ndarray, terms, tau: int, gamma: float):
+    """Block terms of the state with ``gamma`` removed from column ``tau``,
+    without touching ``Sigma^{-1}``.
+
+    ``terms`` are the :func:`block_terms` of the current state; their
+    ``v`` and ``w`` are overwritten. Removing ``gamma`` is the
+    step ``eta = -gamma``, so Sherman-Morrison gives the zeroed-state
+    inverse ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with
+    ``u = Sigma^{-1} s_tau = v[:, tau]`` and ``c = gamma / denom``. With
+    one ``zgemv`` for ``b = block^H u``, the zeroed-state terms are
+    ``v_0 = v + c u b^H`` and ``w_0 = w + c (F^H u) b^H``, and ``quad_0``
+    is reduced from ``v_0``.
+
+    Returns ``(removal, zeroed)``: ``removal = (delta, denom, u, quad_tau)``
+    holds the removal's objective change and update denominator (as
+    :func:`step_increment` gives them), ``u`` and the current
+    ``quad`` of column ``tau``; ``zeroed`` has the layout of ``terms``.
+    """
+    v, w, quad = terms
+    u = v[:, tau].copy()
+    wu = w[:, tau].copy()
+    quad_tau = float(quad[tau])
+    _check_quad(quad_tau)
+    delta, denom = step_increment(-gamma, quad_tau, zdotc(wu, wu).real)
+    b = zgemv(1.0, block, u, trans=2)
+    c = gamma / denom
+    v = zgerc(c, u, b, a=v, overwrite_a=1)
+    w = zgerc(c, wu, b, a=w, overwrite_a=1)
+    return (delta, denom, u, quad_tau), (v, w, _column_inner(block, v))
+
+
+def best_candidate(terms):
+    """The column of a block whose optimal step lowers the objective most.
+
+    Scores every column of the :func:`block_terms` ``terms`` with its
+    closed-form step and, where that step is positive, its exact objective
+    change. Returns ``(tau, eta, denom, delta)`` for the lowest negative
+    change (ties to the smallest ``tau``), or ``None`` when no column
+    lowers the objective.
+    """
+    _, w, quad = terms
+    best = None
+    best_delta = 0.0
+    for tau, (q, fit) in enumerate(zip(quad.tolist(), _column_inner(w, w).tolist())):
+        _check_quad(q)
+        eta = _step(q, fit)
+        if eta <= 0.0:
+            continue
+        delta, denom = step_increment(eta, q, fit)
+        if delta < best_delta:
+            best, best_delta = (tau, eta, denom, delta), delta
+    return best
 
 
 def step_increment(eta: float, quad: float, fit: float):
@@ -200,9 +284,12 @@ def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int
 
     Returns ``(v, quad, fit)`` with ``v = Sigma^{-1} s``,
     ``quad = s^H Sigma^{-1} s`` and ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s``.
+    ``fit`` is ``Re(v^H S_tilde v)`` from one ``zgemv``: one call needs no
+    :func:`fit_factor`, whose ``eigh`` only pays off over a detector run.
     """
-    s = state.column(device, delay)
-    return column_terms(state.inv_sigma, fit_factor(sigma_tilde), s)[:3]
+    v, quad = _project(state.inv_sigma, state.column(device, delay))
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
+    return v, quad, zdotc(v, zgemv(1.0, st, v)).real
 
 
 def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int) -> float:
@@ -212,9 +299,8 @@ def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int
     the non-negative minimizer along this coordinate:
     ``max{(fit - quad)/quad^2, -gamma[device, delay]}``.
     """
-    s = state.column(device, delay)
-    step = column_terms(state.inv_sigma, fit_factor(sigma_tilde), s)[3]
-    return max(step, -float(state.gamma.values[device, delay]))
+    _, quad, fit = quadratic_terms(state, sigma_tilde, device, delay)
+    return max(_step(quad, fit), -float(state.gamma.values[device, delay]))
 
 
 def objective_delta(

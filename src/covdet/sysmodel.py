@@ -130,6 +130,9 @@ class SystemConfig:
         return 1.0
 
 
+_FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.name not in _INT_FIELDS)
+
+
 def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemConfig:
     """Check every invariant of ``config`` and return it unchanged.
 
@@ -170,6 +173,24 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
     for name in _INT_FIELDS:
         if not isinstance(getattr(c, name), int):
             raise ConfigError(f"{name} must be an integer")
+    for name in _FLOAT_FIELDS:
+        if not math.isfinite(getattr(c, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(c, name)!r}")
+    # the working-scale powers combine the power fields through a power
+    # of ten, which overflows or underflows where every field is finite
+    for name in ("cell_edge_gain", "sigma2"):
+        try:
+            value = getattr(c, name)
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(value) and value > 0.0):
+            raise ConfigError(
+                f"{name} must be finite and positive, got {value!r} from "
+                f"tx_power_dbm={c.tx_power_dbm!r}, "
+                f"noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, "
+                f"bandwidth_hz={c.bandwidth_hz!r}, "
+                f"cell_distance_km={c.cell_distance_km!r}"
+            )
     return c
 
 

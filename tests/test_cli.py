@@ -380,6 +380,19 @@ class TestMain:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "overrides", [dict(tx_power_dbm=4000.0), dict(noise_psd_dbm_hz=-4000.0)]
+    )
+    def test_out_of_range_power_exits_two_before_any_trial(
+        self, tmp_path, capsys, overrides
+    ):
+        path = write_experiment_file(tmp_path / "exp.json", micro_config(**overrides))
+        out = tmp_path / "r.csv"
+        code = main(["run", "--config", str(path), "--out", str(out), "--trials", "1"])
+        assert code == 2
+        assert "cell_edge_gain" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_detector_names_are_runnable(self, tmp_path):
         path = write_experiment_file(tmp_path / "exp.json", micro_config())
         out = tmp_path / "results.csv"

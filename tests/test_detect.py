@@ -13,7 +13,7 @@ from covdet.detect import (
     to_indicators,
 )
 from covdet.siggen import effective_dictionary
-from covdet.sysmodel import ConvergenceError, GammaEstimate
+from covdet.sysmodel import ConvergenceError, GammaEstimate, NumericalDegeneracyError
 
 
 class TestEnforceBlockSparsity:
@@ -188,6 +188,41 @@ def test_zero_sample_covariance_detects_nothing(runner):
     assert not np.any(result.gamma_hat.values)
 
 
+def bcd_sweep_by_hand(state, st, config, events):
+    """One ascending bcd sweep through the public step functions.
+
+    Each block's entry is removed, every delay is scored from the zeroed
+    state and the best one is committed, as ``run_bcd`` does. Returns the
+    objective change and appends ``"same"``, ``"moved"`` or ``"emptied"``
+    to ``events`` for every block that held an entry.
+    """
+    total = 0.0
+    for n in range(config.num_devices):
+        row = state.gamma.values[n]
+        old_tau = int(np.argmax(row))
+        removed = float(row[old_tau])
+        if removed > 0.0:
+            total += likelihood.objective_delta(state, st, n, old_tau, -removed)
+            likelihood.rank_one_inverse_update(state, n, old_tau, -removed)
+        best = None
+        best_delta = 0.0
+        for tau in range(config.num_delays):
+            eta = likelihood.coordinate_step(state, st, n, tau)
+            if eta <= 0.0:
+                continue
+            delta = likelihood.objective_delta(state, st, n, tau, eta)
+            if delta < best_delta:
+                best, best_delta = (tau, eta), delta
+        if best is not None:
+            likelihood.rank_one_inverse_update(state, n, *best)
+            total += best_delta
+        if removed > 0.0:
+            events.append(
+                "emptied" if best is None else "same" if best[0] == old_tau else "moved"
+            )
+    return total
+
+
 class TestRunBcd:
     def test_pure_noise_detects_nothing(self):
         config = make_config()
@@ -244,30 +279,52 @@ class TestRunBcd:
     def test_first_sweep_matches_public_step_functions(self):
         # one ascending block sweep driven by hand through the public step
         # functions lands on the detector's first recorded objective; every
-        # block starts empty in the first sweep, so there is no downdate
+        # block starts empty in the first sweep, so there is no removal
         config = make_config(num_antennas=16)
         preambles, _, st = make_scenario(config, 28)
         dictionary = effective_dictionary(preambles, config.max_delay)
         state = likelihood.init_state(
             dictionary, config.sigma2, st.matrix, config.num_delays
         )
-        objective = state.objective
-        for n in range(config.num_devices):
-            best = None
-            best_delta = 0.0
-            for tau in range(config.num_delays):
-                eta = likelihood.coordinate_step(state, st, n, tau)
-                if eta <= 0.0:
-                    continue
-                delta = likelihood.objective_delta(state, st, n, tau, eta)
-                if delta < best_delta:
-                    best, best_delta = (tau, eta), delta
-            if best is not None:
-                likelihood.rank_one_inverse_update(state, n, *best)
-                objective += best_delta
+        events = []
+        objective = state.objective + bcd_sweep_by_hand(state, st, config, events)
+        assert not events
         result = run_bcd(preambles, st, config)
         assert result.iterations > 1
         assert result.objective_trace[1] == pytest.approx(objective, abs=1e-12)
+
+    def test_second_sweep_matches_public_step_functions(self):
+        # the second sweep removes each block's entry first: re-inserting
+        # it at the same delay (the detector's net-change update), moving
+        # it to another delay and leaving the block empty all occur here
+        config = make_config(num_antennas=4)
+        preambles, _, st = make_scenario(config, 32)
+        dictionary = effective_dictionary(preambles, config.max_delay)
+        state = likelihood.init_state(
+            dictionary, config.sigma2, st.matrix, config.num_delays
+        )
+        objective = state.objective + bcd_sweep_by_hand(state, st, config, [])
+        events = []
+        objective += bcd_sweep_by_hand(state, st, config, events)
+        assert set(events) == {"same", "moved", "emptied"}
+        result = run_bcd(preambles, st, config)
+        assert result.iterations > 2
+        assert result.objective_trace[2] == pytest.approx(objective, abs=1e-10)
+
+    def test_degenerate_zeroed_state_reports_sweep_and_device(self, monkeypatch):
+        # a zeroed-state quadratic form that is not positive stops the run
+        # with the place it happened
+        real = detect.removal_terms
+
+        def corrupted(block, terms, tau, gamma):
+            removal, (v, w, quad) = real(block, terms, tau, gamma)
+            return removal, (v, w, -quad)
+
+        monkeypatch.setattr(detect, "removal_terms", corrupted)
+        config = make_config(num_antennas=16)
+        preambles, _, st = make_scenario(config, 28)
+        with pytest.raises(NumericalDegeneracyError, match=r"<= 0 at sweep 2, device \d+"):
+            run_bcd(preambles, st, config)
 
     def test_deterministic(self):
         config = make_config(num_antennas=16)

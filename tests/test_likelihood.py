@@ -316,9 +316,21 @@ class TestFitFactor:
         _, quad, fit, step = likelihood.column_terms(inv, factor_h, s)
         assert (quad, fit, step) == (7.0, 0.0, -1.0 / 7.0)
         block = np.asfortranarray(np.ones((dim, 3), dtype=complex))
-        _, quads, fits, _ = likelihood.column_terms(inv, factor_h, block)
-        np.testing.assert_array_equal(fits, 0.0)
-        np.testing.assert_array_equal(quads, 7.0)
+        terms = likelihood.block_terms(inv, factor_h, block)
+        np.testing.assert_array_equal(terms[1], 0.0)
+        np.testing.assert_array_equal(terms[2], 7.0)
+        assert likelihood.best_candidate(terms) is None
+
+
+def block_state(seed, gamma_old=0.7, tau_old=1):
+    """A state whose device-2 block holds ``gamma_old`` at ``tau_old``,
+    with the block, the fit factor and the sample covariance."""
+    _, state, st = random_state(seed=seed, max_delay=2, num_antennas=8)
+    state.gamma.values[2] = 0.0
+    likelihood.refresh_state(state, st)
+    likelihood.rank_one_inverse_update(state, 2, tau_old, gamma_old)
+    block = state.dictionary[:, 6:9]
+    return state, st, likelihood.fit_factor(st), block
 
 
 class TestColumnTermsBlock:
@@ -326,20 +338,112 @@ class TestColumnTermsBlock:
         _, state, st = random_state(seed=68)
         factor_h = likelihood.fit_factor(st)
         block = np.asfortranarray(state.dictionary[:, 2:6])
-        v, quads, fits, steps = likelihood.column_terms(state.inv_sigma, factor_h, block)
+        v, w, quads = likelihood.block_terms(state.inv_sigma, factor_h, block)
         for k in range(4):
-            col = likelihood.column_terms(state.inv_sigma, factor_h, block[:, k])
-            np.testing.assert_allclose(v[:, k], col[0], rtol=1e-13)
-            for got, want in zip((quads[k], fits[k], steps[k]), col[1:]):
-                assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+            col, quad, _, _ = likelihood.column_terms(state.inv_sigma, factor_h, block[:, k])
+            np.testing.assert_allclose(v[:, k], col, rtol=1e-13)
+            np.testing.assert_allclose(w[:, k], factor_h @ col, rtol=1e-13)
+            assert quads[k] == pytest.approx(quad, rel=1e-12)
 
     def test_corrupted_block_detected(self):
         _, state, st = random_state(seed=69)
         state.inv_sigma[:] = -np.eye(state.dim)
+        terms = likelihood.block_terms(
+            state.inv_sigma, likelihood.fit_factor(st), state.dictionary[:, :3]
+        )
         with pytest.raises(NumericalDegeneracyError, match="<= 0"):
-            likelihood.column_terms(
-                state.inv_sigma, likelihood.fit_factor(st), state.dictionary[:, :3]
-            )
+            likelihood.best_candidate(terms)
+
+
+class TestBestCandidate:
+    @pytest.mark.parametrize("seed", [70, 71, 72, 73])
+    def test_matches_column_by_column_search(self, seed):
+        state, _, factor_h, block = block_state(seed)
+        want = None
+        best_delta = 0.0
+        for tau in range(3):
+            _, quad, fit, eta = likelihood.column_terms(state.inv_sigma, factor_h, block[:, tau])
+            if eta > 0.0:
+                delta, denom = likelihood.step_increment(eta, quad, fit)
+                if delta < best_delta:
+                    want, best_delta = (tau, eta, denom, delta), delta
+        got = likelihood.best_candidate(likelihood.block_terms(state.inv_sigma, factor_h, block))
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0] == want[0]
+            np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12)
+
+    def test_tie_goes_to_smallest_delay(self):
+        state, _, factor_h, block = block_state(74)
+        twins = np.asfortranarray(np.repeat(block[:, :1], 3, axis=1))
+        terms = likelihood.block_terms(state.inv_sigma, factor_h, twins)
+        best = likelihood.best_candidate(terms)
+        assert best is not None and best[0] == 0
+
+
+class TestRemovalTerms:
+    @pytest.mark.parametrize("tau_old", [0, 1, 2])
+    def test_zeroed_terms_match_explicit_downdate(self, tau_old):
+        state, _, factor_h, block = block_state(75, tau_old=tau_old)
+        inv = state.inv_sigma
+        terms = likelihood.block_terms(inv, factor_h, block)
+        (delta, denom, u, quad_u), zeroed = likelihood.removal_terms(
+            block, terms, tau_old, 0.7
+        )
+        v_old, quad_old, fit_old, _ = likelihood.column_terms(inv, factor_h, block[:, tau_old])
+        np.testing.assert_allclose(u, v_old, rtol=1e-12)
+        assert quad_u == pytest.approx(quad_old, rel=1e-12)
+        want_delta, want_denom = likelihood.step_increment(-0.7, quad_old, fit_old)
+        assert (delta, denom) == pytest.approx((want_delta, want_denom), rel=1e-12)
+        downdated = inv.copy(order="F")
+        likelihood.apply_rank_one(downdated, v_old, -0.7, want_denom)
+        want = likelihood.block_terms(downdated, factor_h, block)
+        for got, ref in zip(zeroed, want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert likelihood.best_candidate(zeroed) == pytest.approx(
+            likelihood.best_candidate(want), rel=1e-12
+        )
+
+    @pytest.mark.parametrize("eta_new", [0.2, 0.7, 3.0])
+    def test_net_update_matches_downdate_then_commit(self, eta_new):
+        state, _, factor_h, block = block_state(76)
+        inv = state.inv_sigma
+        terms = likelihood.block_terms(inv, factor_h, block)
+        (_, denom, u, quad_u), zeroed = likelihood.removal_terms(block, terms, 1, 0.7)
+        two_step = inv.copy(order="F")
+        likelihood.apply_rank_one(two_step, u, -0.7, denom)
+        quad_0 = zeroed[2][1]
+        likelihood.apply_rank_one(
+            two_step, zeroed[0][:, 1], eta_new,
+            likelihood.step_increment(eta_new, quad_0, 0.0)[1],
+        )
+        net = eta_new - 0.7
+        likelihood.apply_rank_one(inv, u, net, likelihood.step_increment(net, quad_u, 0.0)[1])
+        np.testing.assert_allclose(inv, two_step, rtol=0, atol=1e-12 * np.abs(two_step).max())
+
+    def test_degenerate_removal_rejected(self):
+        # removing more than the column carries drives 1 - gamma * quad
+        # below the guard
+        state, _, factor_h, block = block_state(77)
+        terms = likelihood.block_terms(state.inv_sigma, factor_h, block)
+        with pytest.raises(NumericalDegeneracyError, match="denominator"):
+            likelihood.removal_terms(block, terms, 1, 1.0 / terms[2][1])
+
+
+class TestQuadraticTerms:
+    @pytest.mark.parametrize("num_antennas", [4, 64])
+    def test_fit_matches_factor_form(self, num_antennas, monkeypatch):
+        # M=4 < D=11 and M=64 >= D; no call factorises S_tilde
+        _, state, st = random_state(seed=78, num_antennas=num_antennas)
+        factor_h = likelihood.fit_factor(st)
+        monkeypatch.setattr(likelihood, "fit_factor", None)
+        for n, tau in [(0, 0), (1, 1), (4, 0)]:
+            v, quad, fit = likelihood.quadratic_terms(state, st, n, tau)
+            want = likelihood.column_terms(state.inv_sigma, factor_h, state.column(n, tau))
+            np.testing.assert_allclose(v, want[0], rtol=1e-12)
+            assert (quad, fit) == pytest.approx(want[1:3], rel=1e-12)
+            eta = likelihood.coordinate_step(state, st, n, tau)
+            assert eta == pytest.approx(max(want[3], -state.gamma.values[n, tau]), rel=1e-12)
 
 
 class TestObjectiveDelta:

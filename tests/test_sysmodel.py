@@ -73,6 +73,30 @@ class TestSystemConfig:
             validate(config)
         assert validate(config, allow_inactive=True) is config
 
+    @pytest.mark.parametrize(
+        "field", ["tx_power_dbm", "noise_psd_dbm_hz", "bandwidth_hz", "cell_distance_km",
+                  "convergence_delta", "threshold_cd"]
+    )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_float_rejected(self, field, bad):
+        with pytest.raises(ConfigError, match=f"{field}"):
+            validate(make_config(**{field: bad}))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(tx_power_dbm=4000.0),
+            dict(tx_power_dbm=1e308),
+            dict(noise_psd_dbm_hz=-4000.0),
+            dict(tx_power_dbm=-4000.0),  # underflows to a zero gain
+        ],
+        ids=["tx-4000", "tx-1e308", "psd-minus-4000", "tx-minus-4000"],
+    )
+    def test_out_of_range_power_rejected(self, overrides):
+        config = make_config(**overrides)
+        with pytest.raises(ConfigError, match="cell_edge_gain must be finite and positive"):
+            validate(config)
+
     def test_non_integer_count_rejected(self):
         config = dataclasses.replace(make_config(), num_antennas=4.0)
         with pytest.raises(ConfigError, match="num_antennas must be an integer"):
