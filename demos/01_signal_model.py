@@ -13,7 +13,7 @@ import numpy as np
 from covdet import (
     SystemConfig,
     draw_ground_truth,
-    effective_sequence,
+    effective_dictionary,
     generate_preambles,
     sample_covariance,
     synthesize_received_signal,
@@ -51,12 +51,15 @@ print(f"\npreamble matrix: {preambles.shape} "
       f"(mean |s|^2 = {np.mean(np.abs(preambles) ** 2):.3f})")
 
 # A delayed preamble is the same sequence shifted down inside the
-# padded window; nothing else about the device changes.
-seq = preambles[:, 0]
+# padded window; nothing else about the device changes. The effective
+# dictionary holds every (device, delay) signature as one column, device
+# n at delay tau in column n * (max_delay + 1) + tau: the columns the
+# received signal is built from and the detectors fit.
+dictionary = effective_dictionary(preambles, config.max_delay)
+print(f"effective dictionary: {dictionary.shape} (window x device-delay pairs)")
 for tau in range(config.max_delay + 1):
-    padded = effective_sequence(seq, tau, config.max_delay)
-    lead = ", ".join(f"{x:.2f}" for x in padded[:4])
-    print(f"  delay {tau}: window starts [{lead}, ...]")
+    lead = ", ".join(f"{x:.2f}" for x in dictionary[:4, tau])
+    print(f"  device 0, delay {tau}: window starts [{lead}, ...]")
 
 # Draw which devices are active, their delays, and their channel gains.
 truth = draw_ground_truth(config, rng)

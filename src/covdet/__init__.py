@@ -20,7 +20,6 @@ from .metrics import compute_fap, compute_mdp
 from .siggen import (
     draw_ground_truth,
     effective_dictionary,
-    effective_sequence,
     generate_preambles,
     sample_covariance,
     synthesize_received_signal,
@@ -45,7 +44,6 @@ __all__ = [
     "coordinate_step",
     "draw_ground_truth",
     "effective_dictionary",
-    "effective_sequence",
     "generate_preambles",
     "init_state",
     "objective_delta",

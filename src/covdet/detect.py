@@ -89,6 +89,8 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
             f"preambles must have shape (preamble length, device count) = "
             f"{expected}, got {preambles.shape}"
         )
+    if not np.all(np.isfinite(preambles)):
+        raise ValueError("preambles have NaN or Inf entries")
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     if st.shape != (config.window_len, config.window_len):
         raise ValueError(
@@ -111,6 +113,8 @@ def _descend(state, st, config, num_units, visit, unit, estimate):
     is densely refreshed. Stops once a sweep improves the objective by at
     most ``config.convergence_delta`` and returns the result whose
     estimate is ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``.
+    A sweep's improvement is read from its tracked objective before any
+    refresh, so the refresh's drift correction never counts as progress.
     """
     trace = [state.objective]
     for sweep in range(1, MAX_SWEEPS + 1):
@@ -121,16 +125,16 @@ def _descend(state, st, config, num_units, visit, unit, estimate):
                 objective = visit(index, inv, objective)
         except NumericalDegeneracyError as exc:
             raise NumericalDegeneracyError(f"{exc} at sweep {sweep}, {unit} {index}") from exc
+        decrement = trace[-1] - objective
         state.objective = objective
         if sweep % RECOMPUTE_EVERY == 0:
             likelihood.refresh_state(state, st)
         trace.append(state.objective)
-        if trace[-2] - trace[-1] <= config.convergence_delta:
+        if decrement <= config.convergence_delta:
             break
     else:
         raise ConvergenceError(
-            f"no convergence within {MAX_SWEEPS} sweeps "
-            f"(last decrement {trace[-2] - trace[-1]:.3e})"
+            f"no convergence within {MAX_SWEEPS} sweeps (last decrement {decrement:.3e})"
         )
 
     gamma_hat = estimate(state.gamma)

@@ -146,8 +146,9 @@ def fit_factor(sigma_tilde) -> np.ndarray:
 
 
 def _check_quad(worst) -> None:
-    """Raise unless the quadratic form ``s^H Sigma^{-1} s`` is positive."""
-    if worst <= 0.0:
+    """Raise unless the quadratic form ``s^H Sigma^{-1} s`` is positive
+    (a NaN is not)."""
+    if not worst > 0.0:
         raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {worst} <= 0")
 
 

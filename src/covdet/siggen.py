@@ -53,20 +53,6 @@ def generate_preambles(config: SystemConfig, rng: np.random.Generator) -> np.nda
     return complex_gaussian(rng, (config.preamble_len, config.num_devices))
 
 
-def effective_sequence(seq: np.ndarray, delay: int, max_delay: int) -> np.ndarray:
-    """Zero-pad a signature according to its delay.
-
-    The result has length ``len(seq) + max_delay``: ``delay`` leading
-    zeros, the sequence, then ``max_delay - delay`` trailing zeros.
-    """
-    if not 0 <= delay <= max_delay:
-        raise ValueError(f"delay {delay} outside [0, {max_delay}]")
-    seq = np.asarray(seq, dtype=np.complex128)
-    out = np.zeros(seq.shape[0] + max_delay, dtype=np.complex128)
-    out[delay : delay + seq.shape[0]] = seq
-    return out
-
-
 def effective_dictionary(preambles: np.ndarray, max_delay: int) -> np.ndarray:
     """Stack all delayed signatures into one (L+tau_max) x N*(tau_max+1) matrix.
 
@@ -96,26 +82,16 @@ def draw_ground_truth(config: SystemConfig, rng: np.random.Generator) -> GroundT
 
 
 def synthesize_received_signal(
-    preambles: np.ndarray,
-    truth: GroundTruth,
-    config: SystemConfig,
-    rng: np.random.Generator,
-    *,
-    channels: np.ndarray | None = None,
-    noise_variance: float | None = None,
+    preambles: np.ndarray, truth: GroundTruth, config: SystemConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Superpose the delayed signatures of the active devices plus noise.
 
     Returns the ``(L + tau_max, M)`` received window, one column per
-    receive antenna. Each active device contributes sqrt(gain) * delayed
-    signature times its CN(0, I) antenna channel row; the noise is
-    entrywise CN(0, sigma2). Channels are drawn in ascending device
-    order, then the noise block, so one generator reproduces the signal
-    exactly.
-
-    ``channels`` (one row per active device, ascending order) and
-    ``noise_variance`` override the random draws; they exist for tests
-    that need deterministic or noiseless signals.
+    receive antenna. Each active device contributes sqrt(gain) times its
+    column of the effective dictionary (its signature at its delay) times
+    its CN(0, I) antenna channel row; the noise is entrywise CN(0, sigma2).
+    Channels are drawn in ascending device order, then the noise block,
+    so one generator reproduces the signal exactly.
     """
     expected = (config.preamble_len, config.num_devices)
     if preambles.shape != expected:
@@ -123,32 +99,21 @@ def synthesize_received_signal(
             f"preambles must have shape (preamble length, device count) = "
             f"{expected}, got {preambles.shape}"
         )
-    window = config.window_len
-    num_active = truth.num_active
-    if channels is None:
-        channels = complex_gaussian(rng, (num_active, config.num_antennas))
-    else:
-        channels = np.asarray(channels, dtype=np.complex128)
-        if channels.shape != (num_active, config.num_antennas):
-            raise ValueError(
-                f"channels must have shape {(num_active, config.num_antennas)}, "
-                f"got {channels.shape}"
-            )
-    signal = np.zeros((window, config.num_antennas), dtype=np.complex128)
-    if num_active:
-        columns = np.empty((window, num_active), dtype=np.complex128)
-        for k, n in enumerate(truth.active):
-            n = int(n)
-            seq = effective_sequence(preambles[:, n], truth.delays[n], config.max_delay)
-            columns[:, k] = np.sqrt(truth.gains[n]) * seq
-        signal = columns @ channels
-    if noise_variance is None:
-        noise_variance = config.sigma2
-    if noise_variance > 0:
-        signal = signal + complex_gaussian(
-            rng, (window, config.num_antennas), variance=noise_variance
-        )
-    return signal
+    delays = np.array([truth.delays[int(n)] for n in truth.active], dtype=np.int64)
+    if np.any((delays < 0) | (delays > config.max_delay)):
+        raise ValueError(f"active delays {delays.tolist()} outside [0, {config.max_delay}]")
+    channels = complex_gaussian(rng, (truth.num_active, config.num_antennas))
+    dictionary = effective_dictionary(preambles[:, truth.active], config.max_delay)
+    picked = np.arange(truth.num_active) * config.num_delays + delays
+    # the fancy index leaves the block Fortran-ordered, and the matmul's
+    # summation order follows the memory layout: C order keeps the window
+    # bit for bit what a row-major (window, K) block gives
+    columns = np.ascontiguousarray(dictionary[:, picked])
+    signal = (columns * np.sqrt(truth.gains[truth.active])) @ channels
+    noise = complex_gaussian(
+        rng, (config.window_len, config.num_antennas), variance=config.sigma2
+    )
+    return signal + noise
 
 
 def sample_covariance(received: np.ndarray) -> SampleCovariance:

@@ -167,14 +167,77 @@ class TestRunCdE:
 
 
 @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_sample_covariance_rejected(runner, bad):
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        (np.nan, "covariance"),
+        (np.inf, "covariance"),
+        (np.nan, "preambles"),
+        (np.inf, "preambles"),
+    ],
+    ids=["nan", "inf", "preambles-nan", "preambles-inf"],
+)
+def test_non_finite_sample_covariance_rejected(runner, bad, where):
     config = make_config()
     preambles, _, st = make_scenario(config, 29)
-    corrupted = st.matrix.copy()
-    corrupted[1, 2] = bad
-    with pytest.raises(ValueError, match="NaN or Inf"):
-        runner(preambles, corrupted, config)
+    inputs = {"preambles": preambles.copy(), "covariance": st.matrix.copy()}
+    inputs[where][1, 2] = bad
+    with pytest.raises(ValueError, match=f"{where}.*NaN or Inf"):
+        runner(inputs["preambles"], inputs["covariance"], config)
+
+
+# desk.json at M=4; with convergence_delta=1e-9 its runs take 14-27
+# sweeps, so each crosses at least one dense refresh
+DESK_M4 = dict(
+    num_devices=50, num_active=10, preamble_len=30, max_delay=2, num_antennas=4,
+    convergence_delta=1e-9,
+)
+
+
+@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+def test_refresh_correction_is_not_progress(runner, monkeypatch):
+    # the stop rule reads each sweep's own decrement, so a refresh that
+    # moves the objective changes neither when a run stops nor what it finds
+    config = make_config(**DESK_M4)
+    preambles, _, st = make_scenario(config, 0)
+    plain = runner(preambles, st, config)
+    assert plain.iterations > detect.RECOMPUTE_EVERY
+    refresh = likelihood.refresh_state
+
+    def shifted_refresh(state, sigma_tilde):
+        refresh(state, sigma_tilde)
+        state.objective += 1.0
+
+    monkeypatch.setattr(likelihood, "refresh_state", shifted_refresh)
+    shifted = runner(preambles, st, config)
+    assert shifted.iterations == plain.iterations
+    assert shifted.theta_hat == plain.theta_hat
+    # each refresh recomputes the objective densely, then adds its 1.0
+    assert shifted.final_objective == pytest.approx(plain.final_objective + 1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_final_state_matches_oracle(runner, seed, monkeypatch):
+    # the tracked objective and inverse of a whole run, refreshes and all,
+    # against the brute-force reference at the relaxed estimate
+    config = make_config(**DESK_M4)
+    preambles, _, st = make_scenario(config, seed)
+    states = []
+    init_state = likelihood.init_state
+
+    def capture(*args):
+        states.append(init_state(*args))
+        return states[-1]
+
+    monkeypatch.setattr(likelihood, "init_state", capture)
+    result = runner(preambles, st, config)
+    assert result.iterations > detect.RECOMPUTE_EVERY
+    (state,) = states
+    expected = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
+    assert result.final_objective == pytest.approx(expected, rel=1e-10)
+    dense = oracle.dense_inverse(oracle.dense_covariance(preambles, state.gamma, config.sigma2))
+    assert np.linalg.norm(state.inv_sigma - dense) <= 1e-9 * np.linalg.norm(dense)
 
 
 @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])

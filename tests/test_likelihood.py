@@ -203,6 +203,12 @@ class TestCoordinateStep:
         with pytest.raises(NumericalDegeneracyError, match="<= 0"):
             likelihood.coordinate_step(state, st, 0, 0)
 
+    def test_nan_quadratic_form_detected(self):
+        _, state, st = random_state(seed=46)
+        inv = np.full_like(state.inv_sigma, np.nan)
+        with pytest.raises(NumericalDegeneracyError, match="nan"):
+            likelihood.column_terms(inv, likelihood.fit_factor(st), state.column(0, 0))
+
 
 class TestRankOneInverseUpdate:
     def test_zero_step_is_identity(self):

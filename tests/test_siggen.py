@@ -8,7 +8,6 @@ from covdet.siggen import (
     complex_gaussian,
     draw_ground_truth,
     effective_dictionary,
-    effective_sequence,
     generate_preambles,
     sample_covariance,
     synthesize_received_signal,
@@ -43,37 +42,6 @@ class TestGeneratePreambles:
         assert np.mean(np.abs(preambles) ** 2) == pytest.approx(1.0, abs=0.01)
 
 
-class TestEffectiveSequence:
-    def test_zero_delay_pads_tail(self):
-        seq = np.array([1 + 2j, 3 - 1j])
-        out = effective_sequence(seq, delay=0, max_delay=2)
-        assert out.tolist() == [1 + 2j, 3 - 1j, 0, 0]
-
-    def test_max_delay_pads_head(self):
-        seq = np.array([1 + 2j, 3 - 1j])
-        out = effective_sequence(seq, delay=2, max_delay=2)
-        assert out.tolist() == [0, 0, 1 + 2j, 3 - 1j]
-
-    def test_middle_delay_pads_both(self):
-        seq = np.array([1 + 2j, 3 - 1j])
-        out = effective_sequence(seq, delay=1, max_delay=2)
-        assert out.tolist() == [0, 1 + 2j, 3 - 1j, 0]
-
-    def test_norm_preserved_for_every_delay(self):
-        rng = np.random.default_rng(3)
-        seq = complex_gaussian(rng, (9,))
-        for delay in range(4):
-            out = effective_sequence(seq, delay, max_delay=3)
-            assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(seq))
-
-    def test_delay_out_of_range(self):
-        seq = np.ones(4, dtype=complex)
-        with pytest.raises(ValueError, match="delay"):
-            effective_sequence(seq, delay=3, max_delay=2)
-        with pytest.raises(ValueError, match="delay"):
-            effective_sequence(seq, delay=-1, max_delay=2)
-
-
 class TestEffectiveDictionary:
     def test_columns_are_delayed_signatures(self):
         config = make_config(num_devices=5, preamble_len=7, max_delay=2)
@@ -82,7 +50,8 @@ class TestEffectiveDictionary:
         assert dictionary.shape == (9, 15)
         for n in range(5):
             for tau in range(3):
-                expected = effective_sequence(preambles[:, n], tau, 2)
+                expected = np.zeros(9, dtype=complex)
+                expected[tau : tau + 7] = preambles[:, n]
                 np.testing.assert_array_equal(dictionary[:, n * 3 + tau], expected)
 
 
@@ -117,32 +86,46 @@ class TestDrawGroundTruth:
         np.testing.assert_allclose(freq, 0.2, atol=0.01)
 
 
+def replay_draws(config, truth, seed):
+    """The channel and noise draws of ``synthesize_received_signal`` on a
+    generator seeded with ``seed`` that has drawn the preambles: channels
+    for the active devices in ascending order, then the noise block."""
+    rng = np.random.default_rng(seed)
+    generate_preambles(config, rng)
+    channels = complex_gaussian(rng, (truth.num_active, config.num_antennas))
+    noise = complex_gaussian(
+        rng, (config.window_len, config.num_antennas), variance=config.sigma2
+    )
+    return channels, noise
+
+
 class TestSynthesizeReceivedSignal:
     def test_no_active_devices_no_noise_gives_zero(self):
+        # with the noise draw replayed and taken out, nothing is left
         config = make_config(num_active=0)
         truth = GroundTruth(
             active=np.array([]), delays={}, gains=np.ones(config.num_devices)
         )
         rng = np.random.default_rng(9)
         preambles = generate_preambles(config, rng)
-        received = synthesize_received_signal(
-            preambles, truth, config, rng, noise_variance=0.0
-        )
+        received = synthesize_received_signal(preambles, truth, config, rng)
+        noise = replay_draws(config, truth, seed=9)[1]
         assert received.shape == (config.window_len, config.num_antennas)
-        assert np.all(received == 0)
+        assert np.all(received - noise == 0)
 
-    def test_single_device_unit_channel_noiseless(self):
-        config = make_config(num_devices=3, num_active=1, num_antennas=1, max_delay=2)
+    def test_single_device_replays_generator(self):
+        # the window is the delayed signature through the replayed channel
+        # draw plus the replayed noise draw, bit for bit; this also pins the
+        # draw order (channels, then noise)
+        config = make_config(num_devices=3, num_active=1, num_antennas=4, max_delay=2)
+        truth = GroundTruth(active=np.array([1]), delays={1: 2}, gains=np.full(3, 0.25))
         rng = np.random.default_rng(10)
         preambles = generate_preambles(config, rng)
-        truth = GroundTruth(
-            active=np.array([1]), delays={1: 2}, gains=np.full(3, 0.25)
-        )
-        received = synthesize_received_signal(
-            preambles, truth, config, rng, channels=np.array([[1.0]]), noise_variance=0.0
-        )
-        expected = 0.5 * effective_sequence(preambles[:, 1], 2, 2)
-        np.testing.assert_allclose(received[:, 0], expected, atol=1e-14)
+        received = synthesize_received_signal(preambles, truth, config, rng)
+        channels, noise = replay_draws(config, truth, seed=10)
+        delayed = np.zeros((config.window_len, 1), dtype=complex)
+        delayed[2:, 0] = preambles[:, 1]
+        np.testing.assert_array_equal(received, (0.5 * delayed) @ channels + noise)
 
     def test_mean_energy_matches_expectation(self):
         # E||Y||_F^2 = M*L*beta + M*(L+tau_max)*sigma2 with beta=1, sigma2=1,
@@ -165,6 +148,15 @@ class TestSynthesizeReceivedSignal:
         a = make_scenario(config, seed=77)[2].matrix
         b = make_scenario(config, seed=77)[2].matrix
         np.testing.assert_array_equal(a, b)
+
+    def test_delay_out_of_range(self):
+        config = make_config(num_devices=3, num_active=1, max_delay=2)
+        rng = np.random.default_rng(12)
+        preambles = generate_preambles(config, rng)
+        for delay in (3, -1):
+            truth = GroundTruth(active=np.array([1]), delays={1: delay}, gains=np.ones(3))
+            with pytest.raises(ValueError, match="delay"):
+                synthesize_received_signal(preambles, truth, config, rng)
 
     def test_dimension_mismatch_rejected(self):
         config = make_config()
