@@ -9,10 +9,12 @@ Two detectors over the same covariance-matching objective:
   delay block at a time, keeping at most one nonzero delay per device
   at every step, then thresholding.
 
-Both visit coordinates through the kernel in ``likelihood`` (rank-one
-updates of Sigma^{-1}, closed-form objective increments, the fit form
-from a low-rank factor of the sample covariance) under one sweep driver
-that owns the visit order, the periodic dense refresh and the stop rule.
+Both run their passes in the kernel in ``likelihood`` (rank-one updates
+of Sigma^{-1}, closed-form objective increments, the fit form from a
+low-rank factor of the sample covariance): one ``column_sweep`` or
+``block_sweep`` call per pass, over column or block views of the
+dictionary built once per run. One sweep driver owns the sweep count,
+the periodic dense refresh, the stop rule and the error location.
 ``bcd`` scores a device's whole delay block from one block product.
 """
 
@@ -21,14 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import likelihood
-from .likelihood import (
-    apply_rank_one,
-    best_candidate,
-    block_terms,
-    column_terms,
-    removal_terms,
-    step_increment,
-)
 from .siggen import effective_dictionary
 from .sysmodel import (
     ConvergenceError,
@@ -104,27 +98,26 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     return dictionary, st, likelihood.fit_factor(st), state
 
 
-def _descend(state, st, config, num_units, visit, unit, estimate):
+def _descend(state, st, config, run_pass, unit, estimate):
     """The sweep driver both detectors share.
 
-    Each sweep calls ``visit(index, inv, objective)`` on every unit index
-    in ascending order; ``visit`` updates ``inv`` and gamma in place and
-    returns the new objective. Every ``RECOMPUTE_EVERY`` sweeps the state
-    is densely refreshed. Stops once a sweep improves the objective by at
-    most ``config.convergence_delta`` and returns the result whose
-    estimate is ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``.
-    A sweep's improvement is read from its tracked objective before any
-    refresh, so the refresh's drift correction never counts as progress.
+    Each sweep runs one ascending pass, ``run_pass(inv, objective)``,
+    which updates ``inv`` and gamma in place and returns the new
+    objective. Every ``RECOMPUTE_EVERY`` sweeps the state is densely
+    refreshed. Stops once a sweep improves the objective by at most
+    ``config.convergence_delta`` and returns the result whose estimate is
+    ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``. A sweep's
+    improvement is read from its tracked objective before any refresh, so
+    the refresh's drift correction never counts as progress.
     """
     trace = [state.objective]
     for sweep in range(1, MAX_SWEEPS + 1):
-        inv = state.inv_sigma
-        objective = state.objective
         try:
-            for index in range(num_units):
-                objective = visit(index, inv, objective)
+            objective = run_pass(state.inv_sigma, state.objective)
         except NumericalDegeneracyError as exc:
-            raise NumericalDegeneracyError(f"{exc} at sweep {sweep}, {unit} {index}") from exc
+            raise NumericalDegeneracyError(
+                f"{exc} at sweep {sweep}, {unit} {exc.index}"
+            ) from exc
         decrement = trace[-1] - objective
         state.objective = objective
         if sweep % RECOMPUTE_EVERY == 0:
@@ -150,97 +143,49 @@ def _descend(state, st, config, num_units, visit, unit, estimate):
 def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> DetectionResult:
     """Coordinate descent over all coordinates, then enforcement.
 
-    Sweeps every (device, delay) coordinate in ascending order, applying
-    the closed-form step and the rank-one inverse update, until one full
-    sweep improves the objective by at most ``config.convergence_delta``.
-    The relaxed estimate is then reduced to one delay per device
-    (keep-max), thresholded at ``config.threshold_cd``, and converted to
-    indicator pairs.
+    Sweeps every (device, delay) coordinate in ascending order
+    (``likelihood.column_sweep``), applying the closed-form step and the
+    rank-one inverse update, until one full sweep improves the objective
+    by at most ``config.convergence_delta``. The relaxed estimate is then
+    reduced to one delay per device (keep-max), thresholded at
+    ``config.threshold_cd``, and converted to indicator pairs.
     """
     dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
-    gamma_values = state.gamma.values.ravel()
-
-    def visit(j, inv, objective):
-        v, quad, fit, step = column_terms(inv, factor_h, dictionary[:, j])
-        eta = max(step, -gamma_values[j])
-        if eta == 0.0:
-            return objective
-        delta, denom = step_increment(eta, quad, fit)
-        apply_rank_one(inv, v, eta, denom)
-        gamma_values[j] = max(gamma_values[j] + eta, 0.0)
-        return objective + delta
-
+    columns = list(dictionary.T)
+    flat_gamma = state.gamma.values.ravel()
     return _descend(
-        state, st, config, dictionary.shape[1], visit, "column",
+        state, st, config,
+        lambda inv, objective: likelihood.column_sweep(
+            inv, factor_h, columns, flat_gamma, objective
+        ),
+        "column",
         lambda gamma: threshold(enforce_block_sparsity(gamma), config.threshold_cd),
     )
 
 
-def run_bcd(
-    preambles: np.ndarray, sigma_tilde, config: SystemConfig, *, block_audit=None
-) -> DetectionResult:
+def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> DetectionResult:
     """Block coordinate descent with one delay per device by construction.
 
-    For each device block: the block's current nonzero entry (if any) is
-    removed; each candidate delay is then scored speculatively from that
-    zeroed state with its own closed-form optimum and objective
-    increment; the candidate with minimal objective is committed (ties to
-    the smallest delay). The zeroed state's terms come from the block
-    product of the current state (``likelihood.removal_terms``), and
-    ``Sigma^{-1}`` changes only at the commit: a downdate and an update,
-    or a single update of the net change when the entry returns to its
-    delay. Because re-inserting the
-    removed entry is always among the candidates, a block pass never
-    increases the objective. Stops when a full pass over all blocks
-    improves the objective by at most ``config.convergence_delta``, then
-    thresholds at ``config.threshold_bcd``. No enforcement pass is
-    needed.
-
-    ``block_audit``, if given, is called with the gamma matrix after
-    every block commit (testing hook for the one-per-block invariant).
+    For each device block (``likelihood.block_sweep``): the block's
+    current nonzero entry (if any) is removed; each candidate delay is
+    then scored speculatively from that zeroed state with its own
+    closed-form optimum and objective increment; the candidate with
+    minimal objective is committed (ties to the smallest delay). Because
+    re-inserting the removed entry is always among the candidates, a
+    block pass never increases the objective. Stops when a full pass over
+    all blocks improves the objective by at most
+    ``config.convergence_delta``, then thresholds at
+    ``config.threshold_bcd``. No enforcement pass is needed.
     """
     dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
-    num_delays = config.num_delays
-    gamma_values = state.gamma.values
-
-    def visit(n, inv, objective):
-        row = gamma_values[n]
-        block = dictionary[:, n * num_delays : (n + 1) * num_delays]
-        terms = block_terms(inv, factor_h, block)
-        # remove the block's existing entry, if any, to reach the zeroed
-        # reference state shared by all candidates; its terms come from
-        # the same block product, and Sigma^-1 changes only at the commit
-        old_tau = int(row.argmax())
-        removed = float(row[old_tau])
-        if removed > 0.0:
-            (delta, down_denom, u, quad_u), terms = removal_terms(
-                block, terms, old_tau, removed
-            )
-            objective += delta
-            row[old_tau] = 0.0
-        # the best candidate from the zeroed state; keeping the block
-        # empty scores 0
-        best = best_candidate(terms)
-        if best is not None and removed > 0.0 and best[0] == old_tau:
-            # re-inserted where it was: the removal and the commit are one
-            # rank-one update of the net change
-            net = best[1] - removed
-            apply_rank_one(inv, u, net, step_increment(net, quad_u, 0.0)[1])
-        else:
-            if removed > 0.0:
-                apply_rank_one(inv, u, -removed, down_denom)
-            if best is not None:
-                tau, eta, denom, _ = best
-                apply_rank_one(inv, terms[0][:, tau], eta, denom)
-        if best is not None:
-            tau, eta, _, delta = best
-            objective += delta
-            row[tau] = eta
-        if block_audit is not None:
-            block_audit(gamma_values)
-        return objective
-
+    k = config.num_delays
+    blocks = [dictionary[:, n * k : (n + 1) * k] for n in range(config.num_devices)]
+    gamma_rows = state.gamma.values
     return _descend(
-        state, st, config, config.num_devices, visit, "device",
+        state, st, config,
+        lambda inv, objective: likelihood.block_sweep(
+            inv, factor_h, blocks, gamma_rows, objective
+        ),
+        "device",
         lambda gamma: threshold(gamma, config.threshold_bcd),
     )

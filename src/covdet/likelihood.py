@@ -7,20 +7,27 @@ on one tracked ``CovarianceState``: closed-form single-coordinate steps,
 Sherman-Morrison maintenance of ``Sigma^{-1}``, and matching closed-form
 objective increments, plus a dense refresh to bound accumulated drift.
 
-The coordinate math lives once, in the array kernel that both detectors
-call: ``column_terms`` / ``step_increment`` / ``apply_rank_one`` for one
-column, and ``block_terms`` / ``removal_terms`` / ``best_candidate`` for
-a device's block of delay columns. The state-based step functions below
-are compositions of it.
+The coordinate math lives once, in the kernel that both detectors call.
+A detector pass is one call: ``column_sweep`` visits every dictionary
+column (``cd_e``, ``cd_e_sync``) and ``block_sweep`` every device's
+block of delay columns (``bcd``), each in a single loop that reads
+gamma as Python floats and writes it back when the pass ends. The
+formulas they share live once each: the step in ``_step``, the exact
+objective change and its denominator guard in ``step_increment``, the
+quadratic-form guard in ``_check_quad``, the Sherman-Morrison update in
+``_update`` and the zeroed-state terms of a block in ``removal_terms``.
+The state-based step functions below are compositions of the same
+pieces.
 
 The kernel never touches ``S_tilde`` itself. ``fit_factor`` returns
-``F^H`` with ``S_tilde = F F^H``, whose row count is the numerical rank
-of ``S_tilde`` (``M`` for ``M`` antennas below the window length ``D``,
-else ``D``), so the fit form ``s^H Sigma^{-1} S_tilde Sigma^{-1} s`` is
-``||F^H v||^2`` at ``O(D rank)`` instead of a ``D x D`` matvec. The
-state-based functions take one coordinate at a time, where the ``eigh``
-behind the factor would cost more than it saves, so they take the fit
-form as ``Re(v^H S_tilde v)`` from one ``zgemv`` instead.
+``F^H`` with ``S_tilde = F F^H`` from a pivoted Cholesky factor, whose
+row count is the numerical rank of ``S_tilde`` (``M`` for ``M`` antennas
+below the window length ``D``, else ``D``), so the fit form
+``s^H Sigma^{-1} S_tilde Sigma^{-1} s`` is ``||F^H v||^2`` at
+``O(D rank)`` instead of a ``D x D`` matvec. The state-based functions
+take one coordinate at a time, where even that factor would cost more
+than it saves, so they take the fit form as ``Re(v^H S_tilde v)`` from
+one ``zgemv`` instead.
 
 ``bcd`` scores a block from the state with the block's entry removed.
 ``removal_terms`` reaches that zeroed state's terms from the one block
@@ -34,11 +41,11 @@ LAPACK: ``zgemv`` for a column, ``zdotc`` for the inner products of a
 column (a quarter of ``np.vdot``'s call overhead), ``zgemm`` for a block
 of columns and the diagonal of one more ``zgemm`` for their per-column
 inner products, an in-place ``zgerc`` for a rank-one update of the
-Fortran-ordered ``Sigma^{-1}`` or of a block's terms, and ``zgemm`` plus
-a Cholesky factor for the dense refresh. Keeping them in one library
-matters: numpy ships its own BLAS with its own thread pool, and when
-threads are not pinned, alternating the two pools call by call costs up
-to milliseconds per call.
+Fortran-ordered ``Sigma^{-1}`` or of a block's terms, ``zgemm`` plus a
+Cholesky factor for the dense refresh, and ``zpstrf`` for the fit
+factor. Keeping them in one library matters: numpy ships its own BLAS
+with its own thread pool, and when threads are not pinned, alternating
+the two pools call by call costs up to milliseconds per call.
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ import math
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import zdotc, zgemm, zgemv, zgerc
+from scipy.linalg.lapack import zpstrf
 
 from .sysmodel import CovarianceState, GammaEstimate, NumericalDegeneracyError
 
@@ -130,19 +138,21 @@ def init_state(
 def fit_factor(sigma_tilde) -> np.ndarray:
     """``F^H`` with ``S_tilde = F F^H``, Fortran-ordered for BLAS.
 
-    Built from ``eigh`` of the sample covariance, which is Hermitian
-    positive semidefinite, keeping the eigenpairs above the
-    ``numpy.linalg.matrix_rank`` cutoff
-    ``w > w.max() * D * eps``: shape ``(M, D)`` for ``M < D`` antennas,
-    ``(D, D)`` otherwise. A zero ``S_tilde`` gives one zero row, so the
-    kernel never hands BLAS an empty operand.
+    Built from LAPACK's pivoted Cholesky ``zpstrf`` of the sample
+    covariance, which is Hermitian positive semidefinite:
+    ``S_tilde = P L L^H P^T`` with ``L`` lower trapezoidal, and the
+    factorization stops at the numerical rank (LAPACK's default
+    tolerance, ``D * eps`` times the largest diagonal entry), so
+    ``F = P L`` has shape ``(D, M)`` for ``M < D`` antennas and ``(D, D)``
+    otherwise. A zero ``S_tilde`` gives one zero row, so the kernel never
+    hands BLAS an empty operand.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     dim = st.shape[0]
-    w, u = scipy.linalg.eigh(st)  # ascending eigenvalues
-    rank = max(1, int(np.count_nonzero(w > w[-1] * dim * np.finfo(np.float64).eps)))
-    lead = slice(dim - rank, dim)
-    return np.asfortranarray((u[:, lead] * np.sqrt(np.maximum(w[lead], 0.0))).conj().T)
+    c, piv, rank, _ = zpstrf(st, lower=1)
+    factor_h = np.zeros((max(rank, 1), dim), dtype=np.complex128, order="F")
+    factor_h[:rank, piv - 1] = np.tril(c[:, :rank]).conj().T
+    return factor_h
 
 
 def _check_quad(worst) -> None:
@@ -152,10 +162,24 @@ def _check_quad(worst) -> None:
         raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {worst} <= 0")
 
 
+def _check_inverse(inv: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``inv`` is a Fortran-ordered complex128
+    array: for any other layout an in-place ``zgerc`` would update a copy,
+    and the update would be lost."""
+    if inv.dtype != np.complex128 or not inv.flags.f_contiguous:
+        raise ValueError("rank-one update needs a Fortran-ordered complex128 inverse")
+
+
 def _step(quad, fit):
     """``(fit - quad)/quad^2``, the unconstrained minimizer of the
     objective along a coordinate."""
     return (fit - quad) / (quad * quad)
+
+
+def _update(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
+    """Sherman-Morrison ``inv -= eta * v v^H / denom`` by one in-place
+    ``zgerc``; the caller has checked ``inv`` with :func:`_check_inverse`."""
+    zgerc(-eta / denom, v, v, a=inv, overwrite_a=1)
 
 
 def _project(inv: np.ndarray, s: np.ndarray):
@@ -166,21 +190,6 @@ def _project(inv: np.ndarray, s: np.ndarray):
     return v, quad
 
 
-def column_terms(inv: np.ndarray, factor_h: np.ndarray, s: np.ndarray):
-    """Everything one coordinate visit needs for dictionary column ``s``.
-
-    Returns ``(v, quad, fit, step)`` with ``v = Sigma^{-1} s``,
-    ``quad = s^H Sigma^{-1} s``, ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s
-    = ||F^H v||^2`` for ``factor_h = fit_factor(S_tilde)``, and
-    ``step = (fit - quad)/quad^2``, the unconstrained minimizer of the
-    objective along this coordinate.
-    """
-    v, quad = _project(inv, s)
-    w = zgemv(1.0, factor_h, v)
-    fit = zdotc(w, w).real
-    return v, quad, fit, _step(quad, fit)
-
-
 def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``Re(a_j^H b_j)`` for every column ``j``: the diagonal of one
     ``zgemm``, which for the few columns of a delay block is cheaper than
@@ -188,27 +197,39 @@ def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return zgemm(1.0, a, b, trans_a=2).diagonal().real
 
 
-def block_terms(inv: np.ndarray, factor_h: np.ndarray, block: np.ndarray):
-    """The products behind :func:`column_terms` for a ``(D, k)`` block.
+def step_increment(eta: float, quad: float, fit: float):
+    """``(increment, denom)`` for adding ``eta`` on a coordinate.
 
-    Returns ``(v, w, quad)``: ``v = Sigma^{-1} block`` is ``(D, k)``,
-    ``w = F^H v`` is ``(rank, k)`` and ``quad`` holds each column's
-    ``s^H Sigma^{-1} s``. :func:`best_candidate` turns them into fit
-    forms, steps and objective changes; :func:`removal_terms` corrects
-    them for a removed entry.
+    Matrix-determinant lemma plus Sherman-Morrison give the exact
+    objective change ``log(1 + eta*quad) - eta*fit/denom`` with
+    ``denom = 1 + eta*quad``, which :func:`apply_rank_one` reuses.
     """
-    v = zgemm(1.0, inv, block)
-    return v, zgemm(1.0, factor_h, v), _column_inner(block, v)
+    denom = 1.0 + eta * quad
+    if denom < DENOMINATOR_GUARD:
+        raise NumericalDegeneracyError(f"update denominator {denom} below guard")
+    return math.log1p(eta * quad) - eta * fit / denom, denom
+
+
+def apply_rank_one(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
+    """Sherman-Morrison in place: ``inv -= eta * v v^H / denom``.
+
+    One BLAS ``zgerc`` on ``inv`` itself, which must be a Fortran-ordered
+    complex128 array: for any other layout BLAS would update a copy and
+    the update would be lost, so that raises ``ValueError`` instead.
+    """
+    _check_inverse(inv)
+    _update(inv, v, eta, denom)
 
 
 def removal_terms(block: np.ndarray, terms, tau: int, gamma: float):
     """Block terms of the state with ``gamma`` removed from column ``tau``,
     without touching ``Sigma^{-1}``.
 
-    ``terms`` are the :func:`block_terms` of the current state; their
-    ``v`` and ``w`` are overwritten. Removing ``gamma`` is the
-    step ``eta = -gamma``, so Sherman-Morrison gives the zeroed-state
-    inverse ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with
+    ``terms = (v, w, quad)`` are the block terms of the current state:
+    ``v = Sigma^{-1} block``, ``w = F^H v`` and each column's
+    ``s^H Sigma^{-1} s``; their ``v`` and ``w`` are overwritten. Removing
+    ``gamma`` is the step ``eta = -gamma``, so Sherman-Morrison gives the
+    zeroed-state inverse ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with
     ``u = Sigma^{-1} s_tau = v[:, tau]`` and ``c = gamma / denom``. With
     one ``zgemv`` for ``b = block^H u``, the zeroed-state terms are
     ``v_0 = v + c u b^H`` and ``w_0 = w + c (F^H u) b^H``, and ``quad_0``
@@ -232,52 +253,121 @@ def removal_terms(block: np.ndarray, terms, tau: int, gamma: float):
     return (delta, denom, u, quad_tau), (v, w, _column_inner(block, v))
 
 
-def best_candidate(terms):
-    """The column of a block whose optimal step lowers the objective most.
+def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarray,
+                 objective: float) -> float:
+    """One ascending coordinate-descent pass over dictionary ``columns``.
 
-    Scores every column of the :func:`block_terms` ``terms`` with its
-    closed-form step and, where that step is positive, its exact objective
-    change. Returns ``(tau, eta, denom, delta)`` for the lowest negative
-    change (ties to the smallest ``tau``), or ``None`` when no column
-    lowers the objective.
+    ``columns[j]`` is the dictionary column of the flat coordinate ``j``
+    and ``gamma`` the flat ``(N*(tau_max+1),)`` estimate; ``factor_h`` is
+    :func:`fit_factor` of the sample covariance. Each visit takes
+    ``v = Sigma^{-1} s`` (``zgemv``), ``quad = s^H v`` (``zdotc``) and
+    ``fit = ||F^H v||^2`` (``zgemv``, ``zdotc``), steps to
+    ``max{(fit - quad)/quad^2, -gamma_j}`` and, for a nonzero step,
+    updates ``inv`` in place by Sherman-Morrison and adds the step's exact
+    objective change to ``objective``. Returns the new objective.
+
+    ``inv`` must be Fortran-ordered complex128 (else ``ValueError``, with
+    nothing changed). Gamma is read as Python floats and written back when
+    the pass ends, also when it raises; a ``NumericalDegeneracyError``
+    carries the failing coordinate in ``index``.
     """
-    _, w, quad = terms
-    best = None
-    best_delta = 0.0
-    for tau, (q, fit) in enumerate(zip(quad.tolist(), _column_inner(w, w).tolist())):
-        _check_quad(q)
-        eta = _step(q, fit)
-        if eta <= 0.0:
-            continue
-        delta, denom = step_increment(eta, q, fit)
-        if delta < best_delta:
-            best, best_delta = (tau, eta, denom, delta), delta
-    return best
+    _check_inverse(inv)
+    values = gamma.tolist()
+    try:
+        for j, s in enumerate(columns):
+            v = zgemv(1.0, inv, s)
+            quad = zdotc(s, v).real
+            _check_quad(quad)
+            w = zgemv(1.0, factor_h, v)
+            fit = zdotc(w, w).real
+            eta = _step(quad, fit)
+            old = values[j]
+            if eta < -old:
+                eta = -old
+            if eta == 0.0:
+                continue
+            delta, denom = step_increment(eta, quad, fit)
+            _update(inv, v, eta, denom)
+            new = old + eta
+            values[j] = 0.0 if new < 0.0 else new
+            objective += delta
+    except NumericalDegeneracyError as exc:
+        exc.index = j
+        raise
+    finally:
+        gamma[:] = values
+    return objective
 
 
-def step_increment(eta: float, quad: float, fit: float):
-    """``(increment, denom)`` for adding ``eta`` on a coordinate.
+def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray,
+                objective: float) -> float:
+    """One ascending block pass over the devices' delay ``blocks``.
 
-    Matrix-determinant lemma plus Sherman-Morrison give the exact
-    objective change ``log(1 + eta*quad) - eta*fit/denom`` with
-    ``denom = 1 + eta*quad``, which :func:`apply_rank_one` reuses.
+    ``blocks[n]`` is device ``n``'s ``(D, tau_max+1)`` block of dictionary
+    columns and ``gamma[n]`` its row of the ``(N, tau_max+1)`` estimate,
+    which holds at most one nonzero. Each visit makes the block terms of
+    the current state from one ``zgemm`` for ``v = Sigma^{-1} block``, one
+    for ``w = F^H v`` and the diagonal of one more for the per-column
+    ``quad``; if the block holds an entry, :func:`removal_terms` turns them
+    into the terms of the state with that entry removed. Every column is
+    then scored from that zeroed state with its closed-form step and, where
+    the step is positive, its exact objective change, and the lowest
+    negative change is committed (ties to the smallest delay; none keeps
+    the block empty). ``Sigma^{-1}`` changes only at the commit: a downdate
+    and an update, or one update of the net change when the entry returns
+    to its delay. Re-inserting the removed entry is always a candidate, so
+    a visit never raises the objective. Returns the new objective.
+
+    ``inv``, gamma and errors are handled as in :func:`column_sweep`, with
+    the failing device in ``index``; a visit that raises has changed
+    neither that device's row nor ``inv``.
     """
-    denom = 1.0 + eta * quad
-    if denom < DENOMINATOR_GUARD:
-        raise NumericalDegeneracyError(f"update denominator {denom} below guard")
-    return math.log1p(eta * quad) - eta * fit / denom, denom
-
-
-def apply_rank_one(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
-    """Sherman-Morrison in place: ``inv -= eta * v v^H / denom``.
-
-    One BLAS ``zgerc`` on ``inv`` itself, which must be a Fortran-ordered
-    complex128 array: for any other layout BLAS would update a copy and
-    the update would be lost, so that raises ``ValueError`` instead.
-    """
-    if inv.dtype != np.complex128 or not inv.flags.f_contiguous:
-        raise ValueError("rank-one update needs a Fortran-ordered complex128 inverse")
-    zgerc(-eta / denom, v, v, a=inv, overwrite_a=1)
+    _check_inverse(inv)
+    rows = gamma.tolist()
+    try:
+        for n, block in enumerate(blocks):
+            row = rows[n]
+            v = zgemm(1.0, inv, block)
+            w = zgemm(1.0, factor_h, v)
+            quad = _column_inner(block, v)
+            removed = max(row)
+            if removed > 0.0:
+                old_tau = row.index(removed)
+                (delta, down_denom, u, quad_u), (v, w, quad) = removal_terms(
+                    block, (v, w, quad), old_tau, removed
+                )
+                objective += delta
+            best = None
+            best_delta = 0.0
+            for tau, (q, fit) in enumerate(zip(quad.tolist(), _column_inner(w, w).tolist())):
+                _check_quad(q)
+                eta = _step(q, fit)
+                if eta <= 0.0:
+                    continue
+                delta, denom = step_increment(eta, q, fit)
+                if delta < best_delta:
+                    best, best_delta = (tau, eta, denom), delta
+            # the commit: row n and Sigma^-1 change only from here on
+            if removed > 0.0 and (best is None or best[0] != old_tau):
+                _update(inv, u, -removed, down_denom)
+                row[old_tau] = 0.0
+            if best is not None:
+                tau, eta, denom = best
+                if removed > 0.0 and tau == old_tau:
+                    # re-inserted where it was: removal and commit are one
+                    # rank-one update of the net change
+                    net = eta - removed
+                    _update(inv, u, net, step_increment(net, quad_u, 0.0)[1])
+                else:
+                    _update(inv, v[:, tau], eta, denom)
+                objective += best_delta
+                row[tau] = eta
+    except NumericalDegeneracyError as exc:
+        exc.index = n
+        raise
+    finally:
+        gamma[:] = rows
+    return objective
 
 
 def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int):
@@ -286,7 +376,8 @@ def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int
     Returns ``(v, quad, fit)`` with ``v = Sigma^{-1} s``,
     ``quad = s^H Sigma^{-1} s`` and ``fit = s^H Sigma^{-1} S_tilde Sigma^{-1} s``.
     ``fit`` is ``Re(v^H S_tilde v)`` from one ``zgemv``: one call needs no
-    :func:`fit_factor`, whose ``eigh`` only pays off over a detector run.
+    :func:`fit_factor`, whose factorization only pays off over a detector
+    run.
     """
     v, quad = _project(state.inv_sigma, state.column(device, delay))
     st = np.asarray(sigma_tilde, dtype=np.complex128)

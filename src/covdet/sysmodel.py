@@ -30,7 +30,13 @@ class ConfigError(ValueError):
 
 
 class NumericalDegeneracyError(ArithmeticError):
-    """The tracked covariance state has become numerically unusable."""
+    """The tracked covariance state has become numerically unusable.
+
+    A detector pass that raises it sets ``index`` to the column or device
+    it was visiting.
+    """
+
+    index: int | None = None
 
 
 class ConvergenceError(RuntimeError):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import covdet
+from covdet import likelihood
 from covdet.siggen import (
     draw_ground_truth,
     generate_preambles,
@@ -43,6 +44,40 @@ def make_scenario(config: SystemConfig, seed: int):
     truth = draw_ground_truth(config, rng)
     received = synthesize_received_signal(preambles, truth, config, rng)
     return preambles, truth, sample_covariance(received)
+
+
+def block_visit_by_hand(state, sigma_tilde, n):
+    """One ``bcd`` visit of device ``n``'s block through the public step
+    functions.
+
+    The block's entry, if any, is removed, every delay is scored from the
+    zeroed state and the best one is committed (ties to the smallest
+    delay), as ``likelihood.block_sweep`` does. Returns the objective
+    change and ``None``, ``"same"``, ``"moved"`` or ``"emptied"`` for
+    where the block's entry went.
+    """
+    row = state.gamma.values[n]
+    old_tau = int(np.argmax(row))
+    removed = float(row[old_tau])
+    total = 0.0
+    if removed > 0.0:
+        total += likelihood.objective_delta(state, sigma_tilde, n, old_tau, -removed)
+        likelihood.rank_one_inverse_update(state, n, old_tau, -removed)
+    best = None
+    best_delta = 0.0
+    for tau in range(state.gamma.num_delays):
+        eta = likelihood.coordinate_step(state, sigma_tilde, n, tau)
+        if eta <= 0.0:
+            continue
+        delta = likelihood.objective_delta(state, sigma_tilde, n, tau, eta)
+        if delta < best_delta:
+            best, best_delta = (tau, eta), delta
+    if best is not None:
+        likelihood.rank_one_inverse_update(state, n, *best)
+        total += best_delta
+    if removed == 0.0:
+        return total, None
+    return total, "emptied" if best is None else "same" if best[0] == old_tau else "moved"
 
 
 def package_env() -> dict:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_config, make_scenario
+from conftest import block_visit_by_hand, make_config, make_scenario
 from covdet import detect, likelihood, oracle
 from covdet.detect import (
     enforce_block_sparsity,
@@ -165,6 +165,25 @@ class TestRunCdE:
         result = run_cd_e(preambles, st, config)
         assert result.objective_trace[1] == pytest.approx(objective, abs=1e-12)
 
+    def test_degenerate_state_reports_sweep_and_column(self, monkeypatch):
+        # a quadratic form that is not positive stops the run with the
+        # place it happened: column 7 is zeroed from the second pass on
+        column_sweep = likelihood.column_sweep
+        calls = []
+
+        def corrupted(inv, factor_h, columns, gamma, objective):
+            calls.append(len(columns))
+            if len(calls) == 2:
+                columns = list(columns)
+                columns[7] = np.zeros_like(columns[7])
+            return column_sweep(inv, factor_h, columns, gamma, objective)
+
+        monkeypatch.setattr(likelihood, "column_sweep", corrupted)
+        config = make_config(num_antennas=16)
+        preambles, _, st = make_scenario(config, 27)
+        with pytest.raises(NumericalDegeneracyError, match=r"<= 0 at sweep 2, column 7$"):
+            run_cd_e(preambles, st, config)
+
 
 @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
 @pytest.mark.parametrize(
@@ -254,35 +273,15 @@ def test_zero_sample_covariance_detects_nothing(runner):
 def bcd_sweep_by_hand(state, st, config, events):
     """One ascending bcd sweep through the public step functions.
 
-    Each block's entry is removed, every delay is scored from the zeroed
-    state and the best one is committed, as ``run_bcd`` does. Returns the
-    objective change and appends ``"same"``, ``"moved"`` or ``"emptied"``
-    to ``events`` for every block that held an entry.
+    Returns the objective change and appends ``"same"``, ``"moved"`` or
+    ``"emptied"`` to ``events`` for every block that held an entry.
     """
     total = 0.0
     for n in range(config.num_devices):
-        row = state.gamma.values[n]
-        old_tau = int(np.argmax(row))
-        removed = float(row[old_tau])
-        if removed > 0.0:
-            total += likelihood.objective_delta(state, st, n, old_tau, -removed)
-            likelihood.rank_one_inverse_update(state, n, old_tau, -removed)
-        best = None
-        best_delta = 0.0
-        for tau in range(config.num_delays):
-            eta = likelihood.coordinate_step(state, st, n, tau)
-            if eta <= 0.0:
-                continue
-            delta = likelihood.objective_delta(state, st, n, tau, eta)
-            if delta < best_delta:
-                best, best_delta = (tau, eta), delta
-        if best is not None:
-            likelihood.rank_one_inverse_update(state, n, *best)
-            total += best_delta
-        if removed > 0.0:
-            events.append(
-                "emptied" if best is None else "same" if best[0] == old_tau else "moved"
-            )
+        delta, event = block_visit_by_hand(state, st, n)
+        total += delta
+        if event is not None:
+            events.append(event)
     return total
 
 
@@ -301,16 +300,23 @@ class TestRunBcd:
         result = run_bcd(preambles, st, config)
         assert result.theta_hat == truth.pairs
 
-    def test_block_sparse_at_every_commit(self):
+    def test_block_sparse_at_every_commit(self, monkeypatch):
+        # audited after every pass: a pass writes row n only while visiting
+        # block n, and ends that visit with at most one nonzero in it, so a
+        # row that is block-sparse after the pass was so after its commit
         config = make_config(num_antennas=16)
         preambles, _, st = make_scenario(config, 17)
         seen = []
+        block_sweep = likelihood.block_sweep
 
-        def audit(values):
-            seen.append(np.count_nonzero(values, axis=1).max())
+        def audited(inv, factor_h, blocks, gamma, objective):
+            objective = block_sweep(inv, factor_h, blocks, gamma, objective)
+            seen.append(np.count_nonzero(gamma, axis=1).max())
+            return objective
 
-        result = run_bcd(preambles, st, config, block_audit=audit)
-        assert seen, "audit hook never called"
+        monkeypatch.setattr(likelihood, "block_sweep", audited)
+        result = run_bcd(preambles, st, config)
+        assert len(seen) == result.iterations
         assert max(seen) <= 1
         assert result.gamma_hat.is_block_sparse()
 
@@ -377,13 +383,13 @@ class TestRunBcd:
     def test_degenerate_zeroed_state_reports_sweep_and_device(self, monkeypatch):
         # a zeroed-state quadratic form that is not positive stops the run
         # with the place it happened
-        real = detect.removal_terms
+        real = likelihood.removal_terms
 
         def corrupted(block, terms, tau, gamma):
             removal, (v, w, quad) = real(block, terms, tau, gamma)
             return removal, (v, w, -quad)
 
-        monkeypatch.setattr(detect, "removal_terms", corrupted)
+        monkeypatch.setattr(likelihood, "removal_terms", corrupted)
         config = make_config(num_antennas=16)
         preambles, _, st = make_scenario(config, 28)
         with pytest.raises(NumericalDegeneracyError, match=r"<= 0 at sweep 2, device \d+"):

@@ -1,11 +1,12 @@
 """Objective machinery: assembly, coordinate steps, rank-one updates."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import make_config, make_scenario
+from conftest import block_visit_by_hand, make_config, make_scenario
 from covdet import likelihood, oracle
 from covdet.siggen import effective_dictionary
 from covdet.sysmodel import GammaEstimate, NumericalDegeneracyError
@@ -205,9 +206,15 @@ class TestCoordinateStep:
 
     def test_nan_quadratic_form_detected(self):
         _, state, st = random_state(seed=46)
-        inv = np.full_like(state.inv_sigma, np.nan)
+        state.inv_sigma[:] = np.nan
         with pytest.raises(NumericalDegeneracyError, match="nan"):
-            likelihood.column_terms(inv, likelihood.fit_factor(st), state.column(0, 0))
+            likelihood.coordinate_step(state, st, 0, 0)
+        columns = list(state.dictionary.T)
+        gamma = state.gamma.values.ravel()
+        with pytest.raises(NumericalDegeneracyError, match="nan"):
+            likelihood.column_sweep(
+                state.inv_sigma, likelihood.fit_factor(st), columns, gamma, 0.0
+            )
 
 
 class TestRankOneInverseUpdate:
@@ -314,18 +321,19 @@ class TestFitFactor:
             assert fit == pytest.approx(float(np.real(np.vdot(v, st @ v))), rel=1e-12)
 
     def test_zero_sample_covariance_gives_zero_fit(self):
+        # quad = 7 and fit = 0 on every column: every step is negative, so
+        # neither pass moves from gamma = 0
         dim = 7
         factor_h = likelihood.fit_factor(np.zeros((dim, dim)))
         assert factor_h.shape == (1, dim)
+        np.testing.assert_array_equal(factor_h, 0.0)
         inv = np.eye(dim, dtype=np.complex128, order="F")
-        s = np.ones(dim, dtype=complex)
-        _, quad, fit, step = likelihood.column_terms(inv, factor_h, s)
-        assert (quad, fit, step) == (7.0, 0.0, -1.0 / 7.0)
         block = np.asfortranarray(np.ones((dim, 3), dtype=complex))
-        terms = likelihood.block_terms(inv, factor_h, block)
-        np.testing.assert_array_equal(terms[1], 0.0)
-        np.testing.assert_array_equal(terms[2], 7.0)
-        assert likelihood.best_candidate(terms) is None
+        gamma = np.zeros((2, 3))
+        assert likelihood.column_sweep(inv, factor_h, list(block.T), gamma[0], 1.5) == 1.5
+        assert likelihood.block_sweep(inv, factor_h, [block, block], gamma, 1.5) == 1.5
+        np.testing.assert_array_equal(gamma, 0.0)
+        np.testing.assert_array_equal(inv, np.eye(dim))
 
 
 def block_state(seed, gamma_old=0.7, tau_old=1):
@@ -339,82 +347,120 @@ def block_state(seed, gamma_old=0.7, tau_old=1):
     return state, st, likelihood.fit_factor(st), block
 
 
+def copy_state(state):
+    return dataclasses.replace(
+        state, inv_sigma=state.inv_sigma.copy(order="F"), gamma=state.gamma.copy()
+    )
+
+
+def block_products(inv, factor_h, block):
+    """``(v, w, quad)``: ``Sigma^{-1} block``, ``F^H`` times it and each
+    column's ``s^H Sigma^{-1} s``, the block terms ``removal_terms`` takes."""
+    v = np.asfortranarray(inv @ block)
+    return v, np.asfortranarray(factor_h @ v), np.real(np.sum(block.conj() * v, axis=0))
+
+
+def sweep_inputs(state, sweep):
+    """The units and the gamma view ``run_cd_e`` (``column_sweep``) or
+    ``run_bcd`` (``block_sweep``) hands a pass over ``state``."""
+    dictionary = np.asfortranarray(state.dictionary)
+    if sweep == "column_sweep":
+        return list(dictionary.T), state.gamma.values.ravel()
+    k = state.gamma.num_delays
+    blocks = [dictionary[:, n * k : (n + 1) * k] for n in range(state.gamma.num_devices)]
+    return blocks, state.gamma.values
+
+
 class TestColumnTermsBlock:
+    """The block products of ``block_sweep`` against the column products
+    of ``column_sweep``."""
+
     def test_block_matches_columns(self):
-        _, state, st = random_state(seed=68)
+        # with one delay per device a block visit is the exact minimizer
+        # along its one coordinate, the same as a column visit, so the two
+        # sweeps agree on gamma, the objective and the inverse
+        _, state, st = random_state(seed=68, max_delay=0, updates=3)
         factor_h = likelihood.fit_factor(st)
-        block = np.asfortranarray(state.dictionary[:, 2:6])
-        v, w, quads = likelihood.block_terms(state.inv_sigma, factor_h, block)
-        for k in range(4):
-            col, quad, _, _ = likelihood.column_terms(state.inv_sigma, factor_h, block[:, k])
-            np.testing.assert_allclose(v[:, k], col, rtol=1e-13)
-            np.testing.assert_allclose(w[:, k], factor_h @ col, rtol=1e-13)
-            assert quads[k] == pytest.approx(quad, rel=1e-12)
+        by_columns, by_blocks = state, copy_state(state)
+        columns, flat_gamma = sweep_inputs(by_columns, "column_sweep")
+        blocks, gamma_rows = sweep_inputs(by_blocks, "block_sweep")
+        obj_c = obj_b = state.objective
+        for _ in range(2):
+            obj_c = likelihood.column_sweep(by_columns.inv_sigma, factor_h, columns, flat_gamma, obj_c)
+            obj_b = likelihood.block_sweep(by_blocks.inv_sigma, factor_h, blocks, gamma_rows, obj_b)
+        assert np.count_nonzero(by_columns.gamma.values) >= 2
+        np.testing.assert_allclose(by_blocks.gamma.values, by_columns.gamma.values, rtol=1e-10)
+        assert obj_b == pytest.approx(obj_c, rel=1e-12)
+        np.testing.assert_allclose(
+            by_blocks.inv_sigma, by_columns.inv_sigma, rtol=0,
+            atol=1e-10 * np.abs(by_columns.inv_sigma).max(),
+        )
 
     def test_corrupted_block_detected(self):
         _, state, st = random_state(seed=69)
         state.inv_sigma[:] = -np.eye(state.dim)
-        terms = likelihood.block_terms(
-            state.inv_sigma, likelihood.fit_factor(st), state.dictionary[:, :3]
-        )
-        with pytest.raises(NumericalDegeneracyError, match="<= 0"):
-            likelihood.best_candidate(terms)
+        blocks = [state.dictionary[:, :2], state.dictionary[:, 2:4]]
+        with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
+            likelihood.block_sweep(
+                state.inv_sigma, likelihood.fit_factor(st), blocks, state.gamma.values[:2], 0.0
+            )
+        assert info.value.index == 0
 
 
 class TestBestCandidate:
+    """The candidate a ``block_sweep`` visit commits."""
+
     @pytest.mark.parametrize("seed", [70, 71, 72, 73])
     def test_matches_column_by_column_search(self, seed):
-        state, _, factor_h, block = block_state(seed)
-        want = None
-        best_delta = 0.0
-        for tau in range(3):
-            _, quad, fit, eta = likelihood.column_terms(state.inv_sigma, factor_h, block[:, tau])
-            if eta > 0.0:
-                delta, denom = likelihood.step_increment(eta, quad, fit)
-                if delta < best_delta:
-                    want, best_delta = (tau, eta, denom, delta), delta
-        got = likelihood.best_candidate(likelihood.block_terms(state.inv_sigma, factor_h, block))
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got[0] == want[0]
-            np.testing.assert_allclose(got[1:], want[1:], rtol=1e-12)
+        # one block visit against the same visit through the public step
+        # functions: remove the entry, score every delay, commit the best
+        state, st, factor_h, block = block_state(seed)
+        want = copy_state(state)
+        want_delta, _ = block_visit_by_hand(want, st, 2)
+        objective = likelihood.block_sweep(
+            state.inv_sigma, factor_h, [block], state.gamma.values[2:3], 0.0
+        )
+        assert objective == pytest.approx(want_delta, rel=1e-10)
+        np.testing.assert_allclose(state.gamma.values, want.gamma.values, rtol=1e-10)
+        assert np.count_nonzero(state.gamma.values[2]) == np.count_nonzero(want.gamma.values[2])
+        np.testing.assert_allclose(
+            state.inv_sigma, want.inv_sigma, rtol=0, atol=1e-12 * np.abs(want.inv_sigma).max()
+        )
 
     def test_tie_goes_to_smallest_delay(self):
         state, _, factor_h, block = block_state(74)
         twins = np.asfortranarray(np.repeat(block[:, :1], 3, axis=1))
-        terms = likelihood.block_terms(state.inv_sigma, factor_h, twins)
-        best = likelihood.best_candidate(terms)
-        assert best is not None and best[0] == 0
+        gamma = np.zeros((1, 3))
+        likelihood.block_sweep(state.inv_sigma, factor_h, [twins], gamma, 0.0)
+        assert gamma[0, 0] > 0.0
+        np.testing.assert_array_equal(gamma[0, 1:], 0.0)
 
 
 class TestRemovalTerms:
     @pytest.mark.parametrize("tau_old", [0, 1, 2])
     def test_zeroed_terms_match_explicit_downdate(self, tau_old):
-        state, _, factor_h, block = block_state(75, tau_old=tau_old)
+        state, st, factor_h, block = block_state(75, tau_old=tau_old)
         inv = state.inv_sigma
-        terms = likelihood.block_terms(inv, factor_h, block)
+        terms = block_products(inv, factor_h, block)
         (delta, denom, u, quad_u), zeroed = likelihood.removal_terms(
             block, terms, tau_old, 0.7
         )
-        v_old, quad_old, fit_old, _ = likelihood.column_terms(inv, factor_h, block[:, tau_old])
+        v_old, quad_old, fit_old = likelihood.quadratic_terms(state, st, 2, tau_old)
         np.testing.assert_allclose(u, v_old, rtol=1e-12)
         assert quad_u == pytest.approx(quad_old, rel=1e-12)
         want_delta, want_denom = likelihood.step_increment(-0.7, quad_old, fit_old)
         assert (delta, denom) == pytest.approx((want_delta, want_denom), rel=1e-12)
         downdated = inv.copy(order="F")
         likelihood.apply_rank_one(downdated, v_old, -0.7, want_denom)
-        want = likelihood.block_terms(downdated, factor_h, block)
+        want = block_products(downdated, factor_h, block)
         for got, ref in zip(zeroed, want):
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        assert likelihood.best_candidate(zeroed) == pytest.approx(
-            likelihood.best_candidate(want), rel=1e-12
-        )
 
     @pytest.mark.parametrize("eta_new", [0.2, 0.7, 3.0])
     def test_net_update_matches_downdate_then_commit(self, eta_new):
         state, _, factor_h, block = block_state(76)
         inv = state.inv_sigma
-        terms = likelihood.block_terms(inv, factor_h, block)
+        terms = block_products(inv, factor_h, block)
         (_, denom, u, quad_u), zeroed = likelihood.removal_terms(block, terms, 1, 0.7)
         two_step = inv.copy(order="F")
         likelihood.apply_rank_one(two_step, u, -0.7, denom)
@@ -431,7 +477,7 @@ class TestRemovalTerms:
         # removing more than the column carries drives 1 - gamma * quad
         # below the guard
         state, _, factor_h, block = block_state(77)
-        terms = likelihood.block_terms(state.inv_sigma, factor_h, block)
+        terms = block_products(state.inv_sigma, factor_h, block)
         with pytest.raises(NumericalDegeneracyError, match="denominator"):
             likelihood.removal_terms(block, terms, 1, 1.0 / terms[2][1])
 
@@ -445,11 +491,71 @@ class TestQuadraticTerms:
         monkeypatch.setattr(likelihood, "fit_factor", None)
         for n, tau in [(0, 0), (1, 1), (4, 0)]:
             v, quad, fit = likelihood.quadratic_terms(state, st, n, tau)
-            want = likelihood.column_terms(state.inv_sigma, factor_h, state.column(n, tau))
-            np.testing.assert_allclose(v, want[0], rtol=1e-12)
-            assert (quad, fit) == pytest.approx(want[1:3], rel=1e-12)
+            s = state.column(n, tau)
+            want_v = state.inv_sigma @ s
+            want_quad = np.vdot(s, want_v).real
+            want_fit = np.linalg.norm(factor_h @ want_v) ** 2
+            np.testing.assert_allclose(v, want_v, rtol=1e-12)
+            assert (quad, fit) == pytest.approx((want_quad, want_fit), rel=1e-12)
             eta = likelihood.coordinate_step(state, st, n, tau)
-            assert eta == pytest.approx(max(want[3], -state.gamma.values[n, tau]), rel=1e-12)
+            step = (want_fit - want_quad) / want_quad**2
+            assert eta == pytest.approx(max(step, -state.gamma.values[n, tau]), rel=1e-12)
+
+
+class TestSweeps:
+    @pytest.mark.parametrize("sweep", ["column_sweep", "block_sweep"])
+    @pytest.mark.parametrize(
+        "dtype, order", [(np.complex128, "C"), (np.complex64, "F")],
+        ids=["c-ordered", "complex64"],
+    )
+    def test_layout_that_would_update_a_copy_rejected(self, sweep, dtype, order):
+        _, state, st = random_state(seed=80)
+        inv = state.inv_sigma.astype(dtype, order=order)
+        before, gamma = inv.copy(), state.gamma.values.copy()
+        units, kernel_gamma = sweep_inputs(state, sweep)
+        with pytest.raises(ValueError, match="Fortran-ordered complex128"):
+            getattr(likelihood, sweep)(inv, likelihood.fit_factor(st), units, kernel_gamma, 0.0)
+        np.testing.assert_array_equal(inv, before)
+        np.testing.assert_array_equal(state.gamma.values, gamma)
+
+    @pytest.mark.parametrize("sweep", ["column_sweep", "block_sweep"])
+    def test_failing_pass_keeps_gamma_written_before(self, sweep):
+        # unit 3 is a zero column, so its quadratic form is 0 and the pass
+        # stops there; gamma holds what the pass over units 0-2 wrote
+        _, state, st = random_state(seed=81, num_devices=8, num_active=4, max_delay=0, updates=0)
+        factor_h = likelihood.fit_factor(st)
+        run = getattr(likelihood, sweep)
+        want = copy_state(state)
+        units, want_gamma = sweep_inputs(want, sweep)
+        run(want.inv_sigma, factor_h, units[:3], want_gamma[:3], 0.0)
+        assert np.any(want_gamma[:3])
+        units, gamma = sweep_inputs(state, sweep)
+        units[3] = np.zeros_like(units[3])
+        with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
+            run(state.inv_sigma, factor_h, units, gamma, 0.0)
+        assert info.value.index == 3
+        np.testing.assert_array_equal(state.gamma.values, want.gamma.values)
+
+    def test_failing_block_visit_leaves_its_row_and_inverse(self, monkeypatch):
+        # device 2's zeroed-state scoring fails after its removal terms
+        # were computed: its entry and Sigma^-1 are still those of before
+        state, _, factor_h, block = block_state(82)
+        real = likelihood.removal_terms
+
+        def corrupted(block, terms, tau, gamma):
+            removal, (v, w, quad) = real(block, terms, tau, gamma)
+            return removal, (v, w, -quad)
+
+        monkeypatch.setattr(likelihood, "removal_terms", corrupted)
+        inv, gamma = state.inv_sigma.copy(), state.gamma.values.copy()
+        with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
+            likelihood.block_sweep(
+                state.inv_sigma, factor_h, [block], state.gamma.values[2:3], 0.0
+            )
+        assert info.value.index == 0
+        assert gamma[2, 1] == 0.7
+        np.testing.assert_array_equal(state.gamma.values, gamma)
+        np.testing.assert_array_equal(state.inv_sigma, inv)
 
 
 class TestObjectiveDelta:
