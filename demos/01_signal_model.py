@@ -81,13 +81,14 @@ print(f"sample covariance: {sigma_tilde.matrix.shape}, "
       f"hermitian error {np.max(np.abs(sigma_tilde.matrix - sigma_tilde.matrix.conj().T)):.1e}")
 
 # Demonstrate that convergence empirically: the Frobenius distance to
-# the infinite-antenna limit shrinks roughly as 1/sqrt(M).
-from covdet import GammaEstimate, assemble_covariance
+# the infinite-antenna limit shrinks roughly as 1/sqrt(M). The limit's
+# gamma is one power per (device, delay) dictionary column.
+from covdet import assemble_covariance
 
-gamma_true = GammaEstimate.zeros(config.num_devices, config.max_delay)
+gamma_true = np.zeros((config.num_devices, config.num_delays))
 for device, delay in truth.pairs:
-    gamma_true.values[device, delay] = truth.gains[device]
-limit = assemble_covariance(preambles, gamma_true, config.sigma2)
+    gamma_true[device, delay] = truth.gains[device]
+limit = assemble_covariance(dictionary, gamma_true, config.sigma2)
 
 print("\nantennas   ||sample - limit||_F")
 import dataclasses

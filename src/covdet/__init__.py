@@ -3,9 +3,9 @@
 Library for detecting which devices transmitted, and with what symbol
 delay, from the sample covariance of a multi-antenna received signal:
 scenario synthesis, two coordinate-descent maximum-likelihood detectors
-and scoring metrics. Preambles and received signals are plain arrays;
-the sample covariance is the one validated input type. The seeded Monte
-Carlo experiment runner is ``covdet.cli``.
+and scoring metrics. Preambles, received signals and gamma estimates
+are plain arrays; the sample covariance is the one validated input
+type. The seeded Monte Carlo experiment runner is ``covdet.cli``.
 """
 
 from .detect import run_bcd, run_cd_e
@@ -27,7 +27,6 @@ from .siggen import (
 from .sysmodel import (
     ConfigError,
     ConvergenceError,
-    GammaEstimate,
     NumericalDegeneracyError,
     SystemConfig,
 )
@@ -35,7 +34,6 @@ from .sysmodel import (
 __all__ = [
     "ConfigError",
     "ConvergenceError",
-    "GammaEstimate",
     "NumericalDegeneracyError",
     "SystemConfig",
     "assemble_covariance",

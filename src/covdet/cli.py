@@ -242,13 +242,17 @@ def run_experiment(
 def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     """Parse a JSON experiment file plus optional override values.
 
-    The file holds every system field, with optional ``detectors``,
-    ``antennas`` and ``trials`` lists controlling the sweep. Overrides
-    (typically from command-line flags) win over file contents.
+    The UTF-8 file holds every system field, with optional sweep keys: a
+    ``detectors`` list of names, an ``antennas`` list of integers and a
+    ``trials`` integer. Overrides (typically from command-line flags) win
+    over file contents. Raises ``ConfigError`` for a file or value that
+    breaks these rules.
     """
     overrides = dict(overrides or {})
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -264,7 +268,9 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
         value = overrides.get(key)
         return value if value is not None else sweep.get(key, default)
 
-    detectors = tuple(pick("detectors", ["cd_e", "bcd"]))
+    detectors = pick("detectors", ["cd_e", "bcd"])
+    if not _is_list(detectors, lambda name: isinstance(name, str)):
+        raise ConfigError(f"detectors must be a list of names, got {detectors!r}")
     if not detectors:
         raise ConfigError("detector list is empty")
     for name in detectors:
@@ -272,17 +278,31 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
             raise ConfigError(
                 f"unknown detector {name!r}, expected one of {DETECTOR_NAMES}"
             )
-    antennas = tuple(int(m) for m in pick("antennas", [config.num_antennas]))
+    antennas = pick("antennas", [config.num_antennas])
+    if not _is_list(antennas, _is_int):
+        raise ConfigError(f"antennas must be a list of integers, got {antennas!r}")
     if not antennas:
         raise ConfigError("antenna list is empty")
     if any(m < 1 for m in antennas):
         raise ConfigError(f"antenna counts must be positive, got {antennas}")
-    trials = int(pick("trials", 1000))
+    trials = pick("trials", 1000)
+    if not _is_int(trials):
+        raise ConfigError(f"trials must be an integer, got {trials!r}")
     if trials < 1:
         raise ConfigError(f"trials must be positive, got {trials}")
     return ExperimentPlan(
-        base=config, detectors=detectors, antennas=antennas, trials=trials
+        base=config, detectors=tuple(detectors), antennas=tuple(antennas), trials=trials
     )
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool, as ``config_from_dict`` requires."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list(value, item_ok) -> bool:
+    """A list or tuple whose every item passes ``item_ok``."""
+    return isinstance(value, (list, tuple)) and all(item_ok(item) for item in value)
 
 
 def _parse_int_list(text: str) -> list[int]:

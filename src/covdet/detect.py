@@ -27,7 +27,6 @@ from .siggen import effective_dictionary
 from .sysmodel import (
     ConvergenceError,
     DetectionResult,
-    GammaEstimate,
     NumericalDegeneracyError,
     SystemConfig,
     validate,
@@ -39,34 +38,34 @@ MAX_SWEEPS = 1000
 RECOMPUTE_EVERY = 10
 
 
-def enforce_block_sparsity(gamma: GammaEstimate) -> GammaEstimate:
+def enforce_block_sparsity(gamma: np.ndarray) -> np.ndarray:
     """Keep only each device's maximal gamma entry, zeroing the rest.
 
     Ties go to the smallest delay. All-zero blocks stay all-zero.
     """
-    values = gamma.values
-    out = np.zeros_like(values)
-    best = np.argmax(values, axis=1)  # first occurrence wins ties
-    rows = np.arange(values.shape[0])
-    out[rows, best] = values[rows, best]
-    return GammaEstimate(out)
+    out = np.zeros_like(gamma)
+    best = np.argmax(gamma, axis=1)  # first occurrence wins ties
+    rows = np.arange(gamma.shape[0])
+    out[rows, best] = gamma[rows, best]
+    return out
 
 
-def threshold(gamma: GammaEstimate, t: float) -> GammaEstimate:
+def threshold(gamma: np.ndarray, t: float) -> np.ndarray:
     """Zero out entries below ``t``; entries >= t survive (inclusive)."""
     if t <= 0:
         raise ValueError(f"threshold must be positive, got {t}")
-    return GammaEstimate(np.where(gamma.values >= t, gamma.values, 0.0))
+    return np.where(gamma >= t, gamma, 0.0)
 
 
-def to_indicators(gamma: GammaEstimate) -> frozenset:
+def to_indicators(gamma: np.ndarray) -> frozenset:
     """Detected (device, delay) pairs: coordinates with gamma > 0.
 
-    Requires a block-sparse estimate so each device maps to one delay.
+    Requires a block-sparse estimate (at most one nonzero per device row)
+    so each device maps to one delay.
     """
-    if not gamma.is_block_sparse():
+    if np.any(np.count_nonzero(gamma, axis=1) > 1):
         raise ValueError("indicator extraction requires a block-sparse estimate")
-    return frozenset((int(n), int(tau)) for n, tau in np.argwhere(gamma.values > 0.0))
+    return frozenset((int(n), int(tau)) for n, tau in np.argwhere(gamma > 0.0))
 
 
 def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
@@ -152,7 +151,8 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
     """
     dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
     columns = list(dictionary.T)
-    flat_gamma = state.gamma.values.ravel()
+    # a view of the C-ordered gamma: the sweep writes through it
+    flat_gamma = state.gamma.ravel()
     return _descend(
         state, st, config,
         lambda inv, objective: likelihood.column_sweep(
@@ -180,11 +180,10 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
     k = config.num_delays
     blocks = [dictionary[:, n * k : (n + 1) * k] for n in range(config.num_devices)]
-    gamma_rows = state.gamma.values
     return _descend(
         state, st, config,
         lambda inv, objective: likelihood.block_sweep(
-            inv, factor_h, blocks, gamma_rows, objective
+            inv, factor_h, blocks, state.gamma, objective
         ),
         "device",
         lambda gamma: threshold(gamma, config.threshold_bcd),

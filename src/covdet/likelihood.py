@@ -6,6 +6,9 @@ The fit objective is ``log det(Sigma) + trace(Sigma^{-1} S_tilde)`` where
 on one tracked ``CovarianceState``: closed-form single-coordinate steps,
 Sherman-Morrison maintenance of ``Sigma^{-1}``, and matching closed-form
 objective increments, plus a dense refresh to bound accumulated drift.
+Gamma is a plain ``(N, tau_max+1)`` float64 array, device-major like the
+dictionary columns, and ``assemble_covariance`` is the one dense builder
+of ``Sigma`` from the two.
 
 The coordinate math lives once, in the kernel that both detectors call.
 A detector pass is one call: ``column_sweep`` visits every dictionary
@@ -57,31 +60,35 @@ import scipy.linalg
 from scipy.linalg.blas import zdotc, zgemm, zgemv, zgerc
 from scipy.linalg.lapack import zpstrf
 
-from .sysmodel import CovarianceState, GammaEstimate, NumericalDegeneracyError
+from .sysmodel import CovarianceState, NumericalDegeneracyError
 
 # 1 + eta * s^H Sigma^{-1} s below this is treated as a degenerate update
 DENOMINATOR_GUARD = 1e-12
 
 
-def assemble_dictionary_covariance(
-    dictionary: np.ndarray, gamma_flat: np.ndarray, sigma2: float
-) -> np.ndarray:
-    """Dense model covariance from an effective dictionary and flat gammas."""
-    if np.any(gamma_flat < 0):
+def assemble_covariance(dictionary: np.ndarray, gamma: np.ndarray, sigma2: float) -> np.ndarray:
+    """Model covariance ``sum_j gamma_j s_j s_j^H + sigma2 I`` over the
+    columns ``s_j`` of an effective dictionary.
+
+    ``gamma`` holds one power per dictionary column in column order: the
+    ``(N, tau_max+1)`` estimate or its flat view. Raises ``ValueError``
+    when its size is not the column count, or when an entry is NaN, Inf
+    or negative.
+    """
+    flat = np.asarray(gamma, dtype=np.float64).ravel()
+    if flat.size != dictionary.shape[1]:
+        raise ValueError(
+            f"gamma of shape {np.shape(gamma)} does not match the "
+            f"{dictionary.shape[1]} columns of a dictionary of shape {dictionary.shape}"
+        )
+    if not np.all(np.isfinite(flat)):
+        raise ValueError("gamma has NaN or Inf entries")
+    if np.any(flat < 0):
         raise ValueError("gamma entries must be non-negative")
-    scaled = dictionary * gamma_flat  # scales each column
+    scaled = dictionary * flat  # scales each column
     cov = zgemm(1.0, scaled, dictionary, trans_b=2)
     cov[np.diag_indices_from(cov)] += sigma2
     return (cov + cov.conj().T) / 2.0
-
-
-def assemble_covariance(preambles: np.ndarray, gamma: GammaEstimate, sigma2: float) -> np.ndarray:
-    """Model covariance: sum of gamma-weighted delayed-signature outer
-    products plus ``sigma2`` on the diagonal."""
-    from .siggen import effective_dictionary  # local import avoids cycle
-
-    dictionary = effective_dictionary(preambles, gamma.num_delays - 1)
-    return assemble_dictionary_covariance(dictionary, gamma.values.ravel(), sigma2)
 
 
 def evaluate_objective(mat: np.ndarray, sigma_tilde, *, inverse: bool = False) -> float:
@@ -129,7 +136,7 @@ def init_state(
         )
     inv = np.eye(dim, dtype=np.complex128, order="F") / sigma2
     objective = dim * math.log(sigma2) + float(np.real(np.trace(st))) / sigma2
-    gamma = GammaEstimate(np.zeros((num_columns // num_delays, num_delays)))
+    gamma = np.zeros((num_columns // num_delays, num_delays))
     return CovarianceState(
         dictionary=dictionary, sigma2=sigma2, inv_sigma=inv, objective=objective, gamma=gamma
     )
@@ -392,7 +399,7 @@ def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int
     ``max{(fit - quad)/quad^2, -gamma[device, delay]}``.
     """
     _, quad, fit = quadratic_terms(state, sigma_tilde, device, delay)
-    return max(_step(quad, fit), -float(state.gamma.values[device, delay]))
+    return max(_step(quad, fit), -float(state.gamma[device, delay]))
 
 
 def objective_delta(
@@ -423,13 +430,13 @@ def rank_one_inverse_update(
         return
     v, quad = _project(state.inv_sigma, state.column(device, delay))
     _, denom = step_increment(eta, quad, 0.0)
-    new_value = float(state.gamma.values[device, delay]) + eta
+    new_value = float(state.gamma[device, delay]) + eta
     if new_value < 0.0:
         if new_value < -1e-12:
             raise ValueError(f"update would drive gamma negative ({new_value})")
         new_value = 0.0
     apply_rank_one(state.inv_sigma, v, eta, denom)
-    state.gamma.values[device, delay] = new_value
+    state.gamma[device, delay] = new_value
 
 
 def refresh_state(state: CovarianceState, sigma_tilde) -> None:
@@ -438,9 +445,7 @@ def refresh_state(state: CovarianceState, sigma_tilde) -> None:
     Called every few sweeps to wipe out accumulated rank-one roundoff.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
-    cov = assemble_dictionary_covariance(
-        state.dictionary, state.gamma.values.ravel(), state.sigma2
-    )
+    cov = assemble_covariance(state.dictionary, state.gamma, state.sigma2)
     try:
         factor = scipy.linalg.cho_factor(cov, lower=True)
         inv = scipy.linalg.cho_solve(factor, np.eye(state.dim, dtype=np.complex128))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sysmodel import CovarianceState, GammaEstimate
+from .sysmodel import CovarianceState
 
 
 def _delayed_columns(matrix: np.ndarray, max_delay: int) -> np.ndarray:
@@ -62,14 +62,15 @@ def dense_inverse(cov: np.ndarray) -> np.ndarray:
     return (eigvecs / eigvals) @ eigvecs.conj().T
 
 
-def dense_covariance(preambles: np.ndarray, gamma: GammaEstimate, sigma2: float) -> np.ndarray:
-    """Model covariance assembled independently of the library path."""
-    columns = _delayed_columns(preambles, gamma.num_delays - 1)
-    return _covariance_from_columns(columns, gamma.values.ravel(), sigma2)
+def dense_covariance(preambles: np.ndarray, gamma: np.ndarray, sigma2: float) -> np.ndarray:
+    """Model covariance of the ``(N, tau_max+1)`` estimate ``gamma``,
+    assembled independently of the library path."""
+    columns = _delayed_columns(preambles, gamma.shape[1] - 1)
+    return _covariance_from_columns(columns, gamma.ravel(), sigma2)
 
 
 def dense_objective(
-    preambles: np.ndarray, gamma: GammaEstimate, sigma2: float, sigma_tilde
+    preambles: np.ndarray, gamma: np.ndarray, sigma2: float, sigma_tilde
 ) -> float:
     """Fit objective evaluated densely from first principles."""
     st = np.asarray(sigma_tilde, dtype=np.complex128)
@@ -91,12 +92,10 @@ def grid_min_1d(
     ``gamma[device, delay] + 10``). Ties go to the smallest offset.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
-    current = float(state.gamma.values[device, delay])
+    current = float(state.gamma[device, delay])
     if upper is None:
         upper = current + 10.0
-    base = _covariance_from_columns(
-        state.dictionary, state.gamma.values.ravel(), state.sigma2
-    )
+    base = _covariance_from_columns(state.dictionary, state.gamma.ravel(), state.sigma2)
     s = state.column(device, delay)
     bump = np.outer(s, s.conj())
     etas = np.linspace(-current, upper, grid_points)
@@ -114,7 +113,7 @@ def grid_min_1d(
 
 class ExhaustiveResult(NamedTuple):
     support: frozenset
-    gamma: GammaEstimate
+    gamma: np.ndarray  # (N, tau_max + 1)
     objective: float
 
 
@@ -193,7 +192,8 @@ def exhaustive_support_search(
         if best is None or objective < best[2]:
             best = (support, gamma_flat, objective)
     support, gamma_flat, objective = best
-    gamma = GammaEstimate(gamma_flat.reshape(num_devices, num_delays).copy())
     return ExhaustiveResult(
-        support=frozenset(support), gamma=gamma, objective=objective
+        support=frozenset(support),
+        gamma=gamma_flat.reshape(num_devices, num_delays),
+        objective=objective,
     )

@@ -120,6 +120,10 @@ def sample_covariance(received: np.ndarray) -> SampleCovariance:
     """Average outer product of the antenna snapshots, (1/M) Y Y^H, of
     the ``(L + tau_max, M)`` received window."""
     y = np.asarray(received, dtype=np.complex128)
+    if y.ndim != 2:
+        raise ValueError(
+            f"received window must be 2-D (window length, antennas), got shape {y.shape}"
+        )
     if y.shape[1] < 1:
         raise ValueError("need at least one antenna snapshot")
     cov = (y @ y.conj().T) / y.shape[1]

@@ -256,65 +256,22 @@ class GroundTruth:
 
 
 @dataclass
-class GammaEstimate:
-    """Non-negative per-(device, delay) power estimates.
-
-    ``values[n, tau]`` is the fitted power of device ``n`` at delay
-    ``tau``; one row per device is a "block". After block-sparsity
-    enforcement (or inside BCD) each block holds at most one nonzero.
-    """
-
-    values: np.ndarray  # (N, tau_max + 1) float64
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"gamma values must be 2-D, got shape {v.shape}")
-        self.values = v
-
-    @classmethod
-    def zeros(cls, num_devices: int, max_delay: int) -> "GammaEstimate":
-        return cls(np.zeros((num_devices, max_delay + 1)))
-
-    @property
-    def num_devices(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def num_delays(self) -> int:
-        return self.values.shape[1]
-
-    def copy(self) -> "GammaEstimate":
-        return GammaEstimate(self.values.copy())
-
-    def nonzeros_per_device(self) -> np.ndarray:
-        """Count of nonzero entries in each device block."""
-        return np.count_nonzero(self.values, axis=1)
-
-    def is_block_sparse(self) -> bool:
-        """True when every device block has at most one nonzero entry."""
-        return bool(np.all(self.nonzeros_per_device() <= 1))
-
-    def support(self) -> frozenset[tuple[int, int]]:
-        rows, cols = np.nonzero(self.values)
-        return frozenset(zip(rows.tolist(), cols.tolist()))
-
-
-@dataclass
 class CovarianceState:
     """Tracked inverse model covariance, kept consistent with a gamma estimate.
 
-    Single-writer: one detection run owns and mutates it. ``inv_sigma``
-    is maintained by rank-one updates and is periodically refreshed from
-    a dense factorization to bound drift. ``objective`` tracks the
-    current fit objective and is maintained by the update loop.
+    ``gamma[n, tau]`` is the fitted power of device ``n`` at delay
+    ``tau``; one row per device is a "block". Single-writer: one
+    detection run owns and mutates it. ``inv_sigma`` is maintained by
+    rank-one updates and is periodically refreshed from a dense
+    factorization to bound drift. ``objective`` tracks the current fit
+    objective and is maintained by the update loop.
     """
 
     dictionary: np.ndarray  # (D, N*(tau_max+1)) delayed signature columns
     sigma2: float
     inv_sigma: np.ndarray  # (D, D) Hermitian positive definite, Fortran-ordered
     objective: float
-    gamma: GammaEstimate
+    gamma: np.ndarray  # (N, tau_max + 1) float64, C-ordered
 
     @property
     def dim(self) -> int:
@@ -322,7 +279,7 @@ class CovarianceState:
 
     def column(self, device: int, delay: int) -> np.ndarray:
         """Dictionary column for hypothesis (device, delay)."""
-        return self.dictionary[:, device * self.gamma.num_delays + delay]
+        return self.dictionary[:, device * self.gamma.shape[1] + delay]
 
 
 @dataclass(frozen=True)
@@ -330,13 +287,14 @@ class DetectionResult:
     """Final output of one detector run, ready for scoring.
 
     ``theta_hat`` holds the declared (device, delay) pairs; at most one
-    delay per device. ``objective_trace`` records the objective after
+    delay per device. ``gamma_hat`` is the ``(N, tau_max+1)`` estimate they
+    were read from. ``objective_trace`` records the objective after
     initialization and after each full sweep, before any enforcement or
     thresholding.
     """
 
     theta_hat: frozenset[tuple[int, int]]
-    gamma_hat: GammaEstimate
+    gamma_hat: np.ndarray  # (N, tau_max + 1) float64
     iterations: int
     final_objective: float
     objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))

@@ -56,7 +56,7 @@ def block_visit_by_hand(state, sigma_tilde, n):
     change and ``None``, ``"same"``, ``"moved"`` or ``"emptied"`` for
     where the block's entry went.
     """
-    row = state.gamma.values[n]
+    row = state.gamma[n]
     old_tau = int(np.argmax(row))
     removed = float(row[old_tau])
     total = 0.0
@@ -65,7 +65,7 @@ def block_visit_by_hand(state, sigma_tilde, n):
         likelihood.rank_one_inverse_update(state, n, old_tau, -removed)
     best = None
     best_delta = 0.0
-    for tau in range(state.gamma.num_delays):
+    for tau in range(state.gamma.shape[1]):
         eta = likelihood.coordinate_step(state, sigma_tilde, n, tau)
         if eta <= 0.0:
             continue

@@ -323,11 +323,25 @@ class TestLoadExperiment:
         for trials in (-2, 0):
             with pytest.raises(ConfigError, match="trials"):
                 load_experiment(path, {"trials": trials})
+        # sweep keys of the wrong type, from the file and from overrides
+        for key, value in [
+            ("antennas", ["x"]), ("antennas", [4.7]), ("antennas", [True]), ("antennas", 4),
+            ("trials", "abc"), ("trials", 2.9), ("trials", True),
+            ("detectors", "bcd"), ("detectors", [1]),
+        ]:
+            bad = write_experiment_file(tmp_path / "bad.json", micro_config(), **{key: value})
+            with pytest.raises(ConfigError, match=f"{key} must be"):
+                load_experiment(bad)
+            with pytest.raises(ConfigError, match=f"{key} must be"):
+                load_experiment(path, {key: value})
 
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_experiment(path)
+        path.write_bytes(b'{"note": "caf\xe9"}')  # Latin-1, not UTF-8
+        with pytest.raises(ConfigError, match="not UTF-8"):
             load_experiment(path)
 
     def test_non_object_json_rejected(self, tmp_path):
@@ -369,6 +383,20 @@ class TestMain:
         ])
         assert code == 2
         assert "unknown detector" in capsys.readouterr().err
+
+    def test_malformed_config_exits_two_without_traceback(self, tmp_path):
+        bad_type = write_experiment_file(tmp_path / "exp.json", micro_config(), trials="abc")
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"note": "caf\xe9"}')
+        for path, reason in [(bad_type, "trials must be"), (not_utf8, "not UTF-8")]:
+            proc = subprocess.run(
+                [sys.executable, "-m", "covdet", "run", "--config", str(path),
+                 "--out", str(tmp_path / "r.csv")],
+                capture_output=True, text=True, env=package_env(), timeout=60,
+            )
+            assert proc.returncode == 2, proc.stderr
+            assert reason in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_zero_workers_exits_two(self, tmp_path, capsys):
         path = write_experiment_file(tmp_path / "exp.json", micro_config())

@@ -13,63 +13,63 @@ from covdet.detect import (
     to_indicators,
 )
 from covdet.siggen import effective_dictionary
-from covdet.sysmodel import ConvergenceError, GammaEstimate, NumericalDegeneracyError
+from covdet.sysmodel import ConvergenceError, NumericalDegeneracyError
 
 
 class TestEnforceBlockSparsity:
     def test_keeps_block_maximum(self):
-        gamma = GammaEstimate(np.array([[0.3, 0.1, 0.0]]))
-        assert enforce_block_sparsity(gamma).values.tolist() == [[0.3, 0.0, 0.0]]
+        gamma = np.array([[0.3, 0.1, 0.0]])
+        assert enforce_block_sparsity(gamma).tolist() == [[0.3, 0.0, 0.0]]
 
     def test_zero_block_stays_zero(self):
-        gamma = GammaEstimate(np.zeros((2, 3)))
-        assert np.all(enforce_block_sparsity(gamma).values == 0)
+        gamma = np.zeros((2, 3))
+        assert np.all(enforce_block_sparsity(gamma) == 0)
 
     def test_tie_goes_to_smallest_delay(self):
-        gamma = GammaEstimate(np.array([[0.2, 0.2]]))
-        assert enforce_block_sparsity(gamma).values.tolist() == [[0.2, 0.0]]
+        gamma = np.array([[0.2, 0.2]])
+        assert enforce_block_sparsity(gamma).tolist() == [[0.2, 0.0]]
 
     def test_input_unchanged(self):
-        gamma = GammaEstimate(np.array([[0.3, 0.1]]))
+        gamma = np.array([[0.3, 0.1]])
         enforce_block_sparsity(gamma)
-        assert gamma.values.tolist() == [[0.3, 0.1]]
+        assert gamma.tolist() == [[0.3, 0.1]]
 
 
 class TestThreshold:
     def test_drops_below_keeps_above(self):
-        gamma = GammaEstimate(np.array([[0.05, 0.15]]))
-        assert threshold(gamma, 0.1).values.tolist() == [[0.0, 0.15]]
+        gamma = np.array([[0.05, 0.15]])
+        assert threshold(gamma, 0.1).tolist() == [[0.0, 0.15]]
 
     def test_all_survivors_unchanged(self):
-        gamma = GammaEstimate(np.array([[0.4, 0.2]]))
-        assert threshold(gamma, 0.1).values.tolist() == [[0.4, 0.2]]
+        gamma = np.array([[0.4, 0.2]])
+        assert threshold(gamma, 0.1).tolist() == [[0.4, 0.2]]
 
     def test_boundary_is_inclusive(self):
-        gamma = GammaEstimate(np.array([[0.1]]))
-        assert threshold(gamma, 0.1).values.tolist() == [[0.1]]
+        gamma = np.array([[0.1]])
+        assert threshold(gamma, 0.1).tolist() == [[0.1]]
 
     def test_nonpositive_threshold_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            threshold(GammaEstimate(np.zeros((1, 1))), 0.0)
+            threshold(np.zeros((1, 1)), 0.0)
 
 
 class TestToIndicators:
     def test_empty(self):
-        assert to_indicators(GammaEstimate.zeros(4, 2)) == frozenset()
+        assert to_indicators(np.zeros((4, 3))) == frozenset()
 
     def test_single_pair(self):
-        gamma = GammaEstimate.zeros(5, 2)
-        gamma.values[3, 1] = 0.5
+        gamma = np.zeros((5, 3))
+        gamma[3, 1] = 0.5
         assert to_indicators(gamma) == {(3, 1)}
 
     def test_multiple_devices(self):
-        gamma = GammaEstimate.zeros(5, 2)
-        gamma.values[0, 2] = 0.3
-        gamma.values[4, 0] = 0.6
+        gamma = np.zeros((5, 3))
+        gamma[0, 2] = 0.3
+        gamma[4, 0] = 0.6
         assert to_indicators(gamma) == {(0, 2), (4, 0)}
 
     def test_block_dense_input_rejected(self):
-        gamma = GammaEstimate(np.array([[0.1, 0.2]]))
+        gamma = np.array([[0.1, 0.2]])
         with pytest.raises(ValueError, match="block-sparse"):
             to_indicators(gamma)
 
@@ -81,7 +81,7 @@ class TestRunCdE:
         noise_cov = config.sigma2 * np.eye(config.window_len)
         result = run_cd_e(preambles, noise_cov, config)
         assert result.theta_hat == frozenset()
-        assert np.all(result.gamma_hat.values == 0)
+        assert np.all(result.gamma_hat == 0)
         assert result.iterations == 1
 
     def test_high_snr_exact_recovery(self):
@@ -111,8 +111,8 @@ class TestRunCdE:
         config = make_config(num_antennas=8)
         preambles, _, st = make_scenario(config, 9)
         result = run_cd_e(preambles, st, config)
-        assert result.gamma_hat.is_block_sparse()
-        survivors = result.gamma_hat.values[result.gamma_hat.values > 0]
+        assert np.count_nonzero(result.gamma_hat, axis=1).max() <= 1
+        survivors = result.gamma_hat[result.gamma_hat > 0]
         assert np.all(survivors >= config.threshold_cd)
 
     def test_deterministic(self):
@@ -121,7 +121,7 @@ class TestRunCdE:
         a = run_cd_e(preambles, st, config)
         b = run_cd_e(preambles, st, config)
         assert a.theta_hat == b.theta_hat
-        np.testing.assert_array_equal(a.gamma_hat.values, b.gamma_hat.values)
+        np.testing.assert_array_equal(a.gamma_hat, b.gamma_hat)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
 
     def test_sweep_cap_enforced(self, monkeypatch):
@@ -267,7 +267,7 @@ def test_zero_sample_covariance_detects_nothing(runner):
     zero = np.zeros((config.window_len, config.window_len))
     result = runner(preambles, zero, config)
     assert result.theta_hat == frozenset()
-    assert not np.any(result.gamma_hat.values)
+    assert not np.any(result.gamma_hat)
 
 
 def bcd_sweep_by_hand(state, st, config, events):
@@ -318,7 +318,7 @@ class TestRunBcd:
         result = run_bcd(preambles, st, config)
         assert len(seen) == result.iterations
         assert max(seen) <= 1
-        assert result.gamma_hat.is_block_sparse()
+        assert np.count_nonzero(result.gamma_hat, axis=1).max() <= 1
 
     def test_trace_non_increasing(self):
         for seed in range(5):
@@ -341,7 +341,7 @@ class TestRunBcd:
             eta = likelihood.coordinate_step(state, st.matrix, 3, tau)
             delta = likelihood.objective_delta(state, st.matrix, 3, tau, eta)
             candidate = state.gamma.copy()
-            candidate.values[3, tau] += eta
+            candidate[3, tau] += eta
             dense = oracle.dense_objective(preambles, candidate, config.sigma2, st.matrix)
             assert base + delta == pytest.approx(dense, abs=1e-8)
 
@@ -401,7 +401,7 @@ class TestRunBcd:
         a = run_bcd(preambles, st, config)
         b = run_bcd(preambles, st, config)
         assert a.theta_hat == b.theta_hat
-        np.testing.assert_array_equal(a.gamma_hat.values, b.gamma_hat.values)
+        np.testing.assert_array_equal(a.gamma_hat, b.gamma_hat)
         np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
 
     def test_sweep_cap_enforced(self, monkeypatch):
@@ -415,5 +415,5 @@ class TestRunBcd:
         config = make_config(num_antennas=8)
         preambles, _, st = make_scenario(config, 25)
         result = run_bcd(preambles, st, config)
-        survivors = result.gamma_hat.values[result.gamma_hat.values > 0]
+        survivors = result.gamma_hat[result.gamma_hat > 0]
         assert np.all(survivors >= config.threshold_bcd)

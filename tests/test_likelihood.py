@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from conftest import block_visit_by_hand, make_config, make_scenario
 from covdet import likelihood, oracle
 from covdet.siggen import effective_dictionary
-from covdet.sysmodel import GammaEstimate, NumericalDegeneracyError
+from covdet.sysmodel import NumericalDegeneracyError
 
 
 def scalar_state(sigma_tilde_value, gamma_value=0.0):
@@ -46,34 +47,43 @@ class TestAssembleCovariance:
     def test_zero_gamma_gives_noise_floor(self):
         config = make_config(num_devices=4, preamble_len=6, max_delay=1)
         preambles = make_scenario(config, 0)[0]
-        gamma = GammaEstimate.zeros(4, 1)
-        cov = likelihood.assemble_covariance(preambles, gamma, 2.5)
+        dictionary = effective_dictionary(preambles, 1)
+        cov = likelihood.assemble_covariance(dictionary, np.zeros((4, 2)), 2.5)
         np.testing.assert_allclose(cov, 2.5 * np.eye(7), atol=1e-14)
 
     def test_single_term(self):
         config = make_config(num_devices=3, preamble_len=5, max_delay=2)
         preambles = make_scenario(config, 1)[0]
-        gamma = GammaEstimate.zeros(3, 2)
-        gamma.values[1, 2] = 0.7
-        cov = likelihood.assemble_covariance(preambles, gamma, 1.0)
         dictionary = effective_dictionary(preambles, 2)
+        gamma = np.zeros((3, 3))
+        gamma[1, 2] = 0.7
+        cov = likelihood.assemble_covariance(dictionary, gamma, 1.0)
         s = dictionary[:, 1 * 3 + 2]
         np.testing.assert_allclose(
             cov, 0.7 * np.outer(s, s.conj()) + np.eye(7), atol=1e-14
         )
 
     def test_scalar_case(self):
-        preambles = np.ones((1, 1), dtype=complex)
-        gamma = GammaEstimate(np.array([[2.0]]))
-        cov = likelihood.assemble_covariance(preambles, gamma, 1.0)
+        dictionary = np.ones((1, 1), dtype=complex)
+        cov = likelihood.assemble_covariance(dictionary, np.array([[2.0]]), 1.0)
         assert cov == pytest.approx(np.array([[3.0]]))
 
     def test_negative_gamma_rejected(self):
-        preambles = np.ones((1, 1), dtype=complex)
+        dictionary = np.ones((1, 1), dtype=complex)
         with pytest.raises(ValueError, match="non-negative"):
-            likelihood.assemble_covariance(
-                preambles, GammaEstimate(np.array([[-0.1]])), 1.0
+            likelihood.assemble_covariance(dictionary, np.array([[-0.1]]), 1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="NaN or Inf"):
+                likelihood.assemble_covariance(dictionary, np.array([[bad]]), 1.0)
+        # 6 columns: 3 devices x 2 delays
+        dictionary = effective_dictionary(np.ones((4, 3), dtype=complex), 1)
+        for gamma in (np.zeros((2, 2)), np.zeros((3, 3)), np.zeros(4)):
+            want = (
+                f"gamma of shape {gamma.shape} does not match the 6 columns "
+                "of a dictionary of shape (5, 6)"
             )
+            with pytest.raises(ValueError, match=re.escape(want)):
+                likelihood.assemble_covariance(dictionary, gamma, 1.0)
 
 
 class TestEvaluateObjective:
@@ -94,9 +104,7 @@ class TestEvaluateObjective:
 
     def test_inverse_form_agrees(self):
         _, state, st = random_state(seed=21)
-        cov = likelihood.assemble_dictionary_covariance(
-            state.dictionary, state.gamma.values.ravel(), 1.0
-        )
+        cov = likelihood.assemble_covariance(state.dictionary, state.gamma, 1.0)
         direct = likelihood.evaluate_objective(cov, st)
         via_inverse = likelihood.evaluate_objective(
             np.linalg.inv(cov), st, inverse=True
@@ -141,14 +149,12 @@ class TestCoordinateStep:
     def test_stationary_at_exact_covariance(self):
         preambles, state, _ = random_state(seed=23)
         likelihood.refresh_state(state, np.eye(state.dim))
-        cov = likelihood.assemble_dictionary_covariance(
-            state.dictionary, state.gamma.values.ravel(), 1.0
-        )
+        cov = likelihood.assemble_covariance(state.dictionary, state.gamma, 1.0)
         likelihood.refresh_state(state, cov)
         for n in range(5):
             for tau in range(2):
                 eta = likelihood.coordinate_step(state, cov, n, tau)
-                step = eta if state.gamma.values[n, tau] == 0 else abs(eta)
+                step = eta if state.gamma[n, tau] == 0 else abs(eta)
                 assert step <= 1e-10
 
     def test_never_drives_gamma_negative(self):
@@ -158,7 +164,7 @@ class TestCoordinateStep:
             n = int(rng.integers(5))
             tau = int(rng.integers(2))
             eta = likelihood.coordinate_step(state, st, n, tau)
-            assert state.gamma.values[n, tau] + eta >= 0.0
+            assert state.gamma[n, tau] + eta >= 0.0
             likelihood.rank_one_inverse_update(state, n, tau, eta)
 
     def test_optimal_among_grid_offsets(self):
@@ -167,13 +173,13 @@ class TestCoordinateStep:
             preambles, state, st = random_state(seed=seed)
             n, tau = 2, 1
             eta = likelihood.coordinate_step(state, st, n, tau)
-            current = state.gamma.values[n, tau]
+            current = state.gamma[n, tau]
             candidate = state.gamma.copy()
-            candidate.values[n, tau] += eta
+            candidate[n, tau] += eta
             best = oracle.dense_objective(preambles, candidate, 1.0, st)
             for x in np.linspace(-current, current + 10.0, 100):
                 other = state.gamma.copy()
-                other.values[n, tau] += x
+                other[n, tau] += x
                 value = oracle.dense_objective(preambles, other, 1.0, st)
                 assert best <= value + 1e-10
 
@@ -189,9 +195,9 @@ class TestCoordinateStep:
             _, quad, fit = likelihood.quadratic_terms(state, st, n, tau)
             analytic = quad - fit
             plus = state.gamma.copy()
-            plus.values[n, tau] += step
+            plus[n, tau] += step
             minus = state.gamma.copy()
-            minus.values[n, tau] -= step
+            minus[n, tau] -= step
             numeric = (
                 oracle.dense_objective(preambles, plus, 1.0, st)
                 - oracle.dense_objective(preambles, minus, 1.0, st)
@@ -210,7 +216,7 @@ class TestCoordinateStep:
         with pytest.raises(NumericalDegeneracyError, match="nan"):
             likelihood.coordinate_step(state, st, 0, 0)
         columns = list(state.dictionary.T)
-        gamma = state.gamma.values.ravel()
+        gamma = state.gamma.ravel()
         with pytest.raises(NumericalDegeneracyError, match="nan"):
             likelihood.column_sweep(
                 state.inv_sigma, likelihood.fit_factor(st), columns, gamma, 0.0
@@ -221,10 +227,10 @@ class TestRankOneInverseUpdate:
     def test_zero_step_is_identity(self):
         _, state, st = random_state(seed=47)
         before_inv = state.inv_sigma.copy()
-        before_gamma = state.gamma.values.copy()
+        before_gamma = state.gamma.copy()
         likelihood.rank_one_inverse_update(state, 0, 0, 0.0)
         np.testing.assert_array_equal(state.inv_sigma, before_inv)
-        np.testing.assert_array_equal(state.gamma.values, before_gamma)
+        np.testing.assert_array_equal(state.gamma, before_gamma)
 
     def test_scalar_update(self):
         # sigma = 2, add eta=2 on s=[1]: inverse 1/2 -> 1/4
@@ -340,7 +346,7 @@ def block_state(seed, gamma_old=0.7, tau_old=1):
     """A state whose device-2 block holds ``gamma_old`` at ``tau_old``,
     with the block, the fit factor and the sample covariance."""
     _, state, st = random_state(seed=seed, max_delay=2, num_antennas=8)
-    state.gamma.values[2] = 0.0
+    state.gamma[2] = 0.0
     likelihood.refresh_state(state, st)
     likelihood.rank_one_inverse_update(state, 2, tau_old, gamma_old)
     block = state.dictionary[:, 6:9]
@@ -365,15 +371,15 @@ def sweep_inputs(state, sweep):
     ``run_bcd`` (``block_sweep``) hands a pass over ``state``."""
     dictionary = np.asfortranarray(state.dictionary)
     if sweep == "column_sweep":
-        return list(dictionary.T), state.gamma.values.ravel()
-    k = state.gamma.num_delays
-    blocks = [dictionary[:, n * k : (n + 1) * k] for n in range(state.gamma.num_devices)]
-    return blocks, state.gamma.values
+        return list(dictionary.T), state.gamma.ravel()
+    num_devices, k = state.gamma.shape
+    blocks = [dictionary[:, n * k : (n + 1) * k] for n in range(num_devices)]
+    return blocks, state.gamma
 
 
-class TestColumnTermsBlock:
-    """The block products of ``block_sweep`` against the column products
-    of ``column_sweep``."""
+class TestBlockSweep:
+    """``block_sweep`` against ``column_sweep``, and the candidate one of
+    its visits commits against the same visit by hand."""
 
     def test_block_matches_columns(self):
         # with one delay per device a block visit is the exact minimizer
@@ -388,8 +394,8 @@ class TestColumnTermsBlock:
         for _ in range(2):
             obj_c = likelihood.column_sweep(by_columns.inv_sigma, factor_h, columns, flat_gamma, obj_c)
             obj_b = likelihood.block_sweep(by_blocks.inv_sigma, factor_h, blocks, gamma_rows, obj_b)
-        assert np.count_nonzero(by_columns.gamma.values) >= 2
-        np.testing.assert_allclose(by_blocks.gamma.values, by_columns.gamma.values, rtol=1e-10)
+        assert np.count_nonzero(by_columns.gamma) >= 2
+        np.testing.assert_allclose(by_blocks.gamma, by_columns.gamma, rtol=1e-10)
         assert obj_b == pytest.approx(obj_c, rel=1e-12)
         np.testing.assert_allclose(
             by_blocks.inv_sigma, by_columns.inv_sigma, rtol=0,
@@ -402,13 +408,9 @@ class TestColumnTermsBlock:
         blocks = [state.dictionary[:, :2], state.dictionary[:, 2:4]]
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
             likelihood.block_sweep(
-                state.inv_sigma, likelihood.fit_factor(st), blocks, state.gamma.values[:2], 0.0
+                state.inv_sigma, likelihood.fit_factor(st), blocks, state.gamma[:2], 0.0
             )
         assert info.value.index == 0
-
-
-class TestBestCandidate:
-    """The candidate a ``block_sweep`` visit commits."""
 
     @pytest.mark.parametrize("seed", [70, 71, 72, 73])
     def test_matches_column_by_column_search(self, seed):
@@ -418,11 +420,11 @@ class TestBestCandidate:
         want = copy_state(state)
         want_delta, _ = block_visit_by_hand(want, st, 2)
         objective = likelihood.block_sweep(
-            state.inv_sigma, factor_h, [block], state.gamma.values[2:3], 0.0
+            state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0
         )
         assert objective == pytest.approx(want_delta, rel=1e-10)
-        np.testing.assert_allclose(state.gamma.values, want.gamma.values, rtol=1e-10)
-        assert np.count_nonzero(state.gamma.values[2]) == np.count_nonzero(want.gamma.values[2])
+        np.testing.assert_allclose(state.gamma, want.gamma, rtol=1e-10)
+        assert np.count_nonzero(state.gamma[2]) == np.count_nonzero(want.gamma[2])
         np.testing.assert_allclose(
             state.inv_sigma, want.inv_sigma, rtol=0, atol=1e-12 * np.abs(want.inv_sigma).max()
         )
@@ -499,7 +501,7 @@ class TestQuadraticTerms:
             assert (quad, fit) == pytest.approx((want_quad, want_fit), rel=1e-12)
             eta = likelihood.coordinate_step(state, st, n, tau)
             step = (want_fit - want_quad) / want_quad**2
-            assert eta == pytest.approx(max(step, -state.gamma.values[n, tau]), rel=1e-12)
+            assert eta == pytest.approx(max(step, -state.gamma[n, tau]), rel=1e-12)
 
 
 class TestSweeps:
@@ -511,12 +513,12 @@ class TestSweeps:
     def test_layout_that_would_update_a_copy_rejected(self, sweep, dtype, order):
         _, state, st = random_state(seed=80)
         inv = state.inv_sigma.astype(dtype, order=order)
-        before, gamma = inv.copy(), state.gamma.values.copy()
+        before, gamma = inv.copy(), state.gamma.copy()
         units, kernel_gamma = sweep_inputs(state, sweep)
         with pytest.raises(ValueError, match="Fortran-ordered complex128"):
             getattr(likelihood, sweep)(inv, likelihood.fit_factor(st), units, kernel_gamma, 0.0)
         np.testing.assert_array_equal(inv, before)
-        np.testing.assert_array_equal(state.gamma.values, gamma)
+        np.testing.assert_array_equal(state.gamma, gamma)
 
     @pytest.mark.parametrize("sweep", ["column_sweep", "block_sweep"])
     def test_failing_pass_keeps_gamma_written_before(self, sweep):
@@ -534,7 +536,7 @@ class TestSweeps:
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
             run(state.inv_sigma, factor_h, units, gamma, 0.0)
         assert info.value.index == 3
-        np.testing.assert_array_equal(state.gamma.values, want.gamma.values)
+        np.testing.assert_array_equal(state.gamma, want.gamma)
 
     def test_failing_block_visit_leaves_its_row_and_inverse(self, monkeypatch):
         # device 2's zeroed-state scoring fails after its removal terms
@@ -547,14 +549,14 @@ class TestSweeps:
             return removal, (v, w, -quad)
 
         monkeypatch.setattr(likelihood, "removal_terms", corrupted)
-        inv, gamma = state.inv_sigma.copy(), state.gamma.values.copy()
+        inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
             likelihood.block_sweep(
-                state.inv_sigma, factor_h, [block], state.gamma.values[2:3], 0.0
+                state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0
             )
         assert info.value.index == 0
         assert gamma[2, 1] == 0.7
-        np.testing.assert_array_equal(state.gamma.values, gamma)
+        np.testing.assert_array_equal(state.gamma, gamma)
         np.testing.assert_array_equal(state.inv_sigma, inv)
 
 

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from covdet.metrics import compute_fap, compute_mdp
-from covdet.sysmodel import DetectionResult, GammaEstimate, GroundTruth
+from covdet.sysmodel import DetectionResult, GroundTruth
 
 
 def result_with(pairs):
     return DetectionResult(
         theta_hat=frozenset(pairs),
-        gamma_hat=GammaEstimate.zeros(1, 0),
+        gamma_hat=np.zeros((1, 1)),
         iterations=1,
         final_objective=0.0,
     )

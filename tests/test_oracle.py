@@ -8,14 +8,13 @@ import pytest
 from conftest import make_config, make_scenario
 from covdet import likelihood, oracle
 from covdet.siggen import effective_dictionary
-from covdet.sysmodel import GammaEstimate
 
 
 class TestDenseObjective:
     def test_noise_only_closed_form(self):
         config = make_config(num_devices=4, preamble_len=6, max_delay=1)
         preambles = make_scenario(config, 0)[0]
-        gamma = GammaEstimate.zeros(4, 1)
+        gamma = np.zeros((4, 2))
         sigma2 = 2.0
         dim = config.window_len
         value = oracle.dense_objective(
@@ -34,10 +33,9 @@ class TestDenseObjective:
                 num_antennas=8,
             )
             preambles, _, st = make_scenario(config, seed)
-            gamma = GammaEstimate(
-                rng.random((config.num_devices, config.num_delays))
-            )
-            cov = likelihood.assemble_covariance(preambles, gamma, 1.0)
+            gamma = rng.random((config.num_devices, config.num_delays))
+            dictionary = effective_dictionary(preambles, config.max_delay)
+            cov = likelihood.assemble_covariance(dictionary, gamma, 1.0)
             a = likelihood.evaluate_objective(cov, st.matrix)
             b = oracle.dense_objective(preambles, gamma, 1.0, st.matrix)
             assert a == pytest.approx(b, abs=1e-10)
@@ -45,7 +43,7 @@ class TestDenseObjective:
     def test_stationary_when_sample_equals_model(self):
         config = make_config(num_devices=4, preamble_len=8, max_delay=1)
         preambles = make_scenario(config, 2)[0]
-        gamma = GammaEstimate(np.random.default_rng(3).random((4, 2)))
+        gamma = np.random.default_rng(3).random((4, 2))
         cov = oracle.dense_covariance(preambles, gamma, 1.0)
         dictionary = effective_dictionary(preambles, 1)
         state = likelihood.init_state(dictionary, 1.0, cov, 2)
@@ -89,7 +87,7 @@ class TestGridMin1d:
             n, tau = int(rng.integers(4)), int(rng.integers(2))
             eta = likelihood.coordinate_step(state, st.matrix, n, tau)
             grid_eta = oracle.grid_min_1d(state, st.matrix, n, tau, grid_points=2001)
-            current = float(state.gamma.values[n, tau])
+            current = float(state.gamma[n, tau])
             spacing = (current + 10.0 + current) / 2000
             assert abs(eta - grid_eta) <= spacing
             hits += 1
@@ -110,14 +108,14 @@ class TestGridMin1d:
     def test_zero_offset_at_stationarity(self):
         config = make_config(num_devices=3, preamble_len=6, max_delay=1)
         preambles = make_scenario(config, 5)[0]
-        gamma = GammaEstimate(np.random.default_rng(6).random((3, 2)))
+        gamma = np.random.default_rng(6).random((3, 2))
         cov = oracle.dense_covariance(preambles, gamma, 1.0)
         dictionary = effective_dictionary(preambles, 1)
         state = likelihood.init_state(dictionary, 1.0, cov, 2)
         state.gamma = gamma.copy()
         likelihood.refresh_state(state, cov)
         grid_eta = oracle.grid_min_1d(state, cov, 1, 1, grid_points=4001)
-        current = float(gamma.values[1, 1])
+        current = float(gamma[1, 1])
         spacing = (2 * current + 10.0) / 4000
         assert abs(grid_eta) <= spacing
 
@@ -127,19 +125,19 @@ class TestExhaustiveSupportSearch:
         # the winning assignment may carry extra coordinates whose optimized
         # gamma is numerically zero; thresholding strips them, which is how
         # downstream comparisons consume this oracle
-        from covdet.detect import threshold
+        from covdet.detect import threshold, to_indicators
 
         config = make_config(
             num_devices=3, num_active=1, preamble_len=6, max_delay=1
         )
         preambles = make_scenario(config, 7)[0]
-        gamma = GammaEstimate.zeros(3, 1)
-        gamma.values[2, 1] = 0.8
+        gamma = np.zeros((3, 2))
+        gamma[2, 1] = 0.8
         exact_cov = oracle.dense_covariance(preambles, gamma, 1.0)
         found = oracle.exhaustive_support_search(preambles, exact_cov, 1.0)
-        assert threshold(found.gamma, 0.05).support() == {(2, 1)}
-        assert found.gamma.values[2, 1] == pytest.approx(0.8, rel=1e-6)
-        spurious = found.gamma.values.copy()
+        assert to_indicators(threshold(found.gamma, 0.05)) == {(2, 1)}
+        assert found.gamma[2, 1] == pytest.approx(0.8, rel=1e-6)
+        spurious = found.gamma.copy()
         spurious[2, 1] = 0.0
         assert np.max(spurious) < 1e-6
 
@@ -149,7 +147,7 @@ class TestExhaustiveSupportSearch:
         noise_cov = np.eye(config.window_len, dtype=complex)
         found = oracle.exhaustive_support_search(preambles, noise_cov, 1.0)
         assert found.support == frozenset()
-        assert np.all(found.gamma.values == 0)
+        assert np.all(found.gamma == 0)
         assert found.objective == pytest.approx(config.window_len)
 
     def test_budget_enforced(self):

@@ -184,6 +184,11 @@ class TestSampleCovariance:
         received[2, 1] = np.nan
         with pytest.raises(ValueError, match="NaN or Inf"):
             sample_covariance(received)
+        # a window that is not (window length, antennas)
+        clean = complex_gaussian(np.random.default_rng(16), (6, 4))
+        for bad in (clean[:, 0], clean[None]):
+            with pytest.raises(ValueError, match=r"must be 2-D .* got shape"):
+                sample_covariance(bad)
 
     def test_hermitian_psd(self):
         config = make_config()
@@ -193,7 +198,6 @@ class TestSampleCovariance:
 
     def test_error_halves_when_antennas_quadruple(self):
         from covdet import likelihood
-        from covdet.sysmodel import GammaEstimate
 
         config = make_config(num_devices=4, num_active=2, preamble_len=8, max_delay=2)
         errors = []
@@ -204,10 +208,12 @@ class TestSampleCovariance:
             ratios = []
             for seed in (101, 102, 103):
                 preambles, truth, st = make_scenario(cfg, seed)
-                gamma = GammaEstimate.zeros(4, 2)
+                gamma = np.zeros((4, 3))
                 for n, tau in truth.pairs:
-                    gamma.values[n, tau] = truth.gains[n]
-                true_cov = likelihood.assemble_covariance(preambles, gamma, cfg.sigma2)
+                    gamma[n, tau] = truth.gains[n]
+                true_cov = likelihood.assemble_covariance(
+                    effective_dictionary(preambles, 2), gamma, cfg.sigma2
+                )
                 ratios.append(
                     np.linalg.norm(st.matrix - true_cov) / np.linalg.norm(true_cov)
                 )

@@ -10,7 +10,6 @@ from conftest import make_config
 from covdet.sysmodel import (
     ConfigError,
     DetectionResult,
-    GammaEstimate,
     GroundTruth,
     config_from_dict,
     validate,
@@ -152,41 +151,11 @@ class TestGroundTruth:
         assert truth.pairs == frozenset()
 
 
-class TestGammaEstimate:
-    def test_zeros_shape(self):
-        gamma = GammaEstimate.zeros(num_devices=5, max_delay=3)
-        assert gamma.values.shape == (5, 4)
-        assert gamma.num_devices == 5
-        assert gamma.num_delays == 4
-
-    def test_block_sparsity_predicate(self):
-        sparse = GammaEstimate(np.array([[0.0, 0.3], [0.0, 0.0]]))
-        dense = GammaEstimate(np.array([[0.1, 0.3], [0.0, 0.0]]))
-        assert sparse.is_block_sparse()
-        assert not dense.is_block_sparse()
-        assert dense.nonzeros_per_device().tolist() == [2, 0]
-
-    def test_support_pairs(self):
-        gamma = GammaEstimate(np.array([[0.0, 0.5], [0.0, 0.0], [0.2, 0.0]]))
-        assert gamma.support() == {(0, 1), (2, 0)}
-
-    def test_copy_is_independent(self):
-        gamma = GammaEstimate.zeros(2, 1)
-        clone = gamma.copy()
-        clone.values[0, 0] = 1.0
-        assert gamma.values[0, 0] == 0.0
-
-    def test_one_dimensional_values_rejected(self):
-        with pytest.raises(ValueError, match="2-D"):
-            GammaEstimate(np.zeros(4))
-
-
 class TestDetectionResult:
     def test_holds_fields(self):
-        gamma = GammaEstimate.zeros(4, 2)
         result = DetectionResult(
             theta_hat=frozenset({(0, 1), (2, 0)}),
-            gamma_hat=gamma,
+            gamma_hat=np.zeros((4, 3)),
             iterations=7,
             final_objective=-1.5,
         )
@@ -197,7 +166,7 @@ class TestDetectionResult:
         with pytest.raises(ValueError, match="more than one delay"):
             DetectionResult(
                 theta_hat=frozenset({(0, 1), (0, 2)}),
-                gamma_hat=GammaEstimate.zeros(2, 2),
+                gamma_hat=np.zeros((2, 3)),
                 iterations=1,
                 final_objective=0.0,
             )
