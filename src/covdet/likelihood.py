@@ -17,10 +17,9 @@ block of delay columns (``bcd``), each in a single loop that reads
 gamma as Python floats and writes it back when the pass ends. The
 formulas they share live once each: the step in ``_step``, the exact
 objective change and its denominator guard in ``step_increment``, the
-quadratic-form guard in ``_check_quad``, the Sherman-Morrison update in
-``_update`` and the zeroed-state terms of a block in ``removal_terms``.
-The state-based step functions below are compositions of the same
-pieces.
+quadratic-form guard in ``_check_quad`` and the Sherman-Morrison update
+in ``_update``. The state-based step functions below are compositions
+of the same pieces.
 
 The kernel never touches ``S_tilde`` itself. ``fit_factor`` returns
 ``F^H`` with ``S_tilde = F F^H`` from a pivoted Cholesky factor, whose
@@ -33,22 +32,22 @@ than it saves, so they take the fit form as ``Re(v^H S_tilde v)`` from
 one ``zgemv`` instead.
 
 ``bcd`` scores a block from the state with the block's entry removed.
-``removal_terms`` reaches that zeroed state's terms from the one block
-product of the current state by a Sherman-Morrison correction, rather
-than downdating ``Sigma^{-1}`` and multiplying again; when the entry
-goes back to the delay it came from, removal and commit are one
-rank-one update of the net change.
+Sherman-Morrison gives each column's zeroed-state terms in closed form,
+as scalars from its current-state terms and two small products, so a
+visit neither downdates ``Sigma^{-1}`` nor multiplies again before it
+commits; when the entry goes back to the delay it came from, removal
+and commit are one rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
 LAPACK: ``zgemv`` for a column, ``zdotc`` for the inner products of a
 column (a quarter of ``np.vdot``'s call overhead), ``zgemm`` for a block
 of columns and the diagonal of one more ``zgemm`` for their per-column
 inner products, an in-place ``zgerc`` for a rank-one update of the
-Fortran-ordered ``Sigma^{-1}`` or of a block's terms, ``zgemm`` plus a
-Cholesky factor for the dense refresh, and ``zpstrf`` for the fit
-factor. Keeping them in one library matters: numpy ships its own BLAS
-with its own thread pool, and when threads are not pinned, alternating
-the two pools call by call costs up to milliseconds per call.
+Fortran-ordered ``Sigma^{-1}``, ``zgemm`` plus a Cholesky factor for the
+dense refresh, and ``zpstrf`` for the fit factor. Keeping them in one
+library matters: numpy ships its own BLAS with its own thread pool, and
+when threads are not pinned, alternating the two pools call by call
+costs up to milliseconds per call.
 """
 
 from __future__ import annotations
@@ -228,38 +227,6 @@ def apply_rank_one(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> 
     _update(inv, v, eta, denom)
 
 
-def removal_terms(block: np.ndarray, terms, tau: int, gamma: float):
-    """Block terms of the state with ``gamma`` removed from column ``tau``,
-    without touching ``Sigma^{-1}``.
-
-    ``terms = (v, w, quad)`` are the block terms of the current state:
-    ``v = Sigma^{-1} block``, ``w = F^H v`` and each column's
-    ``s^H Sigma^{-1} s``; their ``v`` and ``w`` are overwritten. Removing
-    ``gamma`` is the step ``eta = -gamma``, so Sherman-Morrison gives the
-    zeroed-state inverse ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with
-    ``u = Sigma^{-1} s_tau = v[:, tau]`` and ``c = gamma / denom``. With
-    one ``zgemv`` for ``b = block^H u``, the zeroed-state terms are
-    ``v_0 = v + c u b^H`` and ``w_0 = w + c (F^H u) b^H``, and ``quad_0``
-    is reduced from ``v_0``.
-
-    Returns ``(removal, zeroed)``: ``removal = (delta, denom, u, quad_tau)``
-    holds the removal's objective change and update denominator (as
-    :func:`step_increment` gives them), ``u`` and the current
-    ``quad`` of column ``tau``; ``zeroed`` has the layout of ``terms``.
-    """
-    v, w, quad = terms
-    u = v[:, tau].copy()
-    wu = w[:, tau].copy()
-    quad_tau = float(quad[tau])
-    _check_quad(quad_tau)
-    delta, denom = step_increment(-gamma, quad_tau, zdotc(wu, wu).real)
-    b = zgemv(1.0, block, u, trans=2)
-    c = gamma / denom
-    v = zgerc(c, u, b, a=v, overwrite_a=1)
-    w = zgerc(c, wu, b, a=w, overwrite_a=1)
-    return (delta, denom, u, quad_tau), (v, w, _column_inner(block, v))
-
-
 def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarray,
                  objective: float) -> float:
     """One ascending coordinate-descent pass over dictionary ``columns``.
@@ -314,16 +281,25 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
     columns and ``gamma[n]`` its row of the ``(N, tau_max+1)`` estimate,
     which holds at most one nonzero. Each visit makes the block terms of
     the current state from one ``zgemm`` for ``v = Sigma^{-1} block``, one
-    for ``w = F^H v`` and the diagonal of one more for the per-column
-    ``quad``; if the block holds an entry, :func:`removal_terms` turns them
-    into the terms of the state with that entry removed. Every column is
-    then scored from that zeroed state with its closed-form step and, where
-    the step is positive, its exact objective change, and the lowest
-    negative change is committed (ties to the smallest delay; none keeps
-    the block empty). ``Sigma^{-1}`` changes only at the commit: a downdate
-    and an update, or one update of the net change when the entry returns
-    to its delay. Re-inserting the removed entry is always a candidate, so
-    a visit never raises the objective. Returns the new objective.
+    for ``w = F^H v`` and the diagonals of two more for each column's
+    ``quad`` and ``fit``. Every column is scored from the state with the
+    block's entry removed, by its closed-form step and, where the step is
+    positive, its exact objective change, and the lowest negative change
+    is committed (ties to the smallest delay; none keeps the block empty).
+
+    Removing ``gamma`` from column ``tau0`` is the step ``-gamma``, so
+    Sherman-Morrison gives the zeroed-state inverse
+    ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with ``u = v[:, tau0]`` and
+    ``c = gamma / denom``. With one ``zgemv`` each for ``b = block^H u``
+    and ``g = w^H w[:, tau0]``, each column's zeroed-state terms are the
+    scalars ``quad + c |b|^2`` and
+    ``fit + 2 c Re(conj(b) g) + c^2 |b|^2 fit[tau0]``; the zeroed-state
+    ``v + c conj(b) u`` is built only for a commit to another delay.
+
+    ``Sigma^{-1}`` changes only at the commit: a downdate and an update,
+    or one update of the net change when the entry returns to its delay.
+    Re-inserting the removed entry is always a candidate, so a visit never
+    raises the objective. Returns the new objective.
 
     ``inv``, gamma and errors are handled as in :func:`column_sweep`, with
     the failing device in ``index``; a visit that raises has changed
@@ -336,17 +312,26 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
             row = rows[n]
             v = zgemm(1.0, inv, block)
             w = zgemm(1.0, factor_h, v)
-            quad = _column_inner(block, v)
+            quads = _column_inner(block, v).tolist()
+            fits = _column_inner(w, w).tolist()
             removed = max(row)
             if removed > 0.0:
                 old_tau = row.index(removed)
-                (delta, down_denom, u, quad_u), (v, w, quad) = removal_terms(
-                    block, (v, w, quad), old_tau, removed
-                )
+                u = v[:, old_tau]
+                quad_u, fit_u = quads[old_tau], fits[old_tau]
+                _check_quad(quad_u)
+                delta, down_denom = step_increment(-removed, quad_u, fit_u)
+                c = removed / down_denom
+                b = zgemv(1.0, block, u, trans=2).tolist()
+                g = zgemv(1.0, w, w[:, old_tau], trans=2).tolist()
+                for tau, (bt, gt) in enumerate(zip(b, g)):
+                    p = c * (bt.real * bt.real + bt.imag * bt.imag)
+                    quads[tau] += p
+                    fits[tau] += c * (2.0 * (bt.real * gt.real + bt.imag * gt.imag) + p * fit_u)
                 objective += delta
             best = None
             best_delta = 0.0
-            for tau, (q, fit) in enumerate(zip(quad.tolist(), _column_inner(w, w).tolist())):
+            for tau, (q, fit) in enumerate(zip(quads, fits)):
                 _check_quad(q)
                 eta = _step(q, fit)
                 if eta <= 0.0:
@@ -365,6 +350,8 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
                     # rank-one update of the net change
                     net = eta - removed
                     _update(inv, u, net, step_increment(net, quad_u, 0.0)[1])
+                elif removed > 0.0:
+                    _update(inv, v[:, tau] + (c * b[tau].conjugate()) * u, eta, denom)
                 else:
                     _update(inv, v[:, tau], eta, denom)
                 objective += best_delta

@@ -2,7 +2,8 @@
 
 Everything here recomputes from scratch: covariance assembly by an
 explicit loop, inverses and log-determinants by eigendecomposition,
-1-D minimization by grid search, and support selection by exhaustive
+each coordinate step's ``Sigma^{-1} s`` by a dense linear solve, 1-D
+minimization by grid search, and support selection by exhaustive
 enumeration. No Cholesky factors, no rank-one updates, no code shared
 with the incremental path, so agreement between the two is evidence.
 
@@ -127,7 +128,8 @@ def _optimize_support(
     max_sweeps: int = 500,
 ) -> tuple:
     """Cyclic coordinate descent restricted to one support, everything
-    dense: the inverse is recomputed from scratch at every step."""
+    dense: every step solves the current covariance for ``Sigma^{-1} s``
+    from scratch."""
     dim = columns.shape[0]
     active_cols = [n * num_delays + tau for n, tau in support]
     gamma_flat = np.zeros(columns.shape[1])
@@ -138,8 +140,7 @@ def _optimize_support(
     for _ in range(max_sweeps):
         for j in active_cols:
             s = columns[:, j]
-            inv = dense_inverse(cov)
-            v = inv @ s
+            v = np.linalg.solve(cov, s)
             quad = float(np.real(np.vdot(s, v)))
             fit = float(np.real(np.vdot(v, st @ v)))
             eta = max((fit - quad) / (quad * quad), -gamma_flat[j])

@@ -184,19 +184,29 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
             raise ConfigError(f"{name} must be finite, got {getattr(c, name)!r}")
     # the working-scale powers combine the power fields through a power
     # of ten, which overflows or underflows where every field is finite
+    source = (
+        f"from tx_power_dbm={c.tx_power_dbm!r}, "
+        f"noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, "
+        f"bandwidth_hz={c.bandwidth_hz!r}, "
+        f"cell_distance_km={c.cell_distance_km!r}"
+    )
     for name in ("cell_edge_gain", "sigma2"):
         try:
             value = getattr(c, name)
         except OverflowError:
             value = math.inf
         if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(
-                f"{name} must be finite and positive, got {value!r} from "
-                f"tx_power_dbm={c.tx_power_dbm!r}, "
-                f"noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, "
-                f"bandwidth_hz={c.bandwidth_hz!r}, "
-                f"cell_distance_km={c.cell_distance_km!r}"
-            )
+            raise ConfigError(f"{name} must be finite and positive, got {value!r} {source}")
+    # one preamble's working-scale power over the noise floor sigma2 = 1
+    # bounds cond(Sigma) from below; from 1/eps on, sigma2 is lost in the
+    # rounding of Sigma's entries
+    limit = 1.0 / np.finfo(float).eps
+    if c.cell_edge_gain * c.preamble_len >= limit:
+        raise ConfigError(
+            f"cell_edge_gain must be finite and positive, and cell_edge_gain * "
+            f"preamble_len below 1/eps = {limit:.4g}, got "
+            f"{c.cell_edge_gain:.4g} * {c.preamble_len} {source}"
+        )
     return c
 
 

@@ -80,6 +80,23 @@ def block_visit_by_hand(state, sigma_tilde, n):
     return total, "emptied" if best is None else "same" if best[0] == old_tau else "moved"
 
 
+def degenerate_removals(monkeypatch):
+    """Make the zeroed state of every ``bcd`` removal degenerate.
+
+    Patches ``likelihood.step_increment`` so that a removal (``eta < 0``)
+    returns the denominator ``eta * quad / 2``; the zeroed-state
+    ``quad + gamma * quad^2 / denom`` of the removed column is then
+    ``-quad``, which the scoring that follows must reject.
+    """
+    real = likelihood.step_increment
+
+    def degenerate(eta, quad, fit):
+        delta, denom = real(eta, quad, fit)
+        return (delta, eta * quad / 2.0) if eta < 0.0 else (delta, denom)
+
+    monkeypatch.setattr(likelihood, "step_increment", degenerate)
+
+
 def package_env() -> dict:
     """This environment with the tested package's ``src`` first on
     PYTHONPATH, for running it in a subprocess."""

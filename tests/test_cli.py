@@ -409,7 +409,8 @@ class TestMain:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "overrides", [dict(tx_power_dbm=4000.0), dict(noise_psd_dbm_hz=-4000.0)]
+        "overrides",
+        [dict(tx_power_dbm=4000.0), dict(noise_psd_dbm_hz=-4000.0), dict(tx_power_dbm=3000.0)],
     )
     def test_out_of_range_power_exits_two_before_any_trial(
         self, tmp_path, capsys, overrides

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import block_visit_by_hand, make_config, make_scenario
+from conftest import block_visit_by_hand, degenerate_removals, make_config, make_scenario
 from covdet import detect, likelihood, oracle
 from covdet.detect import (
     enforce_block_sparsity,
@@ -383,13 +383,7 @@ class TestRunBcd:
     def test_degenerate_zeroed_state_reports_sweep_and_device(self, monkeypatch):
         # a zeroed-state quadratic form that is not positive stops the run
         # with the place it happened
-        real = likelihood.removal_terms
-
-        def corrupted(block, terms, tau, gamma):
-            removal, (v, w, quad) = real(block, terms, tau, gamma)
-            return removal, (v, w, -quad)
-
-        monkeypatch.setattr(likelihood, "removal_terms", corrupted)
+        degenerate_removals(monkeypatch)
         config = make_config(num_antennas=16)
         preambles, _, st = make_scenario(config, 28)
         with pytest.raises(NumericalDegeneracyError, match=r"<= 0 at sweep 2, device \d+"):

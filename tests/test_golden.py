@@ -1,10 +1,12 @@
-"""Golden detections: exact outputs of the detectors on fixed desk trials.
+"""Golden detections: exact outputs of the detectors on fixed trials.
 
 The benchmark pins MDP and FAP on its reference set to 1e-9; these pins
 put a few of the same trials in the unit suite, so a kernel change that
 moves one detection, one sweep count or the final objective beyond
-roundoff (relative 1e-12) fails here first. Each trial is
-drawn the way ``covdet run`` draws it (seed ``rng_seed + trial``).
+roundoff (relative 1e-12) fails here first. The desk trials have
+3-column delay blocks (D=32); trial 0 of full.json at M=4 pins the
+5-column blocks at D=104. Each trial is drawn the way ``covdet run``
+draws it (seed ``rng_seed + trial``).
 """
 
 import dataclasses
@@ -22,7 +24,7 @@ from covdet.siggen import (
     synthesize_received_signal,
 )
 
-DESK = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # (detector, M, trial) -> (iterations, final_objective, sorted theta_hat)
 GOLDEN = {
@@ -53,9 +55,38 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("detector, num_antennas, trial", sorted(GOLDEN))
-def test_detections_match_golden(detector, num_antennas, trial):
-    config = dataclasses.replace(load_experiment(DESK).base, num_antennas=num_antennas)
+# full.json: (detector, M, trial) -> (iterations, final_objective, sorted theta_hat)
+GOLDEN_FULL = {
+    ("cd_e", 4, 0): (41, 320.8123703523194, (
+        (0, 3), (4, 0), (5, 4), (7, 1), (11, 2), (19, 1), (27, 1), (30, 2), (32, 0), (34, 1),
+        (35, 4), (36, 0), (37, 2), (39, 0), (40, 0), (43, 0), (47, 2), (50, 2), (52, 0), (53, 2),
+        (55, 0), (56, 4), (58, 4), (67, 2), (69, 3), (71, 2), (79, 3), (84, 3), (90, 3), (95, 2),
+        (98, 2), (109, 1), (110, 3), (113, 2), (120, 0), (124, 4), (128, 1), (129, 4), (130, 4), (131, 3),
+        (135, 0), (139, 1), (142, 2), (146, 1), (149, 2), (153, 3), (155, 4), (161, 4), (162, 0), (164, 4),
+        (165, 1), (166, 3), (169, 1), (178, 0), (180, 2), (183, 3), (186, 3), (190, 4), (196, 0), (198, 2),
+    )),
+    ("bcd", 4, 0): (75, 322.51336552539044, (
+        (0, 3), (2, 3), (4, 0), (7, 1), (11, 2), (19, 1), (30, 2), (32, 0), (34, 1), (37, 2),
+        (39, 0), (40, 0), (43, 0), (52, 0), (53, 2), (55, 0), (56, 4), (58, 4), (64, 1), (67, 2),
+        (69, 3), (70, 2), (71, 2), (74, 3), (79, 3), (82, 1), (84, 3), (86, 3), (90, 3), (93, 3),
+        (95, 2), (97, 2), (98, 2), (100, 0), (109, 1), (120, 0), (124, 4), (127, 2), (128, 1), (129, 4),
+        (130, 4), (139, 1), (142, 2), (146, 1), (149, 2), (153, 3), (155, 4), (161, 4), (162, 0), (164, 4),
+        (165, 1), (166, 3), (169, 1), (178, 0), (180, 0), (183, 3), (186, 3), (190, 4), (196, 0),
+    )),
+    ("cd_e_sync", 4, 0): (11, 323.5468611249298, (
+        (3, 0), (6, 0), (7, 0), (8, 0), (14, 0), (17, 0), (18, 0), (19, 0), (20, 0), (22, 0),
+        (27, 0), (35, 0), (36, 0), (38, 0), (39, 0), (41, 0), (44, 0), (55, 0), (56, 0), (59, 0),
+        (60, 0), (66, 0), (68, 0), (71, 0), (75, 0), (76, 0), (80, 0), (83, 0), (84, 0), (85, 0),
+        (86, 0), (90, 0), (92, 0), (98, 0), (105, 0), (106, 0), (108, 0), (110, 0), (112, 0), (113, 0),
+        (114, 0), (117, 0), (118, 0), (125, 0), (129, 0), (133, 0), (142, 0), (143, 0), (148, 0), (152, 0),
+        (153, 0), (154, 0), (156, 0), (157, 0), (159, 0), (162, 0), (165, 0), (171, 0), (177, 0), (182, 0),
+        (183, 0), (184, 0), (189, 0), (193, 0), (195, 0), (196, 0), (197, 0),
+    )),
+}
+
+
+def detect(path, detector, num_antennas, trial):
+    config = dataclasses.replace(load_experiment(path).base, num_antennas=num_antennas)
     if detector == "cd_e_sync":
         config = synchronous_config(config)
     rng = np.random.default_rng(config.rng_seed + trial)
@@ -63,7 +94,22 @@ def test_detections_match_golden(detector, num_antennas, trial):
     truth = draw_ground_truth(config, rng)
     received = synthesize_received_signal(preambles, truth, config, rng)
     runner = run_bcd if detector == "bcd" else run_cd_e
-    result = runner(preambles, sample_covariance(received), config)
-    iterations, final_objective, theta_hat = GOLDEN[detector, num_antennas, trial]
+    return runner(preambles, sample_covariance(received), config)
+
+
+def check(result, golden):
+    iterations, final_objective, theta_hat = golden
     assert (result.iterations, tuple(sorted(result.theta_hat))) == (iterations, theta_hat)
     assert result.final_objective == pytest.approx(final_objective, rel=1e-12)
+
+
+@pytest.mark.parametrize("detector, num_antennas, trial", sorted(GOLDEN))
+def test_detections_match_golden(detector, num_antennas, trial):
+    result = detect(CONFIGS / "desk.json", detector, num_antennas, trial)
+    check(result, GOLDEN[detector, num_antennas, trial])
+
+
+@pytest.mark.parametrize("detector, num_antennas, trial", sorted(GOLDEN_FULL))
+def test_full_detections_match_golden(detector, num_antennas, trial):
+    result = detect(CONFIGS / "full.json", detector, num_antennas, trial)
+    check(result, GOLDEN_FULL[detector, num_antennas, trial])

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import block_visit_by_hand, make_config, make_scenario
+from conftest import block_visit_by_hand, degenerate_removals, make_config, make_scenario
 from covdet import likelihood, oracle
 from covdet.siggen import effective_dictionary
 from covdet.sysmodel import NumericalDegeneracyError
@@ -359,13 +359,6 @@ def copy_state(state):
     )
 
 
-def block_products(inv, factor_h, block):
-    """``(v, w, quad)``: ``Sigma^{-1} block``, ``F^H`` times it and each
-    column's ``s^H Sigma^{-1} s``, the block terms ``removal_terms`` takes."""
-    v = np.asfortranarray(inv @ block)
-    return v, np.asfortranarray(factor_h @ v), np.real(np.sum(block.conj() * v, axis=0))
-
-
 def sweep_inputs(state, sweep):
     """The units and the gamma view ``run_cd_e`` (``column_sweep``) or
     ``run_bcd`` (``block_sweep``) hands a pass over ``state``."""
@@ -439,49 +432,68 @@ class TestBlockSweep:
 
 
 class TestRemovalTerms:
-    @pytest.mark.parametrize("tau_old", [0, 1, 2])
-    def test_zeroed_terms_match_explicit_downdate(self, tau_old):
-        state, st, factor_h, block = block_state(75, tau_old=tau_old)
-        inv = state.inv_sigma
-        terms = block_products(inv, factor_h, block)
-        (delta, denom, u, quad_u), zeroed = likelihood.removal_terms(
-            block, terms, tau_old, 0.7
-        )
-        v_old, quad_old, fit_old = likelihood.quadratic_terms(state, st, 2, tau_old)
-        np.testing.assert_allclose(u, v_old, rtol=1e-12)
-        assert quad_u == pytest.approx(quad_old, rel=1e-12)
-        want_delta, want_denom = likelihood.step_increment(-0.7, quad_old, fit_old)
-        assert (delta, denom) == pytest.approx((want_delta, want_denom), rel=1e-12)
-        downdated = inv.copy(order="F")
-        likelihood.apply_rank_one(downdated, v_old, -0.7, want_denom)
-        want = block_products(downdated, factor_h, block)
-        for got, ref in zip(zeroed, want):
-            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    """A ``block_sweep`` visit of a block that holds an entry, against the
+    same visit through an explicit downdate."""
 
-    @pytest.mark.parametrize("eta_new", [0.2, 0.7, 3.0])
-    def test_net_update_matches_downdate_then_commit(self, eta_new):
-        state, _, factor_h, block = block_state(76)
-        inv = state.inv_sigma
-        terms = block_products(inv, factor_h, block)
-        (_, denom, u, quad_u), zeroed = likelihood.removal_terms(block, terms, 1, 0.7)
-        two_step = inv.copy(order="F")
-        likelihood.apply_rank_one(two_step, u, -0.7, denom)
-        quad_0 = zeroed[2][1]
-        likelihood.apply_rank_one(
-            two_step, zeroed[0][:, 1], eta_new,
-            likelihood.step_increment(eta_new, quad_0, 0.0)[1],
+    @pytest.mark.parametrize("tau_old", [0, 1, 2])
+    def test_zeroed_terms_match_explicit_downdate(self, tau_old, monkeypatch):
+        # every delay is scored from the (quad, fit) of the state with the
+        # entry removed; seed 75 re-inserts at delay 0 and moves otherwise
+        state, st, factor_h, block = block_state(75, tau_old=tau_old)
+        downdated = copy_state(state)
+        likelihood.rank_one_inverse_update(downdated, 2, tau_old, -0.7)
+        want_terms = [likelihood.quadratic_terms(downdated, st, 2, tau)[1:] for tau in range(3)]
+        want = copy_state(state)
+        want_delta, _ = block_visit_by_hand(want, st, 2)
+        scored = []
+        real_step = likelihood._step
+
+        def spy(quad, fit):
+            scored.append((quad, fit))
+            return real_step(quad, fit)
+
+        monkeypatch.setattr(likelihood, "_step", spy)
+        objective = likelihood.block_sweep(
+            state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0
         )
-        net = eta_new - 0.7
-        likelihood.apply_rank_one(inv, u, net, likelihood.step_increment(net, quad_u, 0.0)[1])
-        np.testing.assert_allclose(inv, two_step, rtol=0, atol=1e-12 * np.abs(two_step).max())
+        assert len(scored) == 3
+        for got, ref in zip(scored, want_terms):
+            assert got == pytest.approx(ref, rel=1e-12)
+        assert objective == pytest.approx(want_delta, rel=1e-10)
+        np.testing.assert_allclose(state.gamma, want.gamma, rtol=1e-10)
+        np.testing.assert_allclose(
+            state.inv_sigma, want.inv_sigma, rtol=0, atol=1e-12 * np.abs(want.inv_sigma).max()
+        )
+
+    @pytest.mark.parametrize("gamma_old", [0.2, 0.7, 3.0])
+    def test_net_update_matches_downdate_then_commit(self, gamma_old):
+        # seed 76 re-inserts at delay 1, where the entry came from: the one
+        # net update equals the downdate and the commit done one by one
+        state, st, factor_h, block = block_state(76, gamma_old=gamma_old)
+        two_step = copy_state(state)
+        _, event = block_visit_by_hand(two_step, st, 2)
+        assert event == "same"
+        likelihood.block_sweep(state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0)
+        np.testing.assert_allclose(state.gamma, two_step.gamma, rtol=1e-10)
+        np.testing.assert_allclose(
+            state.inv_sigma, two_step.inv_sigma, rtol=0,
+            atol=1e-12 * np.abs(two_step.inv_sigma).max(),
+        )
 
     def test_degenerate_removal_rejected(self):
         # removing more than the column carries drives 1 - gamma * quad
-        # below the guard
-        state, _, factor_h, block = block_state(77)
-        terms = block_products(state.inv_sigma, factor_h, block)
-        with pytest.raises(NumericalDegeneracyError, match="denominator"):
-            likelihood.removal_terms(block, terms, 1, 1.0 / terms[2][1])
+        # below the guard; the visit leaves its row and Sigma^-1 alone
+        state, st, factor_h, block = block_state(77)
+        _, quad_u, _ = likelihood.quadratic_terms(state, st, 2, 1)
+        state.gamma[2, 1] = 1.0 / quad_u
+        inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
+        with pytest.raises(NumericalDegeneracyError, match="denominator") as info:
+            likelihood.block_sweep(
+                state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0
+            )
+        assert info.value.index == 0
+        np.testing.assert_array_equal(state.gamma, gamma)
+        np.testing.assert_array_equal(state.inv_sigma, inv)
 
 
 class TestQuadraticTerms:
@@ -542,13 +554,7 @@ class TestSweeps:
         # device 2's zeroed-state scoring fails after its removal terms
         # were computed: its entry and Sigma^-1 are still those of before
         state, _, factor_h, block = block_state(82)
-        real = likelihood.removal_terms
-
-        def corrupted(block, terms, tau, gamma):
-            removal, (v, w, quad) = real(block, terms, tau, gamma)
-            return removal, (v, w, -quad)
-
-        monkeypatch.setattr(likelihood, "removal_terms", corrupted)
+        degenerate_removals(monkeypatch)
         inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
             likelihood.block_sweep(

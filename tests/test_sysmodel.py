@@ -88,8 +88,9 @@ class TestSystemConfig:
             dict(tx_power_dbm=1e308),
             dict(noise_psd_dbm_hz=-4000.0),
             dict(tx_power_dbm=-4000.0),  # underflows to a zero gain
+            dict(tx_power_dbm=3000.0),  # finite, but sigma2 is lost in Sigma
         ],
-        ids=["tx-4000", "tx-1e308", "psd-minus-4000", "tx-minus-4000"],
+        ids=["tx-4000", "tx-1e308", "psd-minus-4000", "tx-minus-4000", "tx-3000"],
     )
     def test_out_of_range_power_rejected(self, overrides):
         config = make_config(**overrides)
