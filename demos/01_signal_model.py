@@ -77,8 +77,8 @@ print(f"received snapshots: {received.shape} "
 # the only statistic the detectors ever look at. It converges to the
 # true model covariance as the antenna count grows.
 sigma_tilde = sample_covariance(received)
-print(f"sample covariance: {sigma_tilde.matrix.shape}, "
-      f"hermitian error {np.max(np.abs(sigma_tilde.matrix - sigma_tilde.matrix.conj().T)):.1e}")
+print(f"sample covariance: {sigma_tilde.shape}, "
+      f"hermitian error {np.max(np.abs(sigma_tilde - sigma_tilde.conj().T)):.1e}")
 
 # Demonstrate that convergence empirically: the Frobenius distance to
 # the infinite-antenna limit shrinks roughly as 1/sqrt(M). The limit's
@@ -97,5 +97,5 @@ for m in (32, 128, 512, 2048):
     cfg_m = dataclasses.replace(config, num_antennas=m)
     rng_m = np.random.default_rng(7)
     rec_m = synthesize_received_signal(preambles, truth, cfg_m, rng_m)
-    err = np.linalg.norm(sample_covariance(rec_m).matrix - limit)
+    err = np.linalg.norm(sample_covariance(rec_m) - limit)
     print(f"{m:8d}   {err:.3f}")

@@ -3,9 +3,10 @@
 Library for detecting which devices transmitted, and with what symbol
 delay, from the sample covariance of a multi-antenna received signal:
 scenario synthesis, two coordinate-descent maximum-likelihood detectors
-and scoring metrics. Preambles, received signals and gamma estimates
-are plain arrays; the sample covariance is the one validated input
-type. The seeded Monte Carlo experiment runner is ``covdet.cli``.
+and scoring metrics. Preambles, received signals, sample covariances
+and gamma estimates are plain arrays; the detectors check the sample
+covariance for shape, finiteness and Hermitian symmetry where they
+take it. The seeded Monte Carlo experiment runner is ``covdet.cli``.
 """
 
 from .detect import run_bcd, run_cd_e

@@ -69,8 +69,13 @@ def to_indicators(gamma: np.ndarray) -> frozenset:
 
 
 def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
-    """Shared detector setup: dimension checks, dictionary, fit factor,
+    """Shared detector setup: input checks, dictionary, fit factor,
     fresh state.
+
+    The sample covariance is checked here and nowhere else: a
+    ``(window, window)`` array, finite, and Hermitian to within
+    ``1e-10 * max(1, max|S|)``. The fit factor reads only its lower
+    triangle, so an asymmetric array would otherwise be fitted silently.
 
     The dictionary is Fortran-ordered so that a column or a device's
     block of columns reaches BLAS without a copy.
@@ -92,6 +97,8 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
         )
     if not np.all(np.isfinite(st)):
         raise ValueError("sample covariance has NaN or Inf entries")
+    if np.abs(st - st.conj().T).max() > 1e-10 * max(1.0, float(np.abs(st).max())):
+        raise ValueError("sample covariance must be Hermitian")
     dictionary = np.asfortranarray(effective_dictionary(preambles, config.max_delay))
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
     return dictionary, st, likelihood.fit_factor(st), state

@@ -208,23 +208,12 @@ def step_increment(eta: float, quad: float, fit: float):
 
     Matrix-determinant lemma plus Sherman-Morrison give the exact
     objective change ``log(1 + eta*quad) - eta*fit/denom`` with
-    ``denom = 1 + eta*quad``, which :func:`apply_rank_one` reuses.
+    ``denom = 1 + eta*quad``, which the Sherman-Morrison update reuses.
     """
     denom = 1.0 + eta * quad
     if denom < DENOMINATOR_GUARD:
         raise NumericalDegeneracyError(f"update denominator {denom} below guard")
     return math.log1p(eta * quad) - eta * fit / denom, denom
-
-
-def apply_rank_one(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
-    """Sherman-Morrison in place: ``inv -= eta * v v^H / denom``.
-
-    One BLAS ``zgerc`` on ``inv`` itself, which must be a Fortran-ordered
-    complex128 array: for any other layout BLAS would update a copy and
-    the update would be lost, so that raises ``ValueError`` instead.
-    """
-    _check_inverse(inv)
-    _update(inv, v, eta, denom)
 
 
 def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarray,
@@ -412,7 +401,11 @@ def rank_one_inverse_update(
     Sherman-Morrison: ``Sigma^{-1} -= eta * v v^H / (1 + eta * quad)``
     with ``v = Sigma^{-1} s``. The objective field is not touched; callers
     track it via :func:`objective_delta` (computed before this update).
+    ``state.inv_sigma`` is updated in place by BLAS, so a layout other
+    than Fortran-ordered complex128 raises ``ValueError`` before anything
+    changes.
     """
+    _check_inverse(state.inv_sigma)
     if eta == 0.0:
         return
     v, quad = _project(state.inv_sigma, state.column(device, delay))
@@ -422,7 +415,7 @@ def rank_one_inverse_update(
         if new_value < -1e-12:
             raise ValueError(f"update would drive gamma negative ({new_value})")
         new_value = 0.0
-    apply_rank_one(state.inv_sigma, v, eta, denom)
+    _update(state.inv_sigma, v, eta, denom)
     state.gamma[device, delay] = new_value
 
 

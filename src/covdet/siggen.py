@@ -7,38 +7,9 @@ trials simply use independent seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .sysmodel import GroundTruth, SystemConfig
-
-
-@dataclass(frozen=True)
-class SampleCovariance:
-    """Hermitian PSD average of the per-antenna outer products.
-
-    The one validated input type of the detectors: the ML estimate
-    depends on the received signal only through this matrix. It is
-    square, finite and Hermitian, and converts to its matrix wherever
-    numpy expects an array.
-    """
-
-    matrix: np.ndarray  # (L + tau_max, L + tau_max)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"sample covariance must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("sample covariance has NaN or Inf entries")
-        scale = max(1.0, float(np.abs(m).max()))
-        if np.abs(m - m.conj().T).max() > 1e-10 * scale:
-            raise ValueError("sample covariance must be Hermitian")
-        object.__setattr__(self, "matrix", m)
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
@@ -116,9 +87,13 @@ def synthesize_received_signal(
     return signal + noise
 
 
-def sample_covariance(received: np.ndarray) -> SampleCovariance:
+def sample_covariance(received: np.ndarray) -> np.ndarray:
     """Average outer product of the antenna snapshots, (1/M) Y Y^H, of
-    the ``(L + tau_max, M)`` received window."""
+    the ``(L + tau_max, M)`` received window, as a complex128 array.
+
+    Averaging it with its conjugate transpose makes it exactly Hermitian,
+    the property the detectors check of any covariance they take.
+    """
     y = np.asarray(received, dtype=np.complex128)
     if y.ndim != 2:
         raise ValueError(
@@ -126,7 +101,10 @@ def sample_covariance(received: np.ndarray) -> SampleCovariance:
         )
     if y.shape[1] < 1:
         raise ValueError("need at least one antenna snapshot")
-    cov = (y @ y.conj().T) / y.shape[1]
-    cov = (cov + cov.conj().T) / 2.0  # kill roundoff asymmetry
-    return SampleCovariance(cov)
-
+    # an overflow is reported by the check below, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (y @ y.conj().T) / y.shape[1]
+        cov = (cov + cov.conj().T) / 2.0
+    if not np.all(np.isfinite(cov)):
+        raise ValueError("sample covariance has NaN or Inf entries")
+    return cov

@@ -6,8 +6,10 @@ Conventions
 - Powers are normalized so that the working noise power is 1: the
   per-device received power (transmit power times path-loss gain divided
   by physical noise power) is folded into the large-scale gain ``beta``.
-  The ML fit is invariant under this joint rescaling, and it keeps the
-  detection thresholds scale-free.
+  The ML fit is invariant under this joint rescaling. The detection
+  thresholds ``threshold_cd`` and ``threshold_bcd`` are not: they are
+  absolute powers on the working scale, so the same value means a
+  different thing at another transmit power (ROADMAP item 7).
 - Complex Gaussian CN(0, v) means real and imaginary parts are
   independent N(0, v/2).
 """

@@ -99,7 +99,7 @@ def test_1_rank_one_inverse_fidelity():
     preambles, _, st = make_scenario(config, 7)
     dictionary = effective_dictionary(preambles, config.max_delay)
     state = likelihood.init_state(
-        dictionary, config.sigma2, st.matrix, config.num_delays
+        dictionary, config.sigma2, st, config.num_delays
     )
     rng = np.random.default_rng(11)
     start = time.perf_counter()
@@ -107,7 +107,7 @@ def test_1_rank_one_inverse_fidelity():
         n = int(rng.integers(config.num_devices))
         tau = int(rng.integers(config.num_delays))
         if rng.random() < 0.5:
-            eta = likelihood.coordinate_step(state, st.matrix, n, tau)
+            eta = likelihood.coordinate_step(state, st, n, tau)
         else:
             eta = float(rng.uniform(-state.gamma[n, tau], 1.0))
         likelihood.rank_one_inverse_update(state, n, tau, eta)
@@ -146,27 +146,27 @@ def test_2_coordinate_step_optimality():
         preambles, _, st = make_scenario(config, 1000 + i)
         dictionary = effective_dictionary(preambles, max_delay)
         state = likelihood.init_state(
-            dictionary, 1.0, st.matrix, config.num_delays
+            dictionary, 1.0, st, config.num_delays
         )
         for _ in range(3):
             n = int(rng.integers(config.num_devices))
             tau = int(rng.integers(config.num_delays))
-            step = likelihood.coordinate_step(state, st.matrix, n, tau)
+            step = likelihood.coordinate_step(state, st, n, tau)
             likelihood.rank_one_inverse_update(state, n, tau, step)
         n = int(rng.integers(config.num_devices))
         tau = int(rng.integers(config.num_delays))
         # move off any stationary point so the slope is well-scaled
         likelihood.rank_one_inverse_update(state, n, tau, 0.3)
 
-        eta = likelihood.coordinate_step(state, st.matrix, n, tau)
+        eta = likelihood.coordinate_step(state, st, n, tau)
         grid_eta = oracle.grid_min_1d(
-            state, st.matrix, n, tau, grid_points=2001
+            state, st, n, tau, grid_points=2001
         )
         current = float(state.gamma[n, tau])
         spacing = (2.0 * current + 10.0) / 2000
         worst_gap = max(worst_gap, abs(eta - grid_eta) / spacing)
 
-        _, quad, fit = likelihood.quadratic_terms(state, st.matrix, n, tau)
+        _, quad, fit = likelihood.quadratic_terms(state, st, n, tau)
         slope = quad - fit
         h = 1e-6
         plus = state.gamma.copy()
@@ -174,8 +174,8 @@ def test_2_coordinate_step_optimality():
         minus = state.gamma.copy()
         minus[n, tau] -= h
         fd = (
-            oracle.dense_objective(preambles, plus, 1.0, st.matrix)
-            - oracle.dense_objective(preambles, minus, 1.0, st.matrix)
+            oracle.dense_objective(preambles, plus, 1.0, st)
+            - oracle.dense_objective(preambles, minus, 1.0, st)
         ) / (2 * h)
         assert abs(slope) > 1e-4, "probe landed on a stationary point"
         worst_rel = max(worst_rel, abs(slope - fd) / abs(slope))

@@ -154,7 +154,7 @@ class TestRunCdE:
         preambles, _, st = make_scenario(config, 27)
         dictionary = effective_dictionary(preambles, config.max_delay)
         state = likelihood.init_state(
-            dictionary, config.sigma2, st.matrix, config.num_delays
+            dictionary, config.sigma2, st, config.num_delays
         )
         objective = state.objective
         for n in range(config.num_devices):
@@ -199,11 +199,27 @@ class TestRunCdE:
 def test_non_finite_sample_covariance_rejected(runner, bad, where):
     config = make_config()
     preambles, _, st = make_scenario(config, 29)
-    inputs = {"preambles": preambles.copy(), "covariance": st.matrix.copy()}
+    inputs = {"preambles": preambles.copy(), "covariance": st.copy()}
     inputs[where][1, 2] = bad
     with pytest.raises(ValueError, match=f"{where}.*NaN or Inf"):
         runner(inputs["preambles"], inputs["covariance"], config)
 
+
+
+@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+@pytest.mark.parametrize("entry", [(1, 2), (2, 1)], ids=["upper", "lower"])
+def test_non_hermitian_sample_covariance_rejected(runner, entry, monkeypatch):
+    config = make_config()
+    preambles, _, st = make_scenario(config, 29)
+    st[entry] += 5.0
+
+    def no_sweep(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr(likelihood, "column_sweep", no_sweep)
+    monkeypatch.setattr(likelihood, "block_sweep", no_sweep)
+    with pytest.raises(ValueError, match="must be Hermitian"):
+        runner(preambles, st, config)
 
 # desk.json at M=4; with convergence_delta=1e-9 its runs take 14-27
 # sweeps, so each crosses at least one dense refresh
@@ -334,15 +350,15 @@ class TestRunBcd:
         preambles, _, st = make_scenario(config, 19)
         dictionary = effective_dictionary(preambles, config.max_delay)
         state = likelihood.init_state(
-            dictionary, config.sigma2, st.matrix, config.num_delays
+            dictionary, config.sigma2, st, config.num_delays
         )
-        base = oracle.dense_objective(preambles, state.gamma, config.sigma2, st.matrix)
+        base = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
         for tau in range(config.num_delays):
-            eta = likelihood.coordinate_step(state, st.matrix, 3, tau)
-            delta = likelihood.objective_delta(state, st.matrix, 3, tau, eta)
+            eta = likelihood.coordinate_step(state, st, 3, tau)
+            delta = likelihood.objective_delta(state, st, 3, tau, eta)
             candidate = state.gamma.copy()
             candidate[3, tau] += eta
-            dense = oracle.dense_objective(preambles, candidate, config.sigma2, st.matrix)
+            dense = oracle.dense_objective(preambles, candidate, config.sigma2, st)
             assert base + delta == pytest.approx(dense, abs=1e-8)
 
     def test_first_sweep_matches_public_step_functions(self):
@@ -353,7 +369,7 @@ class TestRunBcd:
         preambles, _, st = make_scenario(config, 28)
         dictionary = effective_dictionary(preambles, config.max_delay)
         state = likelihood.init_state(
-            dictionary, config.sigma2, st.matrix, config.num_delays
+            dictionary, config.sigma2, st, config.num_delays
         )
         events = []
         objective = state.objective + bcd_sweep_by_hand(state, st, config, events)
@@ -370,7 +386,7 @@ class TestRunBcd:
         preambles, _, st = make_scenario(config, 32)
         dictionary = effective_dictionary(preambles, config.max_delay)
         state = likelihood.init_state(
-            dictionary, config.sigma2, st.matrix, config.num_delays
+            dictionary, config.sigma2, st, config.num_delays
         )
         objective = state.objective + bcd_sweep_by_hand(state, st, config, [])
         events = []

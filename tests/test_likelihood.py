@@ -33,14 +33,14 @@ def random_state(seed, num_devices=5, preamble_len=10, max_delay=1, num_antennas
     )
     preambles, _, st = make_scenario(config, seed)
     dictionary = effective_dictionary(preambles, config.max_delay)
-    state = likelihood.init_state(dictionary, 1.0, st.matrix, config.num_delays)
+    state = likelihood.init_state(dictionary, 1.0, st, config.num_delays)
     rng = np.random.default_rng(seed + 1)
     for _ in range(updates):
         n = int(rng.integers(num_devices))
         tau = int(rng.integers(max_delay + 1))
-        eta = likelihood.coordinate_step(state, st.matrix, n, tau)
+        eta = likelihood.coordinate_step(state, st, n, tau)
         likelihood.rank_one_inverse_update(state, n, tau, eta)
-    return preambles, state, st.matrix
+    return preambles, state, st
 
 
 class TestAssembleCovariance:
@@ -265,21 +265,36 @@ def hermitian_inverse(dim, seed, order="F"):
     return np.array(a @ a.conj().T + dim * np.eye(dim), order=order)
 
 
+def state_with_inverse(inv, column):
+    """A one-coordinate state whose tracked inverse is ``inv`` itself."""
+    dim = inv.shape[0]
+    state = likelihood.init_state(column.reshape(dim, 1), 1.0, np.eye(dim), 1)
+    state.inv_sigma = inv
+    return state
+
+
 class TestApplyRankOne:
+    """The in-place Sherman-Morrison step of ``rank_one_inverse_update``."""
+
     def test_matches_dense_outer_product(self):
         inv = hermitian_inverse(12, seed=60)
         rng = np.random.default_rng(61)
-        v = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        expected = inv - (0.7 / 1.9) * np.outer(v, v.conj())
-        likelihood.apply_rank_one(inv, v, 0.7, 1.9)
-        rel = np.linalg.norm(inv - expected) / np.linalg.norm(expected)
+        s = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        v = inv @ s
+        expected = inv - (0.7 / (1.0 + 0.7 * np.vdot(s, v).real)) * np.outer(v, v.conj())
+        state = state_with_inverse(inv, s)
+        likelihood.rank_one_inverse_update(state, 0, 0, 0.7)
+        rel = np.linalg.norm(state.inv_sigma - expected) / np.linalg.norm(expected)
         assert rel < 1e-14
+        assert state.gamma[0, 0] == 0.7
 
     def test_mutates_given_array(self):
-        inv = hermitian_inverse(6, seed=62)
-        before = inv.copy()
-        likelihood.apply_rank_one(inv, np.ones(6, dtype=complex), 0.5, 2.0)
-        np.testing.assert_allclose(inv, before - 0.25 * np.ones((6, 6)), rtol=1e-14)
+        # inverse I and s = ones: quad = 6, so eta = 0.5 subtracts ones / 8
+        inv = np.eye(6, dtype=complex, order="F")
+        state = state_with_inverse(inv, np.ones(6, dtype=complex))
+        likelihood.rank_one_inverse_update(state, 0, 0, 0.5)
+        assert state.inv_sigma is inv
+        np.testing.assert_allclose(inv, np.eye(6) - 0.125 * np.ones((6, 6)), rtol=1e-14)
 
     @pytest.mark.parametrize(
         "inv",
@@ -291,9 +306,11 @@ class TestApplyRankOne:
     )
     def test_layout_that_would_update_a_copy_rejected(self, inv):
         before = inv.copy()
+        state = state_with_inverse(inv, np.ones(6, dtype=complex))
         with pytest.raises(ValueError, match="Fortran-ordered complex128"):
-            likelihood.apply_rank_one(inv, np.ones(6, dtype=complex), 0.5, 2.0)
+            likelihood.rank_one_inverse_update(state, 0, 0, 0.5)
         np.testing.assert_array_equal(inv, before)
+        np.testing.assert_array_equal(state.gamma, 0.0)
 
     def test_states_keep_fortran_order(self):
         _, state, st = random_state(seed=64)
@@ -306,7 +323,7 @@ class TestFitFactor:
     @pytest.mark.parametrize("num_antennas", [4, 12, 64])
     def test_reproduces_sample_covariance_at_its_rank(self, num_antennas):
         config = make_config(num_antennas=num_antennas)
-        st = make_scenario(config, 65)[2].matrix
+        st = make_scenario(config, 65)[2]
         factor_h = likelihood.fit_factor(st)
         dim = config.window_len
         assert factor_h.shape == (min(num_antennas, dim), dim)
@@ -316,7 +333,7 @@ class TestFitFactor:
 
     def test_fit_form_matches_quadratic_form(self):
         config = make_config(num_antennas=4)
-        st = make_scenario(config, 66)[2].matrix
+        st = make_scenario(config, 66)[2]
         factor_h = likelihood.fit_factor(st)
         rng = np.random.default_rng(67)
         for _ in range(5):

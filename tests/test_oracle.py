@@ -36,8 +36,8 @@ class TestDenseObjective:
             gamma = rng.random((config.num_devices, config.num_delays))
             dictionary = effective_dictionary(preambles, config.max_delay)
             cov = likelihood.assemble_covariance(dictionary, gamma, 1.0)
-            a = likelihood.evaluate_objective(cov, st.matrix)
-            b = oracle.dense_objective(preambles, gamma, 1.0, st.matrix)
+            a = likelihood.evaluate_objective(cov, st)
+            b = oracle.dense_objective(preambles, gamma, 1.0, st)
             assert a == pytest.approx(b, abs=1e-10)
 
     def test_stationary_when_sample_equals_model(self):
@@ -58,7 +58,7 @@ class TestDenseObjective:
 class TestDenseInverse:
     def test_inverts(self):
         config = make_config()
-        st = make_scenario(config, 4)[2].matrix
+        st = make_scenario(config, 4)[2]
         cov = st + np.eye(st.shape[0])
         np.testing.assert_allclose(
             cov @ oracle.dense_inverse(cov), np.eye(st.shape[0]), atol=1e-10
@@ -78,15 +78,15 @@ class TestGridMin1d:
             )
             preambles, _, st = make_scenario(config, seed)
             dictionary = effective_dictionary(preambles, 1)
-            state = likelihood.init_state(dictionary, 1.0, st.matrix, 2)
+            state = likelihood.init_state(dictionary, 1.0, st, 2)
             rng = np.random.default_rng(seed)
             for _ in range(3):
                 n, tau = int(rng.integers(4)), int(rng.integers(2))
-                eta = likelihood.coordinate_step(state, st.matrix, n, tau)
+                eta = likelihood.coordinate_step(state, st, n, tau)
                 likelihood.rank_one_inverse_update(state, n, tau, eta)
             n, tau = int(rng.integers(4)), int(rng.integers(2))
-            eta = likelihood.coordinate_step(state, st.matrix, n, tau)
-            grid_eta = oracle.grid_min_1d(state, st.matrix, n, tau, grid_points=2001)
+            eta = likelihood.coordinate_step(state, st, n, tau)
+            grid_eta = oracle.grid_min_1d(state, st, n, tau, grid_points=2001)
             current = float(state.gamma[n, tau])
             spacing = (current + 10.0 + current) / 2000
             assert abs(eta - grid_eta) <= spacing
