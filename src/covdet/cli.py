@@ -245,8 +245,8 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     The UTF-8 file holds every system field, with optional sweep keys: a
     ``detectors`` list of names, an ``antennas`` list of integers and a
     ``trials`` integer. Overrides (typically from command-line flags) win
-    over file contents. Raises ``ConfigError`` for a file or value that
-    breaks these rules.
+    over file contents; a ``seed`` override must be an integer too.
+    Raises ``ConfigError`` for a file or value that breaks these rules.
     """
     overrides = dict(overrides or {})
     try:
@@ -260,8 +260,11 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     sweep_keys = {"detectors", "antennas", "trials"}
     sweep = {k: data.pop(k) for k in list(data) if k in sweep_keys}
     config = config_from_dict(data)
-    if overrides.get("seed") is not None:
-        config = dataclasses.replace(config, rng_seed=int(overrides["seed"]))
+    seed = overrides.get("seed")
+    if seed is not None:
+        if not _is_int(seed):
+            raise ConfigError(f"seed must be an integer, got {seed!r}")
+        config = dataclasses.replace(config, rng_seed=seed)
     validate(config)
 
     def pick(key, default):

@@ -15,7 +15,8 @@ low-rank factor of the sample covariance): one ``column_sweep`` or
 ``block_sweep`` call per pass, over column or block views of the
 dictionary built once per run. One sweep driver owns the sweep count,
 the periodic dense refresh, the stop rule and the error location.
-``bcd`` scores a device's whole delay block from one block product.
+``bcd`` scores a device's whole delay block, the removal of its entry
+included, from the block's products and their two Gram matrices.
 """
 
 from __future__ import annotations
@@ -72,10 +73,9 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     """Shared detector setup: input checks, dictionary, fit factor,
     fresh state.
 
-    The sample covariance is checked here and nowhere else: a
-    ``(window, window)`` array, finite, and Hermitian to within
-    ``1e-10 * max(1, max|S|)``. The fit factor reads only its lower
-    triangle, so an asymmetric array would otherwise be fitted silently.
+    The sample covariance is checked once per run, by
+    ``likelihood.init_state``: a ``(window, window)`` array, finite, and
+    Hermitian to within ``1e-10 * max(1, max|S|)``.
 
     The dictionary is Fortran-ordered so that a column or a device's
     block of columns reaches BLAS without a copy.
@@ -90,15 +90,6 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     if not np.all(np.isfinite(preambles)):
         raise ValueError("preambles have NaN or Inf entries")
     st = np.asarray(sigma_tilde, dtype=np.complex128)
-    if st.shape != (config.window_len, config.window_len):
-        raise ValueError(
-            f"sample covariance shape {st.shape} does not match "
-            f"window length {config.window_len}"
-        )
-    if not np.all(np.isfinite(st)):
-        raise ValueError("sample covariance has NaN or Inf entries")
-    if np.abs(st - st.conj().T).max() > 1e-10 * max(1.0, float(np.abs(st).max())):
-        raise ValueError("sample covariance must be Hermitian")
     dictionary = np.asfortranarray(effective_dictionary(preambles, config.max_delay))
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
     return dictionary, st, likelihood.fit_factor(st), state

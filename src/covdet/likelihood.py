@@ -29,25 +29,26 @@ below the window length ``D``, else ``D``), so the fit form
 ``O(D rank)`` instead of a ``D x D`` matvec. The state-based functions
 take one coordinate at a time, where even that factor would cost more
 than it saves, so they take the fit form as ``Re(v^H S_tilde v)`` from
-one ``zgemv`` instead.
+one ``zgemv`` instead. Those functions, unlike the kernel, check the
+sample covariance they take: finite, square and Hermitian.
 
 ``bcd`` scores a block from the state with the block's entry removed.
 Sherman-Morrison gives each column's zeroed-state terms in closed form,
-as scalars from its current-state terms and two small products, so a
-visit neither downdates ``Sigma^{-1}`` nor multiplies again before it
+as scalars from its current-state terms and the removed column's cross
+terms, which the block's two Gram products already hold, so a visit
+neither downdates ``Sigma^{-1}`` nor multiplies again before it
 commits; when the entry goes back to the delay it came from, removal
 and commit are one rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
 LAPACK: ``zgemv`` for a column, ``zdotc`` for the inner products of a
 column (a quarter of ``np.vdot``'s call overhead), ``zgemm`` for a block
-of columns and the diagonal of one more ``zgemm`` for their per-column
-inner products, an in-place ``zgerc`` for a rank-one update of the
-Fortran-ordered ``Sigma^{-1}``, ``zgemm`` plus a Cholesky factor for the
-dense refresh, and ``zpstrf`` for the fit factor. Keeping them in one
-library matters: numpy ships its own BLAS with its own thread pool, and
-when threads are not pinned, alternating the two pools call by call
-costs up to milliseconds per call.
+of columns and for its Gram products, an in-place ``zgerc`` for a
+rank-one update of the Fortran-ordered ``Sigma^{-1}``, ``zgemm`` plus a
+Cholesky factor for the dense refresh, and ``zpstrf`` for the fit
+factor. Keeping them in one library matters: numpy ships its own BLAS
+with its own thread pool, and when threads are not pinned, alternating
+the two pools call by call costs up to milliseconds per call.
 """
 
 from __future__ import annotations
@@ -120,14 +121,12 @@ def init_state(
     ``D log(sigma2) + trace(S_tilde)/sigma2``.
 
     ``num_delays`` fixes the gamma block width; dictionary columns are
-    device-major, delay-minor.
+    device-major, delay-minor. Raises ``ValueError`` for a sample
+    covariance that :func:`_check_sample_covariance` rejects, as
+    :func:`quadratic_terms` and :func:`refresh_state` do.
     """
-    st = np.asarray(sigma_tilde, dtype=np.complex128)
     dim, num_columns = dictionary.shape
-    if st.shape != (dim, dim):
-        raise ValueError(
-            f"sample covariance shape {st.shape} does not match window length {dim}"
-        )
+    st = _check_sample_covariance(sigma_tilde, dim)
     if num_delays < 1 or num_columns % num_delays != 0:
         raise ValueError(
             f"dictionary has {num_columns} columns, not divisible into "
@@ -168,6 +167,27 @@ def _check_quad(worst) -> None:
         raise NumericalDegeneracyError(f"s^H Sigma^-1 s = {worst} <= 0")
 
 
+def _check_sample_covariance(sigma_tilde, dim: int) -> np.ndarray:
+    """``sigma_tilde`` as a complex128 array, after checking that it is a
+    finite ``(dim, dim)`` array, Hermitian to within
+    ``1e-10 * max(1, max|S|)``; raises ``ValueError`` otherwise.
+
+    The fit factor reads only the lower triangle and the fit form the
+    whole array, so an asymmetric array would otherwise be fitted
+    silently.
+    """
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
+    if st.shape != (dim, dim):
+        raise ValueError(
+            f"sample covariance shape {st.shape} does not match window length {dim}"
+        )
+    if not np.all(np.isfinite(st)):
+        raise ValueError("sample covariance has NaN or Inf entries")
+    if np.abs(st - st.conj().T).max() > 1e-10 * max(1.0, float(np.abs(st).max())):
+        raise ValueError("sample covariance must be Hermitian")
+    return st
+
+
 def _check_inverse(inv: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``inv`` is a Fortran-ordered complex128
     array: for any other layout an in-place ``zgerc`` would update a copy,
@@ -194,13 +214,6 @@ def _project(inv: np.ndarray, s: np.ndarray):
     quad = zdotc(s, v).real
     _check_quad(quad)
     return v, quad
-
-
-def _column_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``Re(a_j^H b_j)`` for every column ``j``: the diagonal of one
-    ``zgemm``, which for the few columns of a delay block is cheaper than
-    any elementwise reduction."""
-    return zgemm(1.0, a, b, trans_a=2).diagonal().real
 
 
 def step_increment(eta: float, quad: float, fit: float):
@@ -270,19 +283,21 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
     columns and ``gamma[n]`` its row of the ``(N, tau_max+1)`` estimate,
     which holds at most one nonzero. Each visit makes the block terms of
     the current state from one ``zgemm`` for ``v = Sigma^{-1} block``, one
-    for ``w = F^H v`` and the diagonals of two more for each column's
-    ``quad`` and ``fit``. Every column is scored from the state with the
-    block's entry removed, by its closed-form step and, where the step is
-    positive, its exact objective change, and the lowest negative change
-    is committed (ties to the smallest delay; none keeps the block empty).
+    for ``w = F^H v`` and one each for the Gram products
+    ``G_q = block^H v`` and ``G_f = w^H w``, whose diagonals are each
+    column's ``quad`` and ``fit``. Every column is scored from the state
+    with the block's entry removed, by its closed-form step and, where the
+    step is positive, its exact objective change, and the lowest negative
+    change is committed (ties to the smallest delay; none keeps the block
+    empty).
 
     Removing ``gamma`` from column ``tau0`` is the step ``-gamma``, so
     Sherman-Morrison gives the zeroed-state inverse
     ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with ``u = v[:, tau0]`` and
-    ``c = gamma / denom``. With one ``zgemv`` each for ``b = block^H u``
-    and ``g = w^H w[:, tau0]``, each column's zeroed-state terms are the
-    scalars ``quad + c |b|^2`` and
-    ``fit + 2 c Re(conj(b) g) + c^2 |b|^2 fit[tau0]``; the zeroed-state
+    ``c = gamma / denom``. With ``b = block^H u`` and
+    ``g = w^H w[:, tau0]``, column ``tau0`` of ``G_q`` and of ``G_f``,
+    each column's zeroed-state terms are the scalars ``quad + c |b|^2``
+    and ``fit + 2 c Re(conj(b) g) + c^2 |b|^2 fit[tau0]``; the zeroed-state
     ``v + c conj(b) u`` is built only for a commit to another delay.
 
     ``Sigma^{-1}`` changes only at the commit: a downdate and an update,
@@ -301,8 +316,10 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
             row = rows[n]
             v = zgemm(1.0, inv, block)
             w = zgemm(1.0, factor_h, v)
-            quads = _column_inner(block, v).tolist()
-            fits = _column_inner(w, w).tolist()
+            gram_q = zgemm(1.0, block, v, trans_a=2)
+            gram_f = zgemm(1.0, w, w, trans_a=2)
+            quads = gram_q.diagonal().real.tolist()
+            fits = gram_f.diagonal().real.tolist()
             removed = max(row)
             if removed > 0.0:
                 old_tau = row.index(removed)
@@ -311,8 +328,8 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
                 _check_quad(quad_u)
                 delta, down_denom = step_increment(-removed, quad_u, fit_u)
                 c = removed / down_denom
-                b = zgemv(1.0, block, u, trans=2).tolist()
-                g = zgemv(1.0, w, w[:, old_tau], trans=2).tolist()
+                b = gram_q[:, old_tau].tolist()
+                g = gram_f[:, old_tau].tolist()
                 for tau, (bt, gt) in enumerate(zip(b, g)):
                     p = c * (bt.real * bt.real + bt.imag * bt.imag)
                     quads[tau] += p
@@ -362,8 +379,8 @@ def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int
     :func:`fit_factor`, whose factorization only pays off over a detector
     run.
     """
+    st = _check_sample_covariance(sigma_tilde, state.dim)
     v, quad = _project(state.inv_sigma, state.column(device, delay))
-    st = np.asarray(sigma_tilde, dtype=np.complex128)
     return v, quad, zdotc(v, zgemv(1.0, st, v)).real
 
 
@@ -424,7 +441,7 @@ def refresh_state(state: CovarianceState, sigma_tilde) -> None:
 
     Called every few sweeps to wipe out accumulated rank-one roundoff.
     """
-    st = np.asarray(sigma_tilde, dtype=np.complex128)
+    st = _check_sample_covariance(sigma_tilde, state.dim)
     cov = assemble_covariance(state.dictionary, state.gamma, state.sigma2)
     try:
         factor = scipy.linalg.cho_factor(cov, lower=True)

@@ -84,7 +84,7 @@ class SystemConfig:
     threshold_bcd:
         Detection threshold applied to the BCD estimate.
     rng_seed:
-        Base seed for all random draws (64-bit integer).
+        Base seed for all random draws (non-negative integer).
     """
 
     num_devices: int
@@ -168,6 +168,8 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
         raise ConfigError("max_delay must be non-negative")
     if c.num_antennas < 1:
         raise ConfigError("num_antennas must be positive")
+    if c.rng_seed < 0:
+        raise ConfigError(f"rng_seed must be non-negative, got {c.rng_seed}")
     if c.bandwidth_hz <= 0:
         raise ConfigError("bandwidth_hz must be positive")
     if c.cell_distance_km <= 0:

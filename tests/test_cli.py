@@ -335,6 +335,17 @@ class TestLoadExperiment:
             with pytest.raises(ConfigError, match=f"{key} must be"):
                 load_experiment(path, {key: value})
 
+    def test_bad_seeds_rejected(self, tmp_path):
+        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        for seed in (True, 2.9, "7"):
+            with pytest.raises(ConfigError, match="seed must be an integer"):
+                load_experiment(path, {"seed": seed})
+        with pytest.raises(ConfigError, match="rng_seed must be non-negative"):
+            load_experiment(path, {"seed": -3})
+        negative = write_experiment_file(tmp_path / "neg.json", micro_config(rng_seed=-3))
+        with pytest.raises(ConfigError, match="rng_seed must be non-negative"):
+            load_experiment(negative)
+
     def test_invalid_json_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -420,6 +431,14 @@ class TestMain:
         code = main(["run", "--config", str(path), "--out", str(out), "--trials", "1"])
         assert code == 2
         assert "cell_edge_gain" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exits_two_before_any_trial(self, tmp_path, capsys):
+        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        out = tmp_path / "r.csv"
+        code = main(["run", "--config", str(path), "--out", str(out), "--seed", "-3"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: rng_seed must be non-negative, got -3\n"
         assert not out.exists()
 
     def test_all_detector_names_are_runnable(self, tmp_path):

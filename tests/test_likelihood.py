@@ -497,6 +497,30 @@ class TestRemovalTerms:
             atol=1e-12 * np.abs(two_step.inv_sigma).max(),
         )
 
+    @pytest.mark.parametrize(
+        "seed, tau_old, event", [(75, 1, "moved"), (76, 1, "same")], ids=["move", "reinsert"]
+    )
+    def test_removal_terms_come_from_the_gram_products(self, seed, tau_old, event, monkeypatch):
+        # b and g are column tau_old of the block's two Gram products, so
+        # a visit that removes an entry makes no matrix-vector product
+        state, st, factor_h, block = block_state(seed, tau_old=tau_old)
+        want = copy_state(state)
+        want_delta, got_event = block_visit_by_hand(want, st, 2)
+        assert got_event == event
+
+        def no_zgemv(*args, **kwargs):
+            raise AssertionError("block_sweep called zgemv")
+
+        monkeypatch.setattr(likelihood, "zgemv", no_zgemv)
+        objective = likelihood.block_sweep(
+            state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0
+        )
+        assert objective == pytest.approx(want_delta, rel=1e-12)
+        np.testing.assert_allclose(state.gamma, want.gamma, rtol=1e-12)
+        np.testing.assert_allclose(
+            state.inv_sigma, want.inv_sigma, rtol=0, atol=1e-12 * np.abs(want.inv_sigma).max()
+        )
+
     def test_degenerate_removal_rejected(self):
         # removing more than the column carries drives 1 - gamma * quad
         # below the guard; the visit leaves its row and Sigma^-1 alone
@@ -511,6 +535,52 @@ class TestRemovalTerms:
         assert info.value.index == 0
         np.testing.assert_array_equal(state.gamma, gamma)
         np.testing.assert_array_equal(state.inv_sigma, inv)
+
+
+class TestSampleCovarianceChecked:
+    """The state-based functions reject a sample covariance the detectors
+    reject, before they change anything."""
+
+    CALLS = {
+        "init_state": lambda state, st: likelihood.init_state(state.dictionary, 1.0, st, 3),
+        "quadratic_terms": lambda state, st: likelihood.quadratic_terms(state, st, 0, 0),
+        "coordinate_step": lambda state, st: likelihood.coordinate_step(state, st, 0, 0),
+        "objective_delta": lambda state, st: likelihood.objective_delta(state, st, 0, 0, 0.5),
+        "refresh_state": likelihood.refresh_state,
+    }
+
+    @staticmethod
+    def seed_29_state():
+        # default test config, seed 29: a clean step of 0.03308 at (0, 0),
+        # which 5.0 added at (1, 2) or (2, 1) would move to 0.03521
+        config = make_config()
+        preambles, _, st = make_scenario(config, 29)
+        dictionary = effective_dictionary(preambles, config.max_delay)
+        state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
+        assert likelihood.coordinate_step(state, st, 0, 0) == pytest.approx(0.03308, abs=1e-5)
+        return state, st
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize(
+        "entry, bad, message",
+        [((1, 2), 5.0, "must be Hermitian"), ((2, 1), 5.0, "must be Hermitian"),
+         ((1, 2), np.nan, "NaN or Inf"), ((1, 2), np.inf, "NaN or Inf")],
+        ids=["upper", "lower", "nan", "inf"],
+    )
+    def test_bad_sample_covariance_rejected(self, call, entry, bad, message):
+        state, st = self.seed_29_state()
+        inv, objective = state.inv_sigma.copy(), state.objective
+        st[entry] += bad
+        with pytest.raises(ValueError, match=message):
+            self.CALLS[call](state, st)
+        np.testing.assert_array_equal(state.inv_sigma, inv)
+        assert state.objective == objective
+
+    @pytest.mark.parametrize("call", CALLS)
+    def test_shape_mismatch_rejected(self, call):
+        state, st = self.seed_29_state()
+        with pytest.raises(ValueError, match="window length"):
+            self.CALLS[call](state, st[:-1, :-1])
 
 
 class TestQuadraticTerms:

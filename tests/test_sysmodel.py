@@ -58,6 +58,12 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="max_delay"):
             validate(make_config(max_delay=-1))
 
+    def test_negative_seed_rejected(self):
+        # numpy's generators take only non-negative seeds
+        validate(make_config(rng_seed=0))
+        with pytest.raises(ConfigError, match="rng_seed must be non-negative, got -3"):
+            validate(make_config(rng_seed=-3))
+
     def test_nonpositive_tuning_rejected(self):
         with pytest.raises(ConfigError, match="convergence_delta"):
             validate(make_config(convergence_delta=0.0))
