@@ -61,7 +61,8 @@ for tau in range(config.max_delay + 1):
     lead = ", ".join(f"{x:.2f}" for x in dictionary[:4, tau])
     print(f"  device 0, delay {tau}: window starts [{lead}, ...]")
 
-# Draw which devices are active, their delays, and their channel gains.
+# Draw which devices are active and their delays. Every device sits at
+# the cell edge, so all share one gain, config.cell_edge_gain.
 truth = draw_ground_truth(config, rng)
 print("\nactive devices (device, delay):",
       sorted(truth.pairs))
@@ -87,7 +88,7 @@ from covdet import assemble_covariance
 
 gamma_true = np.zeros((config.num_devices, config.num_delays))
 for device, delay in truth.pairs:
-    gamma_true[device, delay] = truth.gains[device]
+    gamma_true[device, delay] = config.cell_edge_gain
 limit = assemble_covariance(dictionary, gamma_true, config.sigma2)
 
 print("\nantennas   ||sample - limit||_F")

@@ -17,6 +17,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,11 +62,17 @@ class TrialRecord:
     seed: int
     mdp: float  # NaN when undefined (no active devices)
     fap: float  # NaN when undefined (no inactive devices)
-    mdp_defined: bool
-    fap_defined: bool
     iterations: int
     final_objective: float
     runtime_ms: float
+
+    @property
+    def mdp_defined(self) -> bool:
+        return not math.isnan(self.mdp)
+
+    @property
+    def fap_defined(self) -> bool:
+        return not math.isnan(self.fap)
 
 
 @dataclass(frozen=True)
@@ -116,17 +123,10 @@ def run_single_trial(config: SystemConfig, seed: int, detector: str) -> TrialRec
         seed=seed,
         mdp=compute_mdp(result, truth) if mdp_defined else math.nan,
         fap=compute_fap(result, truth, cfg.num_devices) if fap_defined else math.nan,
-        mdp_defined=mdp_defined,
-        fap_defined=fap_defined,
         iterations=result.iterations,
         final_objective=result.final_objective,
         runtime_ms=runtime_ms,
     )
-
-
-def _trial_task(args) -> TrialRecord:
-    config, seed, detector = args
-    return run_single_trial(config, seed, detector)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -213,15 +213,17 @@ def run_experiment(
         for detector in plan.detectors:
             for m in plan.antennas:
                 config = dataclasses.replace(plan.base, num_antennas=m)
-                tasks = [(config, seed, detector) for seed in seeds]
                 if pool is None:
-                    records = [_trial_task(t) for t in tasks]
+                    records = [run_single_trial(config, seed, detector) for seed in seeds]
                 else:
                     # map preserves task order, so merging is by trial index;
                     # about four chunks per worker keeps every worker busy
                     # on small cells and the hand-off cost low on big ones
-                    chunksize = max(1, len(tasks) // (4 * workers))
-                    records = list(pool.map(_trial_task, tasks, chunksize=chunksize))
+                    chunksize = max(1, len(seeds) // (4 * workers))
+                    records = list(pool.map(
+                        run_single_trial, repeat(config), seeds, repeat(detector),
+                        chunksize=chunksize,
+                    ))
                 row = aggregate(records)
                 rows.append(row)
                 if progress is not None:
@@ -245,7 +247,7 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     The UTF-8 file holds every system field, with optional sweep keys: a
     ``detectors`` list of names, an ``antennas`` list of integers and a
     ``trials`` integer. Overrides (typically from command-line flags) win
-    over file contents; a ``seed`` override must be an integer too.
+    over file contents; a ``seed`` override replaces ``rng_seed``.
     Raises ``ConfigError`` for a file or value that breaks these rules.
     """
     overrides = dict(overrides or {})
@@ -259,13 +261,9 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
         raise ConfigError("experiment file must hold a single JSON object")
     sweep_keys = {"detectors", "antennas", "trials"}
     sweep = {k: data.pop(k) for k in list(data) if k in sweep_keys}
-    config = config_from_dict(data)
-    seed = overrides.get("seed")
-    if seed is not None:
-        if not _is_int(seed):
-            raise ConfigError(f"seed must be an integer, got {seed!r}")
-        config = dataclasses.replace(config, rng_seed=seed)
-    validate(config)
+    if overrides.get("seed") is not None:
+        data["rng_seed"] = overrides["seed"]
+    config = validate(config_from_dict(data))
 
     def pick(key, default):
         value = overrides.get(key)
@@ -299,7 +297,7 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
 
 
 def _is_int(value) -> bool:
-    """An integer that is not a bool, as ``config_from_dict`` requires."""
+    """An integer that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
 
 

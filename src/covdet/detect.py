@@ -17,17 +17,22 @@ dictionary built once per run. One sweep driver owns the sweep count,
 the periodic dense refresh, the stop rule and the error location.
 ``bcd`` scores a device's whole delay block, the removal of its entry
 included, from the block's products and their two Gram matrices.
+
+A run returns a ``DetectionResult``: the final estimate and the
+objective trace. The declared (device, delay) pairs, the sweep count and
+the final objective are read off those two.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from . import likelihood
-from .siggen import effective_dictionary
+from .siggen import check_preambles, effective_dictionary
 from .sysmodel import (
     ConvergenceError,
-    DetectionResult,
     NumericalDegeneracyError,
     SystemConfig,
     validate,
@@ -69,6 +74,34 @@ def to_indicators(gamma: np.ndarray) -> frozenset:
     return frozenset((int(n), int(tau)) for n, tau in np.argwhere(gamma > 0.0))
 
 
+@dataclass(frozen=True)
+class DetectionResult:
+    """Final output of one detector run, ready for scoring.
+
+    ``gamma_hat`` is the ``(N, tau_max+1)`` estimate, at most one nonzero
+    delay per device; ``theta_hat`` holds the (device, delay) pairs
+    ``to_indicators`` reads off it. ``objective_trace`` records the
+    objective after initialization and after each full sweep, before any
+    enforcement or thresholding.
+    """
+
+    gamma_hat: np.ndarray  # (N, tau_max + 1) float64
+    objective_trace: np.ndarray  # (sweeps + 1,)
+    theta_hat: frozenset[tuple[int, int]] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "theta_hat", to_indicators(self.gamma_hat))
+
+    @property
+    def iterations(self) -> int:
+        """Number of full sweeps run."""
+        return self.objective_trace.size - 1
+
+    @property
+    def final_objective(self) -> float:
+        return float(self.objective_trace[-1])
+
+
 def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     """Shared detector setup: input checks, dictionary, fit factor,
     fresh state.
@@ -81,14 +114,7 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     block of columns reaches BLAS without a copy.
     """
     validate(config, allow_inactive=True)
-    expected = (config.preamble_len, config.num_devices)
-    if preambles.shape != expected:
-        raise ValueError(
-            f"preambles must have shape (preamble length, device count) = "
-            f"{expected}, got {preambles.shape}"
-        )
-    if not np.all(np.isfinite(preambles)):
-        raise ValueError("preambles have NaN or Inf entries")
+    check_preambles(preambles, config)
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     dictionary = np.asfortranarray(effective_dictionary(preambles, config.max_delay))
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
@@ -127,14 +153,7 @@ def _descend(state, st, config, run_pass, unit, estimate):
             f"no convergence within {MAX_SWEEPS} sweeps (last decrement {decrement:.3e})"
         )
 
-    gamma_hat = estimate(state.gamma)
-    return DetectionResult(
-        theta_hat=to_indicators(gamma_hat),
-        gamma_hat=gamma_hat,
-        iterations=sweep,
-        final_objective=float(trace[-1]),
-        objective_trace=np.asarray(trace),
-    )
+    return DetectionResult(estimate(state.gamma), np.asarray(trace))
 
 
 def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> DetectionResult:

@@ -7,20 +7,15 @@ not as a false alarm.
 
 from __future__ import annotations
 
-from .sysmodel import DetectionResult, GroundTruth
+from .detect import DetectionResult
+from .sysmodel import GroundTruth
 
 
 def compute_mdp(result: DetectionResult, truth: GroundTruth) -> float:
     """Fraction of active devices missed or detected with a wrong delay."""
     if truth.num_active == 0:
         raise ValueError("MDP is undefined when no device is active (K=0)")
-    detected = dict(result.theta_hat)
-    misses = 0
-    for device in truth.active:
-        delay = detected.get(int(device))
-        if delay is None or delay != truth.delays[int(device)]:
-            misses += 1
-    return misses / truth.num_active
+    return len(truth.pairs - result.theta_hat) / truth.num_active
 
 
 def compute_fap(result: DetectionResult, truth: GroundTruth, num_devices: int) -> float:
@@ -31,6 +26,5 @@ def compute_fap(result: DetectionResult, truth: GroundTruth, num_devices: int) -
             f"FAP is undefined without inactive devices "
             f"(N={num_devices}, K={truth.num_active})"
         )
-    active = {int(device) for device in truth.active}
     declared = {device for device, _ in result.theta_hat}
-    return len(declared - active) / num_inactive
+    return len(declared - truth.delays.keys()) / num_inactive

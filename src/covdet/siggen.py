@@ -24,6 +24,19 @@ def generate_preambles(config: SystemConfig, rng: np.random.Generator) -> np.nda
     return complex_gaussian(rng, (config.preamble_len, config.num_devices))
 
 
+def check_preambles(preambles: np.ndarray, config: SystemConfig) -> None:
+    """Raise ``ValueError`` unless ``preambles`` is a finite
+    ``(preamble_len, num_devices)`` array for ``config``."""
+    expected = (config.preamble_len, config.num_devices)
+    if preambles.shape != expected:
+        raise ValueError(
+            f"preambles must have shape (preamble length, device count) = "
+            f"{expected}, got {preambles.shape}"
+        )
+    if not np.all(np.isfinite(preambles)):
+        raise ValueError("preambles have NaN or Inf entries")
+
+
 def effective_dictionary(preambles: np.ndarray, max_delay: int) -> np.ndarray:
     """Stack all delayed signatures into one (L+tau_max) x N*(tau_max+1) matrix.
 
@@ -39,17 +52,14 @@ def effective_dictionary(preambles: np.ndarray, max_delay: int) -> np.ndarray:
 
 
 def draw_ground_truth(config: SystemConfig, rng: np.random.Generator) -> GroundTruth:
-    """Draw the active set, per-device delays, and large-scale gains.
+    """Draw the active set and the active devices' delays.
 
     The active set is uniform without replacement; delays are uniform on
-    {0, ..., tau_max}. All devices share the cell-edge gain (worst case),
-    on the working scale where the noise power is 1.
+    {0, ..., tau_max}.
     """
     active = np.sort(rng.choice(config.num_devices, size=config.num_active, replace=False))
     drawn = rng.integers(0, config.num_delays, size=config.num_active)
-    delays = {int(n): int(tau) for n, tau in zip(active, drawn)}
-    gains = np.full(config.num_devices, config.cell_edge_gain)
-    return GroundTruth(active=active, delays=delays, gains=gains)
+    return GroundTruth({int(n): int(tau) for n, tau in zip(active, drawn)})
 
 
 def synthesize_received_signal(
@@ -58,18 +68,14 @@ def synthesize_received_signal(
     """Superpose the delayed signatures of the active devices plus noise.
 
     Returns the ``(L + tau_max, M)`` received window, one column per
-    receive antenna. Each active device contributes sqrt(gain) times its
-    column of the effective dictionary (its signature at its delay) times
-    its CN(0, I) antenna channel row; the noise is entrywise CN(0, sigma2).
+    receive antenna. Each active device contributes sqrt(cell_edge_gain)
+    times its column of the effective dictionary (its signature at its
+    delay) times its CN(0, I) antenna channel row; the noise is entrywise
+    CN(0, sigma2).
     Channels are drawn in ascending device order, then the noise block,
     so one generator reproduces the signal exactly.
     """
-    expected = (config.preamble_len, config.num_devices)
-    if preambles.shape != expected:
-        raise ValueError(
-            f"preambles must have shape (preamble length, device count) = "
-            f"{expected}, got {preambles.shape}"
-        )
+    check_preambles(preambles, config)
     delays = np.array([truth.delays[int(n)] for n in truth.active], dtype=np.int64)
     if np.any((delays < 0) | (delays > config.max_delay)):
         raise ValueError(f"active delays {delays.tolist()} outside [0, {config.max_delay}]")
@@ -80,7 +86,7 @@ def synthesize_received_signal(
     # summation order follows the memory layout: C order keeps the window
     # bit for bit what a row-major (window, K) block gives
     columns = np.ascontiguousarray(dictionary[:, picked])
-    signal = (columns * np.sqrt(truth.gains[truth.active])) @ channels
+    signal = (columns * np.sqrt(config.cell_edge_gain)) @ channels
     noise = complex_gaussian(
         rng, (config.window_len, config.num_antennas), variance=config.sigma2
     )

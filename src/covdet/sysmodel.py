@@ -10,6 +10,9 @@ Conventions
   thresholds ``threshold_cd`` and ``threshold_bcd`` are not: they are
   absolute powers on the working scale, so the same value means a
   different thing at another transmit power (ROADMAP item 7).
+- Every device sits at the cell-edge distance and shares its gain
+  ``SystemConfig.cell_edge_gain``, so a ``GroundTruth`` is the active
+  devices' delays alone.
 - Complex Gaussian CN(0, v) means real and imaginary parts are
   independent N(0, v/2).
 """
@@ -138,14 +141,25 @@ class SystemConfig:
         return 1.0
 
 
-_FLOAT_FIELDS = tuple(f.name for f in fields(SystemConfig) if f.name not in _INT_FIELDS)
+def _check_type(name: str, value) -> None:
+    """Raise ``ConfigError`` unless ``value`` has the type of field ``name``:
+    an int for an integer field, a finite int or float for any other, and
+    never a bool."""
+    if name in _INT_FIELDS:
+        ok, kind = isinstance(value, int), "an integer"
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+        kind = "a finite number"
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{name} must be {kind}, got {value!r}")
 
 
 def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemConfig:
     """Check every invariant of ``config`` and return it unchanged.
 
-    ``allow_inactive=True`` permits ``num_active == 0`` (debug scenarios
-    measuring false alarms on pure noise); everything else stays strict.
+    Every field's type is checked before any range. ``allow_inactive=True``
+    permits ``num_active == 0`` (debug scenarios measuring false alarms on
+    pure noise); everything else stays strict.
 
     Raises
     ------
@@ -153,6 +167,8 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
         Naming the violated field.
     """
     c = config
+    for f in fields(c):
+        _check_type(f.name, getattr(c, f.name))
     if c.num_devices < 1:
         raise ConfigError("num_devices must be positive")
     min_active = 0 if allow_inactive else 1
@@ -180,42 +196,31 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
         raise ConfigError("threshold_cd must be positive")
     if c.threshold_bcd <= 0:
         raise ConfigError("threshold_bcd must be positive")
-    for name in _INT_FIELDS:
-        if not isinstance(getattr(c, name), int):
-            raise ConfigError(f"{name} must be an integer")
-    for name in _FLOAT_FIELDS:
-        if not math.isfinite(getattr(c, name)):
-            raise ConfigError(f"{name} must be finite, got {getattr(c, name)!r}")
-    # the working-scale powers combine the power fields through a power
-    # of ten, which overflows or underflows where every field is finite
-    source = (
-        f"from tx_power_dbm={c.tx_power_dbm!r}, "
-        f"noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, "
-        f"bandwidth_hz={c.bandwidth_hz!r}, "
-        f"cell_distance_km={c.cell_distance_km!r}"
-    )
-    for name in ("cell_edge_gain", "sigma2"):
-        try:
-            value = getattr(c, name)
-        except OverflowError:
-            value = math.inf
-        if not (math.isfinite(value) and value > 0.0):
-            raise ConfigError(f"{name} must be finite and positive, got {value!r} {source}")
-    # one preamble's working-scale power over the noise floor sigma2 = 1
-    # bounds cond(Sigma) from below; from 1/eps on, sigma2 is lost in the
+    # the working-scale gain combines the power fields through a power of
+    # ten, which overflows or underflows where every field is finite; one
+    # preamble's working-scale power over the noise floor sigma2 = 1 bounds
+    # cond(Sigma) from below, and from 1/eps on, sigma2 is lost in the
     # rounding of Sigma's entries
     limit = 1.0 / np.finfo(float).eps
-    if c.cell_edge_gain * c.preamble_len >= limit:
+    try:
+        gain = c.cell_edge_gain
+    except OverflowError:
+        gain = math.inf
+    if not 0.0 < gain * c.preamble_len < limit:
         raise ConfigError(
             f"cell_edge_gain must be finite and positive, and cell_edge_gain * "
-            f"preamble_len below 1/eps = {limit:.4g}, got "
-            f"{c.cell_edge_gain:.4g} * {c.preamble_len} {source}"
+            f"preamble_len below 1/eps = {limit:.4g}, got {gain:.4g} * {c.preamble_len} "
+            f"from tx_power_dbm={c.tx_power_dbm!r}, "
+            f"noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, "
+            f"bandwidth_hz={c.bandwidth_hz!r}, "
+            f"cell_distance_km={c.cell_distance_km!r}"
         )
     return c
 
 
 def config_from_dict(data: Mapping) -> SystemConfig:
-    """Build a SystemConfig from a mapping; unknown or missing keys are errors."""
+    """Build a SystemConfig from a mapping; unknown or missing keys and
+    values of the wrong type are errors."""
     known = {f.name for f in fields(SystemConfig)}
     unknown = set(data) - known
     if unknown:
@@ -225,15 +230,8 @@ def config_from_dict(data: Mapping) -> SystemConfig:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
     kwargs = {}
     for name in known:
-        value = data[name]
-        if name in _INT_FIELDS:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            kwargs[name] = int(value)
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-            kwargs[name] = float(value)
+        _check_type(name, data[name])
+        kwargs[name] = int(data[name]) if name in _INT_FIELDS else float(data[name])
     return SystemConfig(**kwargs)
 
 
@@ -241,32 +239,26 @@ def config_from_dict(data: Mapping) -> SystemConfig:
 class GroundTruth:
     """True activity pattern behind one synthesized received signal.
 
-    ``active`` is sorted ascending so that draws consuming it (channel
-    generation) are order-deterministic. ``gains`` holds a working-scale
-    power gain for every device; only the active ones shape the signal.
+    ``delays`` maps each active device to its delay. ``active`` lists the
+    active devices ascending, so that draws consuming it (channel
+    generation) are order-deterministic. Every device sits at the
+    config's ``cell_edge_gain``.
     """
 
-    active: np.ndarray  # sorted device indices, length K
-    delays: dict[int, int]  # device -> delay, keys == active
-    gains: np.ndarray  # (N,) linear power gains
+    delays: dict[int, int]  # active device -> delay
+    active: np.ndarray = field(init=False, repr=False, compare=False)  # sorted, int64
 
     def __post_init__(self):
-        act = np.sort(np.asarray(self.active, dtype=np.int64))
-        object.__setattr__(self, "active", act)
-        object.__setattr__(self, "gains", np.asarray(self.gains, dtype=np.float64))
-        if set(self.delays) != set(act.tolist()):
-            raise ValueError("delays must be keyed by exactly the active devices")
-        if np.any(self.gains <= 0):
-            raise ValueError("gains must be positive")
+        object.__setattr__(self, "active", np.array(sorted(self.delays), dtype=np.int64))
 
     @property
     def num_active(self) -> int:
-        return int(self.active.size)
+        return len(self.delays)
 
     @property
     def pairs(self) -> frozenset[tuple[int, int]]:
         """The true (device, delay) support."""
-        return frozenset((int(n), int(self.delays[int(n)])) for n in self.active)
+        return frozenset(self.delays.items())
 
 
 @dataclass
@@ -294,28 +286,3 @@ class CovarianceState:
     def column(self, device: int, delay: int) -> np.ndarray:
         """Dictionary column for hypothesis (device, delay)."""
         return self.dictionary[:, device * self.gamma.shape[1] + delay]
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    """Final output of one detector run, ready for scoring.
-
-    ``theta_hat`` holds the declared (device, delay) pairs; at most one
-    delay per device. ``gamma_hat`` is the ``(N, tau_max+1)`` estimate they
-    were read from. ``objective_trace`` records the objective after
-    initialization and after each full sweep, before any enforcement or
-    thresholding.
-    """
-
-    theta_hat: frozenset[tuple[int, int]]
-    gamma_hat: np.ndarray  # (N, tau_max + 1) float64
-    iterations: int
-    final_objective: float
-    objective_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        per_device: dict[int, int] = {}
-        for n, tau in self.theta_hat:
-            if n in per_device:
-                raise ValueError(f"device {n} declared with more than one delay")
-            per_device[n] = tau

@@ -13,7 +13,7 @@ from covdet.siggen import (
     sample_covariance,
     synthesize_received_signal,
 )
-from covdet.sysmodel import SystemConfig
+from covdet.sysmodel import GroundTruth, SystemConfig
 
 DEFAULTS = dict(
     num_devices=8,
@@ -35,6 +35,11 @@ DEFAULTS = dict(
 def make_config(**overrides) -> SystemConfig:
     """A small valid config, with any field overridable."""
     return SystemConfig(**{**DEFAULTS, **overrides})
+
+
+def make_truth(pairs) -> GroundTruth:
+    """The ground truth whose active devices and delays are ``pairs``."""
+    return GroundTruth({int(n): int(tau) for n, tau in pairs})
 
 
 def make_scenario(config: SystemConfig, seed: int):

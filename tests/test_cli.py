@@ -124,8 +124,6 @@ class TestAggregate:
             seed=0,
             mdp=mdp,
             fap=fap,
-            mdp_defined=not math.isnan(mdp),
-            fap_defined=not math.isnan(fap),
             iterations=iterations,
             final_objective=0.0,
             runtime_ms=runtime,

@@ -1,9 +1,11 @@
 """Scenario generation: preambles, truth, received signal, covariance."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from conftest import make_config, make_scenario
+from conftest import make_config, make_scenario, make_truth
 from covdet.siggen import (
     complex_gaussian,
     draw_ground_truth,
@@ -12,7 +14,6 @@ from covdet.siggen import (
     sample_covariance,
     synthesize_received_signal,
 )
-from covdet.sysmodel import GroundTruth
 
 
 class TestComplexGaussian:
@@ -57,9 +58,23 @@ class TestEffectiveDictionary:
 
 class TestDrawGroundTruth:
     def test_all_devices_share_cell_edge_gain(self):
-        config = make_config()
-        truth = draw_ground_truth(config, np.random.default_rng(5))
-        assert np.all(truth.gains == config.cell_edge_gain)
+        # with the channel and noise draws replayed, the window less its
+        # noise is every active device's delayed signature scaled by
+        # sqrt(cell_edge_gain)
+        config = make_config(num_active=4, num_antennas=3)
+        rng = np.random.default_rng(5)
+        preambles = generate_preambles(config, rng)
+        truth = draw_ground_truth(config, rng)
+        replay = copy.deepcopy(rng)
+        received = synthesize_received_signal(preambles, truth, config, rng)
+        channels = complex_gaussian(replay, (truth.num_active, config.num_antennas))
+        noise = complex_gaussian(
+            replay, (config.window_len, config.num_antennas), variance=config.sigma2
+        )
+        dictionary = effective_dictionary(preambles, config.max_delay)
+        picked = [n * config.num_delays + tau for n, tau in sorted(truth.pairs)]
+        signal = np.sqrt(config.cell_edge_gain) * dictionary[:, picked] @ channels
+        np.testing.assert_allclose(received - noise, signal, rtol=1e-12, atol=1e-12)
 
     def test_full_activity_when_k_equals_n(self):
         config = make_config(num_devices=6, num_active=6)
@@ -103,9 +118,7 @@ class TestSynthesizeReceivedSignal:
     def test_no_active_devices_no_noise_gives_zero(self):
         # with the noise draw replayed and taken out, nothing is left
         config = make_config(num_active=0)
-        truth = GroundTruth(
-            active=np.array([]), delays={}, gains=np.ones(config.num_devices)
-        )
+        truth = make_truth([])
         rng = np.random.default_rng(9)
         preambles = generate_preambles(config, rng)
         received = synthesize_received_signal(preambles, truth, config, rng)
@@ -118,29 +131,31 @@ class TestSynthesizeReceivedSignal:
         # draw plus the replayed noise draw, bit for bit; this also pins the
         # draw order (channels, then noise)
         config = make_config(num_devices=3, num_active=1, num_antennas=4, max_delay=2)
-        truth = GroundTruth(active=np.array([1]), delays={1: 2}, gains=np.full(3, 0.25))
+        truth = make_truth([(1, 2)])
         rng = np.random.default_rng(10)
         preambles = generate_preambles(config, rng)
         received = synthesize_received_signal(preambles, truth, config, rng)
         channels, noise = replay_draws(config, truth, seed=10)
         delayed = np.zeros((config.window_len, 1), dtype=complex)
         delayed[2:, 0] = preambles[:, 1]
-        np.testing.assert_array_equal(received, (0.5 * delayed) @ channels + noise)
+        scaled = np.sqrt(config.cell_edge_gain) * delayed
+        np.testing.assert_array_equal(received, scaled @ channels + noise)
 
     def test_mean_energy_matches_expectation(self):
-        # E||Y||_F^2 = M*L*beta + M*(L+tau_max)*sigma2 with beta=1, sigma2=1,
-        # the expectation taken over preambles, channels, and noise alike
+        # E||Y||_F^2 = M*L*beta + M*(L+tau_max)*sigma2 with beta the cell-edge
+        # gain and sigma2=1, the expectation taken over preambles, channels,
+        # and noise alike
         config = make_config(num_devices=4, num_active=1, preamble_len=32,
                              max_delay=4, num_antennas=8)
         rng = np.random.default_rng(11)
-        truth = GroundTruth(active=np.array([2]), delays={2: 1}, gains=np.ones(4))
+        truth = make_truth([(2, 1)])
         total = 0.0
         draws = 4000
         for _ in range(draws):
             preambles = generate_preambles(config, rng)
             received = synthesize_received_signal(preambles, truth, config, rng)
             total += np.sum(np.abs(received) ** 2)
-        expected = 8 * 32 + 8 * 36
+        expected = 8 * 32 * config.cell_edge_gain + 8 * 36
         assert total / draws == pytest.approx(expected, rel=0.02)
 
     def test_reproducible_from_seed(self):
@@ -154,7 +169,7 @@ class TestSynthesizeReceivedSignal:
         rng = np.random.default_rng(12)
         preambles = generate_preambles(config, rng)
         for delay in (3, -1):
-            truth = GroundTruth(active=np.array([1]), delays={1: delay}, gains=np.ones(3))
+            truth = make_truth([(1, delay)])
             with pytest.raises(ValueError, match="delay"):
                 synthesize_received_signal(preambles, truth, config, rng)
 
@@ -213,7 +228,7 @@ class TestSampleCovariance:
                 preambles, truth, st = make_scenario(cfg, seed)
                 gamma = np.zeros((4, 3))
                 for n, tau in truth.pairs:
-                    gamma[n, tau] = truth.gains[n]
+                    gamma[n, tau] = cfg.cell_edge_gain
                 true_cov = likelihood.assemble_covariance(
                     effective_dictionary(preambles, 2), gamma, cfg.sigma2
                 )

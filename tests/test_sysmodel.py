@@ -6,14 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_config
-from covdet.sysmodel import (
-    ConfigError,
-    DetectionResult,
-    GroundTruth,
-    config_from_dict,
-    validate,
-)
+from conftest import DEFAULTS, make_config, make_truth
+from covdet.detect import DetectionResult
+from covdet.sysmodel import ConfigError, config_from_dict, validate
 
 
 class TestSystemConfig:
@@ -108,6 +103,18 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="num_antennas must be an integer"):
             validate(config)
 
+    @pytest.mark.parametrize("field", list(DEFAULTS))
+    @pytest.mark.parametrize(
+        "bad", ["3", None, True, math.nan], ids=["str", "None", "bool", "nan"]
+    )
+    def test_wrong_type_rejected_before_any_range(self, field, bad):
+        # a type check after the range comparisons let "3" and None raise a
+        # bare TypeError, and let True pass as 1
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            validate(make_config(**{field: bad}))
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            config_from_dict({**DEFAULTS, field: bad})
+
 
 class TestConfigSerialization:
     def test_dict_round_trip(self):
@@ -135,45 +142,42 @@ class TestConfigSerialization:
 
 class TestGroundTruth:
     def test_active_set_is_sorted(self):
-        truth = GroundTruth(
-            active=np.array([5, 1, 3]),
-            delays={1: 0, 3: 2, 5: 1},
-            gains=np.ones(8),
-        )
+        # delays filled out of order still give an ascending active set
+        truth = make_truth([(5, 1), (1, 0), (3, 2)])
+        assert list(truth.delays) == [5, 1, 3]
         assert truth.active.tolist() == [1, 3, 5]
+        assert truth.active.dtype == np.int64
         assert truth.num_active == 3
         assert truth.pairs == {(1, 0), (3, 2), (5, 1)}
 
-    def test_delay_keys_must_match_active(self):
-        with pytest.raises(ValueError, match="delays"):
-            GroundTruth(active=np.array([1, 2]), delays={1: 0}, gains=np.ones(4))
-
-    def test_nonpositive_gain_rejected(self):
-        with pytest.raises(ValueError, match="gains"):
-            GroundTruth(active=np.array([0]), delays={0: 0}, gains=np.zeros(2))
-
     def test_empty_active_set_allowed(self):
-        truth = GroundTruth(active=np.array([]), delays={}, gains=np.ones(3))
+        truth = make_truth([])
         assert truth.num_active == 0
+        assert truth.active.size == 0
         assert truth.pairs == frozenset()
 
 
 class TestDetectionResult:
     def test_holds_fields(self):
-        result = DetectionResult(
-            theta_hat=frozenset({(0, 1), (2, 0)}),
-            gamma_hat=np.zeros((4, 3)),
-            iterations=7,
-            final_objective=-1.5,
-        )
-        assert result.iterations == 7
-        assert result.objective_trace.size == 0
+        # the declared pairs are read off the estimate
+        gamma_hat = np.zeros((4, 3))
+        gamma_hat[0, 1] = 0.5
+        gamma_hat[2, 0] = 2.0
+        result = DetectionResult(gamma_hat, np.array([3.0, 1.0]))
+        assert result.theta_hat == {(0, 1), (2, 0)}
+        assert [f.name for f in dataclasses.fields(result) if f.init] == [
+            "gamma_hat", "objective_trace"
+        ]
 
     def test_duplicate_device_rejected(self):
-        with pytest.raises(ValueError, match="more than one delay"):
-            DetectionResult(
-                theta_hat=frozenset({(0, 1), (0, 2)}),
-                gamma_hat=np.zeros((2, 3)),
-                iterations=1,
-                final_objective=0.0,
-            )
+        # a block-dense estimate declares device 0 at two delays
+        gamma_hat = np.zeros((2, 3))
+        gamma_hat[0, 1:] = 1.0
+        with pytest.raises(ValueError, match="block-sparse"):
+            DetectionResult(gamma_hat, np.array([0.0, -1.0]))
+
+    def test_counts_read_off_trace(self):
+        result = DetectionResult(np.zeros((2, 3)), np.array([4.0, 2.5, -1.5]))
+        assert result.iterations == 2
+        assert result.final_objective == -1.5
+        assert type(result.final_objective) is float
