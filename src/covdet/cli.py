@@ -36,7 +36,7 @@ from .sysmodel import (
     NumericalDegeneracyError,
     SystemConfig,
     config_from_dict,
-    validate,
+    is_int,
 )
 
 DETECTOR_NAMES = ("cd_e", "bcd", "cd_e_sync")
@@ -75,14 +75,42 @@ class TrialRecord:
         return not math.isnan(self.fap)
 
 
+def _check_detector(name) -> None:
+    if name not in DETECTOR_NAMES:
+        raise ConfigError(f"unknown detector {name!r}, expected one of {DETECTOR_NAMES}")
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A full sweep: base system, detector list, antenna list, trial count."""
+    """A full sweep: base system, detector list, antenna list, trial count.
+
+    Valid by construction: ``detectors`` is a non-empty tuple of known
+    names, ``antennas`` a non-empty tuple of counts that each give a valid
+    system with ``base``, and ``trials`` a positive integer. Raises
+    ``ConfigError`` otherwise.
+    """
 
     base: SystemConfig
     detectors: tuple[str, ...]
     antennas: tuple[int, ...]
     trials: int
+
+    def __post_init__(self):
+        if not (isinstance(self.detectors, tuple) and self.detectors
+                and all(isinstance(name, str) for name in self.detectors)):
+            raise ConfigError(
+                f"detectors must be a non-empty tuple of names, got {self.detectors!r}"
+            )
+        for name in self.detectors:
+            _check_detector(name)
+        if not (isinstance(self.antennas, tuple) and self.antennas):
+            raise ConfigError(
+                f"antennas must be a non-empty tuple of counts, got {self.antennas!r}"
+            )
+        for m in self.antennas:
+            dataclasses.replace(self.base, num_antennas=m)
+        if not (is_int(self.trials) and self.trials >= 1):
+            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
 
 
 def synchronous_config(config: SystemConfig) -> SystemConfig:
@@ -96,8 +124,7 @@ def synchronous_config(config: SystemConfig) -> SystemConfig:
 
 def run_single_trial(config: SystemConfig, seed: int, detector: str) -> TrialRecord:
     """Generate one scenario from ``seed`` and score one detector on it."""
-    if detector not in DETECTOR_NAMES:
-        raise ConfigError(f"unknown detector {detector!r}, expected one of {DETECTOR_NAMES}")
+    _check_detector(detector)
     cfg = synchronous_config(config) if detector == "cd_e_sync" else config
     runner = run_bcd if detector == "bcd" else run_cd_e
     rng = np.random.default_rng(seed)
@@ -247,8 +274,10 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     The UTF-8 file holds every system field, with optional sweep keys: a
     ``detectors`` list of names, an ``antennas`` list of integers and a
     ``trials`` integer. Overrides (typically from command-line flags) win
-    over file contents; a ``seed`` override replaces ``rng_seed``.
-    Raises ``ConfigError`` for a file or value that breaks these rules.
+    over file contents; a ``seed`` override replaces ``rng_seed``. The
+    lists become tuples. Raises ``ConfigError`` for a file that is not a
+    JSON object, and, through the ``SystemConfig`` and ``ExperimentPlan``
+    constructors, for a value that breaks their rules.
     """
     overrides = dict(overrides or {})
     try:
@@ -263,47 +292,19 @@ def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     sweep = {k: data.pop(k) for k in list(data) if k in sweep_keys}
     if overrides.get("seed") is not None:
         data["rng_seed"] = overrides["seed"]
-    config = validate(config_from_dict(data))
+    config = config_from_dict(data)
 
     def pick(key, default):
         value = overrides.get(key)
-        return value if value is not None else sweep.get(key, default)
+        value = value if value is not None else sweep.get(key, default)
+        return tuple(value) if isinstance(value, list) else value
 
-    detectors = pick("detectors", ["cd_e", "bcd"])
-    if not _is_list(detectors, lambda name: isinstance(name, str)):
-        raise ConfigError(f"detectors must be a list of names, got {detectors!r}")
-    if not detectors:
-        raise ConfigError("detector list is empty")
-    for name in detectors:
-        if name not in DETECTOR_NAMES:
-            raise ConfigError(
-                f"unknown detector {name!r}, expected one of {DETECTOR_NAMES}"
-            )
-    antennas = pick("antennas", [config.num_antennas])
-    if not _is_list(antennas, _is_int):
-        raise ConfigError(f"antennas must be a list of integers, got {antennas!r}")
-    if not antennas:
-        raise ConfigError("antenna list is empty")
-    if any(m < 1 for m in antennas):
-        raise ConfigError(f"antenna counts must be positive, got {antennas}")
-    trials = pick("trials", 1000)
-    if not _is_int(trials):
-        raise ConfigError(f"trials must be an integer, got {trials!r}")
-    if trials < 1:
-        raise ConfigError(f"trials must be positive, got {trials}")
     return ExperimentPlan(
-        base=config, detectors=tuple(detectors), antennas=tuple(antennas), trials=trials
+        base=config,
+        detectors=pick("detectors", ["cd_e", "bcd"]),
+        antennas=pick("antennas", [config.num_antennas]),
+        trials=pick("trials", 1000),
     )
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_list(value, item_ok) -> bool:
-    """A list or tuple whose every item passes ``item_ok``."""
-    return isinstance(value, (list, tuple)) and all(item_ok(item) for item in value)
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -31,12 +31,7 @@ import numpy as np
 
 from . import likelihood
 from .siggen import check_preambles, effective_dictionary
-from .sysmodel import (
-    ConvergenceError,
-    NumericalDegeneracyError,
-    SystemConfig,
-    validate,
-)
+from .sysmodel import ConvergenceError, NumericalDegeneracyError, SystemConfig
 
 # hard cap on outer sweeps; exceeding it raises instead of returning silently
 MAX_SWEEPS = 1000
@@ -106,14 +101,14 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     """Shared detector setup: input checks, dictionary, fit factor,
     fresh state.
 
-    The sample covariance is checked once per run, by
-    ``likelihood.init_state``: a ``(window, window)`` array, finite, and
-    Hermitian to within ``1e-10 * max(1, max|S|)``.
+    ``config`` is not re-checked: a ``SystemConfig`` is valid once built.
+    The preambles are checked against it, and the sample covariance once
+    per run, by ``likelihood.init_state``: a ``(window, window)`` array,
+    finite, and Hermitian to within ``1e-10 * max(1, max|S|)``.
 
     The dictionary is Fortran-ordered so that a column or a device's
     block of columns reaches BLAS without a copy.
     """
-    validate(config, allow_inactive=True)
     check_preambles(preambles, config)
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     dictionary = np.asfortranarray(effective_dictionary(preambles, config.max_delay))

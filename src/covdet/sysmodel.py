@@ -1,5 +1,10 @@
 """Domain types and validation shared by the whole library.
 
+A ``SystemConfig`` is valid by construction: its ``__post_init__`` runs
+``validate``, so the constructor, ``dataclasses.replace`` and
+``config_from_dict`` all reject a bad system with a ``ConfigError``
+before any draw, and no consumer re-checks one.
+
 Conventions
 -----------
 - Device indices run 0..N-1 and delays 0..tau_max (all 0-based).
@@ -20,6 +25,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
@@ -48,11 +54,6 @@ class ConvergenceError(RuntimeError):
     """A detector exceeded its sweep cap without reaching the stop rule."""
 
 
-_INT_FIELDS = frozenset(
-    {"num_devices", "num_active", "preamble_len", "max_delay", "num_antennas", "rng_seed"}
-)
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """All scenario parameters for one detection setup.
@@ -62,7 +63,8 @@ class SystemConfig:
     num_devices:
         Total number of devices N sharing the access channel.
     num_active:
-        Number of simultaneously active devices K (K <= N).
+        Number of simultaneously active devices K (0 <= K <= N). K=0
+        measures false alarms on pure noise; its MDP is undefined (NaN).
     preamble_len:
         Length L of each device's signature sequence, in symbols.
     max_delay:
@@ -104,6 +106,9 @@ class SystemConfig:
     threshold_bcd: float
     rng_seed: int
 
+    def __post_init__(self):
+        validate(self)
+
     @property
     def window_len(self) -> int:
         """Observation window length L + tau_max."""
@@ -141,25 +146,18 @@ class SystemConfig:
         return 1.0
 
 
-def _check_type(name: str, value) -> None:
-    """Raise ``ConfigError`` unless ``value`` has the type of field ``name``:
-    an int for an integer field, a finite int or float for any other, and
-    never a bool."""
-    if name in _INT_FIELDS:
-        ok, kind = isinstance(value, int), "an integer"
-    else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
-        kind = "a finite number"
-    if isinstance(value, bool) or not ok:
-        raise ConfigError(f"{name} must be {kind}, got {value!r}")
+def is_int(value) -> bool:
+    """An int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemConfig:
+def validate(config: SystemConfig) -> SystemConfig:
     """Check every invariant of ``config`` and return it unchanged.
 
-    Every field's type is checked before any range. ``allow_inactive=True``
-    permits ``num_active == 0`` (debug scenarios measuring false alarms on
-    pure noise); everything else stays strict.
+    ``SystemConfig.__post_init__`` calls it, so every config that exists
+    has passed it. Every field's type is checked before any range: an
+    int field takes an int, any other a finite int or float, and no
+    field a bool.
 
     Raises
     ------
@@ -168,12 +166,20 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
     """
     c = config
     for f in fields(c):
-        _check_type(f.name, getattr(c, f.name))
+        value = getattr(c, f.name)
+        # the annotations are strings under ``from __future__ import annotations``
+        if f.type == "int":
+            ok, kind = is_int(value), "an integer"
+        else:
+            # finite as a float: no NaN, no inf and no int too large to convert
+            ok = (is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+            kind = "a finite number"
+        if not ok:
+            raise ConfigError(f"{f.name} must be {kind}, got {value!r}")
     if c.num_devices < 1:
         raise ConfigError("num_devices must be positive")
-    min_active = 0 if allow_inactive else 1
-    if c.num_active < min_active:
-        raise ConfigError("num_active must be positive")
+    if c.num_active < 0:
+        raise ConfigError("num_active must be non-negative")
     if c.num_active > c.num_devices:
         raise ConfigError(
             f"num_active exceeds num_devices (K={c.num_active} > N={c.num_devices})"
@@ -219,8 +225,8 @@ def validate(config: SystemConfig, *, allow_inactive: bool = False) -> SystemCon
 
 
 def config_from_dict(data: Mapping) -> SystemConfig:
-    """Build a SystemConfig from a mapping; unknown or missing keys and
-    values of the wrong type are errors."""
+    """Build a SystemConfig from a mapping; unknown or missing keys are
+    errors, and the constructor checks the values."""
     known = {f.name for f in fields(SystemConfig)}
     unknown = set(data) - known
     if unknown:
@@ -228,11 +234,7 @@ def config_from_dict(data: Mapping) -> SystemConfig:
     missing = known - set(data)
     if missing:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
-    kwargs = {}
-    for name in known:
-        _check_type(name, data[name])
-        kwargs[name] = int(data[name]) if name in _INT_FIELDS else float(data[name])
-    return SystemConfig(**kwargs)
+    return SystemConfig(**data)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import DEFAULTS, make_config, package_env
+from covdet import cli as cli_module
 from covdet.cli import (
     CSV_HEADER,
     DETECTOR_NAMES,
@@ -24,19 +25,19 @@ from covdet.cli import (
 from covdet.sysmodel import ConfigError, NumericalDegeneracyError
 
 
+# small enough for dozens of full trials per second
+MICRO = dict(num_devices=4, num_active=1, preamble_len=8, max_delay=1, num_antennas=4)
+
+
 def micro_config(**overrides):
-    """Small enough for dozens of full trials per second."""
-    values = dict(
-        num_devices=4, num_active=1, preamble_len=8, max_delay=1, num_antennas=4
-    )
-    values.update(overrides)
-    return make_config(**values)
+    return make_config(**{**MICRO, **overrides})
 
 
-def write_experiment_file(path, config, **sweep):
-    data = {k: getattr(config, k) for k in DEFAULTS}
-    data.update(sweep)
-    path.write_text(json.dumps(data))
+def write_experiment_file(path, **keys):
+    """An experiment file holding the micro system, with ``keys`` (system
+    fields or sweep keys) added or replaced; no ``SystemConfig`` is built,
+    so the file may hold an invalid system."""
+    path.write_text(json.dumps({**DEFAULTS, **MICRO, **keys}))
     return path
 
 
@@ -100,9 +101,29 @@ class TestRunSingleTrial:
         with pytest.raises(ConfigError, match="unknown detector"):
             run_single_trial(micro_config(), 0, "oracle")
 
-    def test_failure_context_preserves_type(self, monkeypatch):
-        import covdet.cli as cli_module
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(num_devices=5, num_active=7),
+            dict(num_antennas=0),
+            dict(num_active=-1),
+            dict(max_delay=-1),
+            dict(preamble_len=0),
+        ],
+        ids=["K-above-N", "M-zero", "K-negative", "delay-negative", "L-zero"],
+    )
+    def test_invalid_system_rejected_before_any_draw(self, overrides, detector, monkeypatch):
+        # these systems once reached the draws and failed inside numpy, or,
+        # for cd_e_sync, ran on the valid system synchronous_config made of them
+        def no_draw(*args):
+            raise AssertionError("a random draw ran on an invalid system")
 
+        monkeypatch.setattr(cli_module, "generate_preambles", no_draw)
+        with pytest.raises(ConfigError):
+            run_single_trial(make_config(**overrides), 0, detector)
+
+    def test_failure_context_preserves_type(self, monkeypatch):
         def explode(*args, **kwargs):
             raise NumericalDegeneracyError("quadratic form <= 0")
 
@@ -158,6 +179,31 @@ class TestAggregate:
         out = aggregate([self.record(math.nan, 0.0)] * 3)
         assert math.isnan(out["mdp_mean"])
         assert math.isnan(out["mdp_stderr"])
+
+
+class TestExperimentPlan:
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(trials=0), "trials must be"),
+            (dict(trials=-1), "trials must be"),
+            (dict(trials=True), "trials must be"),
+            (dict(trials=2.5), "trials must be"),
+            (dict(antennas=()), "antennas must be"),
+            (dict(antennas=(0,)), "num_antennas must be positive"),
+            (dict(antennas=(True,)), "num_antennas must be an integer"),
+            (dict(detectors=()), "detectors must be"),
+            (dict(detectors=("amp",)), "unknown detector"),
+        ],
+        ids=["trials-0", "trials-minus-1", "trials-bool", "trials-float", "antennas-empty",
+             "antennas-zero", "antennas-bool", "detectors-empty", "detectors-unknown"],
+    )
+    def test_invalid_plan_rejected_when_built(self, overrides, message):
+        # run_experiment once raised IndexError or a numpy ValueError on
+        # these, or wrote a header-only CSV
+        plan = dict(base=micro_config(), detectors=("cd_e",), antennas=(2,), trials=1)
+        with pytest.raises(ConfigError, match=message):
+            ExperimentPlan(**{**plan, **overrides})
 
 
 class TestRunExperiment:
@@ -248,30 +294,25 @@ class TestRunExperiment:
 
 class TestLoadExperiment:
     def test_round_trip_with_sweep_keys(self, tmp_path):
-        config = micro_config()
         path = write_experiment_file(
-            tmp_path / "exp.json", config,
-            detectors=["bcd"], antennas=[2, 8], trials=7,
+            tmp_path / "exp.json", detectors=["bcd"], antennas=[2, 8], trials=7
         )
         plan = load_experiment(path)
-        assert plan.base == config
+        assert plan.base == micro_config()
         assert plan.detectors == ("bcd",)
         assert plan.antennas == (2, 8)
         assert plan.trials == 7
 
     def test_sweep_defaults(self, tmp_path):
-        config = micro_config()
-        path = write_experiment_file(tmp_path / "exp.json", config)
+        path = write_experiment_file(tmp_path / "exp.json")
         plan = load_experiment(path)
         assert plan.detectors == ("cd_e", "bcd")
-        assert plan.antennas == (config.num_antennas,)
+        assert plan.antennas == (MICRO["num_antennas"],)
         assert plan.trials == 1000
 
     def test_overrides_win_over_file(self, tmp_path):
-        config = micro_config()
         path = write_experiment_file(
-            tmp_path / "exp.json", config,
-            detectors=["bcd"], antennas=[2], trials=7,
+            tmp_path / "exp.json", detectors=["bcd"], antennas=[2], trials=7
         )
         plan = load_experiment(
             path,
@@ -283,23 +324,20 @@ class TestLoadExperiment:
         assert plan.base.rng_seed == 999
 
     def test_none_overrides_fall_through(self, tmp_path):
-        config = micro_config()
-        path = write_experiment_file(tmp_path / "exp.json", config, trials=5)
+        path = write_experiment_file(tmp_path / "exp.json", trials=5)
         plan = load_experiment(
             path, {"detectors": None, "antennas": None, "trials": None, "seed": None}
         )
         assert plan.trials == 5
-        assert plan.base.rng_seed == config.rng_seed
+        assert plan.base.rng_seed == DEFAULTS["rng_seed"]
 
     def test_unknown_config_key_rejected(self, tmp_path):
-        config = micro_config()
-        path = write_experiment_file(tmp_path / "exp.json", config, snr_db=10)
+        path = write_experiment_file(tmp_path / "exp.json", snr_db=10)
         with pytest.raises(ConfigError, match="unknown config keys"):
             load_experiment(path)
 
     def test_missing_config_key_rejected(self, tmp_path):
-        config = micro_config()
-        data = {k: getattr(config, k) for k in DEFAULTS}
+        data = {**DEFAULTS, **MICRO}
         del data["preamble_len"]
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(data))
@@ -307,14 +345,12 @@ class TestLoadExperiment:
             load_experiment(path)
 
     def test_unknown_detector_rejected(self, tmp_path):
-        path = write_experiment_file(
-            tmp_path / "exp.json", micro_config(), detectors=["amp"]
-        )
+        path = write_experiment_file(tmp_path / "exp.json", detectors=["amp"])
         with pytest.raises(ConfigError, match="unknown detector"):
             load_experiment(path)
 
     def test_bad_antenna_and_trial_counts(self, tmp_path):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        path = write_experiment_file(tmp_path / "exp.json")
         for antennas in ([0], []):
             with pytest.raises(ConfigError, match="antenna"):
                 load_experiment(path, {"antennas": antennas})
@@ -327,20 +363,20 @@ class TestLoadExperiment:
             ("trials", "abc"), ("trials", 2.9), ("trials", True),
             ("detectors", "bcd"), ("detectors", [1]),
         ]:
-            bad = write_experiment_file(tmp_path / "bad.json", micro_config(), **{key: value})
+            bad = write_experiment_file(tmp_path / "bad.json", **{key: value})
             with pytest.raises(ConfigError, match=f"{key} must be"):
                 load_experiment(bad)
             with pytest.raises(ConfigError, match=f"{key} must be"):
                 load_experiment(path, {key: value})
 
     def test_bad_seeds_rejected(self, tmp_path):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        path = write_experiment_file(tmp_path / "exp.json")
         for seed in (True, 2.9, "7"):
             with pytest.raises(ConfigError, match="seed must be an integer"):
                 load_experiment(path, {"seed": seed})
         with pytest.raises(ConfigError, match="rng_seed must be non-negative"):
             load_experiment(path, {"seed": -3})
-        negative = write_experiment_file(tmp_path / "neg.json", micro_config(rng_seed=-3))
+        negative = write_experiment_file(tmp_path / "neg.json", rng_seed=-3)
         with pytest.raises(ConfigError, match="rng_seed must be non-negative"):
             load_experiment(negative)
 
@@ -362,7 +398,7 @@ class TestLoadExperiment:
 
 class TestMain:
     def test_run_writes_csv_and_exits_zero(self, tmp_path, capsys):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        path = write_experiment_file(tmp_path / "exp.json")
         out = tmp_path / "results.csv"
         code = main([
             "run", "--config", str(path), "--out", str(out),
@@ -385,7 +421,7 @@ class TestMain:
         assert "error:" in capsys.readouterr().err
 
     def test_bad_detector_exits_two(self, tmp_path, capsys):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        path = write_experiment_file(tmp_path / "exp.json")
         code = main([
             "run", "--config", str(path), "--out", str(tmp_path / "r.csv"),
             "--detectors", "amp",
@@ -394,7 +430,7 @@ class TestMain:
         assert "unknown detector" in capsys.readouterr().err
 
     def test_malformed_config_exits_two_without_traceback(self, tmp_path):
-        bad_type = write_experiment_file(tmp_path / "exp.json", micro_config(), trials="abc")
+        bad_type = write_experiment_file(tmp_path / "exp.json", trials="abc")
         not_utf8 = tmp_path / "latin1.json"
         not_utf8.write_bytes(b'{"note": "caf\xe9"}')
         for path, reason in [(bad_type, "trials must be"), (not_utf8, "not UTF-8")]:
@@ -408,7 +444,7 @@ class TestMain:
             assert "Traceback" not in proc.stderr
 
     def test_zero_workers_exits_two(self, tmp_path, capsys):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        path = write_experiment_file(tmp_path / "exp.json")
         out = tmp_path / "r.csv"
         code = main([
             "run", "--config", str(path), "--out", str(out), "--workers", "0",
@@ -424,7 +460,7 @@ class TestMain:
     def test_out_of_range_power_exits_two_before_any_trial(
         self, tmp_path, capsys, overrides
     ):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config(**overrides))
+        path = write_experiment_file(tmp_path / "exp.json", **overrides)
         out = tmp_path / "r.csv"
         code = main(["run", "--config", str(path), "--out", str(out), "--trials", "1"])
         assert code == 2
@@ -432,7 +468,7 @@ class TestMain:
         assert not out.exists()
 
     def test_negative_seed_exits_two_before_any_trial(self, tmp_path, capsys):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        path = write_experiment_file(tmp_path / "exp.json")
         out = tmp_path / "r.csv"
         code = main(["run", "--config", str(path), "--out", str(out), "--seed", "-3"])
         assert code == 2
@@ -440,7 +476,7 @@ class TestMain:
         assert not out.exists()
 
     def test_all_detector_names_are_runnable(self, tmp_path):
-        path = write_experiment_file(tmp_path / "exp.json", micro_config())
+        path = write_experiment_file(tmp_path / "exp.json")
         out = tmp_path / "results.csv"
         code = main([
             "run", "--config", str(path), "--out", str(out),
@@ -449,6 +485,21 @@ class TestMain:
         ])
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + len(DETECTOR_NAMES)
+
+    def test_zero_active_runs_with_undefined_mdp(self, tmp_path):
+        path = write_experiment_file(tmp_path / "exp.json", num_active=0)
+        out = tmp_path / "results.csv"
+        code = main([
+            "run", "--config", str(path), "--out", str(out),
+            "--detectors", ",".join(DETECTOR_NAMES), "--antennas", "2", "--trials", "2",
+        ])
+        assert code == 0
+        header, *lines = out.read_text().splitlines()
+        assert len(lines) == len(DETECTOR_NAMES)
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(",")))
+            assert row["mdp_mean"] == "nan"
+            assert 0.0 <= float(row["fap_mean"]) <= 1.0
 
     @pytest.mark.parametrize("module", ["covdet", "covdet.cli"])
     def test_module_form_runs_without_warning(self, module):

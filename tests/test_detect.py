@@ -1,4 +1,7 @@
-"""Detector behavior: CD-E, BCD, enforcement, thresholding, indicators."""
+"""Detector behavior: CD-E, BCD, enforcement, thresholding, indicators,
+the result record."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from conftest import block_visit_by_hand, degenerate_removals, make_config, make_scenario
 from covdet import detect, likelihood, oracle
 from covdet.detect import (
+    DetectionResult,
     enforce_block_sparsity,
     run_bcd,
     run_cd_e,
@@ -72,6 +76,32 @@ class TestToIndicators:
         gamma = np.array([[0.1, 0.2]])
         with pytest.raises(ValueError, match="block-sparse"):
             to_indicators(gamma)
+
+
+class TestDetectionResult:
+    def test_holds_fields(self):
+        # the declared pairs are read off the estimate
+        gamma_hat = np.zeros((4, 3))
+        gamma_hat[0, 1] = 0.5
+        gamma_hat[2, 0] = 2.0
+        result = DetectionResult(gamma_hat, np.array([3.0, 1.0]))
+        assert result.theta_hat == {(0, 1), (2, 0)}
+        assert [f.name for f in dataclasses.fields(result) if f.init] == [
+            "gamma_hat", "objective_trace"
+        ]
+
+    def test_duplicate_device_rejected(self):
+        # a block-dense estimate declares device 0 at two delays
+        gamma_hat = np.zeros((2, 3))
+        gamma_hat[0, 1:] = 1.0
+        with pytest.raises(ValueError, match="block-sparse"):
+            DetectionResult(gamma_hat, np.array([0.0, -1.0]))
+
+    def test_counts_read_off_trace(self):
+        result = DetectionResult(np.zeros((2, 3)), np.array([4.0, 2.5, -1.5]))
+        assert result.iterations == 2
+        assert result.final_objective == -1.5
+        assert type(result.final_objective) is float
 
 
 class TestRunCdE:
