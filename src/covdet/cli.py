@@ -225,12 +225,16 @@ def run_experiment(
     Rows appear detector-major in the order given, antennas inner. Every
     (detector, M) cell reuses the same seed sequence base_seed + trial,
     so detectors face identical scenarios. ``progress``, if given, is
-    called with each finished row. Returns the aggregate rows.
+    called with each finished row. Returns the aggregate rows. Raises
+    ``ConfigError`` before the first trial when ``out_path``'s directory
+    does not exist.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     rows = []
     out_path = Path(out_path)
+    if not out_path.parent.is_dir():
+        raise ConfigError(f"output directory {out_path.parent} does not exist")
     if per_trial_dir is not None:
         per_trial_dir = Path(per_trial_dir)
         per_trial_dir.mkdir(parents=True, exist_ok=True)

@@ -42,13 +42,14 @@ and commit are one rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
 LAPACK: ``zgemv`` for a column, ``zdotc`` for the inner products of a
-column (a quarter of ``np.vdot``'s call overhead), ``zgemm`` for a block
-of columns and for its Gram products, an in-place ``zgerc`` for a
-rank-one update of the Fortran-ordered ``Sigma^{-1}``, ``zgemm`` plus a
-Cholesky factor for the dense refresh, and ``zpstrf`` for the fit
-factor. Keeping them in one library matters: numpy ships its own BLAS
-with its own thread pool, and when threads are not pinned, alternating
-the two pools call by call costs up to milliseconds per call.
+column (a quarter of numpy's ``vdot`` call overhead), ``zgemm`` for a
+block of columns and for its Gram products, an in-place ``zgerc`` for a
+rank-one update of the Fortran-ordered ``Sigma^{-1}``, ``zherk`` over the
+held columns for a dense ``Sigma``, ``zpotrf`` and ``zpotri`` for its
+log-determinant and inverse, and ``zpstrf`` for the fit factor. Keeping
+them in one library matters: numpy ships its own BLAS with its own
+thread pool, and when threads are not pinned, alternating the two pools
+call by call costs up to milliseconds per call.
 """
 
 from __future__ import annotations
@@ -56,9 +57,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.blas import zdotc, zgemm, zgemv, zgerc
-from scipy.linalg.lapack import zpstrf
+from scipy.linalg.blas import zdotc, zgemm, zgemv, zgerc, zherk
+from scipy.linalg.lapack import zpotrf, zpotri, zpstrf
 
 from .sysmodel import CovarianceState, NumericalDegeneracyError
 
@@ -68,12 +68,13 @@ DENOMINATOR_GUARD = 1e-12
 
 def assemble_covariance(dictionary: np.ndarray, gamma: np.ndarray, sigma2: float) -> np.ndarray:
     """Model covariance ``sum_j gamma_j s_j s_j^H + sigma2 I`` over the
-    columns ``s_j`` of an effective dictionary.
+    columns ``s_j`` of an effective dictionary, Fortran-ordered.
 
     ``gamma`` holds one power per dictionary column in column order: the
     ``(N, tau_max+1)`` estimate or its flat view. Raises ``ValueError``
     when its size is not the column count, or when an entry is NaN, Inf
-    or negative.
+    or negative. One ``zherk`` over the held columns (``gamma_j > 0``)
+    builds a triangle, mirrored: exactly Hermitian, ``sigma2 I`` at gamma = 0.
     """
     flat = np.asarray(gamma, dtype=np.float64).ravel()
     if flat.size != dictionary.shape[1]:
@@ -85,33 +86,41 @@ def assemble_covariance(dictionary: np.ndarray, gamma: np.ndarray, sigma2: float
         raise ValueError("gamma has NaN or Inf entries")
     if np.any(flat < 0):
         raise ValueError("gamma entries must be non-negative")
-    scaled = dictionary * flat  # scales each column
-    cov = zgemm(1.0, scaled, dictionary, trans_b=2)
+    held = np.flatnonzero(flat)
+    cov = zherk(1.0, dictionary[:, held] * np.sqrt(flat[held]), lower=1)
     cov[np.diag_indices_from(cov)] += sigma2
-    return (cov + cov.conj().T) / 2.0
+    cov += np.tril(cov, -1).conj().T
+    return cov
+
+
+def _dense_objective(mat: np.ndarray, st: np.ndarray, failure: str, inverse: bool = False):
+    """``(objective, Sigma^{-1})`` from one LAPACK ``zpotrf`` of the lower
+    triangle of ``mat``: ``Sigma``, or ``Sigma^{-1}`` if ``inverse``. ``zpotri``
+    inverts ``Sigma``, mirrored into an exactly Hermitian Fortran array. The
+    trace term is ``Re sum(conj(S_tilde) * Sigma^{-1})``, off numpy's BLAS.
+    ``ValueError`` for NaN or Inf in ``mat``; ``NumericalDegeneracyError``,
+    led by ``failure``, when the factorization fails."""
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix to factor has NaN or Inf entries")
+    factor, info = zpotrf(mat, lower=1)
+    inv = mat
+    if info == 0 and not inverse:
+        inv, info = zpotri(factor, lower=1)
+        inv += np.tril(inv, -1).conj().T
+    if info != 0:
+        raise NumericalDegeneracyError(f"{failure}: leading minor {info} not positive definite")
+    log_det = 2.0 * float(np.sum(np.log(factor.diagonal().real)))
+    return (-log_det if inverse else log_det) + float(np.sum(np.real(st.conj() * inv))), inv
 
 
 def evaluate_objective(mat: np.ndarray, sigma_tilde, *, inverse: bool = False) -> float:
-    """Fit objective ``log det(Sigma) + trace(Sigma^{-1} S_tilde)``.
-
-    ``mat`` is the model covariance, or its inverse when ``inverse=True``.
-    The log-determinant always comes from a Cholesky factor (sum of log
-    diagonal entries), never from a raw determinant.
-    """
+    """Fit objective ``log det(Sigma) + trace(Sigma^{-1} S_tilde)`` at the
+    covariance ``mat``, or its inverse if ``inverse``; checks ``sigma_tilde``."""
     mat = np.asarray(mat, dtype=np.complex128)
-    st = np.asarray(sigma_tilde, dtype=np.complex128)
-    try:
-        if inverse:
-            chol = np.linalg.cholesky(mat)
-            log_det = -2.0 * float(np.sum(np.log(np.real(np.diag(chol)))))
-            trace_term = float(np.real(np.vdot(st, mat)))
-        else:
-            factor = scipy.linalg.cho_factor(mat, lower=True)
-            log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
-            trace_term = float(np.real(np.trace(scipy.linalg.cho_solve(factor, st))))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"covariance not positive definite: {exc}") from exc
-    return log_det + trace_term
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"matrix of shape {mat.shape} is not square")
+    st = _check_sample_covariance(sigma_tilde, mat.shape[0])
+    return _dense_objective(mat, st, "covariance not positive definite", inverse)[0]
 
 
 def init_state(
@@ -437,18 +446,8 @@ def rank_one_inverse_update(
 
 
 def refresh_state(state: CovarianceState, sigma_tilde) -> None:
-    """Recompute ``inv_sigma`` and ``objective`` from a dense factorization.
-
-    Called every few sweeps to wipe out accumulated rank-one roundoff.
-    """
+    """Recompute ``inv_sigma`` and ``objective`` from a dense factorization;
+    called every few sweeps to wipe out accumulated rank-one roundoff."""
     st = _check_sample_covariance(sigma_tilde, state.dim)
     cov = assemble_covariance(state.dictionary, state.gamma, state.sigma2)
-    try:
-        factor = scipy.linalg.cho_factor(cov, lower=True)
-        inv = scipy.linalg.cho_solve(factor, np.eye(state.dim, dtype=np.complex128))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDegeneracyError(f"dense refresh failed: {exc}") from exc
-    state.inv_sigma = np.asfortranarray((inv + inv.conj().T) / 2.0)
-    log_det = 2.0 * float(np.sum(np.log(np.real(np.diag(factor[0])))))
-    # trace(Sigma^{-1} S_tilde) elementwise: np.vdot would use numpy's BLAS
-    state.objective = log_det + float(np.sum(np.real(st.conj() * state.inv_sigma)))
+    state.objective, state.inv_sigma = _dense_objective(cov, st, "dense refresh failed")

@@ -453,6 +453,22 @@ class TestMain:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_output_directory_exits_two_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # such a run once ran every trial, then lost them to a FileNotFoundError
+        def no_trial(*args):
+            raise AssertionError("a trial ran although the CSV cannot be written")
+
+        monkeypatch.setattr(cli_module, "run_single_trial", no_trial)
+        path = write_experiment_file(tmp_path / "exp.json")
+        out = tmp_path / "missing" / "r.csv"
+        code = main(["run", "--config", str(path), "--out", str(out), "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: output directory {out.parent} does not exist\n"
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize(
         "overrides",
         [dict(tx_power_dbm=4000.0), dict(noise_psd_dbm_hz=-4000.0), dict(tx_power_dbm=3000.0)],

@@ -49,7 +49,22 @@ class TestAssembleCovariance:
         preambles = make_scenario(config, 0)[0]
         dictionary = effective_dictionary(preambles, 1)
         cov = likelihood.assemble_covariance(dictionary, np.zeros((4, 2)), 2.5)
-        np.testing.assert_allclose(cov, 2.5 * np.eye(7), atol=1e-14)
+        np.testing.assert_array_equal(cov, 2.5 * np.eye(7))
+
+    def test_matches_oracle_over_held_columns(self):
+        # only the held columns enter; the result is Hermitian by construction
+        for seed in (0, 1, 2):
+            config = make_config(num_devices=6, preamble_len=9, max_delay=2)
+            preambles = make_scenario(config, seed)[0]
+            dictionary = effective_dictionary(preambles, 2)
+            rng = np.random.default_rng(seed)
+            gamma = rng.random((6, 3)) * (rng.random((6, 3)) < 0.4)
+            assert 0 < np.count_nonzero(gamma) < gamma.size
+            cov = likelihood.assemble_covariance(dictionary, gamma, 0.8)
+            np.testing.assert_allclose(
+                cov, oracle.dense_covariance(preambles, gamma, 0.8), rtol=0, atol=1e-12
+            )
+            assert np.array_equal(cov, cov.conj().T)
 
     def test_single_term(self):
         config = make_config(num_devices=3, preamble_len=5, max_delay=2)
@@ -115,6 +130,22 @@ class TestEvaluateObjective:
         bad = -np.eye(3, dtype=complex)
         with pytest.raises(NumericalDegeneracyError):
             likelihood.evaluate_objective(bad, np.eye(3, dtype=complex))
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["covariance", "inverse"])
+    def test_non_square_rejected(self, inverse):
+        with pytest.raises(ValueError, match=re.escape("matrix of shape (3, 4) is not square")):
+            likelihood.evaluate_objective(np.ones((3, 4), dtype=complex), np.eye(3), inverse=inverse)
+
+    @pytest.mark.parametrize("inverse", [False, True], ids=["covariance", "inverse"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["matrix", "sample"])
+    def test_non_finite_input_rejected(self, where, bad, inverse):
+        # the inverse form once returned nan for either
+        mat = 2.0 * np.eye(3, dtype=complex)
+        st = np.eye(3, dtype=complex)
+        (mat if where == "matrix" else st)[1, 1] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            likelihood.evaluate_objective(mat, st, inverse=inverse)
 
 
 class TestInitState:
@@ -698,6 +729,16 @@ class TestRefreshState:
         assert state.objective == pytest.approx(
             oracle.dense_objective(preambles, state.gamma, 1.0, st), rel=1e-12
         )
+        assert state.inv_sigma.flags.f_contiguous
+        assert np.array_equal(state.inv_sigma, state.inv_sigma.conj().T)
+
+    def test_zero_gamma_gives_initial_state(self):
+        _, _, st = random_state(seed=54, updates=0)
+        state = likelihood.init_state(np.ones((st.shape[0], 3), dtype=complex), 2.5, st, 1)
+        initial = state.objective
+        likelihood.refresh_state(state, st)
+        np.testing.assert_allclose(state.inv_sigma, np.eye(st.shape[0]) / 2.5, rtol=1e-15, atol=0)
+        assert state.objective == pytest.approx(initial, rel=1e-14)
 
 
 class TestDriftBound:
