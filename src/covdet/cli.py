@@ -10,13 +10,16 @@ and received signal from its own seed, so any row is reproducible from
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -186,31 +189,21 @@ def aggregate(records: list[TrialRecord]) -> dict:
     }
 
 
-def _format_row(row: dict) -> str:
+def _csv_line(values) -> str:
+    """One CSV line: a str as is, a bool as 0 or 1, any other value by repr."""
     return ",".join(
-        [
-            row["detector"],
-            str(row["M"]),
-            str(row["trials"]),
-            repr(row["mdp_mean"]),
-            repr(row["mdp_stderr"]),
-            repr(row["fap_mean"]),
-            repr(row["fap_stderr"]),
-            repr(row["mean_iterations"]),
-            repr(row["mean_runtime_ms"]),
-        ]
+        value if isinstance(value, str)
+        else str(int(value)) if isinstance(value, bool)
+        else repr(value)
+        for value in values
     )
 
 
-def _dump_trials(path: Path, records: list[TrialRecord]) -> None:
-    lines = [TRIAL_HEADER]
-    for r in records:
-        lines.append(
-            f"{r.trial},{r.seed},{r.mdp!r},{r.fap!r},{r.iterations},"
-            f"{r.final_objective!r},{r.runtime_ms!r},"
-            f"{int(r.mdp_defined)},{int(r.fap_defined)}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, header: str, lines: list[str]) -> None:
+    """Write a sibling temporary file, then move it over ``path``."""
+    temporary = path.with_name(f"{path.name}.tmp")
+    temporary.write_text("\n".join([header, *lines]) + "\n")
+    os.replace(temporary, path)
 
 
 def run_experiment(
@@ -224,51 +217,50 @@ def run_experiment(
 
     Rows appear detector-major in the order given, antennas inner. Every
     (detector, M) cell reuses the same seed sequence base_seed + trial,
-    so detectors face identical scenarios. ``progress``, if given, is
-    called with each finished row. Returns the aggregate rows. Raises
-    ``ConfigError`` before the first trial when ``out_path``'s directory
-    does not exist.
+    so detectors face identical scenarios. After each cell, the CSV (all
+    rows so far) and the cell's dump are replaced atomically, so a trial
+    that raises keeps the finished cells; then ``progress``, if given, is
+    called with the row. Returns the aggregate rows. Before the first
+    trial, raises ``ConfigError`` for ``workers`` below 1 or an
+    ``out_path`` that is a directory or has none, and ``OSError`` when
+    ``per_trial_dir`` cannot be made.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
-    rows = []
     out_path = Path(out_path)
     if not out_path.parent.is_dir():
         raise ConfigError(f"output directory {out_path.parent} does not exist")
+    if out_path.is_dir():
+        raise ConfigError(f"output path {out_path} is a directory")
     if per_trial_dir is not None:
         per_trial_dir = Path(per_trial_dir)
         per_trial_dir.mkdir(parents=True, exist_ok=True)
     seeds = [plan.base.rng_seed + t for t in range(plan.trials)]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    rows, lines = [], []
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        # map preserves task order, so merging is by trial index;
+        # about four chunks per worker keeps every worker busy
+        # on small cells and the hand-off cost low on big ones
+        trials = map if pool is None else partial(
+            pool.map, chunksize=max(1, len(seeds) // (4 * workers))
+        )
         for detector in plan.detectors:
             for m in plan.antennas:
                 config = dataclasses.replace(plan.base, num_antennas=m)
-                if pool is None:
-                    records = [run_single_trial(config, seed, detector) for seed in seeds]
-                else:
-                    # map preserves task order, so merging is by trial index;
-                    # about four chunks per worker keeps every worker busy
-                    # on small cells and the hand-off cost low on big ones
-                    chunksize = max(1, len(seeds) // (4 * workers))
-                    records = list(pool.map(
-                        run_single_trial, repeat(config), seeds, repeat(detector),
-                        chunksize=chunksize,
-                    ))
+                records = list(trials(run_single_trial, repeat(config), seeds, repeat(detector)))
                 row = aggregate(records)
                 rows.append(row)
+                lines.append(_csv_line(row[name] for name in CSV_HEADER.split(",")))
+                _write_lines(out_path, CSV_HEADER, lines)
+                if per_trial_dir is not None:
+                    _write_lines(
+                        per_trial_dir / f"trials_{detector}_M{m}.csv",
+                        TRIAL_HEADER,
+                        [_csv_line(getattr(r, name) for name in TRIAL_HEADER.split(","))
+                         for r in records],
+                    )
                 if progress is not None:
                     progress(row)
-                if per_trial_dir is not None:
-                    _dump_trials(
-                        per_trial_dir / f"trials_{detector}_M{m}.csv", records
-                    )
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    out_path.write_text(
-        "\n".join([CSV_HEADER] + [_format_row(r) for r in rows]) + "\n"
-    )
     return rows
 
 
@@ -360,11 +352,6 @@ def main(argv=None) -> int:
         "trials": args.trials,
         "seed": args.seed,
     }
-    try:
-        plan = load_experiment(args.config, overrides)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     def progress(row: dict) -> None:
         print(
@@ -375,6 +362,7 @@ def main(argv=None) -> int:
         )
 
     try:
+        plan = load_experiment(args.config, overrides)
         rows = run_experiment(
             plan,
             args.out,
@@ -382,7 +370,7 @@ def main(argv=None) -> int:
             workers=args.workers,
             progress=progress,
         )
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NumericalDegeneracyError, ConvergenceError) as exc:

@@ -14,7 +14,7 @@ Conventions
   The ML fit is invariant under this joint rescaling. The detection
   thresholds ``threshold_cd`` and ``threshold_bcd`` are not: they are
   absolute powers on the working scale, so the same value means a
-  different thing at another transmit power (ROADMAP item 7).
+  different thing at another transmit power (ROADMAP item 11).
 - Every device sits at the cell-edge distance and shares its gain
   ``SystemConfig.cell_edge_gain``, so a ``GroundTruth`` is the active
   devices' delays alone.

@@ -1,5 +1,6 @@
 """Experiment runner: trial scoring, aggregation, CSV I/O, entry point."""
 
+import errno
 import json
 import math
 import subprocess
@@ -22,7 +23,7 @@ from covdet.cli import (
     run_single_trial,
     synchronous_config,
 )
-from covdet.sysmodel import ConfigError, NumericalDegeneracyError
+from covdet.sysmodel import ConfigError, ConvergenceError, NumericalDegeneracyError
 
 
 # small enough for dozens of full trials per second
@@ -31,6 +32,16 @@ MICRO = dict(num_devices=4, num_active=1, preamble_len=8, max_delay=1, num_anten
 
 def micro_config(**overrides):
     return make_config(**{**MICRO, **overrides})
+
+
+def no_trial(*args):
+    raise AssertionError("a trial ran although its results cannot be written")
+
+
+def drop_column(line, index):
+    fields = line.split(",")
+    del fields[index]
+    return fields
 
 
 def write_experiment_file(path, **keys):
@@ -274,15 +285,24 @@ class TestRunExperiment:
                     assert math.isfinite(float(line.split(",")[5]))
 
     def test_csv_independent_of_workers(self, tmp_path):
-        serial = tmp_path / "serial.csv"
-        pooled = tmp_path / "pooled.csv"
-        run_experiment(self.plan(trials=3), serial)
-        run_experiment(self.plan(trials=3), pooled, workers=2)
-        serial_lines = serial.read_text().splitlines()
-        pooled_lines = pooled.read_text().splitlines()
-        assert len(serial_lines) == len(pooled_lines)
-        for a, b in zip(serial_lines, pooled_lines):
-            assert a.split(",")[:-1] == b.split(",")[:-1]
+        # the CSV and every dump agree apart from their runtime columns,
+        # mean_runtime_ms (CSV column 9) and runtime_ms (dump column 7)
+        for workers in (1, 2):
+            run_experiment(
+                self.plan(trials=3), tmp_path / f"r{workers}.csv",
+                per_trial_dir=tmp_path / f"trials{workers}", workers=workers,
+            )
+        pairs = [(tmp_path / "r1.csv", tmp_path / "r2.csv", 8)]
+        names = sorted(path.name for path in (tmp_path / "trials1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "trials2").iterdir())
+        assert len(names) == 6
+        pairs += [(tmp_path / "trials1" / name, tmp_path / "trials2" / name, 6) for name in names]
+        for serial, pooled, runtime in pairs:
+            serial_lines = serial.read_text().splitlines()
+            pooled_lines = pooled.read_text().splitlines()
+            assert len(serial_lines) == len(pooled_lines)
+            for a, b in zip(serial_lines, pooled_lines):
+                assert drop_column(a, runtime) == drop_column(b, runtime)
 
     def test_progress_callback_sees_every_row(self, tmp_path):
         seen = []
@@ -453,21 +473,73 @@ class TestMain:
         assert "workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "target, message",
+        [
+            ("missing/r.csv", "output directory {out.parent} does not exist"),
+            ("existing", "output path {out} is a directory"),
+        ],
+        ids=["missing-directory", "out-is-directory"],
+    )
     def test_missing_output_directory_exits_two_before_any_trial(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys, monkeypatch, target, message
     ):
-        # such a run once ran every trial, then lost them to a FileNotFoundError
-        def no_trial(*args):
-            raise AssertionError("a trial ran although the CSV cannot be written")
-
+        # such runs once ran every trial, then lost them to a
+        # FileNotFoundError or an IsADirectoryError
         monkeypatch.setattr(cli_module, "run_single_trial", no_trial)
         path = write_experiment_file(tmp_path / "exp.json")
-        out = tmp_path / "missing" / "r.csv"
+        (tmp_path / "existing").mkdir()
+        out = tmp_path / target
         code = main(["run", "--config", str(path), "--out", str(out), "--trials", "1"])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err == f"error: output directory {out.parent} does not exist\n"
-        assert not out.parent.exists()
+        assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing", "exp.json"]
+
+    def test_per_trial_dump_on_a_file_exits_two_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # such a run once ended in a FileExistsError traceback with exit 1
+        monkeypatch.setattr(cli_module, "run_single_trial", no_trial)
+        path = write_experiment_file(tmp_path / "exp.json")
+        dump = tmp_path / "afile"
+        dump.write_text("")
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--config", str(path), "--out", str(out), "--trials", "1",
+            "--per-trial-dump", str(dump),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.EEXIST}] File exists: '{dump}'\n"
+        assert not out.exists()
+
+    def test_failing_cell_keeps_the_finished_rows(self, tmp_path, capsys, monkeypatch):
+        # such a run once wrote no CSV at all
+        path = write_experiment_file(tmp_path / "exp.json")
+        argv = ["run", "--config", str(path), "--detectors", "cd_e,bcd",
+                "--antennas", "2", "--trials", "2"]
+        whole = tmp_path / "whole.csv"
+        assert main([*argv, "--out", str(whole)]) == 0
+        original = cli_module.run_single_trial
+
+        def fail_bcd(config, seed, detector):
+            if detector == "bcd":
+                raise ConvergenceError("injected")
+            return original(config, seed, detector)
+
+        monkeypatch.setattr(cli_module, "run_single_trial", fail_bcd)
+        cut = tmp_path / "cut"
+        cut.mkdir()
+        code = main([*argv, "--out", str(cut / "r.csv"), "--per-trial-dump", str(cut / "trials")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: injected\n"
+        header, *rows = (cut / "r.csv").read_text().splitlines()
+        assert header == CSV_HEADER
+        assert len(rows) == 1
+        assert drop_column(rows[0], 8) == drop_column(whole.read_text().splitlines()[1], 8)
+        # the first cell's dump is there, and no temporary file is left
+        assert sorted(p.relative_to(cut).as_posix() for p in cut.rglob("*")) == [
+            "r.csv", "trials", "trials/trials_cd_e_M2.csv",
+        ]
 
     @pytest.mark.parametrize(
         "overrides",
