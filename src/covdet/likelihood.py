@@ -50,17 +50,44 @@ log-determinant and inverse, and ``zpstrf`` for the fit factor. Keeping
 them in one library matters: numpy ships its own BLAS with its own
 thread pool, and when threads are not pinned, alternating the two pools
 call by call costs up to milliseconds per call.
+
+These eight come from scipy's compiled ``_fblas`` and ``_flapack``,
+loaded by file from its ``linalg`` directory: the objects that
+``scipy.linalg.blas`` and ``.lapack`` export, minus ``scipy.linalg``'s
+package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
+0.3 s and 22 MB per process: half the start-up, a quarter of peak memory.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.blas import zdotc, zgemm, zgemv, zgerc, zherk
-from scipy.linalg.lapack import zpotrf, zpotri, zpstrf
+import scipy
 
 from .sysmodel import CovarianceState, NumericalDegeneracyError
+
+
+def _linalg_extension(name: str):
+    """Execute scipy's compiled ``scipy.linalg.<name>`` from its file."""
+    directory = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    finder = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(f"scipy.linalg.{name}")
+    if spec is None:
+        raise ImportError(f"scipy's compiled module {name} not found in {directory}")
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_fblas, _flapack = _linalg_extension("_fblas"), _linalg_extension("_flapack")
+zdotc, zgemm, zgemv, zgerc, zherk = (
+    _fblas.zdotc, _fblas.zgemm, _fblas.zgemv, _fblas.zgerc, _fblas.zherk
+)
+zpotrf, zpotri, zpstrf = _flapack.zpotrf, _flapack.zpotri, _flapack.zpstrf
 
 # 1 + eta * s^H Sigma^{-1} s below this is treated as a degenerate update
 DENOMINATOR_GUARD = 1e-12

@@ -1,4 +1,4 @@
-"""Brute-force reference implementations, used only by tests.
+"""Brute-force reference implementations for the tests.
 
 Everything here recomputes from scratch: covariance assembly by an
 explicit loop, inverses and log-determinants by eigendecomposition,
@@ -6,8 +6,6 @@ each coordinate step's ``Sigma^{-1} s`` by a dense linear solve, 1-D
 minimization by grid search, and support selection by exhaustive
 enumeration. No Cholesky factors, no rank-one updates, no code shared
 with the incremental path, so agreement between the two is evidence.
-
-Not part of the public package surface.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sysmodel import CovarianceState
+from covdet.sysmodel import CovarianceState
 
 
 def _delayed_columns(matrix: np.ndarray, max_delay: int) -> np.ndarray:

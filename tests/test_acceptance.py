@@ -12,8 +12,9 @@ import time
 import numpy as np
 import pytest
 
+import oracle
 from conftest import make_config, make_scenario
-from covdet import likelihood, oracle
+from covdet import likelihood
 from covdet.cli import ExperimentPlan, run_experiment
 from covdet.detect import run_bcd, run_cd_e, threshold, to_indicators
 from covdet.siggen import effective_dictionary

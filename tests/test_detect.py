@@ -6,8 +6,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import oracle
 from conftest import block_visit_by_hand, degenerate_removals, make_config, make_scenario
-from covdet import detect, likelihood, oracle
+from covdet import detect, likelihood
 from covdet.detect import (
     DetectionResult,
     enforce_block_sparsity,

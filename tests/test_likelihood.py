@@ -2,13 +2,23 @@
 
 import dataclasses
 import math
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import block_visit_by_hand, degenerate_removals, make_config, make_scenario
-from covdet import likelihood, oracle
+import oracle
+from conftest import (
+    block_visit_by_hand,
+    degenerate_removals,
+    make_config,
+    make_scenario,
+    package_env,
+)
+from covdet import likelihood
 from covdet.siggen import effective_dictionary
 from covdet.sysmodel import NumericalDegeneracyError
 
@@ -757,3 +767,47 @@ class TestDriftBound:
         dense = oracle.dense_inverse(cov)
         rel = np.linalg.norm(state.inv_sigma - dense) / np.linalg.norm(dense)
         assert rel < 1e-8
+
+
+class TestBoundRoutines:
+    def test_import_skips_the_scipy_linalg_package(self):
+        # CPython enters each compiled (single-phase) module it creates in
+        # sys.modules under its spec name, so the two wrappers are there;
+        # scipy.linalg's package init and everything it imports are not
+        code = (
+            "import sys, covdet, covdet.cli;"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=package_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+
+    def test_routines_are_the_objects_scipy_exports(self):
+        import scipy.linalg.blas
+        import scipy.linalg.lapack
+
+        for module, names in (
+            (scipy.linalg.blas, ("zdotc", "zgemm", "zgemv", "zgerc", "zherk")),
+            (scipy.linalg.lapack, ("zpotrf", "zpotri", "zpstrf")),
+        ):
+            for name in names:
+                assert getattr(likelihood, name) is getattr(module, name), name
+
+    def test_missing_wrapper_module_fails_the_import(self, tmp_path):
+        # a scipy whose linalg directory holds no compiled wrappers
+        linalg = tmp_path / "scipy" / "linalg"
+        linalg.mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        env = package_env()
+        env["PYTHONPATH"] = str(tmp_path) + os.pathsep + env["PYTHONPATH"]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import covdet"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode != 0
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError:"), proc.stderr
+        assert "_fblas" in last and str(linalg) in last, last

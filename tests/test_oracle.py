@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from conftest import make_config, make_scenario
-from covdet import likelihood, oracle
+from covdet import likelihood
 from covdet.siggen import effective_dictionary
 
 
