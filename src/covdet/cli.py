@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
@@ -87,10 +86,10 @@ def _check_detector(name) -> None:
 class ExperimentPlan:
     """A full sweep: base system, detector list, antenna list, trial count.
 
-    Valid by construction: ``detectors`` is a non-empty tuple of known
-    names, ``antennas`` a non-empty tuple of counts that each give a valid
-    system with ``base``, and ``trials`` a positive integer. Raises
-    ``ConfigError`` otherwise.
+    Valid by construction: ``detectors`` is a non-empty tuple of distinct
+    known names, ``antennas`` a non-empty tuple of distinct counts that
+    each give a valid system with ``base``, and ``trials`` a positive
+    integer. Raises ``ConfigError`` otherwise.
     """
 
     base: SystemConfig
@@ -106,12 +105,17 @@ class ExperimentPlan:
             )
         for name in self.detectors:
             _check_detector(name)
+        # a repeated cell would run twice, with a second CSV row and dump
+        if len(set(self.detectors)) < len(self.detectors):
+            raise ConfigError(f"detectors must not repeat, got {self.detectors!r}")
         if not (isinstance(self.antennas, tuple) and self.antennas):
             raise ConfigError(
                 f"antennas must be a non-empty tuple of counts, got {self.antennas!r}"
             )
         for m in self.antennas:
             dataclasses.replace(self.base, num_antennas=m)
+        if len(set(self.antennas)) < len(self.antennas):
+            raise ConfigError(f"antennas must not repeat, got {self.antennas!r}")
         if not (is_int(self.trials) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
 
@@ -221,12 +225,12 @@ def run_experiment(
     rows so far) and the cell's dump are replaced atomically, so a trial
     that raises keeps the finished cells; then ``progress``, if given, is
     called with the row. Returns the aggregate rows. Before the first
-    trial, raises ``ConfigError`` for ``workers`` below 1 or an
-    ``out_path`` that is a directory or has none, and ``OSError`` when
-    ``per_trial_dir`` cannot be made.
+    trial, raises ``ConfigError`` for ``workers`` that is not a positive
+    integer or an ``out_path`` that is a directory or has none, and
+    ``OSError`` when ``per_trial_dir`` cannot be made.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
+    if not (is_int(workers) and workers >= 1):
+        raise ConfigError(f"workers must be a positive integer, got {workers!r}")
     out_path = Path(out_path)
     if not out_path.parent.is_dir():
         raise ConfigError(f"output directory {out_path.parent} does not exist")
@@ -237,11 +241,16 @@ def run_experiment(
         per_trial_dir.mkdir(parents=True, exist_ok=True)
     seeds = [plan.base.rng_seed + t for t in range(plan.trials)]
     rows, lines = [], []
-    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    pool = contextlib.nullcontext()
+    if workers > 1:
+        # imported here, so that a serial run loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(workers)
+    with pool:
         # map preserves task order, so merging is by trial index;
         # about four chunks per worker keeps every worker busy
         # on small cells and the hand-off cost low on big ones
-        trials = map if pool is None else partial(
+        trials = map if workers == 1 else partial(
             pool.map, chunksize=max(1, len(seeds) // (4 * workers))
         )
         for detector in plan.detectors:

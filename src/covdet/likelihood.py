@@ -56,6 +56,11 @@ loaded by file from its ``linalg`` directory: the objects that
 ``scipy.linalg.blas`` and ``.lapack`` export, minus ``scipy.linalg``'s
 package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
 0.3 s and 22 MB per process: half the start-up, a quarter of peak memory.
+
+The per-visit calls (``zgerc`` in ``_update``, the Gram ``zgemm`` calls
+of ``block_sweep``) pass optional arguments by position: f2py parses a
+keyword in about 0.3 us, what a ``D = 32`` product costs (that ``zgerc``:
+3.0 us with keywords, 2.0 us without); per-trial calls keep keywords.
 """
 
 from __future__ import annotations
@@ -241,7 +246,8 @@ def _step(quad, fit):
 def _update(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
     """Sherman-Morrison ``inv -= eta * v v^H / denom`` by one in-place
     ``zgerc``; the caller has checked ``inv`` with :func:`_check_inverse`."""
-    zgerc(-eta / denom, v, v, a=inv, overwrite_a=1)
+    # slots after alpha, x, y: incx, incy, a, overwrite_x, overwrite_y, overwrite_a
+    zgerc(-eta / denom, v, v, 1, 1, inv, 1, 1, 1)
 
 
 def _project(inv: np.ndarray, s: np.ndarray):
@@ -352,8 +358,9 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
             row = rows[n]
             v = zgemm(1.0, inv, block)
             w = zgemm(1.0, factor_h, v)
-            gram_q = zgemm(1.0, block, v, trans_a=2)
-            gram_f = zgemm(1.0, w, w, trans_a=2)
+            # slots after alpha, a, b: beta, c, trans_a (2 is a^H)
+            gram_q = zgemm(1.0, block, v, 0.0, None, 2)
+            gram_f = zgemm(1.0, w, w, 0.0, None, 2)
             quads = gram_q.diagonal().real.tolist()
             fits = gram_f.diagonal().real.tolist()
             removed = max(row)

@@ -205,13 +205,17 @@ class TestExperimentPlan:
             (dict(antennas=(True,)), "num_antennas must be an integer"),
             (dict(detectors=()), "detectors must be"),
             (dict(detectors=("amp",)), "unknown detector"),
+            (dict(antennas=(2, 2)), "antennas must not repeat"),
+            (dict(detectors=("cd_e", "cd_e")), "detectors must not repeat"),
         ],
         ids=["trials-0", "trials-minus-1", "trials-bool", "trials-float", "antennas-empty",
-             "antennas-zero", "antennas-bool", "detectors-empty", "detectors-unknown"],
+             "antennas-zero", "antennas-bool", "detectors-empty", "detectors-unknown",
+             "antennas-repeated", "detectors-repeated"],
     )
     def test_invalid_plan_rejected_when_built(self, overrides, message):
         # run_experiment once raised IndexError or a numpy ValueError on
-        # these, or wrote a header-only CSV
+        # these, or wrote a header-only CSV; a repeated entry ran its cell
+        # twice, with a second CSV row and an overwritten dump
         plan = dict(base=micro_config(), detectors=("cd_e",), antennas=(2,), trials=1)
         with pytest.raises(ConfigError, match=message):
             ExperimentPlan(**{**plan, **overrides})
@@ -303,6 +307,20 @@ class TestRunExperiment:
             assert len(serial_lines) == len(pooled_lines)
             for a, b in zip(serial_lines, pooled_lines):
                 assert drop_column(a, runtime) == drop_column(b, runtime)
+
+    @pytest.mark.parametrize("workers", [0, True, 2.5, "2"], ids=["zero", "bool", "float", "str"])
+    def test_invalid_workers_rejected_before_any_trial(self, tmp_path, monkeypatch, workers):
+        # 2.5 once reached pool.map and raised islice's ValueError, True ran
+        # serially and "2" raised a TypeError
+        def no_pool(*args):
+            raise AssertionError("a process pool was built for an invalid worker count")
+
+        monkeypatch.setattr(cli_module, "run_single_trial", no_trial)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        out = tmp_path / "r.csv"
+        with pytest.raises(ConfigError, match="workers must be a positive integer"):
+            run_experiment(self.plan(), out, workers=workers)
+        assert not out.exists()
 
     def test_progress_callback_sees_every_row(self, tmp_path):
         seen = []

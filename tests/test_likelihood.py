@@ -314,7 +314,7 @@ def state_with_inverse(inv, column):
     return state
 
 
-class TestApplyRankOne:
+class TestInPlaceUpdate:
     """The in-place Sherman-Morrison step of ``rank_one_inverse_update``."""
 
     def test_matches_dense_outer_product(self):
@@ -776,14 +776,19 @@ class TestBoundRoutines:
         # scipy.linalg's package init and everything it imports are not
         code = (
             "import sys, covdet, covdet.cli;"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')));"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing')"
+            " if m in sys.modules])"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=package_env(), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+        linalg, pool = proc.stdout.splitlines()
+        assert linalg == "['scipy.linalg._fblas', 'scipy.linalg._flapack']"
+        # only a run with workers > 1 imports the process pool
+        assert pool == "[]"
 
     def test_routines_are_the_objects_scipy_exports(self):
         import scipy.linalg.blas
