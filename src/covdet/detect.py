@@ -13,8 +13,9 @@ Both run their passes in the kernel in ``likelihood`` (rank-one updates
 of Sigma^{-1}, closed-form objective increments, the fit form from a
 low-rank factor of the sample covariance): one ``column_sweep`` or
 ``block_sweep`` call per pass, over column or block views of the
-dictionary built once per run. One sweep driver owns the sweep count,
-the periodic dense refresh, the stop rule and the error location.
+Fortran-ordered dictionary that ``siggen.effective_dictionary`` builds
+once per run. One sweep driver owns the sweep count, the periodic dense
+refresh, the stop rule and the error location.
 ``bcd`` scores a device's whole delay block, the removal of its entry
 included, from the block's products and their two Gram matrices.
 
@@ -44,11 +45,8 @@ def enforce_block_sparsity(gamma: np.ndarray) -> np.ndarray:
 
     Ties go to the smallest delay. All-zero blocks stay all-zero.
     """
-    out = np.zeros_like(gamma)
     best = np.argmax(gamma, axis=1)  # first occurrence wins ties
-    rows = np.arange(gamma.shape[0])
-    out[rows, best] = gamma[rows, best]
-    return out
+    return np.where(np.arange(gamma.shape[1]) == best[:, None], gamma, 0.0)
 
 
 def threshold(gamma: np.ndarray, t: float) -> np.ndarray:
@@ -64,9 +62,16 @@ def to_indicators(gamma: np.ndarray) -> frozenset:
     Requires a block-sparse estimate (at most one nonzero per device row)
     so each device maps to one delay.
     """
-    if np.any(np.count_nonzero(gamma, axis=1) > 1):
+    held = np.nonzero(gamma)
+    devices = held[0].tolist()
+    # a device listed twice holds two nonzero delays
+    if len(set(devices)) < len(devices):
         raise ValueError("indicator extraction requires a block-sparse estimate")
-    return frozenset((int(n), int(tau)) for n, tau in np.argwhere(gamma > 0.0))
+    return frozenset(
+        (n, tau)
+        for n, tau, value in zip(devices, held[1].tolist(), gamma[held].tolist())
+        if value > 0.0
+    )
 
 
 @dataclass(frozen=True)
@@ -106,12 +111,12 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     per run, by ``likelihood.init_state``: a ``(window, window)`` array,
     finite, and Hermitian to within ``1e-10 * max(1, max|S|)``.
 
-    The dictionary is Fortran-ordered so that a column or a device's
-    block of columns reaches BLAS without a copy.
+    ``effective_dictionary`` builds the dictionary Fortran-ordered, so a
+    column or a device's block of columns reaches BLAS without a copy.
     """
     check_preambles(preambles, config)
     st = np.asarray(sigma_tilde, dtype=np.complex128)
-    dictionary = np.asfortranarray(effective_dictionary(preambles, config.max_delay))
+    dictionary = effective_dictionary(preambles, config.max_delay)
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
     return dictionary, st, likelihood.fit_factor(st), state
 

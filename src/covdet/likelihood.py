@@ -30,7 +30,11 @@ below the window length ``D``, else ``D``), so the fit form
 take one coordinate at a time, where even that factor would cost more
 than it saves, so they take the fit form as ``Re(v^H S_tilde v)`` from
 one ``zgemv`` instead. Those functions, unlike the kernel, check the
-sample covariance they take: finite, square and Hermitian.
+sample covariance they take: square, finite and Hermitian, where one
+pass for ``max|S|`` is both the finiteness check and the scale of the
+Hermitian tolerance. The dictionary is Fortran-ordered as
+``siggen.effective_dictionary`` builds it, so its columns and blocks
+reach BLAS without a copy.
 
 ``bcd`` scores a block from the state with the block's entry removed.
 Sherman-Morrison gives each column's zeroed-state terms in closed form,
@@ -173,7 +177,8 @@ def init_state(
             f"dictionary has {num_columns} columns, not divisible into "
             f"blocks of {num_delays}"
         )
-    inv = np.eye(dim, dtype=np.complex128, order="F") / sigma2
+    inv = np.eye(dim, dtype=np.complex128, order="F")
+    inv /= sigma2
     objective = dim * math.log(sigma2) + float(np.real(np.trace(st))) / sigma2
     gamma = np.zeros((num_columns // num_delays, num_delays))
     return CovarianceState(
@@ -194,11 +199,13 @@ def fit_factor(sigma_tilde) -> np.ndarray:
     hands BLAS an empty operand.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
-    dim = st.shape[0]
     c, piv, rank, _ = zpstrf(st, lower=1)
-    factor_h = np.zeros((max(rank, 1), dim), dtype=np.complex128, order="F")
-    factor_h[:rank, piv - 1] = np.tril(c[:, :rank]).conj().T
-    return factor_h
+    if rank == 0:
+        return np.zeros((1, st.shape[0]), dtype=np.complex128, order="F")
+    # row p of F is row order[p] of L, which holds c's entries on and
+    # below the diagonal; F is C-ordered, so F^H is Fortran-ordered
+    order = np.argsort(piv)
+    return np.where(order[:, None] >= np.arange(rank), c[order, :rank], 0.0).conj().T
 
 
 def _check_quad(worst) -> None:
@@ -213,18 +220,21 @@ def _check_sample_covariance(sigma_tilde, dim: int) -> np.ndarray:
     finite ``(dim, dim)`` array, Hermitian to within
     ``1e-10 * max(1, max|S|)``; raises ``ValueError`` otherwise.
 
-    The fit factor reads only the lower triangle and the fit form the
-    whole array, so an asymmetric array would otherwise be fitted
-    silently.
+    Finiteness is read off ``max|S|`` itself, in the same pass: an entry
+    with NaN or Inf in either part, or a finite one whose modulus
+    overflows, makes it non-finite. The fit factor reads only the lower
+    triangle and the fit form the whole array, so an asymmetric array
+    would otherwise be fitted silently.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     if st.shape != (dim, dim):
         raise ValueError(
             f"sample covariance shape {st.shape} does not match window length {dim}"
         )
-    if not np.all(np.isfinite(st)):
+    scale = float(np.abs(st).max())
+    if not math.isfinite(scale):
         raise ValueError("sample covariance has NaN or Inf entries")
-    if np.abs(st - st.conj().T).max() > 1e-10 * max(1.0, float(np.abs(st).max())):
+    if np.abs(st - st.conj().T).max() > 1e-10 * max(1.0, scale):
         raise ValueError("sample covariance must be Hermitian")
     return st
 

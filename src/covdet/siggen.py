@@ -3,19 +3,34 @@
 Every function takes an explicit ``numpy.random.Generator`` so that a
 whole trial is reproduced bit-for-bit from one seed, and independent
 trials simply use independent seeds.
+
+Each array is built once, in the layout its consumer needs: complex
+draws are written into their output, the received window places the
+active devices' delayed signatures straight into a C-ordered
+``(window, K)`` block, and the effective dictionary the detectors sweep
+is built Fortran-ordered.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .sysmodel import GroundTruth, SystemConfig
+from .sysmodel import GroundTruth, SystemConfig, is_int
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian draws, entrywise CN(0, variance)."""
+    """Circularly-symmetric complex Gaussian draws, entrywise CN(0, variance).
+
+    The real parts are the first ``shape``-sized block of standard normal
+    draws and the imaginary parts the second, each scaled by
+    ``sqrt(variance / 2)``; both are written straight into the output.
+    """
+    out = np.empty(shape, dtype=np.complex128)
+    real, imag = rng.standard_normal((2, *out.shape))
     scale = np.sqrt(variance / 2.0)
-    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    np.multiply(real, scale, out=out.real)
+    np.multiply(imag, scale, out=out.imag)
+    return out
 
 
 def generate_preambles(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
@@ -41,11 +56,23 @@ def effective_dictionary(preambles: np.ndarray, max_delay: int) -> np.ndarray:
     """Stack all delayed signatures into one (L+tau_max) x N*(tau_max+1) matrix.
 
     Columns are grouped per device, delay-major within a device: column
-    ``n * (tau_max + 1) + tau`` is device ``n`` delayed by ``tau``.
+    ``n * (tau_max + 1) + tau`` is device ``n`` delayed by ``tau``. The
+    matrix is Fortran-ordered, so a column or a device's block of columns
+    reaches BLAS without a copy. Raises ``ValueError`` unless
+    ``preambles`` is 2-D and ``max_delay`` a non-negative int.
     """
+    if np.ndim(preambles) != 2:
+        raise ValueError(
+            f"preambles must be 2-D (preamble length, devices), "
+            f"got shape {np.shape(preambles)}"
+        )
+    if not (is_int(max_delay) and max_delay >= 0):
+        raise ValueError(f"max_delay must be a non-negative integer, got {max_delay!r}")
     length, num_devices = preambles.shape
     num_delays = max_delay + 1
-    out = np.zeros((length + max_delay, num_devices * num_delays), dtype=np.complex128)
+    out = np.zeros(
+        (length + max_delay, num_devices * num_delays), dtype=np.complex128, order="F"
+    )
     for tau in range(num_delays):
         out[tau : tau + length, tau::num_delays] = preambles
     return out
@@ -59,7 +86,7 @@ def draw_ground_truth(config: SystemConfig, rng: np.random.Generator) -> GroundT
     """
     active = np.sort(rng.choice(config.num_devices, size=config.num_active, replace=False))
     drawn = rng.integers(0, config.num_delays, size=config.num_active)
-    return GroundTruth({int(n): int(tau) for n, tau in zip(active, drawn)})
+    return GroundTruth(dict(zip(active.tolist(), drawn.tolist())))
 
 
 def synthesize_received_signal(
@@ -73,24 +100,32 @@ def synthesize_received_signal(
     delay) times its CN(0, I) antenna channel row; the noise is entrywise
     CN(0, sigma2).
     Channels are drawn in ascending device order, then the noise block,
-    so one generator reproduces the signal exactly.
+    so one generator reproduces the signal exactly. Raises ``ValueError``
+    before any draw for an active device outside ``[0, N)`` or a delay
+    outside ``[0, tau_max]``.
     """
     check_preambles(preambles, config)
-    delays = np.array([truth.delays[int(n)] for n in truth.active], dtype=np.int64)
-    if np.any((delays < 0) | (delays > config.max_delay)):
-        raise ValueError(f"active delays {delays.tolist()} outside [0, {config.max_delay}]")
+    devices = truth.active.tolist()
+    outside = [n for n in devices if not 0 <= n < config.num_devices]
+    if outside:
+        raise ValueError(f"active devices {outside} outside [0, {config.num_devices})")
+    delays = [truth.delays[n] for n in devices]
+    if not all(0 <= tau <= config.max_delay for tau in delays):
+        raise ValueError(f"active delays {delays} outside [0, {config.max_delay}]")
     channels = complex_gaussian(rng, (truth.num_active, config.num_antennas))
-    dictionary = effective_dictionary(preambles[:, truth.active], config.max_delay)
-    picked = np.arange(truth.num_active) * config.num_delays + delays
-    # the fancy index leaves the block Fortran-ordered, and the matmul's
-    # summation order follows the memory layout: C order keeps the window
-    # bit for bit what a row-major (window, K) block gives
-    columns = np.ascontiguousarray(dictionary[:, picked])
-    signal = (columns * np.sqrt(config.cell_edge_gain)) @ channels
-    noise = complex_gaussian(
+    # the active devices' dictionary columns, one per device at its delay,
+    # scaled: a C-ordered (window, K) block, since the matmul's summation
+    # order follows the memory layout
+    columns = np.zeros((config.window_len, len(devices)), dtype=np.complex128)
+    rows = np.arange(config.preamble_len)[:, None] + np.array(delays, dtype=np.int64)
+    columns[rows, np.arange(len(devices))] = (
+        preambles[:, devices] * np.sqrt(config.cell_edge_gain)
+    )
+    received = complex_gaussian(
         rng, (config.window_len, config.num_antennas), variance=config.sigma2
     )
-    return signal + noise
+    received += columns @ channels
+    return received
 
 
 def sample_covariance(received: np.ndarray) -> np.ndarray:
@@ -109,8 +144,10 @@ def sample_covariance(received: np.ndarray) -> np.ndarray:
         raise ValueError("need at least one antenna snapshot")
     # an overflow is reported by the check below, not as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = (y @ y.conj().T) / y.shape[1]
-        cov = (cov + cov.conj().T) / 2.0
+        cov = y @ y.conj().T
+        cov /= y.shape[1]
+        cov += cov.conj().T
+        cov /= 2.0
     if not np.all(np.isfinite(cov)):
         raise ValueError("sample covariance has NaN or Inf entries")
     return cov

@@ -39,6 +39,19 @@ class TestEnforceBlockSparsity:
         enforce_block_sparsity(gamma)
         assert gamma.tolist() == [[0.3, 0.1]]
 
+    def test_bytes_match_the_scatter_form(self):
+        # the reference keeps each row's argmax entry by a fancy-index
+        # scatter into zeros
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            gamma = rng.random((50, 3)) * (rng.random((50, 3)) < 0.4)
+            gamma[rng.integers(50), :] = 0.7  # a tie
+            expected = np.zeros_like(gamma)
+            best = np.argmax(gamma, axis=1)
+            rows = np.arange(gamma.shape[0])
+            expected[rows, best] = gamma[rows, best]
+            assert enforce_block_sparsity(gamma).tobytes() == expected.tobytes()
+
 
 class TestThreshold:
     def test_drops_below_keeps_above(self):
@@ -77,6 +90,28 @@ class TestToIndicators:
         gamma = np.array([[0.1, 0.2]])
         with pytest.raises(ValueError, match="block-sparse"):
             to_indicators(gamma)
+
+    def test_matches_argwhere_on_block_sparse_estimates(self):
+        # the reference reads the pairs off ``argwhere(gamma > 0)``; a
+        # negative or NaN entry counts toward block sparsity but is not
+        # declared, and a second nonzero in any row is rejected
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            gamma = np.zeros((50, 3))
+            held = rng.random(50) < 0.3
+            gamma[held, rng.integers(3, size=held.sum())] = rng.random(held.sum())
+            odd = rng.integers(50)
+            gamma[odd] = 0.0
+            gamma[odd, rng.integers(3)] = rng.choice([-0.5, np.nan])
+            expected = frozenset((int(n), int(tau)) for n, tau in np.argwhere(gamma > 0.0))
+            found = to_indicators(gamma)
+            assert found == expected
+            assert all(type(n) is int and type(tau) is int for n, tau in found)
+            row = rng.integers(50)
+            gamma[row] = 0.0
+            gamma[row, rng.choice(3, size=2, replace=False)] = [0.4, rng.choice([0.2, -0.2])]
+            with pytest.raises(ValueError, match="block-sparse"):
+                to_indicators(gamma)
 
 
 class TestDetectionResult:
@@ -218,20 +253,36 @@ class TestRunCdE:
 
 @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
 @pytest.mark.parametrize(
-    "bad, where",
+    "bad, where, entry",
     [
-        (np.nan, "covariance"),
-        (np.inf, "covariance"),
-        (np.nan, "preambles"),
-        (np.inf, "preambles"),
+        (np.nan, "covariance", (1, 2)),
+        (np.inf, "covariance", (1, 2)),
+        (np.nan, "preambles", (1, 2)),
+        (np.inf, "preambles", (1, 2)),
+        (-np.inf, "covariance", (1, 2)),
+        (-np.inf, "covariance", (1, 1)),
+        (1j * np.nan, "covariance", (1, 2)),
+        (1j * np.inf, "covariance", (1, 2)),
+        (1j * np.nan, "covariance", (1, 1)),
+        (1j * np.inf, "covariance", (1, 1)),
     ],
-    ids=["nan", "inf", "preambles-nan", "preambles-inf"],
+    ids=[
+        "nan", "inf", "preambles-nan", "preambles-inf", "minus-inf", "diagonal-minus-inf",
+        "imag-nan", "imag-inf", "diagonal-imag-nan", "diagonal-imag-inf",
+    ],
 )
-def test_non_finite_sample_covariance_rejected(runner, bad, where):
+def test_non_finite_sample_covariance_rejected(runner, bad, where, entry):
+    # a complex ``bad`` replaces only the imaginary part of the entry; the
+    # covariance check reads finiteness off max|S|, so every such entry
+    # must make that maximum non-finite
     config = make_config()
     preambles, _, st = make_scenario(config, 29)
     inputs = {"preambles": preambles.copy(), "covariance": st.copy()}
-    inputs[where][1, 2] = bad
+    if isinstance(bad, complex):
+        inputs[where].imag[entry] = bad.imag
+        assert np.isfinite(inputs[where].real[entry])
+    else:
+        inputs[where][entry] = bad
     with pytest.raises(ValueError, match=f"{where}.*NaN or Inf"):
         runner(inputs["preambles"], inputs["covariance"], config)
 
@@ -251,6 +302,24 @@ def test_non_hermitian_sample_covariance_rejected(runner, entry, monkeypatch):
     monkeypatch.setattr(likelihood, "block_sweep", no_sweep)
     with pytest.raises(ValueError, match="must be Hermitian"):
         runner(preambles, st, config)
+
+def test_prepare_keeps_the_dictionary_it_builds(monkeypatch):
+    # effective_dictionary builds the dictionary Fortran-ordered, and the
+    # state and the sweeps take that very array, not a copy
+    config = make_config()
+    preambles, _, st = make_scenario(config, 29)
+    built = []
+
+    def record(*args):
+        built.append(effective_dictionary(*args))
+        return built[-1]
+
+    monkeypatch.setattr(detect, "effective_dictionary", record)
+    dictionary, _, _, state = detect._prepare(preambles, st, config)
+    assert len(built) == 1
+    assert dictionary is built[0] and state.dictionary is built[0]
+    assert dictionary.flags.f_contiguous
+
 
 # desk.json at M=4; with convergence_delta=1e-9 its runs take 14-27
 # sweeps, so each crosses at least one dense refresh

@@ -372,6 +372,21 @@ class TestFitFactor:
         rebuilt = factor_h.conj().T @ factor_h
         assert np.linalg.norm(rebuilt - st) / np.linalg.norm(st) < 1e-12
 
+    @pytest.mark.parametrize("num_antennas", [1, 4, 12, 64])
+    def test_bytes_match_the_scatter_form(self, num_antennas):
+        # the reference zero-fills F^H and scatters the conjugate transpose
+        # of the factor's lower trapezoid into its pivoted columns
+        config = make_config(num_antennas=num_antennas)
+        for seed in range(68, 72):
+            st = make_scenario(config, seed)[2]
+            c, piv, rank, _ = likelihood.zpstrf(st, lower=1)
+            expected = np.zeros((max(rank, 1), st.shape[0]), dtype=np.complex128, order="F")
+            expected[:rank, piv - 1] = np.tril(c[:, :rank]).conj().T
+            factor_h = likelihood.fit_factor(st)
+            assert factor_h.shape == expected.shape
+            assert factor_h.flags.f_contiguous
+            assert factor_h.tobytes(order="F") == expected.tobytes(order="F")
+
     def test_fit_form_matches_quadratic_form(self):
         config = make_config(num_antennas=4)
         st = make_scenario(config, 66)[2]

@@ -29,6 +29,23 @@ class TestComplexGaussian:
         assert np.var(draws.real) == pytest.approx(2.0, rel=0.02)
         assert np.var(draws.imag) == pytest.approx(2.0, rel=0.02)
 
+    @pytest.mark.parametrize(
+        "shape, variance", [((6, 4), 1.0), ((30, 50), 1.0), ((0, 4), 1.0), ((7,), 2.5)]
+    )
+    def test_bytes_match_the_two_draw_formula(self, shape, variance):
+        # the reference is scale * (a + 1j*b) from a twin generator, with
+        # the real block drawn first; both generators end in the same state
+        for seed in range(5):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = complex_gaussian(rng, shape, variance)
+            expected = np.sqrt(variance / 2.0) * (
+                twin.standard_normal(shape) + 1j * twin.standard_normal(shape)
+            )
+            assert draws.shape == expected.shape and draws.dtype == np.complex128
+            assert draws.flags.c_contiguous
+            assert draws.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
 
 class TestGeneratePreambles:
     def test_dimensions(self):
@@ -54,6 +71,20 @@ class TestEffectiveDictionary:
                 expected = np.zeros(9, dtype=complex)
                 expected[tau : tau + 7] = preambles[:, n]
                 np.testing.assert_array_equal(dictionary[:, n * 3 + tau], expected)
+        assert dictionary.flags.f_contiguous
+
+    @pytest.mark.parametrize(
+        "max_delay", [-1, True, 1.0, np.int64(1), None],
+        ids=["negative", "bool", "float", "numpy-int", "none"],
+    )
+    def test_bad_max_delay_rejected(self, max_delay):
+        with pytest.raises(ValueError, match="max_delay must be a non-negative integer"):
+            effective_dictionary(np.ones((4, 3), dtype=complex), max_delay)
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4, 3), ()], ids=["1-d", "3-d", "0-d"])
+    def test_non_2d_preambles_rejected(self, shape):
+        with pytest.raises(ValueError, match="preambles must be 2-D"):
+            effective_dictionary(np.ones(shape, dtype=complex), 1)
 
 
 class TestDrawGroundTruth:
@@ -75,6 +106,17 @@ class TestDrawGroundTruth:
         picked = [n * config.num_delays + tau for n, tau in sorted(truth.pairs)]
         signal = np.sqrt(config.cell_edge_gain) * dictionary[:, picked] @ channels
         np.testing.assert_allclose(received - noise, signal, rtol=1e-12, atol=1e-12)
+
+    def test_matches_the_dict_of_numpy_draws(self):
+        # the reference converts each drawn numpy integer with int()
+        config = make_config(num_devices=20, num_active=7)
+        for seed in range(5):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            truth = draw_ground_truth(config, rng)
+            active = np.sort(twin.choice(20, size=7, replace=False))
+            drawn = twin.integers(0, config.num_delays, size=7)
+            assert truth.delays == {int(n): int(tau) for n, tau in zip(active, drawn)}
+            assert all(type(n) is int and type(tau) is int for n, tau in truth.delays.items())
 
     def test_full_activity_when_k_equals_n(self):
         config = make_config(num_devices=6, num_active=6)
@@ -114,7 +156,60 @@ def replay_draws(config, truth, seed):
     return channels, noise
 
 
+def synthesize_by_dictionary_pick(preambles, truth, config, rng):
+    """The received window as it was first built: the active devices'
+    whole effective dictionary, from which each device's column at its
+    delay is picked into a C-ordered block."""
+    delays = np.array([truth.delays[int(n)] for n in truth.active], dtype=np.int64)
+    channels = complex_gaussian(rng, (truth.num_active, config.num_antennas))
+    dictionary = effective_dictionary(preambles[:, truth.active], config.max_delay)
+    picked = np.arange(truth.num_active) * config.num_delays + delays
+    columns = np.ascontiguousarray(dictionary[:, picked])
+    signal = (columns * np.sqrt(config.cell_edge_gain)) @ channels
+    noise = complex_gaussian(
+        rng, (config.window_len, config.num_antennas), variance=config.sigma2
+    )
+    return signal + noise
+
+
 class TestSynthesizeReceivedSignal:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"num_active": 0},
+            {"num_devices": 6, "num_active": 6},
+            {"max_delay": 0},
+            {"num_devices": 50, "num_active": 10, "preamble_len": 30, "num_antennas": 4},
+        ],
+        ids=["default", "k-zero", "k-equals-n", "no-delay", "desk-m4"],
+    )
+    def test_bytes_match_the_dictionary_pick(self, overrides):
+        config = make_config(**overrides)
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            preambles = generate_preambles(config, rng)
+            truth = draw_ground_truth(config, rng)
+            twin = copy.deepcopy(rng)
+            received = synthesize_received_signal(preambles, truth, config, rng)
+            expected = synthesize_by_dictionary_pick(preambles, truth, config, twin)
+            assert received.flags.c_contiguous
+            assert received.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("device", [-1, 3])
+    def test_device_out_of_range(self, device):
+        # a negative device must not wrap around to the last preamble, and
+        # the check runs before the generator draws anything
+        config = make_config(num_devices=3, num_active=1)
+        rng = np.random.default_rng(12)
+        preambles = generate_preambles(config, rng)
+        state = copy.deepcopy(rng.bit_generator.state)
+        truth = make_truth([(device, 0)])
+        with pytest.raises(ValueError, match=rf"active devices \[{device}\] outside \[0, 3\)"):
+            synthesize_received_signal(preambles, truth, config, rng)
+        assert rng.bit_generator.state == state
+
     def test_no_active_devices_no_noise_gives_zero(self):
         # with the noise draw replayed and taken out, nothing is left
         config = make_config(num_active=0)
@@ -213,6 +308,17 @@ class TestSampleCovariance:
         cov = make_scenario(config, seed=14)[2]
         np.testing.assert_array_equal(cov, cov.conj().T)
         assert np.linalg.eigvalsh(cov).min() >= -1e-10
+
+    @pytest.mark.parametrize("shape", [(6, 1), (32, 4), (32, 64)])
+    def test_bytes_match_the_two_temporaries_form(self, shape):
+        # the reference averages (Y Y^H)/M with its conjugate transpose
+        # through fresh arrays
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            y = complex_gaussian(rng, shape)
+            expected = (y @ y.conj().T) / y.shape[1]
+            expected = (expected + expected.conj().T) / 2.0
+            assert sample_covariance(y).tobytes() == expected.tobytes()
 
     def test_error_halves_when_antennas_quadruple(self):
         from covdet import likelihood
