@@ -2,27 +2,25 @@
 Coordinate descent anatomy
 ==========================
 
-Opens up one detection run: the covariance-fit objective, the
-closed-form single-coordinate step, the rank-one inverse update that
-makes each step cheap, and the two detectors built from those pieces.
+Opens up one detection run: the covariance-fit objective, one visit of
+the detectors' coordinate kernel (the closed-form single-coordinate
+step and the rank-one inverse update that makes it cheap), and the two
+detectors built from whole passes of that kernel.
 """
 
 import numpy as np
 
 from covdet import (
     SystemConfig,
-    coordinate_step,
     draw_ground_truth,
     effective_dictionary,
     generate_preambles,
-    init_state,
-    objective_delta,
-    rank_one_inverse_update,
     run_bcd,
     run_cd_e,
     sample_covariance,
     synthesize_received_signal,
 )
+from covdet.likelihood import column_sweep, fit_factor, init_state
 
 config = SystemConfig(
     num_devices=10,
@@ -52,16 +50,25 @@ dictionary = effective_dictionary(preambles, config.max_delay)
 state = init_state(dictionary, config.sigma2, sigma_tilde, config.num_delays)
 print(f"\nobjective with nothing detected: {state.objective:.4f}")
 
-# Take the optimal step on a few coordinates by hand. Each step has a
-# closed form, and updating the tracked inverse is a rank-one
-# correction rather than a fresh matrix inversion.
+# The sample covariance enters every step only through a factor F with
+# F F^H = sigma_tilde, of rank min(M, window), computed once.
+factor_h = fit_factor(sigma_tilde)
+print(f"fit factor rank: {factor_h.shape[0]} of {factor_h.shape[1]}")
+
+# Visit a few coordinates by hand, as a detector pass does: a pass is one
+# column_sweep over dictionary columns, so a one-column sweep is one
+# visit. It takes the closed-form optimal step, updates the tracked
+# inverse by a rank-one correction rather than a fresh matrix inversion,
+# and returns the objective plus the step's exact change.
+gamma = state.gamma.ravel()  # a view: the sweep writes the power through it
 for device, delay in sorted(truth.pairs):
-    eta = coordinate_step(state, sigma_tilde, device, delay)
-    drop = objective_delta(state, sigma_tilde, device, delay, eta)
-    rank_one_inverse_update(state, device, delay, eta)
-    state.objective += drop
-    print(f"  step on ({device}, {delay}): power += {eta:.4f}, "
-          f"objective {state.objective:.4f} ({drop:+.4f})")
+    j = device * config.num_delays + delay
+    before = state.objective
+    state.objective = column_sweep(
+        state.inv_sigma, factor_h, [dictionary[:, j]], gamma[j : j + 1], before
+    )
+    print(f"  visit ({device}, {delay}): power {gamma[j]:.4f}, "
+          f"objective {state.objective:.4f} ({state.objective - before:+.4f})")
 
 # The entrywise detector sweeps every (device, delay) coordinate until
 # a full sweep barely moves the objective, then keeps each device's

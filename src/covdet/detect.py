@@ -109,7 +109,9 @@ def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     ``config`` is not re-checked: a ``SystemConfig`` is valid once built.
     The preambles are checked against it, and the sample covariance once
     per run, by ``likelihood.init_state``: a ``(window, window)`` array,
-    finite, and Hermitian to within ``1e-10 * max(1, max|S|)``.
+    finite, and Hermitian to within ``1e-10 * max(1, max|S|)``; then
+    ``likelihood.fit_factor`` rejects one that is not positive
+    semidefinite.
 
     ``effective_dictionary`` builds the dictionary Fortran-ordered, so a
     column or a device's block of columns reaches BLAS without a copy.

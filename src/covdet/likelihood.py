@@ -2,10 +2,10 @@
 
 The fit objective is ``log det(Sigma) + trace(Sigma^{-1} S_tilde)`` where
 ``Sigma = sum_j gamma_j s_j s_j^H + sigma2 I`` over dictionary columns
-``s_j`` and ``S_tilde`` is the sample covariance. Everything here works
-on one tracked ``CovarianceState``: closed-form single-coordinate steps,
-Sherman-Morrison maintenance of ``Sigma^{-1}``, and matching closed-form
-objective increments, plus a dense refresh to bound accumulated drift.
+``s_j`` and ``S_tilde`` is the sample covariance. A detector run tracks
+``Sigma^{-1}`` and the objective in one ``CovarianceState``, kept by
+Sherman-Morrison updates and matching closed-form objective increments,
+plus a dense refresh to bound accumulated drift.
 Gamma is a plain ``(N, tau_max+1)`` float64 array, device-major like the
 dictionary columns, and ``assemble_covariance`` is the one dense builder
 of ``Sigma`` from the two.
@@ -14,27 +14,30 @@ The coordinate math lives once, in the kernel that both detectors call.
 A detector pass is one call: ``column_sweep`` visits every dictionary
 column (``cd_e``, ``cd_e_sync``) and ``block_sweep`` every device's
 block of delay columns (``bcd``), each in a single loop that reads
-gamma as Python floats and writes it back when the pass ends. The
+gamma as Python floats and writes it back when the pass ends; one
+coordinate is visited by a one-column ``column_sweep``. The
 formulas they share live once each: the step in ``_step``, the exact
 objective change and its denominator guard in ``step_increment``, the
 quadratic-form guard in ``_check_quad`` and the Sherman-Morrison update
-in ``_update``. The state-based step functions below are compositions
-of the same pieces.
+in ``_update``.
 
 The kernel never touches ``S_tilde`` itself. ``fit_factor`` returns
 ``F^H`` with ``S_tilde = F F^H`` from a pivoted Cholesky factor, whose
 row count is the numerical rank of ``S_tilde`` (``M`` for ``M`` antennas
 below the window length ``D``, else ``D``), so the fit form
 ``s^H Sigma^{-1} S_tilde Sigma^{-1} s`` is ``||F^H v||^2`` at
-``O(D rank)`` instead of a ``D x D`` matvec. The state-based functions
-take one coordinate at a time, where even that factor would cost more
-than it saves, so they take the fit form as ``Re(v^H S_tilde v)`` from
-one ``zgemv`` instead. Those functions, unlike the kernel, check the
-sample covariance they take: square, finite and Hermitian, where one
-pass for ``max|S|`` is both the finiteness check and the scale of the
-Hermitian tolerance. The dictionary is Fortran-ordered as
+``O(D rank)`` instead of a ``D x D`` matvec. ``init_state``,
+``refresh_state`` and ``evaluate_objective`` check the sample covariance
+they take: square, finite and Hermitian, where one pass for ``max|S|``
+is both the finiteness check and the scale of the Hermitian tolerance.
+``fit_factor`` adds that it is positive semidefinite, from the remainder
+of its factorization. The dictionary is Fortran-ordered as
 ``siggen.effective_dictionary`` builds it, so its columns and blocks
 reach BLAS without a copy.
+
+``quadratic_terms`` and ``rank_one_inverse_update`` step one coordinate
+of a ``CovarianceState`` outside the kernel. No detector calls them; they
+are kept for the ``likelihood.step_us`` probe of ``perfbench/bench.py``.
 
 ``bcd`` scores a block from the state with the block's entry removed.
 Sherman-Morrison gives each column's zeroed-state terms in closed form,
@@ -50,12 +53,13 @@ column (a quarter of numpy's ``vdot`` call overhead), ``zgemm`` for a
 block of columns and for its Gram products, an in-place ``zgerc`` for a
 rank-one update of the Fortran-ordered ``Sigma^{-1}``, ``zherk`` over the
 held columns for a dense ``Sigma``, ``zpotrf`` and ``zpotri`` for its
-log-determinant and inverse, and ``zpstrf`` for the fit factor. Keeping
+log-determinant and inverse, ``zpstrf`` for the fit factor, and ``zherk``
+and ``zlantr`` for the largest entry of what the factor leaves out. Keeping
 them in one library matters: numpy ships its own BLAS with its own
 thread pool, and when threads are not pinned, alternating the two pools
 call by call costs up to milliseconds per call.
 
-These eight come from scipy's compiled ``_fblas`` and ``_flapack``,
+These nine come from scipy's compiled ``_fblas`` and ``_flapack``,
 loaded by file from its ``linalg`` directory: the objects that
 ``scipy.linalg.blas`` and ``.lapack`` export, minus ``scipy.linalg``'s
 package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
@@ -96,7 +100,9 @@ _fblas, _flapack = _linalg_extension("_fblas"), _linalg_extension("_flapack")
 zdotc, zgemm, zgemv, zgerc, zherk = (
     _fblas.zdotc, _fblas.zgemm, _fblas.zgemv, _fblas.zgerc, _fblas.zherk
 )
-zpotrf, zpotri, zpstrf = _flapack.zpotrf, _flapack.zpotri, _flapack.zpstrf
+zlantr, zpotrf, zpotri, zpstrf = (
+    _flapack.zlantr, _flapack.zpotrf, _flapack.zpotri, _flapack.zpstrf
+)
 
 # 1 + eta * s^H Sigma^{-1} s below this is treated as a degenerate update
 DENOMINATOR_GUARD = 1e-12
@@ -197,15 +203,29 @@ def fit_factor(sigma_tilde) -> np.ndarray:
     ``F = P L`` has shape ``(D, M)`` for ``M < D`` antennas and ``(D, D)``
     otherwise. A zero ``S_tilde`` gives one zero row, so the kernel never
     hands BLAS an empty operand.
+
+    An indefinite matrix also stops below rank ``D``, and the part left
+    unfactored would be dropped silently. So below rank ``D`` the factor
+    must reproduce the lower triangle of ``S_tilde`` (all that ``zpstrf``
+    reads) to within ``D * eps * max diag(S_tilde)``, checked by one
+    ``zherk``; otherwise ``ValueError``.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
+    dim = st.shape[0]
     c, piv, rank, _ = zpstrf(st, lower=1)
     if rank == 0:
-        return np.zeros((1, st.shape[0]), dtype=np.complex128, order="F")
-    # row p of F is row order[p] of L, which holds c's entries on and
-    # below the diagonal; F is C-ordered, so F^H is Fortran-ordered
-    order = np.argsort(piv)
-    return np.where(order[:, None] >= np.arange(rank), c[order, :rank], 0.0).conj().T
+        factor_h = np.zeros((1, dim), dtype=np.complex128, order="F")
+    else:
+        # row p of F is row order[p] of L, which holds c's entries on and
+        # below the diagonal; F is C-ordered, so F^H is Fortran-ordered
+        order = np.argsort(piv)
+        factor_h = np.where(order[:, None] >= np.arange(rank), c[order, :rank], 0.0).conj().T
+    if rank < dim:
+        # S_tilde - F F^H in the lower triangle, the only one zlantr reads
+        remainder = zlantr("M", zherk(-1.0, factor_h, 1.0, st, trans=2, lower=1), uplo="L")
+        if not remainder <= dim * np.finfo(np.float64).eps * st.diagonal().real.max():
+            raise ValueError("sample covariance is not positive semidefinite")
+    return factor_h
 
 
 def _check_quad(worst) -> None:
@@ -437,32 +457,6 @@ def quadratic_terms(state: CovarianceState, sigma_tilde, device: int, delay: int
     return v, quad, zdotc(v, zgemv(1.0, st, v)).real
 
 
-def coordinate_step(state: CovarianceState, sigma_tilde, device: int, delay: int) -> float:
-    """Closed-form minimizer of the one-coordinate objective restriction.
-
-    Returns the step ``eta`` such that ``gamma[device, delay] + eta`` is
-    the non-negative minimizer along this coordinate:
-    ``max{(fit - quad)/quad^2, -gamma[device, delay]}``.
-    """
-    _, quad, fit = quadratic_terms(state, sigma_tilde, device, delay)
-    return max(_step(quad, fit), -float(state.gamma[device, delay]))
-
-
-def objective_delta(
-    state: CovarianceState, sigma_tilde, device: int, delay: int, eta: float
-) -> float:
-    """Exact objective change of adding ``eta`` on one coordinate.
-
-    Matrix-determinant lemma plus Sherman-Morrison give
-    ``log(1 + eta*quad) - eta*fit/(1 + eta*quad)`` without touching the
-    dense objective.
-    """
-    if eta == 0.0:
-        return 0.0
-    _, quad, fit = quadratic_terms(state, sigma_tilde, device, delay)
-    return step_increment(eta, quad, fit)[0]
-
-
 def rank_one_inverse_update(
     state: CovarianceState, device: int, delay: int, eta: float
 ) -> None:
@@ -470,7 +464,7 @@ def rank_one_inverse_update(
 
     Sherman-Morrison: ``Sigma^{-1} -= eta * v v^H / (1 + eta * quad)``
     with ``v = Sigma^{-1} s``. The objective field is not touched; callers
-    track it via :func:`objective_delta` (computed before this update).
+    track it via :func:`step_increment` (computed before this update).
     ``state.inv_sigma`` is updated in place by BLAS, so a layout other
     than Fortran-ordered complex128 raises ``ValueError`` before anything
     changes.

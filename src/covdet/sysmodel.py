@@ -14,7 +14,8 @@ Conventions
   The ML fit is invariant under this joint rescaling. The detection
   thresholds ``threshold_cd`` and ``threshold_bcd`` are not: they are
   absolute powers on the working scale, so the same value means a
-  different thing at another transmit power (ROADMAP item 11).
+  different thing at another transmit power (ROADMAP open item
+  "Scale-free detection thresholds").
 - Every device sits at the cell-edge distance and shares its gain
   ``SystemConfig.cell_edge_gain``, so a ``GroundTruth`` is the active
   devices' delays alone.
@@ -286,5 +287,12 @@ class CovarianceState:
         return self.dictionary.shape[0]
 
     def column(self, device: int, delay: int) -> np.ndarray:
-        """Dictionary column for hypothesis (device, delay)."""
-        return self.dictionary[:, device * self.gamma.shape[1] + delay]
+        """Dictionary column for hypothesis (device, delay); ``ValueError``
+        outside ``[0, N) x [0, tau_max]``, where the flat index would name
+        another coordinate's column."""
+        num_devices, num_delays = self.gamma.shape
+        if not (0 <= device < num_devices and 0 <= delay < num_delays):
+            raise ValueError(
+                f"coordinate ({device}, {delay}) outside [0, {num_devices}) x [0, {num_delays - 1}]"
+            )
+        return self.dictionary[:, device * num_delays + delay]

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 
 import covdet
+import oracle
 from covdet import likelihood
 from covdet.siggen import (
     draw_ground_truth,
@@ -51,38 +52,69 @@ def make_scenario(config: SystemConfig, seed: int):
     return preambles, truth, sample_covariance(received)
 
 
-def block_visit_by_hand(state, sigma_tilde, n):
-    """One ``bcd`` visit of device ``n``'s block through the public step
-    functions.
+def kernel_visit(state, factor_h, n, tau):
+    """Visit coordinate ``(n, tau)`` of ``state`` as a detector pass does,
+    by a one-column ``likelihood.column_sweep``; updates the state's
+    inverse, gamma and objective in place and returns the step taken."""
+    j = n * state.gamma.shape[1] + tau
+    before = float(state.gamma[n, tau])
+    state.objective = likelihood.column_sweep(
+        state.inv_sigma, factor_h, [state.dictionary[:, j]], state.gamma.ravel()[j : j + 1],
+        state.objective,
+    )
+    return float(state.gamma[n, tau]) - before
 
-    The block's entry, if any, is removed, every delay is scored from the
-    zeroed state and the best one is committed (ties to the smallest
-    delay), as ``likelihood.block_sweep`` does. Returns the objective
-    change and ``None``, ``"same"``, ``"moved"`` or ``"emptied"`` for
-    where the block's entry went.
+
+def coordinate_terms(state, factor_h, n, tau):
+    """``(quad, fit)`` of coordinate ``(n, tau)`` at the tracked inverse:
+    ``s^H Sigma^-1 s`` and ``||F^H Sigma^-1 s||^2``; the objective's slope
+    along the coordinate is ``quad - fit``."""
+    s = state.column(n, tau)
+    v = state.inv_sigma @ s
+    return float(np.vdot(s, v).real), float(np.linalg.norm(factor_h @ v) ** 2)
+
+
+def block_visit_by_hand(preambles, state, sigma_tilde, n):
+    """One ``bcd`` visit of device ``n``'s block, densely, from
+    ``tests/oracle.py``.
+
+    The block's entry, if any, is removed; every delay's closed-form step
+    is taken from a dense inverse of that zeroed state; the candidates
+    are compared by their dense objectives and the best one is committed
+    (ties to the smallest delay), as ``likelihood.block_sweep`` does.
+    Gamma and the inverse, a dense one of the result, are set in place.
+    Returns the dense objective change and ``None``, ``"same"``,
+    ``"moved"`` or ``"emptied"`` for where the block's entry went.
     """
-    row = state.gamma[n]
-    old_tau = int(np.argmax(row))
-    removed = float(row[old_tau])
-    total = 0.0
-    if removed > 0.0:
-        total += likelihood.objective_delta(state, sigma_tilde, n, old_tau, -removed)
-        likelihood.rank_one_inverse_update(state, n, old_tau, -removed)
-    best = None
-    best_delta = 0.0
+    st = np.asarray(sigma_tilde, dtype=np.complex128)
+    sigma2 = state.sigma2
+    before = oracle.dense_objective(preambles, state.gamma, sigma2, st)
+    old_tau = int(np.argmax(state.gamma[n]))
+    removed = float(state.gamma[n, old_tau])
+    zeroed = state.gamma.copy()
+    zeroed[n] = 0.0
+    inv = oracle.dense_inverse(oracle.dense_covariance(preambles, zeroed, sigma2))
+    best, best_gamma = None, zeroed
+    best_value = oracle.dense_objective(preambles, zeroed, sigma2, st)
     for tau in range(state.gamma.shape[1]):
-        eta = likelihood.coordinate_step(state, sigma_tilde, n, tau)
+        s = state.column(n, tau)
+        v = inv @ s
+        quad = np.vdot(s, v).real
+        eta = (np.vdot(v, st @ v).real - quad) / quad**2
         if eta <= 0.0:
             continue
-        delta = likelihood.objective_delta(state, sigma_tilde, n, tau, eta)
-        if delta < best_delta:
-            best, best_delta = (tau, eta), delta
-    if best is not None:
-        likelihood.rank_one_inverse_update(state, n, *best)
-        total += best_delta
+        candidate = zeroed.copy()
+        candidate[n, tau] = eta
+        value = oracle.dense_objective(preambles, candidate, sigma2, st)
+        if value < best_value:
+            best, best_gamma, best_value = tau, candidate, value
+    state.gamma[:] = best_gamma
+    state.inv_sigma = np.asfortranarray(
+        oracle.dense_inverse(oracle.dense_covariance(preambles, best_gamma, sigma2))
+    )
     if removed == 0.0:
-        return total, None
-    return total, "emptied" if best is None else "same" if best[0] == old_tau else "moved"
+        return best_value - before, None
+    return best_value - before, "emptied" if best is None else "same" if best == old_tau else "moved"
 
 
 def degenerate_removals(monkeypatch):

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import block_visit_by_hand, degenerate_removals, make_config, make_scenario
+from conftest import (
+    block_visit_by_hand,
+    degenerate_removals,
+    kernel_visit,
+    make_config,
+    make_scenario,
+)
 from covdet import detect, likelihood
 from covdet.detect import (
     DetectionResult,
@@ -214,20 +220,21 @@ class TestRunCdE:
             runner(*corrupt(preambles, st), config)
 
     def test_first_sweep_matches_public_step_functions(self):
-        # one ascending sweep driven by hand through the public step
-        # functions lands on the detector's first recorded objective
+        # one ascending sweep done densely by hand, each closed-form step
+        # from a dense inverse of the current estimate, lands on the
+        # detector's first recorded objective
         config = make_config(num_antennas=16)
         preambles, _, st = make_scenario(config, 27)
         dictionary = effective_dictionary(preambles, config.max_delay)
-        state = likelihood.init_state(
-            dictionary, config.sigma2, st, config.num_delays
-        )
-        objective = state.objective
+        gamma = np.zeros((config.num_devices, config.num_delays))
         for n in range(config.num_devices):
             for tau in range(config.num_delays):
-                eta = likelihood.coordinate_step(state, st, n, tau)
-                objective += likelihood.objective_delta(state, st, n, tau, eta)
-                likelihood.rank_one_inverse_update(state, n, tau, eta)
+                cov = oracle.dense_covariance(preambles, gamma, config.sigma2)
+                s = dictionary[:, n * config.num_delays + tau]
+                v = oracle.dense_inverse(cov) @ s
+                quad = np.vdot(s, v).real
+                gamma[n, tau] += max((np.vdot(v, st @ v).real - quad) / quad**2, -gamma[n, tau])
+        objective = oracle.dense_objective(preambles, gamma, config.sigma2, st)
         result = run_cd_e(preambles, st, config)
         assert result.objective_trace[1] == pytest.approx(objective, abs=1e-12)
 
@@ -376,6 +383,21 @@ def test_final_state_matches_oracle(runner, seed, monkeypatch):
 
 
 @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+@pytest.mark.parametrize("shift", [0.5, 2.0])
+def test_indefinite_sample_covariance_rejected(runner, shift, monkeypatch):
+    # S - cI is Hermitian but indefinite; its pivoted Cholesky stops below
+    # full rank, and the part it leaves out must not be fitted silently
+    config = make_config(num_devices=20, num_active=4, preamble_len=20, num_antennas=64)
+    preambles, _, st = make_scenario(config, 3)
+    bad = st - shift * np.eye(config.window_len)
+    assert np.linalg.eigvalsh(bad).min() < -1e-8
+    monkeypatch.setattr(likelihood, "column_sweep", None)
+    monkeypatch.setattr(likelihood, "block_sweep", None)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        runner(preambles, bad, config)
+
+
+@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
 def test_zero_sample_covariance_detects_nothing(runner):
     # noiseless and no active device: the fit factor is a single zero row
     config = make_config()
@@ -386,15 +408,15 @@ def test_zero_sample_covariance_detects_nothing(runner):
     assert not np.any(result.gamma_hat)
 
 
-def bcd_sweep_by_hand(state, st, config, events):
-    """One ascending bcd sweep through the public step functions.
+def bcd_sweep_by_hand(preambles, state, st, config, events):
+    """One ascending bcd sweep of dense block visits by hand.
 
     Returns the objective change and appends ``"same"``, ``"moved"`` or
     ``"emptied"`` to ``events`` for every block that held an entry.
     """
     total = 0.0
     for n in range(config.num_devices):
-        delta, event = block_visit_by_hand(state, st, n)
+        delta, event = block_visit_by_hand(preambles, state, st, n)
         total += delta
         if event is not None:
             events.append(event)
@@ -452,19 +474,21 @@ class TestRunBcd:
         state = likelihood.init_state(
             dictionary, config.sigma2, st, config.num_delays
         )
+        factor_h = likelihood.fit_factor(st)
         base = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
         for tau in range(config.num_delays):
-            eta = likelihood.coordinate_step(state, st, 3, tau)
-            delta = likelihood.objective_delta(state, st, 3, tau, eta)
-            candidate = state.gamma.copy()
-            candidate[3, tau] += eta
-            dense = oracle.dense_objective(preambles, candidate, config.sigma2, st)
+            candidate = dataclasses.replace(
+                state, inv_sigma=state.inv_sigma.copy(order="F"), gamma=state.gamma.copy()
+            )
+            kernel_visit(candidate, factor_h, 3, tau)
+            delta = candidate.objective - state.objective
+            dense = oracle.dense_objective(preambles, candidate.gamma, config.sigma2, st)
             assert base + delta == pytest.approx(dense, abs=1e-8)
 
     def test_first_sweep_matches_public_step_functions(self):
-        # one ascending block sweep driven by hand through the public step
-        # functions lands on the detector's first recorded objective; every
-        # block starts empty in the first sweep, so there is no removal
+        # one ascending sweep of dense block visits by hand lands on the
+        # detector's first recorded objective; every block starts empty in
+        # the first sweep, so there is no removal
         config = make_config(num_antennas=16)
         preambles, _, st = make_scenario(config, 28)
         dictionary = effective_dictionary(preambles, config.max_delay)
@@ -472,7 +496,7 @@ class TestRunBcd:
             dictionary, config.sigma2, st, config.num_delays
         )
         events = []
-        objective = state.objective + bcd_sweep_by_hand(state, st, config, events)
+        objective = state.objective + bcd_sweep_by_hand(preambles, state, st, config, events)
         assert not events
         result = run_bcd(preambles, st, config)
         assert result.iterations > 1
@@ -488,9 +512,9 @@ class TestRunBcd:
         state = likelihood.init_state(
             dictionary, config.sigma2, st, config.num_delays
         )
-        objective = state.objective + bcd_sweep_by_hand(state, st, config, [])
+        objective = state.objective + bcd_sweep_by_hand(preambles, state, st, config, [])
         events = []
-        objective += bcd_sweep_by_hand(state, st, config, events)
+        objective += bcd_sweep_by_hand(preambles, state, st, config, events)
         assert set(events) == {"same", "moved", "emptied"}
         result = run_bcd(preambles, st, config)
         assert result.iterations > 2

@@ -1,4 +1,4 @@
-"""Objective machinery: assembly, coordinate steps, rank-one updates."""
+"""Objective machinery: assembly, the coordinate kernel, rank-one updates."""
 
 import dataclasses
 import math
@@ -13,7 +13,9 @@ import pytest
 import oracle
 from conftest import (
     block_visit_by_hand,
+    coordinate_terms,
     degenerate_removals,
+    kernel_visit,
     make_config,
     make_scenario,
     package_env,
@@ -29,14 +31,14 @@ def scalar_state(sigma_tilde_value, gamma_value=0.0):
     st = np.array([[sigma_tilde_value]], dtype=complex)
     state = likelihood.init_state(dictionary, 1.0, st, num_delays=1)
     if gamma_value:
-        likelihood.rank_one_inverse_update(state, 0, 0, gamma_value)
+        state.gamma[0, 0] = gamma_value
         likelihood.refresh_state(state, st)
     return state, st
 
 
 def random_state(seed, num_devices=5, preamble_len=10, max_delay=1, num_antennas=32,
                  num_active=2, updates=6):
-    """A state advanced by a few optimal steps on a real scenario."""
+    """A state advanced by a few kernel visits on a real scenario."""
     config = make_config(
         num_devices=num_devices, preamble_len=preamble_len, max_delay=max_delay,
         num_antennas=num_antennas, num_active=num_active,
@@ -44,12 +46,12 @@ def random_state(seed, num_devices=5, preamble_len=10, max_delay=1, num_antennas
     preambles, _, st = make_scenario(config, seed)
     dictionary = effective_dictionary(preambles, config.max_delay)
     state = likelihood.init_state(dictionary, 1.0, st, config.num_delays)
+    factor_h = likelihood.fit_factor(st)
     rng = np.random.default_rng(seed + 1)
     for _ in range(updates):
         n = int(rng.integers(num_devices))
         tau = int(rng.integers(max_delay + 1))
-        eta = likelihood.coordinate_step(state, st, n, tau)
-        likelihood.rank_one_inverse_update(state, n, tau, eta)
+        kernel_visit(state, factor_h, n, tau)
     return preambles, state, st
 
 
@@ -177,49 +179,49 @@ class TestInitState:
 
 
 class TestCoordinateStep:
+    """The step of one kernel visit, a one-column ``column_sweep``."""
+
     def test_scalar_step_from_zero(self):
         # eta = max(sigma_tilde - gamma - sigma2, -gamma) = 3 - 0 - 1 = 2
         state, st = scalar_state(3.0)
-        assert likelihood.coordinate_step(state, st, 0, 0) == pytest.approx(2.0)
+        assert kernel_visit(state, likelihood.fit_factor(st), 0, 0) == pytest.approx(2.0)
 
     def test_scalar_clipping_branch(self):
         # unconstrained step 1 - 6 = -5 hits the gamma >= 0 wall exactly
         state, st = scalar_state(1.0, gamma_value=5.0)
-        assert likelihood.coordinate_step(state, st, 0, 0) == pytest.approx(-5.0)
+        assert kernel_visit(state, likelihood.fit_factor(st), 0, 0) == pytest.approx(-5.0)
+        assert state.gamma[0, 0] == 0.0
 
     def test_stationary_at_exact_covariance(self):
         preambles, state, _ = random_state(seed=23)
-        likelihood.refresh_state(state, np.eye(state.dim))
         cov = likelihood.assemble_covariance(state.dictionary, state.gamma, 1.0)
         likelihood.refresh_state(state, cov)
+        factor_h = likelihood.fit_factor(cov)
         for n in range(5):
             for tau in range(2):
-                eta = likelihood.coordinate_step(state, cov, n, tau)
-                step = eta if state.gamma[n, tau] == 0 else abs(eta)
-                assert step <= 1e-10
+                assert abs(kernel_visit(state, factor_h, n, tau)) <= 1e-10
 
     def test_never_drives_gamma_negative(self):
         rng = np.random.default_rng(24)
         _, state, st = random_state(seed=24, updates=0)
+        factor_h = likelihood.fit_factor(st)
         for _ in range(100):
             n = int(rng.integers(5))
             tau = int(rng.integers(2))
-            eta = likelihood.coordinate_step(state, st, n, tau)
-            assert state.gamma[n, tau] + eta >= 0.0
-            likelihood.rank_one_inverse_update(state, n, tau, eta)
+            kernel_visit(state, factor_h, n, tau)
+            assert state.gamma[n, tau] >= 0.0
 
     def test_optimal_among_grid_offsets(self):
         # dense objective at gamma+eta beats 100 grid alternatives
         for seed in (25, 26):
             preambles, state, st = random_state(seed=seed)
             n, tau = 2, 1
-            eta = likelihood.coordinate_step(state, st, n, tau)
-            current = state.gamma[n, tau]
-            candidate = state.gamma.copy()
-            candidate[n, tau] += eta
-            best = oracle.dense_objective(preambles, candidate, 1.0, st)
+            start = state.gamma.copy()
+            kernel_visit(state, likelihood.fit_factor(st), n, tau)
+            best = oracle.dense_objective(preambles, state.gamma, 1.0, st)
+            current = start[n, tau]
             for x in np.linspace(-current, current + 10.0, 100):
-                other = state.gamma.copy()
+                other = start.copy()
                 other[n, tau] += x
                 value = oracle.dense_objective(preambles, other, 1.0, st)
                 assert best <= value + 1e-10
@@ -233,7 +235,7 @@ class TestCoordinateStep:
             # push the probe coordinate away from any stationary point so
             # the central difference is not dominated by roundoff
             likelihood.rank_one_inverse_update(state, n, tau, 0.3)
-            _, quad, fit = likelihood.quadratic_terms(state, st, n, tau)
+            quad, fit = coordinate_terms(state, likelihood.fit_factor(st), n, tau)
             analytic = quad - fit
             plus = state.gamma.copy()
             plus[n, tau] += step
@@ -249,19 +251,13 @@ class TestCoordinateStep:
         _, state, st = random_state(seed=46)
         state.inv_sigma[:] = -np.eye(state.dim)
         with pytest.raises(NumericalDegeneracyError, match="<= 0"):
-            likelihood.coordinate_step(state, st, 0, 0)
+            kernel_visit(state, likelihood.fit_factor(st), 0, 0)
 
     def test_nan_quadratic_form_detected(self):
         _, state, st = random_state(seed=46)
         state.inv_sigma[:] = np.nan
         with pytest.raises(NumericalDegeneracyError, match="nan"):
-            likelihood.coordinate_step(state, st, 0, 0)
-        columns = list(state.dictionary.T)
-        gamma = state.gamma.ravel()
-        with pytest.raises(NumericalDegeneracyError, match="nan"):
-            likelihood.column_sweep(
-                state.inv_sigma, likelihood.fit_factor(st), columns, gamma, 0.0
-            )
+            kernel_visit(state, likelihood.fit_factor(st), 0, 0)
 
 
 class TestRankOneInverseUpdate:
@@ -399,6 +395,26 @@ class TestFitFactor:
             fit = np.linalg.norm(factor_h @ v) ** 2
             assert fit == pytest.approx(float(np.real(np.vdot(v, st @ v))), rel=1e-12)
 
+    @pytest.mark.parametrize("num_antennas", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "scale", [dict(num_devices=50, num_active=10, preamble_len=30),
+                  dict(num_devices=200, num_active=90, preamble_len=100, max_delay=4)],
+        ids=["desk", "full"],
+    )
+    def test_rank_deficient_sample_covariance_accepted(self, scale, num_antennas):
+        # the remainder check passes every sample covariance of fewer
+        # antennas than the window length, where zpstrf stops at rank M
+        config = make_config(num_antennas=num_antennas, **scale)
+        for seed in range(5):
+            factor_h = likelihood.fit_factor(make_scenario(config, seed)[2])
+            assert factor_h.shape == (num_antennas, config.window_len)
+
+    @pytest.mark.parametrize("matrix", [-np.eye(5), np.diag([1.0, 2.0, -1e-6, 3.0])],
+                             ids=["negative", "one-negative-eigenvalue"])
+    def test_indefinite_rejected(self, matrix):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            likelihood.fit_factor(matrix)
+
     def test_zero_sample_covariance_gives_zero_fit(self):
         # quad = 7 and fit = 0 on every column: every step is negative, so
         # neither pass moves from gamma = 0
@@ -417,13 +433,14 @@ class TestFitFactor:
 
 def block_state(seed, gamma_old=0.7, tau_old=1):
     """A state whose device-2 block holds ``gamma_old`` at ``tau_old``,
-    with the block, the fit factor and the sample covariance."""
-    _, state, st = random_state(seed=seed, max_delay=2, num_antennas=8)
+    with the preambles, the sample covariance, the fit factor and the
+    block."""
+    preambles, state, st = random_state(seed=seed, max_delay=2, num_antennas=8)
     state.gamma[2] = 0.0
+    state.gamma[2, tau_old] = gamma_old
     likelihood.refresh_state(state, st)
-    likelihood.rank_one_inverse_update(state, 2, tau_old, gamma_old)
     block = state.dictionary[:, 6:9]
-    return state, st, likelihood.fit_factor(st), block
+    return preambles, state, st, likelihood.fit_factor(st), block
 
 
 def copy_state(state):
@@ -480,11 +497,11 @@ class TestBlockSweep:
 
     @pytest.mark.parametrize("seed", [70, 71, 72, 73])
     def test_matches_column_by_column_search(self, seed):
-        # one block visit against the same visit through the public step
-        # functions: remove the entry, score every delay, commit the best
-        state, st, factor_h, block = block_state(seed)
+        # one block visit against the same visit done densely: remove the
+        # entry, score every delay, commit the best
+        preambles, state, st, factor_h, block = block_state(seed)
         want = copy_state(state)
-        want_delta, _ = block_visit_by_hand(want, st, 2)
+        want_delta, _ = block_visit_by_hand(preambles, want, st, 2)
         objective = likelihood.block_sweep(
             state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0
         )
@@ -496,7 +513,7 @@ class TestBlockSweep:
         )
 
     def test_tie_goes_to_smallest_delay(self):
-        state, _, factor_h, block = block_state(74)
+        _, state, _, factor_h, block = block_state(74)
         twins = np.asfortranarray(np.repeat(block[:, :1], 3, axis=1))
         gamma = np.zeros((1, 3))
         likelihood.block_sweep(state.inv_sigma, factor_h, [twins], gamma, 0.0)
@@ -504,20 +521,23 @@ class TestBlockSweep:
         np.testing.assert_array_equal(gamma[0, 1:], 0.0)
 
 
-class TestRemovalTerms:
+class TestBlockRemoval:
     """A ``block_sweep`` visit of a block that holds an entry, against the
-    same visit through an explicit downdate."""
+    same visit done densely from the state with the entry removed."""
 
     @pytest.mark.parametrize("tau_old", [0, 1, 2])
     def test_zeroed_terms_match_explicit_downdate(self, tau_old, monkeypatch):
         # every delay is scored from the (quad, fit) of the state with the
         # entry removed; seed 75 re-inserts at delay 0 and moves otherwise
-        state, st, factor_h, block = block_state(75, tau_old=tau_old)
-        downdated = copy_state(state)
-        likelihood.rank_one_inverse_update(downdated, 2, tau_old, -0.7)
-        want_terms = [likelihood.quadratic_terms(downdated, st, 2, tau)[1:] for tau in range(3)]
+        preambles, state, st, factor_h, block = block_state(75, tau_old=tau_old)
+        zeroed = state.gamma.copy()
+        zeroed[2] = 0.0
+        inv = oracle.dense_inverse(oracle.dense_covariance(preambles, zeroed, 1.0))
+        want_terms = [
+            (np.vdot(s, inv @ s).real, np.vdot(inv @ s, st @ (inv @ s)).real) for s in block.T
+        ]
         want = copy_state(state)
-        want_delta, _ = block_visit_by_hand(want, st, 2)
+        want_delta, _ = block_visit_by_hand(preambles, want, st, 2)
         scored = []
         real_step = likelihood._step
 
@@ -541,10 +561,10 @@ class TestRemovalTerms:
     @pytest.mark.parametrize("gamma_old", [0.2, 0.7, 3.0])
     def test_net_update_matches_downdate_then_commit(self, gamma_old):
         # seed 76 re-inserts at delay 1, where the entry came from: the one
-        # net update equals the downdate and the commit done one by one
-        state, st, factor_h, block = block_state(76, gamma_old=gamma_old)
+        # net update lands where the dense downdate and commit do
+        preambles, state, st, factor_h, block = block_state(76, gamma_old=gamma_old)
         two_step = copy_state(state)
-        _, event = block_visit_by_hand(two_step, st, 2)
+        _, event = block_visit_by_hand(preambles, two_step, st, 2)
         assert event == "same"
         likelihood.block_sweep(state.inv_sigma, factor_h, [block], state.gamma[2:3], 0.0)
         np.testing.assert_allclose(state.gamma, two_step.gamma, rtol=1e-10)
@@ -559,9 +579,9 @@ class TestRemovalTerms:
     def test_removal_terms_come_from_the_gram_products(self, seed, tau_old, event, monkeypatch):
         # b and g are column tau_old of the block's two Gram products, so
         # a visit that removes an entry makes no matrix-vector product
-        state, st, factor_h, block = block_state(seed, tau_old=tau_old)
+        preambles, state, st, factor_h, block = block_state(seed, tau_old=tau_old)
         want = copy_state(state)
-        want_delta, got_event = block_visit_by_hand(want, st, 2)
+        want_delta, got_event = block_visit_by_hand(preambles, want, st, 2)
         assert got_event == event
 
         def no_zgemv(*args, **kwargs):
@@ -580,8 +600,8 @@ class TestRemovalTerms:
     def test_degenerate_removal_rejected(self):
         # removing more than the column carries drives 1 - gamma * quad
         # below the guard; the visit leaves its row and Sigma^-1 alone
-        state, st, factor_h, block = block_state(77)
-        _, quad_u, _ = likelihood.quadratic_terms(state, st, 2, 1)
+        _, state, _, factor_h, block = block_state(77)
+        quad_u, _ = coordinate_terms(state, factor_h, 2, 1)
         state.gamma[2, 1] = 1.0 / quad_u
         inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
         with pytest.raises(NumericalDegeneracyError, match="denominator") as info:
@@ -595,13 +615,14 @@ class TestRemovalTerms:
 
 class TestSampleCovarianceChecked:
     """The state-based functions reject a sample covariance the detectors
-    reject, before they change anything."""
+    reject, before they change anything. A kernel visit takes only the
+    fit factor; the detectors' own checks are test_detect's
+    ``test_non_finite_sample_covariance_rejected`` and
+    ``test_non_hermitian_sample_covariance_rejected``."""
 
     CALLS = {
         "init_state": lambda state, st: likelihood.init_state(state.dictionary, 1.0, st, 3),
         "quadratic_terms": lambda state, st: likelihood.quadratic_terms(state, st, 0, 0),
-        "coordinate_step": lambda state, st: likelihood.coordinate_step(state, st, 0, 0),
-        "objective_delta": lambda state, st: likelihood.objective_delta(state, st, 0, 0, 0.5),
         "refresh_state": likelihood.refresh_state,
     }
 
@@ -613,7 +634,8 @@ class TestSampleCovarianceChecked:
         preambles, _, st = make_scenario(config, 29)
         dictionary = effective_dictionary(preambles, config.max_delay)
         state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
-        assert likelihood.coordinate_step(state, st, 0, 0) == pytest.approx(0.03308, abs=1e-5)
+        _, quad, fit = likelihood.quadratic_terms(state, st, 0, 0)
+        assert (fit - quad) / quad**2 == pytest.approx(0.03308, abs=1e-5)
         return state, st
 
     @pytest.mark.parametrize("call", CALLS)
@@ -639,6 +661,27 @@ class TestSampleCovarianceChecked:
             self.CALLS[call](state, st[:-1, :-1])
 
 
+class TestCoordinateRange:
+    """A (device, delay) outside ``[0, N) x [0, tau_max]`` names no
+    coordinate; its flat index would name another one's column."""
+
+    @pytest.mark.parametrize("device, delay", [(2, 3), (2, -1), (8, 0), (-1, 0)])
+    def test_out_of_range_rejected(self, device, delay):
+        config = make_config()
+        preambles, _, st = make_scenario(config, 29)
+        dictionary = effective_dictionary(preambles, config.max_delay)
+        state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
+        inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
+        with pytest.raises(ValueError, match="outside"):
+            state.column(device, delay)
+        with pytest.raises(ValueError, match="outside"):
+            likelihood.quadratic_terms(state, st, device, delay)
+        with pytest.raises(ValueError, match="outside"):
+            likelihood.rank_one_inverse_update(state, device, delay, 0.5)
+        np.testing.assert_array_equal(state.inv_sigma, inv)
+        np.testing.assert_array_equal(state.gamma, gamma)
+
+
 class TestQuadraticTerms:
     @pytest.mark.parametrize("num_antennas", [4, 64])
     def test_fit_matches_factor_form(self, num_antennas, monkeypatch):
@@ -654,9 +697,6 @@ class TestQuadraticTerms:
             want_fit = np.linalg.norm(factor_h @ want_v) ** 2
             np.testing.assert_allclose(v, want_v, rtol=1e-12)
             assert (quad, fit) == pytest.approx((want_quad, want_fit), rel=1e-12)
-            eta = likelihood.coordinate_step(state, st, n, tau)
-            step = (want_fit - want_quad) / want_quad**2
-            assert eta == pytest.approx(max(step, -state.gamma[n, tau]), rel=1e-12)
 
 
 class TestSweeps:
@@ -696,7 +736,7 @@ class TestSweeps:
     def test_failing_block_visit_leaves_its_row_and_inverse(self, monkeypatch):
         # device 2's zeroed-state scoring fails after its removal terms
         # were computed: its entry and Sigma^-1 are still those of before
-        state, _, factor_h, block = block_state(82)
+        _, state, _, factor_h, block = block_state(82)
         degenerate_removals(monkeypatch)
         inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
@@ -710,35 +750,45 @@ class TestSweeps:
 
 
 class TestObjectiveDelta:
+    """The objective change a kernel visit adds to the tracked objective."""
+
     def test_zero_step(self):
-        _, state, st = random_state(seed=49)
-        assert likelihood.objective_delta(state, st, 0, 0, 0.0) == 0.0
+        # the unconstrained step 0.5 - 0 - 1 is clipped to 0 at gamma = 0
+        state, st = scalar_state(0.5)
+        objective, inv = state.objective, state.inv_sigma.copy()
+        assert kernel_visit(state, likelihood.fit_factor(st), 0, 0) == 0.0
+        assert state.objective == objective
+        np.testing.assert_array_equal(state.inv_sigma, inv)
 
     def test_matches_dense_difference(self):
+        # kernel visits and arbitrary steps, whose change step_increment
+        # gives from the same two quadratic forms
         rng = np.random.default_rng(50)
         preambles, state, st = random_state(seed=50, updates=0)
+        factor_h = likelihood.fit_factor(st)
         for _ in range(40):
             n = int(rng.integers(5))
             tau = int(rng.integers(2))
-            eta = likelihood.coordinate_step(state, st, n, tau)
+            before = oracle.dense_objective(preambles, state.gamma, 1.0, st)
             if rng.random() < 0.4:
                 eta = float(rng.random())
-            before = oracle.dense_objective(preambles, state.gamma, 1.0, st)
-            delta = likelihood.objective_delta(state, st, n, tau, eta)
-            likelihood.rank_one_inverse_update(state, n, tau, eta)
+                delta = likelihood.step_increment(eta, *coordinate_terms(state, factor_h, n, tau))[0]
+                likelihood.rank_one_inverse_update(state, n, tau, eta)
+            else:
+                tracked = state.objective
+                kernel_visit(state, factor_h, n, tau)
+                delta = state.objective - tracked
             after = oracle.dense_objective(preambles, state.gamma, 1.0, st)
             assert delta == pytest.approx(after - before, abs=1e-9)
 
     def test_optimal_steps_never_increase(self):
         rng = np.random.default_rng(51)
         _, state, st = random_state(seed=51, updates=0)
+        factor_h = likelihood.fit_factor(st)
         for _ in range(60):
-            n = int(rng.integers(5))
-            tau = int(rng.integers(2))
-            eta = likelihood.coordinate_step(state, st, n, tau)
-            delta = likelihood.objective_delta(state, st, n, tau, eta)
-            assert delta <= 1e-12
-            likelihood.rank_one_inverse_update(state, n, tau, eta)
+            tracked = state.objective
+            kernel_visit(state, factor_h, int(rng.integers(5)), int(rng.integers(2)))
+            assert state.objective - tracked <= 1e-12
 
 
 class TestRefreshState:
@@ -771,13 +821,14 @@ class TestDriftBound:
         # the acceptance-scale invariant at unit-test size
         rng = np.random.default_rng(53)
         preambles, state, st = random_state(seed=53, updates=0)
+        factor_h = likelihood.fit_factor(st)
         for _ in range(200):
             n = int(rng.integers(5))
             tau = int(rng.integers(2))
-            eta = likelihood.coordinate_step(state, st, n, tau)
             if rng.random() < 0.3:
-                eta = float(rng.random() * 0.5)
-            likelihood.rank_one_inverse_update(state, n, tau, eta)
+                likelihood.rank_one_inverse_update(state, n, tau, float(rng.random() * 0.5))
+            else:
+                kernel_visit(state, factor_h, n, tau)
         cov = oracle.dense_covariance(preambles, state.gamma, 1.0)
         dense = oracle.dense_inverse(cov)
         rel = np.linalg.norm(state.inv_sigma - dense) / np.linalg.norm(dense)
@@ -811,7 +862,7 @@ class TestBoundRoutines:
 
         for module, names in (
             (scipy.linalg.blas, ("zdotc", "zgemm", "zgemv", "zgerc", "zherk")),
-            (scipy.linalg.lapack, ("zpotrf", "zpotri", "zpstrf")),
+            (scipy.linalg.lapack, ("zlantr", "zpotrf", "zpotri", "zpstrf")),
         ):
             for name in names:
                 assert getattr(likelihood, name) is getattr(module, name), name

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import make_config, make_scenario
+from conftest import coordinate_terms, kernel_visit, make_config, make_scenario
 from covdet import likelihood
 from covdet.siggen import effective_dictionary
 
@@ -50,9 +50,10 @@ class TestDenseObjective:
         state = likelihood.init_state(dictionary, 1.0, cov, 2)
         state.gamma = gamma.copy()
         likelihood.refresh_state(state, cov)
+        factor_h = likelihood.fit_factor(cov)
         for n in range(4):
             for tau in range(2):
-                _, quad, fit = likelihood.quadratic_terms(state, cov, n, tau)
+                quad, fit = coordinate_terms(state, factor_h, n, tau)
                 assert quad - fit == pytest.approx(0.0, abs=1e-9)
 
 
@@ -80,15 +81,14 @@ class TestGridMin1d:
             preambles, _, st = make_scenario(config, seed)
             dictionary = effective_dictionary(preambles, 1)
             state = likelihood.init_state(dictionary, 1.0, st, 2)
+            factor_h = likelihood.fit_factor(st)
             rng = np.random.default_rng(seed)
             for _ in range(3):
-                n, tau = int(rng.integers(4)), int(rng.integers(2))
-                eta = likelihood.coordinate_step(state, st, n, tau)
-                likelihood.rank_one_inverse_update(state, n, tau, eta)
+                kernel_visit(state, factor_h, int(rng.integers(4)), int(rng.integers(2)))
             n, tau = int(rng.integers(4)), int(rng.integers(2))
-            eta = likelihood.coordinate_step(state, st, n, tau)
             grid_eta = oracle.grid_min_1d(state, st, n, tau, grid_points=2001)
             current = float(state.gamma[n, tau])
+            eta = kernel_visit(state, factor_h, n, tau)
             spacing = (current + 10.0 + current) / 2000
             assert abs(eta - grid_eta) <= spacing
             hits += 1
@@ -99,7 +99,7 @@ class TestGridMin1d:
         dictionary = np.ones((1, 1), dtype=complex)
         st = np.array([[4.0 + 0j]])
         state = likelihood.init_state(dictionary, 1.0, st, 1)
-        likelihood.rank_one_inverse_update(state, 0, 0, 0.5)
+        state.gamma[0, 0] = 0.5
         likelihood.refresh_state(state, st)
         expected = 4.0 - 0.5 - 1.0
         grid_eta = oracle.grid_min_1d(state, st, 0, 0, grid_points=10001)
