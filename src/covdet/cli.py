@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from pathlib import Path
 
@@ -120,10 +120,18 @@ class ExperimentPlan:
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
 
 
+@lru_cache(maxsize=32)
 def synchronous_config(config: SystemConfig) -> SystemConfig:
     """Zero-delay benchmark system: the delay budget is folded into the
     preamble, keeping the effective sequence length (and thus the
-    observation window) identical."""
+    observation window) identical.
+
+    Built, and so validated, once per distinct base config: every trial
+    of a ``cd_e_sync`` cell gets the same object back from a small
+    bounded cache. A ``SystemConfig`` is frozen, and equal configs give
+    equal results. A ``ConfigError`` is raised afresh on every call,
+    never cached.
+    """
     return dataclasses.replace(
         config, preamble_len=config.window_len, max_delay=0
     )

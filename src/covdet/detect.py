@@ -45,7 +45,7 @@ def enforce_block_sparsity(gamma: np.ndarray) -> np.ndarray:
 
     Ties go to the smallest delay. All-zero blocks stay all-zero.
     """
-    best = np.argmax(gamma, axis=1)  # first occurrence wins ties
+    best = gamma.argmax(axis=1)  # first occurrence wins ties
     return np.where(np.arange(gamma.shape[1]) == best[:, None], gamma, 0.0)
 
 
@@ -62,16 +62,12 @@ def to_indicators(gamma: np.ndarray) -> frozenset:
     Requires a block-sparse estimate (at most one nonzero per device row)
     so each device maps to one delay.
     """
-    held = np.nonzero(gamma)
-    devices = held[0].tolist()
+    devices = gamma.nonzero()[0].tolist()
     # a device listed twice holds two nonzero delays
     if len(set(devices)) < len(devices):
         raise ValueError("indicator extraction requires a block-sparse estimate")
-    return frozenset(
-        (n, tau)
-        for n, tau, value in zip(devices, held[1].tolist(), gamma[held].tolist())
-        if value > 0.0
-    )
+    rows, cols = (gamma > 0.0).nonzero()
+    return frozenset(zip(rows.tolist(), cols.tolist()))
 
 
 @dataclass(frozen=True)

@@ -106,6 +106,8 @@ zlantr, zpotrf, zpotri, zpstrf = (
 
 # 1 + eta * s^H Sigma^{-1} s below this is treated as a degenerate update
 DENOMINATOR_GUARD = 1e-12
+# float64 machine epsilon, for fit_factor's remainder tolerance
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def assemble_covariance(dictionary: np.ndarray, gamma: np.ndarray, sigma2: float) -> np.ndarray:
@@ -124,9 +126,9 @@ def assemble_covariance(dictionary: np.ndarray, gamma: np.ndarray, sigma2: float
             f"gamma of shape {np.shape(gamma)} does not match the "
             f"{dictionary.shape[1]} columns of a dictionary of shape {dictionary.shape}"
         )
-    if not np.all(np.isfinite(flat)):
+    if not np.isfinite(flat).all():
         raise ValueError("gamma has NaN or Inf entries")
-    if np.any(flat < 0):
+    if (flat < 0).any():
         raise ValueError("gamma entries must be non-negative")
     held = np.flatnonzero(flat)
     cov = zherk(1.0, dictionary[:, held] * np.sqrt(flat[held]), lower=1)
@@ -142,7 +144,7 @@ def _dense_objective(mat: np.ndarray, st: np.ndarray, failure: str, inverse: boo
     trace term is ``Re sum(conj(S_tilde) * Sigma^{-1})``, off numpy's BLAS.
     ``ValueError`` for NaN or Inf in ``mat``; ``NumericalDegeneracyError``,
     led by ``failure``, when the factorization fails."""
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("matrix to factor has NaN or Inf entries")
     factor, info = zpotrf(mat, lower=1)
     inv = mat
@@ -151,8 +153,8 @@ def _dense_objective(mat: np.ndarray, st: np.ndarray, failure: str, inverse: boo
         inv += np.tril(inv, -1).conj().T
     if info != 0:
         raise NumericalDegeneracyError(f"{failure}: leading minor {info} not positive definite")
-    log_det = 2.0 * float(np.sum(np.log(factor.diagonal().real)))
-    return (-log_det if inverse else log_det) + float(np.sum(np.real(st.conj() * inv))), inv
+    log_det = 2.0 * float(np.log(factor.diagonal().real).sum())
+    return (-log_det if inverse else log_det) + float((st.conj() * inv).real.sum()), inv
 
 
 def evaluate_objective(mat: np.ndarray, sigma_tilde, *, inverse: bool = False) -> float:
@@ -185,7 +187,7 @@ def init_state(
         )
     inv = np.eye(dim, dtype=np.complex128, order="F")
     inv /= sigma2
-    objective = dim * math.log(sigma2) + float(np.real(np.trace(st))) / sigma2
+    objective = dim * math.log(sigma2) + float(st.trace().real) / sigma2
     gamma = np.zeros((num_columns // num_delays, num_delays))
     return CovarianceState(
         dictionary=dictionary, sigma2=sigma2, inv_sigma=inv, objective=objective, gamma=gamma
@@ -218,12 +220,12 @@ def fit_factor(sigma_tilde) -> np.ndarray:
     else:
         # row p of F is row order[p] of L, which holds c's entries on and
         # below the diagonal; F is C-ordered, so F^H is Fortran-ordered
-        order = np.argsort(piv)
+        order = piv.argsort()
         factor_h = np.where(order[:, None] >= np.arange(rank), c[order, :rank], 0.0).conj().T
     if rank < dim:
         # S_tilde - F F^H in the lower triangle, the only one zlantr reads
         remainder = zlantr("M", zherk(-1.0, factor_h, 1.0, st, trans=2, lower=1), uplo="L")
-        if not remainder <= dim * np.finfo(np.float64).eps * st.diagonal().real.max():
+        if not remainder <= dim * _EPS * st.diagonal().real.max():
             raise ValueError("sample covariance is not positive semidefinite")
     return factor_h
 
@@ -467,12 +469,14 @@ def rank_one_inverse_update(
     track it via :func:`step_increment` (computed before this update).
     ``state.inv_sigma`` is updated in place by BLAS, so a layout other
     than Fortran-ordered complex128 raises ``ValueError`` before anything
-    changes.
+    changes, and so does a coordinate outside ``[0, N) x [0, tau_max]``,
+    also with a zero step.
     """
     _check_inverse(state.inv_sigma)
+    s = state.column(device, delay)
     if eta == 0.0:
         return
-    v, quad = _project(state.inv_sigma, state.column(device, delay))
+    v, quad = _project(state.inv_sigma, s)
     _, denom = step_increment(eta, quad, 0.0)
     new_value = float(state.gamma[device, delay]) + eta
     if new_value < 0.0:

@@ -48,7 +48,7 @@ def check_preambles(preambles: np.ndarray, config: SystemConfig) -> None:
             f"preambles must have shape (preamble length, device count) = "
             f"{expected}, got {preambles.shape}"
         )
-    if not np.all(np.isfinite(preambles)):
+    if not np.isfinite(preambles).all():
         raise ValueError("preambles have NaN or Inf entries")
 
 
@@ -84,7 +84,8 @@ def draw_ground_truth(config: SystemConfig, rng: np.random.Generator) -> GroundT
     The active set is uniform without replacement; delays are uniform on
     {0, ..., tau_max}.
     """
-    active = np.sort(rng.choice(config.num_devices, size=config.num_active, replace=False))
+    active = rng.choice(config.num_devices, size=config.num_active, replace=False)
+    active.sort()
     drawn = rng.integers(0, config.num_delays, size=config.num_active)
     return GroundTruth(dict(zip(active.tolist(), drawn.tolist())))
 
@@ -110,7 +111,7 @@ def synthesize_received_signal(
     if outside:
         raise ValueError(f"active devices {outside} outside [0, {config.num_devices})")
     delays = [truth.delays[n] for n in devices]
-    if not all(0 <= tau <= config.max_delay for tau in delays):
+    if [tau for tau in delays if not 0 <= tau <= config.max_delay]:
         raise ValueError(f"active delays {delays} outside [0, {config.max_delay}]")
     channels = complex_gaussian(rng, (truth.num_active, config.num_antennas))
     # the active devices' dictionary columns, one per device at its delay,
@@ -148,6 +149,6 @@ def sample_covariance(received: np.ndarray) -> np.ndarray:
         cov /= y.shape[1]
         cov += cov.conj().T
         cov /= 2.0
-    if not np.all(np.isfinite(cov)):
+    if not np.isfinite(cov).all():
         raise ValueError("sample covariance has NaN or Inf entries")
     return cov

@@ -1,16 +1,20 @@
 """Experiment runner: trial scoring, aggregation, CSV I/O, entry point."""
 
+import dataclasses
 import errno
+import gc
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import DEFAULTS, make_config, package_env
 from covdet import cli as cli_module
+from covdet import likelihood
 from covdet.cli import (
     CSV_HEADER,
     DETECTOR_NAMES,
@@ -23,7 +27,17 @@ from covdet.cli import (
     run_single_trial,
     synchronous_config,
 )
+from covdet.detect import run_cd_e
+from covdet.metrics import compute_fap, compute_mdp
+from covdet.siggen import (
+    draw_ground_truth,
+    generate_preambles,
+    sample_covariance,
+    synthesize_received_signal,
+)
 from covdet.sysmodel import ConfigError, ConvergenceError, NumericalDegeneracyError
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 # small enough for dozens of full trials per second
@@ -66,6 +80,41 @@ class TestSynchronousConfig:
         for field in DEFAULTS:
             if field not in ("preamble_len", "max_delay"):
                 assert getattr(sync, field) == getattr(config, field)
+
+    def test_built_once_per_base_config(self):
+        config = make_config()
+        assert synchronous_config(config) is synchronous_config(config)
+
+    @pytest.mark.parametrize("seed", [42, 43, 44])
+    def test_trial_matches_an_uncached_synchronous_run(self, seed):
+        # a cd_e_sync record, read through the cache, is bit for bit the
+        # run_cd_e run on a synchronous system built afresh
+        config = micro_config(num_antennas=8)
+        run_single_trial(config, seed, "cd_e_sync")
+        record = run_single_trial(config, seed, "cd_e_sync")
+        sync = dataclasses.replace(config, preamble_len=config.window_len, max_delay=0)
+        rng = np.random.default_rng(seed)
+        preambles = generate_preambles(sync, rng)
+        truth = draw_ground_truth(sync, rng)
+        received = synthesize_received_signal(preambles, truth, sync, rng)
+        result = run_cd_e(preambles, sample_covariance(received), sync)
+        assert (record.mdp, record.fap, record.iterations, record.final_objective) == (
+            compute_mdp(result, truth),
+            compute_fap(result, truth, sync.num_devices),
+            result.iterations,
+            result.final_objective,
+        )
+
+    def test_invalid_synchronous_system_raises_every_time(self):
+        # gain * L is below 1/eps, gain * (L + tau_max) is not: the base
+        # system is valid and its synchronous system is not; a ConfigError
+        # is never cached, so the second call raises as the first did
+        config = make_config(preamble_len=16, max_delay=2, tx_power_dbm=173.3)
+        limit = 1.0 / np.finfo(float).eps
+        assert config.cell_edge_gain * 16 < limit <= config.cell_edge_gain * 18
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="cell_edge_gain"):
+                synchronous_config(config)
 
 
 class TestRunSingleTrial:
@@ -145,6 +194,50 @@ class TestRunSingleTrial:
         assert "trial failed" in message
         assert "detector=cd_e" in message
         assert "seed=99" in message
+
+
+# profiler events of one desk.json M=4, seed 12345 cd_e_sync trial outside
+# its coordinate sweeps, counted by count_calls_outside_sweeps: caching the
+# synchronous config and moving the trial path onto ndarray methods took
+# them from 339 to 184 (Python 3.11, numpy 2.4.6); the bound is 10% above
+FIXED_PATH_CALL_LIMIT = 202
+
+
+def count_calls_outside_sweeps(run):
+    """``call`` and ``c_call`` profiler events while ``run()`` runs, those
+    made in ``likelihood.column_sweep`` and below it excepted."""
+    sweep = likelihood.column_sweep.__code__
+    depth = count = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, count
+        if frame.f_code is sweep and event in ("call", "return"):
+            depth += 1 if event == "call" else -1
+        elif depth == 0 and event in ("call", "c_call"):
+            count += 1
+
+    gc.collect()
+    gc.disable()
+    try:
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+    finally:
+        gc.enable()
+    return count
+
+
+def test_fixed_path_call_count():
+    # the work of a trial around its sweeps: scenario, checks, setup,
+    # scoring. Per-trial config validation or numpy's Python-level
+    # wrappers coming back shows here, where the benchmark's host noise
+    # hides a few microseconds; a warm-up trial fills the caches first
+    config = dataclasses.replace(load_experiment(CONFIGS / "desk.json").base, num_antennas=4)
+    run_single_trial(config, 12345, "cd_e_sync")
+    count = count_calls_outside_sweeps(lambda: run_single_trial(config, 12345, "cd_e_sync"))
+    assert count <= FIXED_PATH_CALL_LIMIT
 
 
 class TestAggregate:

@@ -676,8 +676,10 @@ class TestCoordinateRange:
             state.column(device, delay)
         with pytest.raises(ValueError, match="outside"):
             likelihood.quadratic_terms(state, st, device, delay)
-        with pytest.raises(ValueError, match="outside"):
-            likelihood.rank_one_inverse_update(state, device, delay, 0.5)
+        # a zero step changes nothing, but still names no coordinate
+        for eta in (0.5, 0.0):
+            with pytest.raises(ValueError, match="outside"):
+                likelihood.rank_one_inverse_update(state, device, delay, eta)
         np.testing.assert_array_equal(state.inv_sigma, inv)
         np.testing.assert_array_equal(state.gamma, gamma)
 
