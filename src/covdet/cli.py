@@ -88,7 +88,8 @@ class ExperimentPlan:
 
     Valid by construction: ``detectors`` is a non-empty tuple of distinct
     known names, ``antennas`` a non-empty tuple of distinct counts that
-    each give a valid system with ``base``, and ``trials`` a positive
+    each give a valid system with ``base`` (and, when ``cd_e_sync`` is
+    listed, a valid synchronous system), and ``trials`` a positive
     integer. Raises ``ConfigError`` otherwise.
     """
 
@@ -113,7 +114,9 @@ class ExperimentPlan:
                 f"antennas must be a non-empty tuple of counts, got {self.antennas!r}"
             )
         for m in self.antennas:
-            dataclasses.replace(self.base, num_antennas=m)
+            config = dataclasses.replace(self.base, num_antennas=m)
+            if "cd_e_sync" in self.detectors:
+                synchronous_config(config)
         if len(set(self.antennas)) < len(self.antennas):
             raise ConfigError(f"antennas must not repeat, got {self.antennas!r}")
         if not (is_int(self.trials) and self.trials >= 1):

@@ -245,13 +245,20 @@ class GroundTruth:
     ``delays`` maps each active device to its delay. ``active`` lists the
     active devices ascending, so that draws consuming it (channel
     generation) are order-deterministic. Every device sits at the
-    config's ``cell_edge_gain``.
+    config's ``cell_edge_gain``. Raises ``ValueError`` for a device or
+    delay that is not an integer, which the int64 ``active`` and the
+    synthesized window would otherwise truncate.
     """
 
     delays: dict[int, int]  # active device -> delay
     active: np.ndarray = field(init=False, repr=False, compare=False)  # sorted, int64
 
     def __post_init__(self):
+        # every pair in one array, whose dtype is an integer one only if
+        # every device and delay is an integer
+        pairs = np.array(list(self.delays.items()))
+        if pairs.size and pairs.dtype.kind not in "iu":
+            raise ValueError(f"devices and delays must be integers, got {self.delays!r}")
         object.__setattr__(self, "active", np.array(sorted(self.delays), dtype=np.int64))
 
     @property

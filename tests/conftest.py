@@ -1,13 +1,17 @@
 """Shared scenario builders and subprocess helpers for the test suite."""
 
+import dataclasses
 import os
+import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import covdet
 import oracle
 from covdet import likelihood
+from covdet.cli import ExperimentPlan, load_experiment, run_experiment
 from covdet.siggen import (
     draw_ground_truth,
     generate_preambles,
@@ -15,6 +19,8 @@ from covdet.siggen import (
     synthesize_received_signal,
 )
 from covdet.sysmodel import GroundTruth, SystemConfig
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 DEFAULTS = dict(
     num_devices=8,
@@ -36,6 +42,24 @@ DEFAULTS = dict(
 def make_config(**overrides) -> SystemConfig:
     """A small valid config, with any field overridable."""
     return SystemConfig(**{**DEFAULTS, **overrides})
+
+
+def shipped(study: str, **fields) -> ExperimentPlan:
+    """The experiment plan of ``configs/<study>.json``, with any system
+    field of its base config replaced; the one statement of the shipped
+    systems that the tests read."""
+    plan = load_experiment(CONFIGS / f"{study}.json")
+    return dataclasses.replace(plan, base=dataclasses.replace(plan.base, **fields))
+
+
+@pytest.fixture(scope="session")
+def desk_study(tmp_path_factory):
+    """The whole desk study, run serially once per session: its aggregate
+    CSV path, its rows and the sweep's wall time in seconds."""
+    out = tmp_path_factory.mktemp("desk") / "desk.csv"
+    start = time.perf_counter()
+    rows = run_experiment(shipped("desk"), out)
+    return out, rows, time.perf_counter() - start
 
 
 def make_truth(pairs) -> GroundTruth:

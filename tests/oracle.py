@@ -15,8 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from covdet.sysmodel import CovarianceState
-
 
 def _delayed_columns(matrix: np.ndarray, max_delay: int) -> np.ndarray:
     """Zero-padded delayed copies of each preamble, one column per
@@ -77,7 +75,9 @@ def dense_objective(
 
 
 def grid_min_1d(
-    state: CovarianceState,
+    preambles: np.ndarray,
+    gamma: np.ndarray,
+    sigma2: float,
     sigma_tilde,
     device: int,
     delay: int,
@@ -88,14 +88,17 @@ def grid_min_1d(
 
     Returns the best offset eta over a uniform grid on
     ``[-gamma[device, delay], upper]`` (default upper:
-    ``gamma[device, delay] + 10``). Ties go to the smallest offset.
+    ``gamma[device, delay] + 10``) from the ``(N, tau_max+1)`` estimate
+    ``gamma``. Ties go to the smallest offset.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
-    current = float(state.gamma[device, delay])
+    current = float(gamma[device, delay])
     if upper is None:
         upper = current + 10.0
-    base = _covariance_from_columns(state.dictionary, state.gamma.ravel(), state.sigma2)
-    s = state.column(device, delay)
+    num_delays = gamma.shape[1]
+    columns = _delayed_columns(preambles, num_delays - 1)
+    base = _covariance_from_columns(columns, gamma.ravel(), sigma2)
+    s = columns[:, device * num_delays + delay]
     bump = np.outer(s, s.conj())
     etas = np.linspace(-current, upper, grid_points)
     values = np.empty(grid_points)

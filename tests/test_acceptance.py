@@ -2,10 +2,13 @@
 
 Every test prints a single pass/fail summary line (visible with
 ``pytest -s``) and asserts the same condition, so the suite output and
-the printed report always agree. Monte Carlo batches reuse module-scoped
-fixtures to keep the wall-clock cost near one minute.
+the printed report always agree. Monte Carlo batches reuse fixtures to
+keep the wall-clock cost near one minute; criterion 6 reads the desk
+study that ``conftest.desk_study`` runs once per session, and
+``tests/test_golden.py`` checks that same run's CSV.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,7 +16,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import coordinate_terms, kernel_visit, make_config, make_scenario
+from conftest import coordinate_terms, kernel_visit, make_config, make_scenario, shipped
 from covdet import likelihood
 from covdet.cli import ExperimentPlan, run_experiment
 from covdet.detect import run_bcd, run_cd_e, threshold, to_indicators
@@ -26,24 +29,6 @@ def _report(idx: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {idx} ({name}): {detail}"
 
 
-def desk_scale_config(**overrides):
-    """50 devices, 10 active, 32-sample window: seconds per trial batch."""
-    values = dict(
-        num_devices=50, num_active=10, preamble_len=30, max_delay=2,
-        num_antennas=64,
-    )
-    values.update(overrides)
-    return make_config(**values)
-
-
-def full_scale_config():
-    """200 devices, 90 active, 104-sample window."""
-    return make_config(
-        num_devices=200, num_active=90, preamble_len=100, max_delay=4,
-        num_antennas=64,
-    )
-
-
 @pytest.fixture(scope="module")
 def desk_batch():
     """Both detectors on 50 seeded desk-scale scenarios, with the gamma
@@ -52,7 +37,7 @@ def desk_batch():
     A pass writes row ``n`` only while visiting block ``n`` and leaves it
     with at most one nonzero at that visit's commit, so auditing every
     row after the pass audits every commit."""
-    config = desk_scale_config()
+    config = shipped("desk").base
     block_sweep = likelihood.block_sweep
     audits: list[int] = []
 
@@ -71,23 +56,6 @@ def desk_batch():
             bcd = run_bcd(preambles, st, config)
             runs.append((cd, bcd, audits[first:]))
     return runs
-
-
-@pytest.fixture(scope="module")
-def antenna_sweep(tmp_path_factory):
-    """The trend experiment: three detectors, M in {4, 16, 64}, 200
-    paired trials per cell. Returns (rows keyed by cell, elapsed)."""
-    out = tmp_path_factory.mktemp("sweep") / "trend.csv"
-    plan = ExperimentPlan(
-        base=desk_scale_config(),
-        detectors=("cd_e", "bcd", "cd_e_sync"),
-        antennas=(4, 16, 64),
-        trials=200,
-    )
-    start = time.perf_counter()
-    rows = run_experiment(plan, out)
-    elapsed = time.perf_counter() - start
-    return {(r["detector"], r["M"]): r for r in rows}, elapsed
 
 
 def test_1_rank_one_inverse_fidelity():
@@ -164,7 +132,7 @@ def test_2_coordinate_visit_optimality():
         quad, fit = coordinate_terms(state, factor_h, n, tau)
         slope = quad - fit
         grid_eta = oracle.grid_min_1d(
-            state, st, n, tau, grid_points=2001
+            preambles, state.gamma, 1.0, st, n, tau, grid_points=2001
         )
         current = float(state.gamma[n, tau])
         spacing = (2.0 * current + 10.0) / 2000
@@ -194,7 +162,7 @@ def test_3_monotone_convergence(desk_batch):
     # objective sequences never increase (1e-9 roundoff slack across the
     # periodic dense refresh) and the final sweep decrement meets the
     # stopping rule within the sweep cap
-    delta = desk_scale_config().convergence_delta
+    delta = shipped("desk").base.convergence_delta
     worst_rise = -math.inf
     worst_last = -math.inf
     max_sweeps = 0
@@ -260,13 +228,16 @@ def test_5_tiny_instance_matches_exhaustive_search():
     )
 
 
-def test_6_error_rates_trend_with_antennas(antenna_sweep):
-    # (a) MDP and FAP non-increasing in M for every detector, each step
-    # down or within one standard error of the difference; (b) the block
-    # detector's FAP at the largest M no worse than the entrywise one's;
-    # (c) at the largest M the asynchronous detectors match the zero-delay
-    # benchmark within two standard errors
-    cells, elapsed = antenna_sweep
+def test_6_error_rates_trend_with_antennas(desk_study):
+    # the trend experiment is the desk study: three detectors, M in
+    # {4, 16, 64}, 200 paired trials per cell. (a) MDP and FAP
+    # non-increasing in M for every detector, each step down or within one
+    # standard error of the difference; (b) the block detector's FAP at the
+    # largest M no worse than the entrywise one's; (c) at the largest M the
+    # asynchronous detectors match the zero-delay benchmark within two
+    # standard errors
+    _, rows, elapsed = desk_study
+    cells = {(r["detector"], r["M"]): r for r in rows}
     antennas = (4, 16, 64)
     violations = []
     for det in ("cd_e", "bcd", "cd_e_sync"):
@@ -311,11 +282,8 @@ def test_6_error_rates_trend_with_antennas(antenna_sweep):
 def test_7_full_scale_smoke_run(tmp_path):
     # the 200-device system completes all trials without numerical
     # failure and detects most activity
-    plan = ExperimentPlan(
-        base=full_scale_config(),
-        detectors=("cd_e", "bcd"),
-        antennas=(64,),
-        trials=20,
+    plan = dataclasses.replace(
+        shipped("full"), detectors=("cd_e", "bcd"), antennas=(64,), trials=20
     )
     start = time.perf_counter()
     rows = run_experiment(plan, tmp_path / "smoke.csv")

@@ -7,12 +7,11 @@ import json
 import math
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import DEFAULTS, make_config, package_env
+from conftest import DEFAULTS, make_config, package_env, shipped
 from covdet import cli as cli_module
 from covdet import likelihood
 from covdet.cli import (
@@ -37,9 +36,6 @@ from covdet.siggen import (
 )
 from covdet.sysmodel import ConfigError, ConvergenceError, NumericalDegeneracyError
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
-
-
 # small enough for dozens of full trials per second
 MICRO = dict(num_devices=4, num_active=1, preamble_len=8, max_delay=1, num_antennas=4)
 
@@ -56,6 +52,12 @@ def drop_column(line, index):
     fields = line.split(",")
     del fields[index]
     return fields
+
+
+# L=16, tau_max=2 at 173.3 dBm: gain * 16 < 1/eps <= gain * 18, so this
+# system is valid and its synchronous system (L=18, tau_max=0) is not
+SYNC_INVALID_FIELDS = dict(preamble_len=16, max_delay=2, tx_power_dbm=173.3)
+SYNC_INVALID = make_config(**SYNC_INVALID_FIELDS)
 
 
 def write_experiment_file(path, **keys):
@@ -109,12 +111,12 @@ class TestSynchronousConfig:
         # gain * L is below 1/eps, gain * (L + tau_max) is not: the base
         # system is valid and its synchronous system is not; a ConfigError
         # is never cached, so the second call raises as the first did
-        config = make_config(preamble_len=16, max_delay=2, tx_power_dbm=173.3)
         limit = 1.0 / np.finfo(float).eps
-        assert config.cell_edge_gain * 16 < limit <= config.cell_edge_gain * 18
+        gain = SYNC_INVALID.cell_edge_gain
+        assert gain * SYNC_INVALID.preamble_len < limit <= gain * SYNC_INVALID.window_len
         for _ in range(2):
             with pytest.raises(ConfigError, match="cell_edge_gain"):
-                synchronous_config(config)
+                synchronous_config(SYNC_INVALID)
 
 
 class TestRunSingleTrial:
@@ -234,7 +236,7 @@ def test_fixed_path_call_count():
     # scoring. Per-trial config validation or numpy's Python-level
     # wrappers coming back shows here, where the benchmark's host noise
     # hides a few microseconds; a warm-up trial fills the caches first
-    config = dataclasses.replace(load_experiment(CONFIGS / "desk.json").base, num_antennas=4)
+    config = shipped("desk", num_antennas=4).base
     run_single_trial(config, 12345, "cd_e_sync")
     count = count_calls_outside_sweeps(lambda: run_single_trial(config, 12345, "cd_e_sync"))
     assert count <= FIXED_PATH_CALL_LIMIT
@@ -300,15 +302,17 @@ class TestExperimentPlan:
             (dict(detectors=("amp",)), "unknown detector"),
             (dict(antennas=(2, 2)), "antennas must not repeat"),
             (dict(detectors=("cd_e", "cd_e")), "detectors must not repeat"),
+            (dict(base=SYNC_INVALID, detectors=("cd_e_sync",)), "cell_edge_gain"),
         ],
         ids=["trials-0", "trials-minus-1", "trials-bool", "trials-float", "antennas-empty",
              "antennas-zero", "antennas-bool", "detectors-empty", "detectors-unknown",
-             "antennas-repeated", "detectors-repeated"],
+             "antennas-repeated", "detectors-repeated", "synchronous-system-invalid"],
     )
     def test_invalid_plan_rejected_when_built(self, overrides, message):
         # run_experiment once raised IndexError or a numpy ValueError on
         # these, or wrote a header-only CSV; a repeated entry ran its cell
-        # twice, with a second CSV row and an overwritten dump
+        # twice, with a second CSV row and an overwritten dump; an invalid
+        # synchronous system failed only inside the first cd_e_sync trial
         plan = dict(base=micro_config(), detectors=("cd_e",), antennas=(2,), trials=1)
         with pytest.raises(ConfigError, match=message):
             ExperimentPlan(**{**plan, **overrides})
@@ -605,6 +609,20 @@ class TestMain:
         assert code == 2
         assert capsys.readouterr().err == f"error: {message.format(out=out)}\n"
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["existing", "exp.json"]
+
+    def test_invalid_synchronous_system_exits_two_before_any_trial(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # such a run once exited 2 only from inside its first trial
+        monkeypatch.setattr(cli_module, "run_single_trial", no_trial)
+        path = write_experiment_file(
+            tmp_path / "exp.json", detectors=["cd_e_sync"], **SYNC_INVALID_FIELDS
+        )
+        out = tmp_path / "r.csv"
+        code = main(["run", "--config", str(path), "--out", str(out), "--trials", "1"])
+        assert code == 2
+        assert "cell_edge_gain" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_per_trial_dump_on_a_file_exits_two_before_any_trial(
         self, tmp_path, capsys, monkeypatch

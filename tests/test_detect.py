@@ -13,6 +13,7 @@ from conftest import (
     kernel_visit,
     make_config,
     make_scenario,
+    shipped,
 )
 from covdet import detect, likelihood
 from covdet.detect import (
@@ -148,30 +149,6 @@ class TestDetectionResult:
 
 
 class TestRunCdE:
-    def test_pure_noise_detects_nothing(self):
-        config = make_config()
-        preambles = make_scenario(config, 0)[0]
-        noise_cov = config.sigma2 * np.eye(config.window_len)
-        result = run_cd_e(preambles, noise_cov, config)
-        assert result.theta_hat == frozenset()
-        assert np.all(result.gamma_hat == 0)
-        assert result.iterations == 1
-
-    def test_high_snr_exact_recovery(self):
-        config = make_config(num_antennas=256)
-        preambles, truth, st = make_scenario(config, 42)
-        result = run_cd_e(preambles, st, config)
-        assert result.theta_hat == truth.pairs
-
-    def test_trace_non_increasing(self):
-        for seed in range(5):
-            config = make_config(num_antennas=16)
-            preambles, _, st = make_scenario(config, seed)
-            result = run_cd_e(preambles, st, config)
-            diffs = np.diff(result.objective_trace)
-            assert np.all(diffs <= 1e-9)
-            assert result.objective_trace[0] > result.final_objective
-
     def test_terminates_at_delta(self):
         config = make_config(num_antennas=32)
         preambles, _, st = make_scenario(config, 7)
@@ -179,30 +156,6 @@ class TestRunCdE:
         last_drop = result.objective_trace[-2] - result.objective_trace[-1]
         assert last_drop <= config.convergence_delta
         assert result.iterations == len(result.objective_trace) - 1
-
-    def test_estimate_is_block_sparse_and_thresholded(self):
-        config = make_config(num_antennas=8)
-        preambles, _, st = make_scenario(config, 9)
-        result = run_cd_e(preambles, st, config)
-        assert np.count_nonzero(result.gamma_hat, axis=1).max() <= 1
-        survivors = result.gamma_hat[result.gamma_hat > 0]
-        assert np.all(survivors >= config.threshold_cd)
-
-    def test_deterministic(self):
-        config = make_config(num_antennas=16)
-        preambles, _, st = make_scenario(config, 11)
-        a = run_cd_e(preambles, st, config)
-        b = run_cd_e(preambles, st, config)
-        assert a.theta_hat == b.theta_hat
-        np.testing.assert_array_equal(a.gamma_hat, b.gamma_hat)
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
-
-    def test_sweep_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr(detect, "MAX_SWEEPS", 1)
-        config = make_config(num_antennas=64)
-        preambles, _, st = make_scenario(config, 15)
-        with pytest.raises(ConvergenceError, match="1 sweeps"):
-            run_cd_e(preambles, st, config)
 
     @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
     @pytest.mark.parametrize(
@@ -331,17 +284,14 @@ def test_prepare_keeps_the_dictionary_it_builds(monkeypatch):
 
 # desk.json at M=4; with convergence_delta=1e-9 its runs take 14-27
 # sweeps, so each crosses at least one dense refresh
-DESK_M4 = dict(
-    num_devices=50, num_active=10, preamble_len=30, max_delay=2, num_antennas=4,
-    convergence_delta=1e-9,
-)
+DESK_M4 = shipped("desk", num_antennas=4, convergence_delta=1e-9).base
 
 
 @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
 def test_refresh_correction_is_not_progress(runner, monkeypatch):
     # the stop rule reads each sweep's own decrement, so a refresh that
     # moves the objective changes neither when a run stops nor what it finds
-    config = make_config(**DESK_M4)
+    config = DESK_M4
     preambles, _, st = make_scenario(config, 0)
     plain = runner(preambles, st, config)
     assert plain.iterations > detect.RECOMPUTE_EVERY
@@ -364,7 +314,7 @@ def test_refresh_correction_is_not_progress(runner, monkeypatch):
 def test_final_state_matches_oracle(runner, seed, monkeypatch):
     # the tracked objective and inverse of a whole run, refreshes and all,
     # against the brute-force reference at the relaxed estimate
-    config = make_config(**DESK_M4)
+    config = DESK_M4
     preambles, _, st = make_scenario(config, seed)
     states = []
     init_state = likelihood.init_state
@@ -425,20 +375,6 @@ def bcd_sweep_by_hand(preambles, state, st, config, events):
 
 
 class TestRunBcd:
-    def test_pure_noise_detects_nothing(self):
-        config = make_config()
-        preambles = make_scenario(config, 0)[0]
-        noise_cov = config.sigma2 * np.eye(config.window_len)
-        result = run_bcd(preambles, noise_cov, config)
-        assert result.theta_hat == frozenset()
-        assert result.iterations == 1
-
-    def test_high_snr_exact_recovery(self):
-        config = make_config(num_antennas=256)
-        preambles, truth, st = make_scenario(config, 42)
-        result = run_bcd(preambles, st, config)
-        assert result.theta_hat == truth.pairs
-
     def test_block_sparse_at_every_commit(self, monkeypatch):
         # audited after every pass: a pass writes row n only while visiting
         # block n, and ends that visit with at most one nonzero in it, so a
@@ -458,13 +394,6 @@ class TestRunBcd:
         assert len(seen) == result.iterations
         assert max(seen) <= 1
         assert np.count_nonzero(result.gamma_hat, axis=1).max() <= 1
-
-    def test_trace_non_increasing(self):
-        for seed in range(5):
-            config = make_config(num_antennas=16)
-            preambles, _, st = make_scenario(config, seed)
-            result = run_bcd(preambles, st, config)
-            assert np.all(np.diff(result.objective_trace) <= 1e-9)
 
     def test_candidate_bookkeeping_matches_dense_objective(self):
         # the speculative (step, delta) pair BCD relies on, checked
@@ -530,28 +459,70 @@ class TestRunBcd:
         with pytest.raises(NumericalDegeneracyError, match=r"<= 0 at sweep 2, device \d+"):
             run_bcd(preambles, st, config)
 
-    def test_deterministic(self):
+
+
+# the contract both detectors keep
+
+
+@pytest.mark.parametrize("runner, seed", [(run_cd_e, 0), (run_bcd, 0)])
+def test_pure_noise_detects_nothing(runner, seed):
+    config = make_config()
+    preambles = make_scenario(config, seed)[0]
+    noise_cov = config.sigma2 * np.eye(config.window_len)
+    result = runner(preambles, noise_cov, config)
+    assert result.theta_hat == frozenset()
+    assert not result.gamma_hat.any()
+    assert result.iterations == 1
+
+
+@pytest.mark.parametrize("runner, seed", [(run_cd_e, 42), (run_bcd, 42)])
+def test_high_snr_exact_recovery(runner, seed):
+    config = make_config(num_antennas=256)
+    preambles, truth, st = make_scenario(config, seed)
+    result = runner(preambles, st, config)
+    assert result.theta_hat == truth.pairs
+
+
+@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
+def test_trace_non_increasing(runner):
+    for seed in range(5):
         config = make_config(num_antennas=16)
-        preambles, _, st = make_scenario(config, 21)
-        a = run_bcd(preambles, st, config)
-        b = run_bcd(preambles, st, config)
-        assert a.theta_hat == b.theta_hat
-        np.testing.assert_array_equal(a.gamma_hat, b.gamma_hat)
-        np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+        preambles, _, st = make_scenario(config, seed)
+        result = runner(preambles, st, config)
+        assert np.all(np.diff(result.objective_trace) <= 1e-9)
+        assert result.objective_trace[0] > result.final_objective
 
-    def test_sweep_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr(detect, "MAX_SWEEPS", 1)
-        config = make_config(num_antennas=64)
-        preambles, _, st = make_scenario(config, 23)
-        with pytest.raises(ConvergenceError, match="1 sweeps"):
-            run_bcd(preambles, st, config)
 
-    def test_survivors_meet_bcd_threshold(self):
-        config = make_config(num_antennas=8)
-        preambles, _, st = make_scenario(config, 25)
-        result = run_bcd(preambles, st, config)
-        survivors = result.gamma_hat[result.gamma_hat > 0]
-        assert np.all(survivors >= config.threshold_bcd)
+@pytest.mark.parametrize("runner, seed", [(run_cd_e, 11), (run_bcd, 21)])
+def test_deterministic(runner, seed):
+    config = make_config(num_antennas=16)
+    preambles, _, st = make_scenario(config, seed)
+    a = runner(preambles, st, config)
+    b = runner(preambles, st, config)
+    assert a.theta_hat == b.theta_hat
+    np.testing.assert_array_equal(a.gamma_hat, b.gamma_hat)
+    np.testing.assert_array_equal(a.objective_trace, b.objective_trace)
+
+
+@pytest.mark.parametrize("runner, seed", [(run_cd_e, 15), (run_bcd, 23)])
+def test_sweep_cap_enforced(runner, seed, monkeypatch):
+    monkeypatch.setattr(detect, "MAX_SWEEPS", 1)
+    config = make_config(num_antennas=64)
+    preambles, _, st = make_scenario(config, seed)
+    with pytest.raises(ConvergenceError, match="1 sweeps"):
+        runner(preambles, st, config)
+
+
+@pytest.mark.parametrize(
+    "runner, seed, field", [(run_cd_e, 9, "threshold_cd"), (run_bcd, 25, "threshold_bcd")]
+)
+def test_estimate_is_block_sparse_and_thresholded(runner, seed, field):
+    config = make_config(num_antennas=8)
+    preambles, _, st = make_scenario(config, seed)
+    result = runner(preambles, st, config)
+    assert np.count_nonzero(result.gamma_hat, axis=1).max() <= 1
+    survivors = result.gamma_hat[result.gamma_hat > 0]
+    assert np.all(survivors >= getattr(config, field))
 
 
 @pytest.mark.parametrize("num_active", [12, 16])

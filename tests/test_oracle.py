@@ -86,7 +86,7 @@ class TestGridMin1d:
             for _ in range(3):
                 kernel_visit(state, factor_h, int(rng.integers(4)), int(rng.integers(2)))
             n, tau = int(rng.integers(4)), int(rng.integers(2))
-            grid_eta = oracle.grid_min_1d(state, st, n, tau, grid_points=2001)
+            grid_eta = oracle.grid_min_1d(preambles, state.gamma, 1.0, st, n, tau, grid_points=2001)
             current = float(state.gamma[n, tau])
             eta = kernel_visit(state, factor_h, n, tau)
             spacing = (current + 10.0 + current) / 2000
@@ -96,13 +96,11 @@ class TestGridMin1d:
 
     def test_scalar_closed_form(self):
         # scalar problem: best offset is max(sigma_tilde - gamma - sigma2, -gamma)
-        dictionary = np.ones((1, 1), dtype=complex)
         st = np.array([[4.0 + 0j]])
-        state = likelihood.init_state(dictionary, 1.0, st, 1)
-        state.gamma[0, 0] = 0.5
-        likelihood.refresh_state(state, st)
         expected = 4.0 - 0.5 - 1.0
-        grid_eta = oracle.grid_min_1d(state, st, 0, 0, grid_points=10001)
+        grid_eta = oracle.grid_min_1d(
+            np.ones((1, 1), dtype=complex), np.array([[0.5]]), 1.0, st, 0, 0, grid_points=10001
+        )
         spacing = (0.5 + 10.0 + 0.5) / 10000
         assert abs(grid_eta - expected) <= spacing
 
@@ -111,11 +109,7 @@ class TestGridMin1d:
         preambles = make_scenario(config, 5)[0]
         gamma = np.random.default_rng(6).random((3, 2))
         cov = oracle.dense_covariance(preambles, gamma, 1.0)
-        dictionary = effective_dictionary(preambles, 1)
-        state = likelihood.init_state(dictionary, 1.0, cov, 2)
-        state.gamma = gamma.copy()
-        likelihood.refresh_state(state, cov)
-        grid_eta = oracle.grid_min_1d(state, cov, 1, 1, grid_points=4001)
+        grid_eta = oracle.grid_min_1d(preambles, gamma, 1.0, cov, 1, 1, grid_points=4001)
         current = float(gamma[1, 1])
         spacing = (2 * current + 10.0) / 4000
         assert abs(grid_eta) <= spacing

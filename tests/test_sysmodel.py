@@ -6,15 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DEFAULTS, make_config, make_truth
-from covdet.sysmodel import ConfigError, config_from_dict, validate
+from conftest import DEFAULTS, make_config, make_truth, shipped
+from covdet.sysmodel import ConfigError, GroundTruth, config_from_dict, validate
 
 
 class TestSystemConfig:
     def test_full_scale_config_is_valid(self):
-        config = make_config(
-            num_devices=200, num_active=90, preamble_len=100, max_delay=4
-        )
+        config = shipped("full").base
         assert validate(config) is config
 
     def test_window_and_delay_counts(self):
@@ -155,3 +153,10 @@ class TestGroundTruth:
         assert truth.active.size == 0
         assert truth.pairs == frozenset()
 
+    @pytest.mark.parametrize("delays", [{0: 1.5}, {1.5: 0}], ids=["delay", "device"])
+    def test_non_integer_pair_rejected(self, delays):
+        # a delay of 1.5 once synthesized the delay-1 window while ``pairs``
+        # kept (0, 1.5); a device of 1.5 became active device 1, and
+        # synthesis then failed with a bare KeyError(1)
+        with pytest.raises(ValueError, match="must be integers"):
+            GroundTruth(delays)
