@@ -246,19 +246,19 @@ class GroundTruth:
     active devices ascending, so that draws consuming it (channel
     generation) are order-deterministic. Every device sits at the
     config's ``cell_edge_gain``. Raises ``ValueError`` for a device or
-    delay that is not an integer, which the int64 ``active`` and the
-    synthesized window would otherwise truncate.
+    delay that is not a Python or numpy integer, or is a bool: the int64
+    ``active`` and the synthesized window would otherwise truncate or
+    convert it, while ``pairs`` kept the original.
     """
 
     delays: dict[int, int]  # active device -> delay
     active: np.ndarray = field(init=False, repr=False, compare=False)  # sorted, int64
 
     def __post_init__(self):
-        # every pair in one array, whose dtype is an integer one only if
-        # every device and delay is an integer
-        pairs = np.array(list(self.delays.items()))
-        if pairs.size and pairs.dtype.kind not in "iu":
-            raise ValueError(f"devices and delays must be integers, got {self.delays!r}")
+        # each device's and delay's type, checked once per distinct type
+        for kind in {*map(type, self.delays), *map(type, self.delays.values())}:
+            if kind is bool or not issubclass(kind, (int, np.integer)):
+                raise ValueError(f"devices and delays must be integers, got {self.delays!r}")
         object.__setattr__(self, "active", np.array(sorted(self.delays), dtype=np.int64))
 
     @property

@@ -38,6 +38,13 @@ DEFAULTS = dict(
     rng_seed=12345,
 )
 
+# gate criterion 5's system: high SNR, 4 devices, one active, small enough
+# for oracle.exhaustive_support_search to enumerate its 256 supports
+EXHAUSTIVE_FIELDS = dict(
+    num_devices=4, num_active=1, preamble_len=8, max_delay=2,
+    num_antennas=512, tx_power_dbm=33.0,
+)
+
 
 def make_config(**overrides) -> SystemConfig:
     """A small valid config, with any field overridable."""

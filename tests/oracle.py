@@ -1,11 +1,13 @@
 """Brute-force reference implementations for the tests.
 
 Everything here recomputes from scratch: covariance assembly by an
-explicit loop, inverses and log-determinants by eigendecomposition,
-each coordinate step's ``Sigma^{-1} s`` by a dense linear solve, 1-D
-minimization by grid search, and support selection by exhaustive
-enumeration. No Cholesky factors, no rank-one updates, no code shared
-with the incremental path, so agreement between the two is evidence.
+explicit loop; log-determinants from eigenvalues and trace terms from
+explicit inverses, over a stack of covariances at once; each coordinate
+step's ``Sigma^{-1} s`` by a dense linear solve; 1-D minimization by
+grid search; and support selection by exhaustive enumeration, every
+support descended in one stack. No Cholesky factors, no rank-one
+updates, no code shared with the incremental path, so agreement between
+the two is evidence.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ import itertools
 from typing import NamedTuple
 
 import numpy as np
+
+_TOL = 1e-10  # a support is optimized once a sweep gains at most this
+_MAX_SWEEPS = 500
 
 
 def _delayed_columns(matrix: np.ndarray, max_delay: int) -> np.ndarray:
@@ -42,21 +47,23 @@ def _covariance_from_columns(
     return cov
 
 
-def _objective_from_cov(cov: np.ndarray, sigma_tilde: np.ndarray) -> float:
-    """log det + trace term via a full eigendecomposition."""
-    eigvals, eigvecs = np.linalg.eigh(cov)
+def _evaluate(covs: np.ndarray, st: np.ndarray) -> tuple:
+    """Inverses and objectives (log det + trace term) of a ``(..., D, D)``
+    stack of Hermitian covariances: the log det from the eigenvalues, the
+    trace term from an explicit inverse."""
+    eigvals = np.linalg.eigvalsh(covs)
     if np.any(eigvals <= 0):
         raise ValueError(f"covariance not positive definite (min eig {eigvals.min()})")
-    inv = (eigvecs / eigvals) @ eigvecs.conj().T
-    return float(np.sum(np.log(eigvals)) + np.real(np.vdot(sigma_tilde, inv)))
+    invs = np.linalg.inv(covs)
+    objectives = np.sum(np.log(eigvals), axis=-1) + np.real(
+        np.einsum("...ij,ji->...", invs, st)
+    )
+    return invs, objectives
 
 
 def dense_inverse(cov: np.ndarray) -> np.ndarray:
-    """Hermitian inverse via eigendecomposition."""
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    if np.any(eigvals <= 0):
-        raise ValueError(f"covariance not positive definite (min eig {eigvals.min()})")
-    return (eigvecs / eigvals) @ eigvecs.conj().T
+    """Hermitian inverse, after a positive-definiteness check."""
+    return _evaluate(cov, np.zeros_like(cov))[0]
 
 
 def dense_covariance(preambles: np.ndarray, gamma: np.ndarray, sigma2: float) -> np.ndarray:
@@ -71,7 +78,7 @@ def dense_objective(
 ) -> float:
     """Fit objective evaluated densely from first principles."""
     st = np.asarray(sigma_tilde, dtype=np.complex128)
-    return _objective_from_cov(dense_covariance(preambles, gamma, sigma2), st)
+    return float(_evaluate(dense_covariance(preambles, gamma, sigma2), st)[1])
 
 
 def grid_min_1d(
@@ -104,12 +111,8 @@ def grid_min_1d(
     values = np.empty(grid_points)
     for start in range(0, grid_points, 2048):
         chunk = etas[start : start + 2048]
-        covs = base[None, :, :] + chunk[:, None, None] * bump[None, :, :]
-        eigvals = np.linalg.eigvalsh(covs)
-        invs = np.linalg.inv(covs)
-        values[start : start + len(chunk)] = np.sum(
-            np.log(eigvals), axis=1
-        ) + np.real(np.einsum("gij,ji->g", invs, st))
+        covs = base + chunk[:, None, None] * bump
+        values[start : start + len(chunk)] = _evaluate(covs, st)[1]
     return float(etas[int(np.argmin(values))])
 
 
@@ -117,41 +120,6 @@ class ExhaustiveResult(NamedTuple):
     support: frozenset
     gamma: np.ndarray  # (N, tau_max + 1)
     objective: float
-
-
-def _optimize_support(
-    columns: np.ndarray,
-    support: tuple,
-    num_delays: int,
-    sigma2: float,
-    st: np.ndarray,
-    tol: float = 1e-10,
-    max_sweeps: int = 500,
-) -> tuple:
-    """Cyclic coordinate descent restricted to one support, everything
-    dense: every step solves the current covariance for ``Sigma^{-1} s``
-    from scratch."""
-    dim = columns.shape[0]
-    active_cols = [n * num_delays + tau for n, tau in support]
-    gamma_flat = np.zeros(columns.shape[1])
-    cov = sigma2 * np.eye(dim, dtype=np.complex128)
-    objective = _objective_from_cov(cov, st)
-    if not active_cols:
-        return gamma_flat, objective
-    for _ in range(max_sweeps):
-        for j in active_cols:
-            s = columns[:, j]
-            v = np.linalg.solve(cov, s)
-            quad = float(np.real(np.vdot(s, v)))
-            fit = float(np.real(np.vdot(v, st @ v)))
-            eta = max((fit - quad) / (quad * quad), -gamma_flat[j])
-            if eta != 0.0:
-                gamma_flat[j] += eta
-                cov += eta * np.outer(s, s.conj())
-        previous, objective = objective, _objective_from_cov(cov, st)
-        if previous - objective <= tol:
-            break
-    return gamma_flat, objective
 
 
 def exhaustive_support_search(
@@ -163,8 +131,13 @@ def exhaustive_support_search(
     """Globally best block-sparse support by full enumeration.
 
     Every assignment of each device to {inactive, delay 0, ..., delay
-    tau_max} is optimized independently by dense coordinate descent; the
-    assignment with the smallest optimized objective wins. tau_max is
+    tau_max} is optimized by cyclic coordinate descent restricted to its
+    own columns, visited by ascending device, every step solving that
+    support's current covariance for ``Sigma^{-1} s`` from scratch. All
+    supports descend together as one ``(B, D, D)`` stack; a support
+    leaves it once a sweep lowers its objective by at most 1e-10 (or
+    after 500 sweeps). The first assignment, in enumeration order with
+    all-inactive first, of smallest optimized objective wins. tau_max is
     inferred from the sample covariance dimension. Only viable for tiny
     instances; the enumeration count must fit in ``candidate_budget``.
     """
@@ -183,19 +156,43 @@ def exhaustive_support_search(
             f"support enumeration needs {total} candidates, budget is {candidate_budget}"
         )
     columns = _delayed_columns(preambles, max_delay)
-    best = None
-    for assignment in itertools.product(range(-1, num_delays), repeat=num_devices):
-        support = tuple(
-            (n, tau) for n, tau in enumerate(assignment) if tau >= 0
-        )
-        gamma_flat, objective = _optimize_support(
-            columns, support, num_delays, sigma2, st
-        )
-        if best is None or objective < best[2]:
-            best = (support, gamma_flat, objective)
-    support, gamma_flat, objective = best
+    # row b: each device's delay under assignment b, -1 for inactive
+    assignments = np.array(
+        list(itertools.product(range(-1, num_delays), repeat=num_devices))
+    )
+    gammas = np.zeros((total, columns.shape[1]))
+    objectives = np.empty(total)
+    live = np.arange(total)  # the supports still descending
+    noise = sigma2 * np.eye(st.shape[0], dtype=np.complex128)
+    covs = np.repeat(noise[None], total, axis=0)
+    current = _evaluate(covs, st)[1]
+    for _ in range(_MAX_SWEEPS):
+        for n in range(num_devices):
+            # the live supports that hold device n, and the column each holds
+            rows = np.flatnonzero(assignments[live, n] >= 0)
+            held = live[rows]
+            j = n * num_delays + assignments[held, n]
+            s = columns[:, j].T
+            sub = covs[rows]
+            v = np.linalg.solve(sub, s[..., None])[..., 0]
+            # one reduction for both terms, so a zero slope steps exactly 0
+            quad = np.real(np.sum(s.conj() * v, axis=-1))
+            fit = np.real(np.sum(v.conj() * (v @ st.T), axis=-1))
+            eta = np.maximum((fit - quad) / (quad * quad), -gammas[held, j])
+            gammas[held, j] += eta
+            covs[rows] = sub + eta[:, None, None] * (s[:, :, None] * s[:, None, :].conj())
+        previous, current = current, _evaluate(covs, st)[1]
+        done = previous - current <= _TOL
+        objectives[live[done]] = current[done]
+        live, covs, current = live[~done], covs[~done], current[~done]
+        if not live.size:
+            break
+    objectives[live] = current
+    best = int(np.argmin(objectives))
     return ExhaustiveResult(
-        support=frozenset(support),
-        gamma=gamma_flat.reshape(num_devices, num_delays),
-        objective=objective,
+        support=frozenset(
+            (n, int(tau)) for n, tau in enumerate(assignments[best]) if tau >= 0
+        ),
+        gamma=gammas[best].reshape(num_devices, num_delays),
+        objective=float(objectives[best]),
     )

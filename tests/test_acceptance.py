@@ -3,8 +3,9 @@
 Every test prints a single pass/fail summary line (visible with
 ``pytest -s``) and asserts the same condition, so the suite output and
 the printed report always agree. Monte Carlo batches reuse fixtures to
-keep the wall-clock cost near one minute; criterion 6 reads the desk
-study that ``conftest.desk_study`` runs once per session, and
+keep the wall-clock cost near half a minute, most of it criterion 5's
+200 exhaustive searches; criterion 6 reads the desk study that
+``conftest.desk_study`` runs once per session, and
 ``tests/test_golden.py`` checks that same run's CSV.
 """
 
@@ -16,7 +17,14 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import coordinate_terms, kernel_visit, make_config, make_scenario, shipped
+from conftest import (
+    EXHAUSTIVE_FIELDS,
+    coordinate_terms,
+    kernel_visit,
+    make_config,
+    make_scenario,
+    shipped,
+)
 from covdet import likelihood
 from covdet.cli import ExperimentPlan, run_experiment
 from covdet.detect import run_bcd, run_cd_e, threshold, to_indicators
@@ -204,10 +212,7 @@ def test_4_block_sparsity_invariant(desk_batch):
 def test_5_tiny_instance_matches_exhaustive_search():
     # high-SNR 4-device instances, one active: the greedy detector's
     # declared support must match global enumeration in >= 95% of trials
-    config = make_config(
-        num_devices=4, num_active=1, preamble_len=8, max_delay=2,
-        num_antennas=512, tx_power_dbm=33.0,
-    )
+    config = make_config(**EXHAUSTIVE_FIELDS)
     start = time.perf_counter()
     matches = 0
     trials = 200

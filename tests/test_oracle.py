@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
-from conftest import coordinate_terms, kernel_visit, make_config, make_scenario
+from conftest import EXHAUSTIVE_FIELDS, coordinate_terms, kernel_visit, make_config, make_scenario
 from covdet import likelihood
 from covdet.siggen import effective_dictionary
 
@@ -144,6 +144,24 @@ class TestExhaustiveSupportSearch:
         assert found.support == frozenset()
         assert np.all(found.gamma == 0)
         assert found.objective == pytest.approx(config.window_len)
+
+    @pytest.mark.parametrize(
+        "num_active, seed",
+        [*((1, seed) for seed in range(10)), (0, 0)],
+        ids=[*(f"seed{seed}" for seed in range(10)), "pure-noise"],
+    )
+    def test_objective_is_that_of_returned_gamma(self, num_active, seed):
+        # gate criterion 5's instances and a pure-noise draw of its system:
+        # the reported objective is the dense objective of the returned
+        # gamma, and that gamma lies on the returned support, so no
+        # support's result is read from another's row of the stack
+        config = make_config(**{**EXHAUSTIVE_FIELDS, "num_active": num_active})
+        preambles, _, st = make_scenario(config, seed)
+        found = oracle.exhaustive_support_search(preambles, st, config.sigma2)
+        assert found.objective == pytest.approx(
+            oracle.dense_objective(preambles, found.gamma, config.sigma2, st), rel=1e-12
+        )
+        assert set(zip(*(a.tolist() for a in np.nonzero(found.gamma)))) <= found.support
 
     def test_budget_enforced(self):
         config = make_config(num_devices=8, preamble_len=6, max_delay=2)

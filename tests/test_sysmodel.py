@@ -153,10 +153,20 @@ class TestGroundTruth:
         assert truth.active.size == 0
         assert truth.pairs == frozenset()
 
-    @pytest.mark.parametrize("delays", [{0: 1.5}, {1.5: 0}], ids=["delay", "device"])
+    @pytest.mark.parametrize(
+        "delays",
+        [{0: 1.5}, {1.5: 0}, {0: True}, {0: 1, 1: True}, {True: 0}],
+        ids=["delay", "device", "bool-delay", "bool-delay-among-ints", "bool-device"],
+    )
     def test_non_integer_pair_rejected(self, delays):
         # a delay of 1.5 once synthesized the delay-1 window while ``pairs``
         # kept (0, 1.5); a device of 1.5 became active device 1, and
-        # synthesis then failed with a bare KeyError(1)
+        # synthesis then failed with a bare KeyError(1); a device of True
+        # became active device 1 while ``pairs`` kept (True, 0)
         with pytest.raises(ValueError, match="must be integers"):
             GroundTruth(delays)
+
+    def test_numpy_integer_pair_accepted(self):
+        truth = GroundTruth({np.int64(2): np.int32(1), 0: np.uint8(0)})
+        assert truth.active.tolist() == [0, 2]
+        assert truth.pairs == {(0, 0), (2, 1)}
