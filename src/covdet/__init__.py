@@ -15,6 +15,7 @@ from .likelihood import assemble_covariance
 from .metrics import compute_fap, compute_mdp
 from .siggen import (
     draw_ground_truth,
+    draw_scenario,
     effective_dictionary,
     generate_preambles,
     sample_covariance,
@@ -36,6 +37,7 @@ __all__ = [
     "compute_fap",
     "compute_mdp",
     "draw_ground_truth",
+    "draw_scenario",
     "effective_dictionary",
     "generate_preambles",
     "run_bcd",

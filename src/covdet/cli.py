@@ -3,8 +3,8 @@
 Sweeps detectors and antenna counts over seeded independent trials,
 aggregates missed-detection and false-alarm rates with standard errors,
 and writes a CSV. Every trial regenerates preambles, activity pattern,
-and received signal from its own seed, so any row is reproducible from
-(config, seed) alone.
+and received signal from its own seed by ``siggen.draw_scenario``, so
+any row is reproducible from (config, seed) alone.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import numpy as np
 
 from .detect import run_bcd, run_cd_e
 from .metrics import compute_fap, compute_mdp
-from .siggen import (
-    draw_ground_truth,
-    generate_preambles,
-    sample_covariance,
-    synthesize_received_signal,
-)
+from .siggen import draw_scenario, sample_covariance
 from .sysmodel import (
     ConfigError,
     ConvergenceError,
@@ -145,10 +140,7 @@ def run_single_trial(config: SystemConfig, seed: int, detector: str) -> TrialRec
     _check_detector(detector)
     cfg = synchronous_config(config) if detector == "cd_e_sync" else config
     runner = run_bcd if detector == "bcd" else run_cd_e
-    rng = np.random.default_rng(seed)
-    preambles = generate_preambles(cfg, rng)
-    truth = draw_ground_truth(cfg, rng)
-    received = synthesize_received_signal(preambles, truth, cfg, rng)
+    preambles, truth, received = draw_scenario(cfg, seed)
     sigma_tilde = sample_covariance(received)
     start = time.perf_counter()
     try:

@@ -9,8 +9,9 @@ Two detectors over the same covariance-matching objective:
   delay block at a time, keeping at most one nonzero delay per device
   at every step, then thresholding.
 
-Both run their passes in the kernel in ``likelihood`` (rank-one updates
-of Sigma^{-1}, closed-form objective increments, the fit form from a
+Both start from ``prepare``, the one statement of their setup, and run
+their passes in the kernel in ``likelihood`` (rank-one updates of
+Sigma^{-1}, closed-form objective increments, the fit form from a
 low-rank factor of the sample covariance): one ``column_sweep`` or
 ``block_sweep`` call per pass, over column or block views of the
 Fortran-ordered dictionary that ``siggen.effective_dictionary`` builds
@@ -51,8 +52,9 @@ def enforce_block_sparsity(gamma: np.ndarray) -> np.ndarray:
 
 def threshold(gamma: np.ndarray, t: float) -> np.ndarray:
     """Zero out entries below ``t``; entries >= t survive (inclusive)."""
-    if t <= 0:
-        raise ValueError(f"threshold must be positive, got {t}")
+    # no entry survives a NaN or infinite t; NaN fails both comparisons
+    if not 0.0 < t < np.inf:
+        raise ValueError(f"threshold must be a finite positive number, got {t}")
     return np.where(gamma >= t, gamma, 0.0)
 
 
@@ -98,9 +100,9 @@ class DetectionResult:
         return float(self.objective_trace[-1])
 
 
-def _prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
-    """Shared detector setup: input checks, dictionary, fit factor,
-    fresh state.
+def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
+    """Shared detector setup: input checks, then ``(dictionary, sigma_tilde
+    as complex128, its fit factor F^H, the fresh state at gamma = 0)``.
 
     ``config`` is not re-checked: a ``SystemConfig`` is valid once built.
     The preambles are checked against it, and the sample covariance once
@@ -164,7 +166,7 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
     reduced to one delay per device (keep-max), thresholded at
     ``config.threshold_cd``, and converted to indicator pairs.
     """
-    dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
+    dictionary, st, factor_h, state = prepare(preambles, sigma_tilde, config)
     columns = list(dictionary.T)
     # a view of the C-ordered gamma: the sweep writes through it
     flat_gamma = state.gamma.ravel()
@@ -192,7 +194,7 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     ``config.convergence_delta``, then thresholds at
     ``config.threshold_bcd``. No enforcement pass is needed.
     """
-    dictionary, st, factor_h, state = _prepare(preambles, sigma_tilde, config)
+    dictionary, st, factor_h, state = prepare(preambles, sigma_tilde, config)
     k = config.num_delays
     blocks = [dictionary[:, n * k : (n + 1) * k] for n in range(config.num_devices)]
     return _descend(

@@ -1,8 +1,9 @@
 """Synthetic scenario generation: preambles, ground truth, channels, noise.
 
-Every function takes an explicit ``numpy.random.Generator`` so that a
-whole trial is reproduced bit-for-bit from one seed, and independent
-trials simply use independent seeds.
+``draw_scenario`` is the one statement of a trial's draw order, from one
+seed: preambles, activity and delays, channels, noise. Each step takes an
+explicit ``numpy.random.Generator``, so a whole trial is reproduced
+bit-for-bit from (config, seed), and independent trials use independent seeds.
 
 Each array is built once, in the layout its consumer needs: complex
 draws are written into their output, the received window places the
@@ -127,6 +128,17 @@ def synthesize_received_signal(
     )
     received += columns @ channels
     return received
+
+
+def draw_scenario(config: SystemConfig, seed: int) -> tuple[np.ndarray, GroundTruth, np.ndarray]:
+    """One trial's ``(preambles, truth, received)``: one
+    ``numpy.random.default_rng(seed)`` draws the ``(L, N)`` preambles, then
+    the ground truth, then the channels and noise of the ``(L + tau_max, M)``
+    received window."""
+    rng = np.random.default_rng(seed)
+    preambles = generate_preambles(config, rng)
+    truth = draw_ground_truth(config, rng)
+    return preambles, truth, synthesize_received_signal(preambles, truth, config, rng)
 
 
 def sample_covariance(received: np.ndarray) -> np.ndarray:

@@ -1,7 +1,12 @@
 """Shared scenario builders and subprocess helpers for the test suite."""
 
-import dataclasses
 import os
+
+# one BLAS thread per pool under any tier-1 command, as in CI: OpenBLAS reads
+# these once, when numpy or scipy loads it, and pytest imports this file first
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import dataclasses
 import time
 from pathlib import Path
 
@@ -12,12 +17,7 @@ import covdet
 import oracle
 from covdet import likelihood
 from covdet.cli import ExperimentPlan, load_experiment, run_experiment
-from covdet.siggen import (
-    draw_ground_truth,
-    generate_preambles,
-    sample_covariance,
-    synthesize_received_signal,
-)
+from covdet.siggen import draw_scenario, sample_covariance
 from covdet.sysmodel import GroundTruth, SystemConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -76,10 +76,7 @@ def make_truth(pairs) -> GroundTruth:
 
 def make_scenario(config: SystemConfig, seed: int):
     """Draw (preambles, truth, sample covariance) from one seed."""
-    rng = np.random.default_rng(seed)
-    preambles = generate_preambles(config, rng)
-    truth = draw_ground_truth(config, rng)
-    received = synthesize_received_signal(preambles, truth, config, rng)
+    preambles, truth, received = draw_scenario(config, seed)
     return preambles, truth, sample_covariance(received)
 
 

@@ -27,8 +27,7 @@ from conftest import (
 )
 from covdet import likelihood
 from covdet.cli import ExperimentPlan, run_experiment
-from covdet.detect import run_bcd, run_cd_e, threshold, to_indicators
-from covdet.siggen import effective_dictionary
+from covdet.detect import prepare, run_bcd, run_cd_e, threshold, to_indicators
 
 
 def _report(idx: int, name: str, passed: bool, detail: str) -> None:
@@ -75,11 +74,7 @@ def test_1_rank_one_inverse_fidelity():
         num_devices=10, num_active=3, preamble_len=30, max_delay=2
     )
     preambles, _, st = make_scenario(config, 7)
-    dictionary = effective_dictionary(preambles, config.max_delay)
-    state = likelihood.init_state(
-        dictionary, config.sigma2, st, config.num_delays
-    )
-    factor_h = likelihood.fit_factor(st)
+    _, _, factor_h, state = prepare(preambles, st, config)
     rng = np.random.default_rng(11)
     start = time.perf_counter()
     for _ in range(500):
@@ -123,11 +118,7 @@ def test_2_coordinate_visit_optimality():
             num_antennas=int(rng.choice([8, 16, 32, 64])),
         )
         preambles, _, st = make_scenario(config, 1000 + i)
-        dictionary = effective_dictionary(preambles, max_delay)
-        state = likelihood.init_state(
-            dictionary, 1.0, st, config.num_delays
-        )
-        factor_h = likelihood.fit_factor(st)
+        _, _, factor_h, state = prepare(preambles, st, config)
         for _ in range(3):
             n = int(rng.integers(config.num_devices))
             tau = int(rng.integers(config.num_delays))

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import DEFAULTS, make_config, package_env, shipped
 from covdet import cli as cli_module
-from covdet import likelihood
+from covdet import detect, likelihood
 from covdet.cli import (
     CSV_HEADER,
     DETECTOR_NAMES,
@@ -26,10 +26,12 @@ from covdet.cli import (
     run_single_trial,
     synchronous_config,
 )
-from covdet.detect import run_cd_e
+from covdet.detect import run_bcd, run_cd_e
 from covdet.metrics import compute_fap, compute_mdp
 from covdet.siggen import (
     draw_ground_truth,
+    draw_scenario,
+    effective_dictionary,
     generate_preambles,
     sample_covariance,
     synthesize_received_signal,
@@ -95,10 +97,7 @@ class TestSynchronousConfig:
         run_single_trial(config, seed, "cd_e_sync")
         record = run_single_trial(config, seed, "cd_e_sync")
         sync = dataclasses.replace(config, preamble_len=config.window_len, max_delay=0)
-        rng = np.random.default_rng(seed)
-        preambles = generate_preambles(sync, rng)
-        truth = draw_ground_truth(sync, rng)
-        received = synthesize_received_signal(preambles, truth, sync, rng)
+        preambles, truth, received = draw_scenario(sync, seed)
         result = run_cd_e(preambles, sample_covariance(received), sync)
         assert (record.mdp, record.fap, record.iterations, record.final_objective) == (
             compute_mdp(result, truth),
@@ -120,6 +119,43 @@ class TestSynchronousConfig:
 
 
 class TestRunSingleTrial:
+    @pytest.mark.parametrize("detector", DETECTOR_NAMES)
+    @pytest.mark.parametrize(
+        "study, num_antennas, seed",
+        [("desk", m, seed) for m in (4, 64) for seed in (12345, 12346, 12347)]
+        + [("full", 4, 12345)],
+    )
+    def test_matches_the_steps_of_a_trial(self, study, num_antennas, seed, detector):
+        # draw_scenario and detect.prepare give the step-by-step draw and
+        # setup byte for byte, and the record is the detector run on them
+        config = shipped(study, num_antennas=num_antennas).base
+        system = synchronous_config(config) if detector == "cd_e_sync" else config
+        rng = np.random.default_rng(seed)
+        preambles = generate_preambles(system, rng)
+        truth = draw_ground_truth(system, rng)
+        received = synthesize_received_signal(preambles, truth, system, rng)
+        st = sample_covariance(received)
+        dictionary = effective_dictionary(preambles, system.max_delay)
+        state = likelihood.init_state(dictionary, system.sigma2, st, system.num_delays)
+        drawn = draw_scenario(system, seed)
+        *setup, got_state = detect.prepare(drawn[0], sample_covariance(drawn[2]), system)
+        for got, want in zip(
+            [drawn[0], drawn[2], *setup, got_state.inv_sigma, got_state.gamma],
+            [preambles, received, dictionary, st, likelihood.fit_factor(st),
+             state.inv_sigma, state.gamma],
+        ):
+            assert (got.shape, got.flags.f_contiguous) == (want.shape, want.flags.f_contiguous)
+            assert got.tobytes(order="A") == want.tobytes(order="A")
+        assert (drawn[1].delays, got_state.objective) == (truth.delays, state.objective)
+        result = (run_bcd if detector == "bcd" else run_cd_e)(preambles, st, system)
+        record = run_single_trial(config, seed, detector)
+        assert (record.mdp, record.fap, record.iterations, record.final_objective) == (
+            compute_mdp(result, truth),
+            compute_fap(result, truth, system.num_devices),
+            result.iterations,
+            result.final_objective,
+        )
+
     def test_deterministic_given_seed(self):
         config = micro_config()
         a = run_single_trial(config, 777, "cd_e")
@@ -181,7 +217,7 @@ class TestRunSingleTrial:
         def no_draw(*args):
             raise AssertionError("a random draw ran on an invalid system")
 
-        monkeypatch.setattr(cli_module, "generate_preambles", no_draw)
+        monkeypatch.setattr(cli_module, "draw_scenario", no_draw)
         with pytest.raises(ConfigError):
             run_single_trial(make_config(**overrides), 0, detector)
 

@@ -35,7 +35,7 @@ def test_package_root_is_the_documented_api():
     assert sorted(covdet.__all__) == [
         "ConfigError", "ConvergenceError", "NumericalDegeneracyError", "SystemConfig",
         "assemble_covariance", "compute_fap", "compute_mdp", "draw_ground_truth",
-        "effective_dictionary", "generate_preambles", "run_bcd", "run_cd_e",
+        "draw_scenario", "effective_dictionary", "generate_preambles", "run_bcd", "run_cd_e",
         "sample_covariance", "synthesize_received_signal",
     ]
     assert all(hasattr(covdet, name) for name in covdet.__all__)

@@ -75,8 +75,10 @@ class TestThreshold:
         assert threshold(gamma, 0.1).tolist() == [[0.1]]
 
     def test_nonpositive_threshold_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            threshold(np.zeros((1, 1)), 0.0)
+        # a NaN or infinite threshold would drop every detection
+        for t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite positive"):
+                threshold(np.zeros((1, 1)), t)
 
 
 class TestToIndicators:
@@ -276,7 +278,7 @@ def test_prepare_keeps_the_dictionary_it_builds(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(detect, "effective_dictionary", record)
-    dictionary, _, _, state = detect._prepare(preambles, st, config)
+    dictionary, _, _, state = detect.prepare(preambles, st, config)
     assert len(built) == 1
     assert dictionary is built[0] and state.dictionary is built[0]
     assert dictionary.flags.f_contiguous
@@ -316,17 +318,17 @@ def test_final_state_matches_oracle(runner, seed, monkeypatch):
     # against the brute-force reference at the relaxed estimate
     config = DESK_M4
     preambles, _, st = make_scenario(config, seed)
-    states = []
-    init_state = likelihood.init_state
+    setups = []
+    prepare = detect.prepare
 
     def capture(*args):
-        states.append(init_state(*args))
-        return states[-1]
+        setups.append(prepare(*args))
+        return setups[-1]
 
-    monkeypatch.setattr(likelihood, "init_state", capture)
+    monkeypatch.setattr(detect, "prepare", capture)
     result = runner(preambles, st, config)
     assert result.iterations > detect.RECOMPUTE_EVERY
-    (state,) = states
+    ((_, _, _, state),) = setups
     expected = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
     assert result.final_objective == pytest.approx(expected, rel=1e-10)
     dense = oracle.dense_inverse(oracle.dense_covariance(preambles, state.gamma, config.sigma2))
@@ -400,11 +402,7 @@ class TestRunBcd:
         # against the dense objective for every delay of one block
         config = make_config(num_antennas=32)
         preambles, _, st = make_scenario(config, 19)
-        dictionary = effective_dictionary(preambles, config.max_delay)
-        state = likelihood.init_state(
-            dictionary, config.sigma2, st, config.num_delays
-        )
-        factor_h = likelihood.fit_factor(st)
+        _, _, factor_h, state = detect.prepare(preambles, st, config)
         base = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
         for tau in range(config.num_delays):
             candidate = dataclasses.replace(
@@ -421,10 +419,7 @@ class TestRunBcd:
         # the first sweep, so there is no removal
         config = make_config(num_antennas=16)
         preambles, _, st = make_scenario(config, 28)
-        dictionary = effective_dictionary(preambles, config.max_delay)
-        state = likelihood.init_state(
-            dictionary, config.sigma2, st, config.num_delays
-        )
+        state = detect.prepare(preambles, st, config)[3]
         events = []
         objective = state.objective + bcd_sweep_by_hand(preambles, state, st, config, events)
         assert not events
@@ -438,10 +433,7 @@ class TestRunBcd:
         # it to another delay and leaving the block empty all occur here
         config = make_config(num_antennas=4)
         preambles, _, st = make_scenario(config, 32)
-        dictionary = effective_dictionary(preambles, config.max_delay)
-        state = likelihood.init_state(
-            dictionary, config.sigma2, st, config.num_delays
-        )
+        state = detect.prepare(preambles, st, config)[3]
         objective = state.objective + bcd_sweep_by_hand(preambles, state, st, config, [])
         events = []
         objective += bcd_sweep_by_hand(preambles, state, st, config, events)

@@ -10,18 +10,12 @@ draws it (seed ``rng_seed + trial``). The whole desk study, every one of
 its 1,800 trials, is pinned by its committed aggregate CSV.
 """
 
-import numpy as np
 import pytest
 
 from conftest import CONFIGS, shipped
 from covdet.cli import synchronous_config
 from covdet.detect import run_bcd, run_cd_e
-from covdet.siggen import (
-    draw_ground_truth,
-    generate_preambles,
-    sample_covariance,
-    synthesize_received_signal,
-)
+from covdet.siggen import draw_scenario, sample_covariance
 
 # (detector, M, trial) -> (iterations, final_objective, sorted theta_hat)
 GOLDEN = {
@@ -86,10 +80,7 @@ def detect(study, detector, num_antennas, trial):
     config = shipped(study, num_antennas=num_antennas).base
     if detector == "cd_e_sync":
         config = synchronous_config(config)
-    rng = np.random.default_rng(config.rng_seed + trial)
-    preambles = generate_preambles(config, rng)
-    truth = draw_ground_truth(config, rng)
-    received = synthesize_received_signal(preambles, truth, config, rng)
+    preambles, _, received = draw_scenario(config, config.rng_seed + trial)
     runner = run_bcd if detector == "bcd" else run_cd_e
     return runner(preambles, sample_covariance(received), config)
 

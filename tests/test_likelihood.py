@@ -1,11 +1,13 @@
 """Objective machinery: assembly, the coordinate kernel, rank-one updates."""
 
+import ctypes
 import dataclasses
 import math
 import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from conftest import (
     package_env,
     shipped,
 )
-from covdet import likelihood
+from covdet import detect, likelihood
 from covdet.siggen import effective_dictionary
 from covdet.sysmodel import NumericalDegeneracyError
 
@@ -39,21 +41,20 @@ def scalar_state(sigma_tilde_value, gamma_value=0.0):
 
 def random_state(seed, num_devices=5, preamble_len=10, max_delay=1, num_antennas=32,
                  num_active=2, updates=6):
-    """A state advanced by a few kernel visits on a real scenario."""
+    """A state advanced by a few kernel visits on a real scenario, with
+    the preambles, the sample covariance and the fit factor."""
     config = make_config(
         num_devices=num_devices, preamble_len=preamble_len, max_delay=max_delay,
         num_antennas=num_antennas, num_active=num_active,
     )
     preambles, _, st = make_scenario(config, seed)
-    dictionary = effective_dictionary(preambles, config.max_delay)
-    state = likelihood.init_state(dictionary, 1.0, st, config.num_delays)
-    factor_h = likelihood.fit_factor(st)
+    _, st, factor_h, state = detect.prepare(preambles, st, config)
     rng = np.random.default_rng(seed + 1)
     for _ in range(updates):
         n = int(rng.integers(num_devices))
         tau = int(rng.integers(max_delay + 1))
         kernel_visit(state, factor_h, n, tau)
-    return preambles, state, st
+    return preambles, state, st, factor_h
 
 
 class TestAssembleCovariance:
@@ -131,7 +132,7 @@ class TestEvaluateObjective:
         assert value == pytest.approx(math.log(3.0) + 2.0)
 
     def test_inverse_form_agrees(self):
-        _, state, st = random_state(seed=21)
+        _, state, st, _ = random_state(seed=21)
         cov = likelihood.assemble_covariance(state.dictionary, state.gamma, 1.0)
         direct = likelihood.evaluate_objective(cov, st)
         via_inverse = likelihood.evaluate_objective(
@@ -163,7 +164,7 @@ class TestEvaluateObjective:
 
 class TestInitState:
     def test_initial_objective_formula(self):
-        _, _, st = random_state(seed=22)
+        _, _, st, _ = random_state(seed=22)
         dim = st.shape[0]
         state = likelihood.init_state(np.eye(dim, dtype=complex), 2.0, st, 1)
         expected = dim * math.log(2.0) + np.trace(st).real / 2.0
@@ -194,7 +195,7 @@ class TestCoordinateStep:
         assert state.gamma[0, 0] == 0.0
 
     def test_stationary_at_exact_covariance(self):
-        preambles, state, _ = random_state(seed=23)
+        preambles, state, _, _ = random_state(seed=23)
         cov = likelihood.assemble_covariance(state.dictionary, state.gamma, 1.0)
         likelihood.refresh_state(state, cov)
         factor_h = likelihood.fit_factor(cov)
@@ -204,8 +205,7 @@ class TestCoordinateStep:
 
     def test_never_drives_gamma_negative(self):
         rng = np.random.default_rng(24)
-        _, state, st = random_state(seed=24, updates=0)
-        factor_h = likelihood.fit_factor(st)
+        _, state, _, factor_h = random_state(seed=24, updates=0)
         for _ in range(100):
             n = int(rng.integers(5))
             tau = int(rng.integers(2))
@@ -215,10 +215,10 @@ class TestCoordinateStep:
     def test_optimal_among_grid_offsets(self):
         # dense objective at gamma+eta beats 100 grid alternatives
         for seed in (25, 26):
-            preambles, state, st = random_state(seed=seed)
+            preambles, state, st, factor_h = random_state(seed=seed)
             n, tau = 2, 1
             start = state.gamma.copy()
-            kernel_visit(state, likelihood.fit_factor(st), n, tau)
+            kernel_visit(state, factor_h, n, tau)
             best = oracle.dense_objective(preambles, state.gamma, 1.0, st)
             current = start[n, tau]
             for x in np.linspace(-current, current + 10.0, 100):
@@ -230,13 +230,13 @@ class TestCoordinateStep:
     def test_gradient_matches_finite_differences(self):
         step = 1e-6
         for seed in range(30, 45):
-            preambles, state, st = random_state(seed=seed)
+            preambles, state, st, factor_h = random_state(seed=seed)
             n = seed % 5
             tau = seed % 2
             # push the probe coordinate away from any stationary point so
             # the central difference is not dominated by roundoff
             likelihood.rank_one_inverse_update(state, n, tau, 0.3)
-            quad, fit = coordinate_terms(state, likelihood.fit_factor(st), n, tau)
+            quad, fit = coordinate_terms(state, factor_h, n, tau)
             analytic = quad - fit
             plus = state.gamma.copy()
             plus[n, tau] += step
@@ -249,21 +249,21 @@ class TestCoordinateStep:
             assert analytic == pytest.approx(numeric, rel=1e-4)
 
     def test_corrupted_state_detected(self):
-        _, state, st = random_state(seed=46)
+        _, state, _, factor_h = random_state(seed=46)
         state.inv_sigma[:] = -np.eye(state.dim)
         with pytest.raises(NumericalDegeneracyError, match="<= 0"):
-            kernel_visit(state, likelihood.fit_factor(st), 0, 0)
+            kernel_visit(state, factor_h, 0, 0)
 
     def test_nan_quadratic_form_detected(self):
-        _, state, st = random_state(seed=46)
+        _, state, _, factor_h = random_state(seed=46)
         state.inv_sigma[:] = np.nan
         with pytest.raises(NumericalDegeneracyError, match="nan"):
-            kernel_visit(state, likelihood.fit_factor(st), 0, 0)
+            kernel_visit(state, factor_h, 0, 0)
 
 
 class TestRankOneInverseUpdate:
     def test_zero_step_is_identity(self):
-        _, state, st = random_state(seed=47)
+        _, state, _, _ = random_state(seed=47)
         before_inv = state.inv_sigma.copy()
         before_gamma = state.gamma.copy()
         likelihood.rank_one_inverse_update(state, 0, 0, 0.0)
@@ -278,7 +278,7 @@ class TestRankOneInverseUpdate:
         assert state.inv_sigma[0, 0] == pytest.approx(0.25)
 
     def test_matches_dense_inverse(self):
-        preambles, state, _ = random_state(seed=48, updates=12)
+        preambles, state, _, _ = random_state(seed=48, updates=12)
         cov = oracle.dense_covariance(preambles, state.gamma, 1.0)
         dense = oracle.dense_inverse(cov)
         rel = np.linalg.norm(state.inv_sigma - dense) / np.linalg.norm(dense)
@@ -351,7 +351,7 @@ class TestInPlaceUpdate:
         np.testing.assert_array_equal(state.gamma, 0.0)
 
     def test_states_keep_fortran_order(self):
-        _, state, st = random_state(seed=64)
+        _, state, st, _ = random_state(seed=64)
         assert state.inv_sigma.flags.f_contiguous
         likelihood.refresh_state(state, st)
         assert state.inv_sigma.flags.f_contiguous
@@ -432,12 +432,12 @@ def block_state(seed, gamma_old=0.7, tau_old=1):
     """A state whose device-2 block holds ``gamma_old`` at ``tau_old``,
     with the preambles, the sample covariance, the fit factor and the
     block."""
-    preambles, state, st = random_state(seed=seed, max_delay=2, num_antennas=8)
+    preambles, state, st, factor_h = random_state(seed=seed, max_delay=2, num_antennas=8)
     state.gamma[2] = 0.0
     state.gamma[2, tau_old] = gamma_old
     likelihood.refresh_state(state, st)
     block = state.dictionary[:, 6:9]
-    return preambles, state, st, likelihood.fit_factor(st), block
+    return preambles, state, st, factor_h, block
 
 
 def copy_state(state):
@@ -465,8 +465,7 @@ class TestBlockSweep:
         # with one delay per device a block visit is the exact minimizer
         # along its one coordinate, the same as a column visit, so the two
         # sweeps agree on gamma, the objective and the inverse
-        _, state, st = random_state(seed=68, max_delay=0, updates=3)
-        factor_h = likelihood.fit_factor(st)
+        _, state, _, factor_h = random_state(seed=68, max_delay=0, updates=3)
         by_columns, by_blocks = state, copy_state(state)
         columns, flat_gamma = sweep_inputs(by_columns, "column_sweep")
         blocks, gamma_rows = sweep_inputs(by_blocks, "block_sweep")
@@ -483,13 +482,11 @@ class TestBlockSweep:
         )
 
     def test_corrupted_block_detected(self):
-        _, state, st = random_state(seed=69)
+        _, state, _, factor_h = random_state(seed=69)
         state.inv_sigma[:] = -np.eye(state.dim)
         blocks = [state.dictionary[:, :2], state.dictionary[:, 2:4]]
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
-            likelihood.block_sweep(
-                state.inv_sigma, likelihood.fit_factor(st), blocks, state.gamma[:2], 0.0
-            )
+            likelihood.block_sweep(state.inv_sigma, factor_h, blocks, state.gamma[:2], 0.0)
         assert info.value.index == 0
 
     @pytest.mark.parametrize("seed", [70, 71, 72, 73])
@@ -629,8 +626,7 @@ class TestSampleCovarianceChecked:
         # which 5.0 added at (1, 2) or (2, 1) would move to 0.03521
         config = make_config()
         preambles, _, st = make_scenario(config, 29)
-        dictionary = effective_dictionary(preambles, config.max_delay)
-        state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
+        state = detect.prepare(preambles, st, config)[3]
         _, quad, fit = likelihood.quadratic_terms(state, st, 0, 0)
         assert (fit - quad) / quad**2 == pytest.approx(0.03308, abs=1e-5)
         return state, st
@@ -666,8 +662,7 @@ class TestCoordinateRange:
     def test_out_of_range_rejected(self, device, delay):
         config = make_config()
         preambles, _, st = make_scenario(config, 29)
-        dictionary = effective_dictionary(preambles, config.max_delay)
-        state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
+        state = detect.prepare(preambles, st, config)[3]
         inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
         with pytest.raises(ValueError, match="outside"):
             state.column(device, delay)
@@ -685,8 +680,7 @@ class TestQuadraticTerms:
     @pytest.mark.parametrize("num_antennas", [4, 64])
     def test_fit_matches_factor_form(self, num_antennas, monkeypatch):
         # M=4 < D=11 and M=64 >= D; no call factorises S_tilde
-        _, state, st = random_state(seed=78, num_antennas=num_antennas)
-        factor_h = likelihood.fit_factor(st)
+        _, state, st, factor_h = random_state(seed=78, num_antennas=num_antennas)
         monkeypatch.setattr(likelihood, "fit_factor", None)
         for n, tau in [(0, 0), (1, 1), (4, 0)]:
             v, quad, fit = likelihood.quadratic_terms(state, st, n, tau)
@@ -705,12 +699,12 @@ class TestSweeps:
         ids=["c-ordered", "complex64"],
     )
     def test_layout_that_would_update_a_copy_rejected(self, sweep, dtype, order):
-        _, state, st = random_state(seed=80)
+        _, state, _, factor_h = random_state(seed=80)
         inv = state.inv_sigma.astype(dtype, order=order)
         before, gamma = inv.copy(), state.gamma.copy()
         units, kernel_gamma = sweep_inputs(state, sweep)
         with pytest.raises(ValueError, match="Fortran-ordered complex128"):
-            getattr(likelihood, sweep)(inv, likelihood.fit_factor(st), units, kernel_gamma, 0.0)
+            getattr(likelihood, sweep)(inv, factor_h, units, kernel_gamma, 0.0)
         np.testing.assert_array_equal(inv, before)
         np.testing.assert_array_equal(state.gamma, gamma)
 
@@ -718,8 +712,7 @@ class TestSweeps:
     def test_failing_pass_keeps_gamma_written_before(self, sweep):
         # unit 3 is a zero column, so its quadratic form is 0 and the pass
         # stops there; gamma holds what the pass over units 0-2 wrote
-        _, state, st = random_state(seed=81, num_devices=8, num_active=4, max_delay=0, updates=0)
-        factor_h = likelihood.fit_factor(st)
+        _, state, _, factor_h = random_state(seed=81, num_devices=8, num_active=4, max_delay=0, updates=0)
         run = getattr(likelihood, sweep)
         want = copy_state(state)
         units, want_gamma = sweep_inputs(want, sweep)
@@ -763,8 +756,7 @@ class TestObjectiveDelta:
         # kernel visits and arbitrary steps, whose change step_increment
         # gives from the same two quadratic forms
         rng = np.random.default_rng(50)
-        preambles, state, st = random_state(seed=50, updates=0)
-        factor_h = likelihood.fit_factor(st)
+        preambles, state, st, factor_h = random_state(seed=50, updates=0)
         for _ in range(40):
             n = int(rng.integers(5))
             tau = int(rng.integers(2))
@@ -782,8 +774,7 @@ class TestObjectiveDelta:
 
     def test_optimal_steps_never_increase(self):
         rng = np.random.default_rng(51)
-        _, state, st = random_state(seed=51, updates=0)
-        factor_h = likelihood.fit_factor(st)
+        _, state, _, factor_h = random_state(seed=51, updates=0)
         for _ in range(60):
             tracked = state.objective
             kernel_visit(state, factor_h, int(rng.integers(5)), int(rng.integers(2)))
@@ -792,7 +783,7 @@ class TestObjectiveDelta:
 
 class TestRefreshState:
     def test_removes_injected_drift(self):
-        preambles, state, st = random_state(seed=52)
+        preambles, state, st, _ = random_state(seed=52)
         state.inv_sigma += 1e-6  # simulate accumulated roundoff
         state.objective += 0.5
         likelihood.refresh_state(state, st)
@@ -807,7 +798,7 @@ class TestRefreshState:
         assert np.array_equal(state.inv_sigma, state.inv_sigma.conj().T)
 
     def test_zero_gamma_gives_initial_state(self):
-        _, _, st = random_state(seed=54, updates=0)
+        _, _, st, _ = random_state(seed=54, updates=0)
         state = likelihood.init_state(np.ones((st.shape[0], 3), dtype=complex), 2.5, st, 1)
         initial = state.objective
         likelihood.refresh_state(state, st)
@@ -819,8 +810,7 @@ class TestDriftBound:
     def test_long_update_sequences_stay_accurate(self):
         # the acceptance-scale invariant at unit-test size
         rng = np.random.default_rng(53)
-        preambles, state, st = random_state(seed=53, updates=0)
-        factor_h = likelihood.fit_factor(st)
+        preambles, state, _, factor_h = random_state(seed=53, updates=0)
         for _ in range(200):
             n = int(rng.integers(5))
             tau = int(rng.integers(2))
@@ -835,6 +825,22 @@ class TestDriftBound:
 
 
 class TestBoundRoutines:
+    @pytest.mark.parametrize(
+        "package, library, getter",
+        [("scipy", "libscipy_openblas*.so", "scipy_openblas_get_num_threads"),
+         ("numpy", "libscipy_openblas64_*.so", "scipy_openblas_get_num_threads64_")],
+        ids=["scipy", "numpy"],
+    )
+    def test_blas_pools_run_one_thread(self, package, library, getter):
+        # a trial alternates numpy's OpenBLAS (siggen's products) with
+        # scipy's (the kernel); conftest pins both before either loads, and
+        # dlopen of a loaded library returns the loaded copy
+        libs = Path(sys.modules[package].__file__).parents[1] / f"{package}.libs"
+        (path,) = libs.glob(library)
+        get = getattr(ctypes.CDLL(str(path)), getter)
+        get.argtypes, get.restype = [], ctypes.c_int
+        assert get() == 1
+
     def test_import_skips_the_scipy_linalg_package(self):
         # CPython enters each compiled (single-phase) module it creates in
         # sys.modules under its spec name, so the two wrappers are there;

@@ -7,7 +7,7 @@ import pytest
 
 import oracle
 from conftest import EXHAUSTIVE_FIELDS, coordinate_terms, kernel_visit, make_config, make_scenario
-from covdet import likelihood
+from covdet import detect, likelihood
 from covdet.siggen import effective_dictionary
 
 
@@ -46,11 +46,9 @@ class TestDenseObjective:
         preambles = make_scenario(config, 2)[0]
         gamma = np.random.default_rng(3).random((4, 2))
         cov = oracle.dense_covariance(preambles, gamma, 1.0)
-        dictionary = effective_dictionary(preambles, 1)
-        state = likelihood.init_state(dictionary, 1.0, cov, 2)
+        _, _, factor_h, state = detect.prepare(preambles, cov, config)
         state.gamma = gamma.copy()
         likelihood.refresh_state(state, cov)
-        factor_h = likelihood.fit_factor(cov)
         for n in range(4):
             for tau in range(2):
                 quad, fit = coordinate_terms(state, factor_h, n, tau)
@@ -79,9 +77,7 @@ class TestGridMin1d:
                 num_devices=4, preamble_len=8, max_delay=1, num_antennas=16
             )
             preambles, _, st = make_scenario(config, seed)
-            dictionary = effective_dictionary(preambles, 1)
-            state = likelihood.init_state(dictionary, 1.0, st, 2)
-            factor_h = likelihood.fit_factor(st)
+            _, _, factor_h, state = detect.prepare(preambles, st, config)
             rng = np.random.default_rng(seed)
             for _ in range(3):
                 kernel_visit(state, factor_h, int(rng.integers(4)), int(rng.integers(2)))
