@@ -16,7 +16,7 @@ import pytest
 import covdet
 import oracle
 from covdet import likelihood
-from covdet.cli import ExperimentPlan, load_experiment, run_experiment
+from covdet.cli import TRIAL_HEADER, ExperimentPlan, load_experiment, run_experiment
 from covdet.siggen import draw_scenario, sample_covariance
 from covdet.sysmodel import GroundTruth, SystemConfig
 
@@ -160,6 +160,17 @@ def degenerate_removals(monkeypatch):
         return (delta, eta * quad / 2.0) if eta < 0.0 else (delta, denom)
 
     monkeypatch.setattr(likelihood, "step_increment", degenerate)
+
+
+def dumps_without_runtime(directory) -> dict:
+    """The per-trial dumps in ``directory`` by file name, each a list of
+    its lines' fields less ``runtime_ms``, the one that is wall time."""
+    column = TRIAL_HEADER.split(",").index("runtime_ms")
+    dumps = {}
+    for path in Path(directory).iterdir():
+        rows = [line.split(",") for line in path.read_text().splitlines()]
+        dumps[path.name] = [row[:column] + row[column + 1:] for row in rows]
+    return dumps
 
 
 def package_env() -> dict:

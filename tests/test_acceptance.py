@@ -20,6 +20,7 @@ import oracle
 from conftest import (
     EXHAUSTIVE_FIELDS,
     coordinate_terms,
+    dumps_without_runtime,
     kernel_visit,
     make_config,
     make_scenario,
@@ -298,45 +299,25 @@ def test_7_full_scale_smoke_run(tmp_path):
 
 
 def test_8_same_seed_byte_identical_csv(tmp_path):
-    # rerunning an experiment with the same seed reproduces the CSVs
-    # byte for byte, runtime columns excepted (they report wall time)
+    # rerunning an experiment with the same seed reproduces the aggregate
+    # CSV byte for byte, and the per-trial dumps apart from their
+    # runtime_ms column (wall time)
     plan = ExperimentPlan(
         base=make_config(),
         detectors=("cd_e", "bcd", "cd_e_sync"),
         antennas=(4, 16),
         trials=5,
     )
-    paths = []
     for tag in ("first", "second"):
-        out = tmp_path / f"{tag}.csv"
-        run_experiment(plan, out, per_trial_dir=tmp_path / tag)
-        paths.append(out)
-
-    def strip_runtime(line: str, column: int) -> str:
-        parts = line.split(",")
-        del parts[column]
-        return ",".join(parts)
-
-    a_lines = paths[0].read_text().splitlines()
-    b_lines = paths[1].read_text().splitlines()
-    same = len(a_lines) == len(b_lines) and all(
-        strip_runtime(a, 8) == strip_runtime(b, 8)
-        for a, b in zip(a_lines, b_lines)
+        run_experiment(plan, tmp_path / f"{tag}.csv", per_trial_dir=tmp_path / tag)
+    csv = (tmp_path / "first.csv").read_bytes()
+    dumps = dumps_without_runtime(tmp_path / "first")
+    passed = (
+        csv == (tmp_path / "second.csv").read_bytes()
+        and dumps == dumps_without_runtime(tmp_path / "second")
     )
-    dump_names = sorted(p.name for p in (tmp_path / "first").iterdir())
-    same_dumps = dump_names == sorted(
-        p.name for p in (tmp_path / "second").iterdir()
-    )
-    for name in dump_names:
-        a_dump = (tmp_path / "first" / name).read_text().splitlines()
-        b_dump = (tmp_path / "second" / name).read_text().splitlines()
-        same_dumps = same_dumps and len(a_dump) == len(b_dump) and all(
-            strip_runtime(a, 6) == strip_runtime(b, 6)
-            for a, b in zip(a_dump, b_dump)
-        )
-    passed = same and same_dumps
     _report(
         8, "same-seed reproducibility", passed,
-        f"aggregate CSV ({len(a_lines)} lines) and {len(dump_names)} "
-        f"per-trial dumps byte-identical outside runtime columns",
+        f"aggregate CSV ({len(csv.splitlines())} lines) byte-identical, {len(dumps)} "
+        f"per-trial dumps byte-identical outside runtime_ms",
     )

@@ -104,9 +104,8 @@ def test_full_detections_match_golden(detector, num_antennas, trial):
 
 
 def test_desk_study_matches_committed_csv(desk_study):
-    # the gate's serial desk sweep (criterion 6) reproduces
-    # configs/desk_expected.csv, which is its CSV less the last column,
-    # mean_runtime_ms (wall time); no trial runs here beyond that sweep
+    # the gate's serial desk sweep (criterion 6) writes
+    # configs/desk_expected.csv byte for byte; no trial runs here beyond
+    # that sweep
     path, _, _ = desk_study
-    produced = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-    assert produced == (CONFIGS / "desk_expected.csv").read_text().splitlines()
+    assert path.read_bytes() == (CONFIGS / "desk_expected.csv").read_bytes()

@@ -1,14 +1,39 @@
 """The brute-force reference implementations themselves."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracle
-from conftest import EXHAUSTIVE_FIELDS, coordinate_terms, kernel_visit, make_config, make_scenario
+from conftest import (
+    EXHAUSTIVE_FIELDS,
+    coordinate_terms,
+    kernel_visit,
+    make_config,
+    make_scenario,
+    package_env,
+)
 from covdet import detect, likelihood
 from covdet.siggen import effective_dictionary
+
+
+def test_imports_no_covdet_module():
+    # the oracle shares no code with the library, so that the tests'
+    # agreement between the two is evidence; covdet is importable here
+    code = (
+        "import sys, oracle;"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'covdet'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=Path(oracle.__file__).parent,
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 class TestDenseObjective:
