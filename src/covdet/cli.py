@@ -229,8 +229,10 @@ def run_experiment(
     trial, raises ``ConfigError`` for ``workers`` that is not a positive
     integer or an ``out_path`` that is a directory or has none, and
     ``OSError`` when ``per_trial_dir`` cannot be made. At most
-    ``min(workers, plan.trials, os.cpu_count())`` worker processes start,
-    none when that is 1; the results do not depend on the count.
+    ``min(workers, plan.trials, cpus)`` worker processes start, none when
+    that is 1, where ``cpus`` counts the CPUs this process may run on
+    (``os.sched_getaffinity``, or ``os.cpu_count()`` where the platform
+    lacks it); the results do not depend on the count.
     """
     if not (is_int(workers) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
@@ -244,7 +246,8 @@ def run_experiment(
         per_trial_dir.mkdir(parents=True, exist_ok=True)
     seeds = [plan.base.rng_seed + t for t in range(plan.trials)]
     rows, lines = [], []
-    workers = min(workers, plan.trials, os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, plan.trials, cpus or 1)
     pool = contextlib.nullcontext()
     if workers > 1:
         # imported here, so that a serial run loads no multiprocessing
@@ -355,7 +358,8 @@ def main(argv=None) -> int:
         help="also write one per-trial CSV per (detector, M) cell",
     )
     run.add_argument(
-        "--workers", type=int, default=1, help="parallel trial workers, capped at trials and CPUs"
+        "--workers", type=int, default=1,
+        help="parallel trial workers, capped at trials and at the CPUs the run may use",
     )
     args = parser.parse_args(argv)
 

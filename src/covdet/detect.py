@@ -114,7 +114,7 @@ def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     ``effective_dictionary`` builds the dictionary Fortran-ordered, so a
     column or a device's block of columns reaches BLAS without a copy.
     """
-    check_preambles(preambles, config)
+    preambles = check_preambles(preambles, config)
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     dictionary = effective_dictionary(preambles, config.max_delay)
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)

@@ -40,9 +40,10 @@ def generate_preambles(config: SystemConfig, rng: np.random.Generator) -> np.nda
     return complex_gaussian(rng, (config.preamble_len, config.num_devices))
 
 
-def check_preambles(preambles: np.ndarray, config: SystemConfig) -> None:
-    """Raise ``ValueError`` unless ``preambles`` is a finite
-    ``(preamble_len, num_devices)`` array for ``config``."""
+def check_preambles(preambles, config: SystemConfig) -> np.ndarray:
+    """``preambles`` as a complex128 array; raises ``ValueError`` unless it
+    is a finite ``(preamble_len, num_devices)`` array for ``config``."""
+    preambles = np.asarray(preambles, dtype=np.complex128)
     expected = (config.preamble_len, config.num_devices)
     if preambles.shape != expected:
         raise ValueError(
@@ -51,9 +52,10 @@ def check_preambles(preambles: np.ndarray, config: SystemConfig) -> None:
         )
     if not np.isfinite(preambles).all():
         raise ValueError("preambles have NaN or Inf entries")
+    return preambles
 
 
-def effective_dictionary(preambles: np.ndarray, max_delay: int) -> np.ndarray:
+def effective_dictionary(preambles, max_delay: int) -> np.ndarray:
     """Stack all delayed signatures into one (L+tau_max) x N*(tau_max+1) matrix.
 
     Columns are grouped per device, delay-major within a device: column
@@ -62,10 +64,10 @@ def effective_dictionary(preambles: np.ndarray, max_delay: int) -> np.ndarray:
     reaches BLAS without a copy. Raises ``ValueError`` unless
     ``preambles`` is 2-D and ``max_delay`` a non-negative int.
     """
-    if np.ndim(preambles) != 2:
+    preambles = np.asarray(preambles, dtype=np.complex128)
+    if preambles.ndim != 2:
         raise ValueError(
-            f"preambles must be 2-D (preamble length, devices), "
-            f"got shape {np.shape(preambles)}"
+            f"preambles must be 2-D (preamble length, devices), got shape {preambles.shape}"
         )
     if not (is_int(max_delay) and max_delay >= 0):
         raise ValueError(f"max_delay must be a non-negative integer, got {max_delay!r}")
@@ -106,7 +108,7 @@ def synthesize_received_signal(
     before any draw for an active device outside ``[0, N)`` or a delay
     outside ``[0, tau_max]``.
     """
-    check_preambles(preambles, config)
+    preambles = check_preambles(preambles, config)
     devices = truth.active.tolist()
     outside = [n for n in devices if not 0 <= n < config.num_devices]
     if outside:

@@ -1,5 +1,10 @@
 """Detector behavior: CD-E, BCD, enforcement, thresholding, indicators,
-the result record."""
+the result record.
+
+The acceptance gate (``tests/test_acceptance.py``) alone states criteria
+1-4 and 8; the tests here check what those criteria do not, or check it
+to a tighter bound.
+"""
 
 import dataclasses
 
@@ -151,14 +156,6 @@ class TestDetectionResult:
 
 
 class TestRunCdE:
-    def test_terminates_at_delta(self):
-        config = make_config(num_antennas=32)
-        preambles, _, st = make_scenario(config, 7)
-        result = run_cd_e(preambles, st, config)
-        last_drop = result.objective_trace[-2] - result.objective_trace[-1]
-        assert last_drop <= config.convergence_delta
-        assert result.iterations == len(result.objective_trace) - 1
-
     @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
     @pytest.mark.parametrize(
         "corrupt, message",
@@ -377,26 +374,6 @@ def bcd_sweep_by_hand(preambles, state, st, config, events):
 
 
 class TestRunBcd:
-    def test_block_sparse_at_every_commit(self, monkeypatch):
-        # audited after every pass: a pass writes row n only while visiting
-        # block n, and ends that visit with at most one nonzero in it, so a
-        # row that is block-sparse after the pass was so after its commit
-        config = make_config(num_antennas=16)
-        preambles, _, st = make_scenario(config, 17)
-        seen = []
-        block_sweep = likelihood.block_sweep
-
-        def audited(inv, factor_h, blocks, gamma, objective):
-            objective = block_sweep(inv, factor_h, blocks, gamma, objective)
-            seen.append(np.count_nonzero(gamma, axis=1).max())
-            return objective
-
-        monkeypatch.setattr(likelihood, "block_sweep", audited)
-        result = run_bcd(preambles, st, config)
-        assert len(seen) == result.iterations
-        assert max(seen) <= 1
-        assert np.count_nonzero(result.gamma_hat, axis=1).max() <= 1
-
     def test_candidate_bookkeeping_matches_dense_objective(self):
         # the speculative (step, delta) pair BCD relies on, checked
         # against the dense objective for every delay of one block

@@ -1,4 +1,9 @@
-"""Objective machinery: assembly, the coordinate kernel, rank-one updates."""
+"""Objective machinery: assembly, the coordinate kernel, rank-one updates.
+
+The acceptance gate (``tests/test_acceptance.py``) alone states criteria
+1-4 and 8; the tests here check what those criteria do not, or check it
+to a tighter bound.
+"""
 
 import ctypes
 import dataclasses
@@ -226,27 +231,6 @@ class TestCoordinateStep:
                 other[n, tau] += x
                 value = oracle.dense_objective(preambles, other, 1.0, st)
                 assert best <= value + 1e-10
-
-    def test_gradient_matches_finite_differences(self):
-        step = 1e-6
-        for seed in range(30, 45):
-            preambles, state, st, factor_h = random_state(seed=seed)
-            n = seed % 5
-            tau = seed % 2
-            # push the probe coordinate away from any stationary point so
-            # the central difference is not dominated by roundoff
-            likelihood.rank_one_inverse_update(state, n, tau, 0.3)
-            quad, fit = coordinate_terms(state, factor_h, n, tau)
-            analytic = quad - fit
-            plus = state.gamma.copy()
-            plus[n, tau] += step
-            minus = state.gamma.copy()
-            minus[n, tau] -= step
-            numeric = (
-                oracle.dense_objective(preambles, plus, 1.0, st)
-                - oracle.dense_objective(preambles, minus, 1.0, st)
-            ) / (2 * step)
-            assert analytic == pytest.approx(numeric, rel=1e-4)
 
     def test_corrupted_state_detected(self):
         _, state, _, factor_h = random_state(seed=46)
@@ -804,24 +788,6 @@ class TestRefreshState:
         likelihood.refresh_state(state, st)
         np.testing.assert_allclose(state.inv_sigma, np.eye(st.shape[0]) / 2.5, rtol=1e-15, atol=0)
         assert state.objective == pytest.approx(initial, rel=1e-14)
-
-
-class TestDriftBound:
-    def test_long_update_sequences_stay_accurate(self):
-        # the acceptance-scale invariant at unit-test size
-        rng = np.random.default_rng(53)
-        preambles, state, _, factor_h = random_state(seed=53, updates=0)
-        for _ in range(200):
-            n = int(rng.integers(5))
-            tau = int(rng.integers(2))
-            if rng.random() < 0.3:
-                likelihood.rank_one_inverse_update(state, n, tau, float(rng.random() * 0.5))
-            else:
-                kernel_visit(state, factor_h, n, tau)
-        cov = oracle.dense_covariance(preambles, state.gamma, 1.0)
-        dense = oracle.dense_inverse(cov)
-        rel = np.linalg.norm(state.inv_sigma - dense) / np.linalg.norm(dense)
-        assert rel < 1e-8
 
 
 class TestBoundRoutines:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_config, make_scenario, make_truth
+from covdet.detect import run_bcd, run_cd_e
 from covdet.siggen import (
     complex_gaussian,
     draw_ground_truth,
@@ -345,3 +346,23 @@ class TestSampleCovariance:
         assert 0.3 < errors[1] / errors[0] < 0.7
         assert 0.3 < errors[2] / errors[1] < 0.7
 
+
+@pytest.mark.parametrize(
+    "entry", ["effective_dictionary", "synthesize_received_signal", "run_cd_e", "run_bcd"]
+)
+def test_nested_list_preambles_give_the_array_bytes(entry):
+    # a list once raised AttributeError on preambles.shape at every entry
+    # point, while the detectors took the sample covariance as an array-like
+    config = make_config(num_antennas=16)
+    preambles, truth, st = make_scenario(config, 5)
+
+    def outputs(p):
+        if entry == "effective_dictionary":
+            return [effective_dictionary(p, config.max_delay)]
+        if entry == "synthesize_received_signal":
+            return [synthesize_received_signal(p, truth, config, np.random.default_rng(5))]
+        result = (run_cd_e if entry == "run_cd_e" else run_bcd)(p, st, config)
+        return [result.gamma_hat, result.objective_trace]
+
+    got, want = outputs(preambles.tolist()), outputs(preambles)
+    assert [(a.shape, a.tobytes()) for a in got] == [(a.shape, a.tobytes()) for a in want]
