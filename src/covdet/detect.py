@@ -132,19 +132,22 @@ def _descend(state, st, config, run_pass, unit, estimate):
     ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``. A sweep's
     improvement is read from its tracked objective before any refresh, so
     the refresh's drift correction never counts as progress.
+
+    A ``NumericalDegeneracyError`` is re-raised with where it happened:
+    ``at sweep S, <unit> <index>`` from the pass, ``at sweep S`` from the
+    dense refresh.
     """
     trace = [state.objective]
     for sweep in range(1, MAX_SWEEPS + 1):
         try:
             objective = run_pass(state.inv_sigma, state.objective)
+            decrement = trace[-1] - objective
+            state.objective = objective
+            if sweep % RECOMPUTE_EVERY == 0:
+                likelihood.refresh_state(state, st)
         except NumericalDegeneracyError as exc:
-            raise NumericalDegeneracyError(
-                f"{exc} at sweep {sweep}, {unit} {exc.index}"
-            ) from exc
-        decrement = trace[-1] - objective
-        state.objective = objective
-        if sweep % RECOMPUTE_EVERY == 0:
-            likelihood.refresh_state(state, st)
+            visit = "" if exc.index is None else f", {unit} {exc.index}"
+            raise NumericalDegeneracyError(f"{exc} at sweep {sweep}{visit}") from exc
         trace.append(state.objective)
         if decrement <= config.convergence_delta:
             break

@@ -27,9 +27,10 @@ row count is the numerical rank of ``S_tilde`` (``M`` for ``M`` antennas
 below the window length ``D``, else ``D``), so the fit form
 ``s^H Sigma^{-1} S_tilde Sigma^{-1} s`` is ``||F^H v||^2`` at
 ``O(D rank)`` instead of a ``D x D`` matvec. ``init_state``,
-``refresh_state`` and ``evaluate_objective`` check the sample covariance
-they take: square, finite and Hermitian, where one pass for ``max|S|``
-is both the finiteness check and the scale of the Hermitian tolerance.
+``refresh_state``, ``evaluate_objective`` and ``quadratic_terms`` check
+the sample covariance they take: square, finite and Hermitian, where one
+pass for ``max|S|`` is both the finiteness check and the scale of the
+Hermitian tolerance.
 ``fit_factor`` adds that it is positive semidefinite, from the remainder
 of its factorization. The dictionary is Fortran-ordered as
 ``siggen.effective_dictionary`` builds it, so its columns and blocks
