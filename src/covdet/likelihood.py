@@ -49,10 +49,12 @@ commits; when the entry goes back to the delay it came from, removal
 and commit are one rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
-LAPACK: ``zgemv`` for a column, ``zdotc`` for the inner products of a
-column (a quarter of numpy's ``vdot`` call overhead), ``zgemm`` for a
-block of columns and for its Gram products, an in-place ``zgerc`` for a
-rank-one update of the Fortran-ordered ``Sigma^{-1}``, ``zherk`` over the
+LAPACK: one ``zgemv`` for a column, on the pass's stacked
+``[Sigma^{-1}; F^H Sigma^{-1}]`` that one ``zgemm`` builds per
+``column_sweep``, ``zdotc`` for the inner products of a column (a
+quarter of numpy's ``vdot`` call overhead), ``zgemm`` for a block of
+columns and for its Gram products, an in-place ``zgerc`` for a rank-one
+update of the Fortran-ordered ``Sigma^{-1}`` or stack, ``zherk`` over the
 held columns for a dense ``Sigma``, ``zpotrf`` and ``zpotri`` for its
 log-determinant and inverse, ``zpstrf`` for the fit factor, and ``zherk``
 and ``zlantr`` for the largest entry of what the factor leaves out. Keeping
@@ -66,10 +68,11 @@ loaded by file from its ``linalg`` directory: the objects that
 package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
 0.3 s and 22 MB per process: half the start-up, a quarter of peak memory.
 
-The per-visit calls (``zgerc`` in ``_update``, the Gram ``zgemm`` calls
-of ``block_sweep``) pass optional arguments by position: f2py parses a
-keyword in about 0.3 us, what a ``D = 32`` product costs (that ``zgerc``:
-3.0 us with keywords, 2.0 us without); per-trial calls keep keywords.
+The per-visit calls (``zgerc`` in ``_update``, the fit ``zdotc`` of
+``column_sweep``, the Gram ``zgemm`` calls of ``block_sweep``) pass
+optional arguments by position: f2py parses a keyword in about 0.3 us,
+what a ``D = 32`` product costs (that ``zgerc``: 3.0 us with keywords,
+2.0 us without); per-trial calls keep keywords.
 """
 
 from __future__ import annotations
@@ -276,11 +279,13 @@ def _step(quad, fit):
     return (fit - quad) / (quad * quad)
 
 
-def _update(inv: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
-    """Sherman-Morrison ``inv -= eta * v v^H / denom`` by one in-place
-    ``zgerc``; the caller has checked ``inv`` with :func:`_check_inverse`."""
+def _update(inv: np.ndarray, x: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
+    """Sherman-Morrison ``inv -= eta * x v^H / denom`` by one in-place
+    ``zgerc``, with ``x = v = Sigma^{-1} s`` or, on the stacked
+    ``[Sigma^{-1}; F^H Sigma^{-1}]``, ``x = [v; F^H v]``; the caller has
+    checked ``inv`` with :func:`_check_inverse`."""
     # slots after alpha, x, y: incx, incy, a, overwrite_x, overwrite_y, overwrite_a
-    zgerc(-eta / denom, v, v, 1, 1, inv, 1, 1, 1)
+    zgerc(-eta / denom, x, v, 1, 1, inv, 1, 1, 1)
 
 
 def _project(inv: np.ndarray, s: np.ndarray):
@@ -310,27 +315,34 @@ def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarr
 
     ``columns[j]`` is the dictionary column of the flat coordinate ``j``
     and ``gamma`` the flat ``(N*(tau_max+1),)`` estimate; ``factor_h`` is
-    :func:`fit_factor` of the sample covariance. Each visit takes
-    ``v = Sigma^{-1} s`` (``zgemv``), ``quad = s^H v`` (``zdotc``) and
-    ``fit = ||F^H v||^2`` (``zgemv``, ``zdotc``), steps to
-    ``max{(fit - quad)/quad^2, -gamma_j}`` and, for a nonzero step,
-    updates ``inv`` in place by Sherman-Morrison and adds the step's exact
-    objective change to ``objective``. Returns the new objective.
+    :func:`fit_factor` of the sample covariance. The pass tracks
+    ``[Sigma^{-1}; F^H Sigma^{-1}]``, stacked from ``inv`` by one ``zgemm``.
+    Each visit takes ``y = [v; F^H v]``, ``v = Sigma^{-1} s``, from one
+    ``zgemv`` of it, ``quad = s^H v`` and ``fit = ||F^H v||^2`` (``zdotc``
+    each), steps to ``max{(fit - quad)/quad^2, -gamma_j}`` and, for a
+    nonzero step, updates both blocks by one Sherman-Morrison ``zgerc``
+    of ``y`` against ``v`` and adds the step's exact objective change to
+    ``objective``. Returns the new objective.
 
     ``inv`` must be Fortran-ordered complex128 (else ``ValueError``, with
-    nothing changed). Gamma is read as Python floats and written back when
-    the pass ends, also when it raises; a ``NumericalDegeneracyError``
-    carries the failing coordinate in ``index``.
+    nothing changed). Gamma is read as Python floats, and gamma and
+    ``inv`` (the stack's top block) are written back when the pass ends,
+    also when it raises; a ``NumericalDegeneracyError`` carries the
+    failing coordinate in ``index``.
     """
     _check_inverse(inv)
+    dim, rank = inv.shape[0], factor_h.shape[0]
+    stack = np.empty((dim + rank, dim), dtype=np.complex128, order="F")
+    stack[:dim] = inv
+    stack[dim:] = zgemm(1.0, factor_h, inv)
     values = gamma.tolist()
     try:
         for j, s in enumerate(columns):
-            v = zgemv(1.0, inv, s)
-            quad = zdotc(s, v).real
+            y = zgemv(1.0, stack, s)
+            quad = zdotc(s, y).real
             _check_quad(quad)
-            w = zgemv(1.0, factor_h, v)
-            fit = zdotc(w, w).real
+            # slots after x, y: n, offx, incx, offy, incy
+            fit = zdotc(y, y, rank, dim, 1, dim, 1).real
             eta = _step(quad, fit)
             old = values[j]
             if eta < -old:
@@ -338,7 +350,7 @@ def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarr
             if eta == 0.0:
                 continue
             delta, denom = step_increment(eta, quad, fit)
-            _update(inv, v, eta, denom)
+            _update(stack, y, y[:dim], eta, denom)
             new = old + eta
             values[j] = 0.0 if new < 0.0 else new
             objective += delta
@@ -347,6 +359,7 @@ def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarr
         raise
     finally:
         gamma[:] = values
+        inv[:] = stack[:dim]
     return objective
 
 
@@ -423,7 +436,7 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
                     best, best_delta = (tau, eta, denom), delta
             # the commit: row n and Sigma^-1 change only from here on
             if removed > 0.0 and (best is None or best[0] != old_tau):
-                _update(inv, u, -removed, down_denom)
+                _update(inv, u, u, -removed, down_denom)
                 row[old_tau] = 0.0
             if best is not None:
                 tau, eta, denom = best
@@ -431,11 +444,12 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
                     # re-inserted where it was: removal and commit are one
                     # rank-one update of the net change
                     net = eta - removed
-                    _update(inv, u, net, step_increment(net, quad_u, 0.0)[1])
+                    _update(inv, u, u, net, step_increment(net, quad_u, 0.0)[1])
                 elif removed > 0.0:
-                    _update(inv, v[:, tau] + (c * b[tau].conjugate()) * u, eta, denom)
+                    x = v[:, tau] + (c * b[tau].conjugate()) * u
+                    _update(inv, x, x, eta, denom)
                 else:
-                    _update(inv, v[:, tau], eta, denom)
+                    _update(inv, v[:, tau], v[:, tau], eta, denom)
                 objective += best_delta
                 row[tau] = eta
     except NumericalDegeneracyError as exc:
@@ -484,7 +498,7 @@ def rank_one_inverse_update(
         if new_value < -1e-12:
             raise ValueError(f"update would drive gamma negative ({new_value})")
         new_value = 0.0
-    _update(state.inv_sigma, v, eta, denom)
+    _update(state.inv_sigma, v, v, eta, denom)
     state.gamma[device, delay] = new_value
 
 

@@ -648,19 +648,47 @@ class TestSweeps:
     @pytest.mark.parametrize("sweep", ["column_sweep", "block_sweep"])
     def test_failing_pass_keeps_gamma_written_before(self, sweep):
         # unit 3 is a zero column, so its quadratic form is 0 and the pass
-        # stops there; gamma holds what the pass over units 0-2 wrote
+        # stops there; gamma and Sigma^-1 hold what the pass over units 0-2
+        # wrote
         _, state, _, factor_h = random_state(seed=81, num_devices=8, num_active=4, max_delay=0, updates=0)
         run = getattr(likelihood, sweep)
         want = copy_state(state)
         units, want_gamma = sweep_inputs(want, sweep)
         run(want.inv_sigma, factor_h, units[:3], want_gamma[:3], 0.0)
         assert np.any(want_gamma[:3])
+        assert not np.array_equal(want.inv_sigma, state.inv_sigma)
         units, gamma = sweep_inputs(state, sweep)
         units[3] = np.zeros_like(units[3])
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
             run(state.inv_sigma, factor_h, units, gamma, 0.0)
         assert info.value.index == 3
         np.testing.assert_array_equal(state.gamma, want.gamma)
+        np.testing.assert_array_equal(state.inv_sigma, want.inv_sigma)
+
+    def test_column_visit_is_one_matvec(self, monkeypatch):
+        # one zgemm per pass stacks [Sigma^-1; F^H Sigma^-1], a visit takes
+        # v = Sigma^-1 s and F^H v from one zgemv of it, and a nonzero step
+        # updates both blocks by one zgerc
+        _, state, _, factor_h = random_state(seed=83)
+        columns, gamma = sweep_inputs(state, "column_sweep")
+        before = gamma.copy()
+        calls = dict.fromkeys(["zgemv", "zgerc", "zgemm"], 0)
+
+        def counted(name):
+            real = getattr(likelihood, name)
+
+            def spy(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        for name in calls:
+            monkeypatch.setattr(likelihood, name, counted(name))
+        likelihood.column_sweep(state.inv_sigma, factor_h, columns, gamma, state.objective)
+        steps = int(np.count_nonzero(gamma != before))
+        assert steps >= 3
+        assert calls == {"zgemv": len(columns), "zgerc": steps, "zgemm": 1}
 
     def test_failing_block_visit_leaves_its_row_and_inverse(self, monkeypatch):
         # device 2's zeroed-state scoring fails after its removal terms
