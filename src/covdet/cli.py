@@ -80,8 +80,7 @@ class ExperimentPlan:
 
     Valid by construction: ``detectors`` is a non-empty tuple of distinct
     known names, ``antennas`` a non-empty tuple of distinct counts that
-    each give a valid system with ``base`` (and, when ``cd_e_sync`` is
-    listed, a valid synchronous system), and ``trials`` a positive
+    each give a valid system with ``base``, and ``trials`` a positive
     integer. Raises ``ConfigError`` otherwise.
     """
 
@@ -106,9 +105,7 @@ class ExperimentPlan:
                 f"antennas must be a non-empty tuple of counts, got {self.antennas!r}"
             )
         for m in self.antennas:
-            config = dataclasses.replace(self.base, num_antennas=m)
-            if "cd_e_sync" in self.detectors:
-                synchronous_config(config)
+            dataclasses.replace(self.base, num_antennas=m)  # built only to validate it
         if len(set(self.antennas)) < len(self.antennas):
             raise ConfigError(f"antennas must not repeat, got {self.antennas!r}")
         if not (is_int(self.trials) and self.trials >= 1):
@@ -121,11 +118,9 @@ def synchronous_config(config: SystemConfig) -> SystemConfig:
     preamble, keeping the effective sequence length (and thus the
     observation window) identical.
 
-    Built, and so validated, once per distinct base config: every trial
-    of a ``cd_e_sync`` cell gets the same object back from a small
-    bounded cache. A ``SystemConfig`` is frozen, and equal configs give
-    equal results. A ``ConfigError`` is raised afresh on every call,
-    never cached.
+    Built once per distinct base config: every trial of a ``cd_e_sync``
+    cell gets the same object back from a small bounded cache. A
+    ``SystemConfig`` is frozen, and equal configs give equal results.
     """
     return dataclasses.replace(
         config, preamble_len=config.window_len, max_delay=0

@@ -204,19 +204,21 @@ def validate(config: SystemConfig) -> SystemConfig:
     if c.threshold_bcd <= 0:
         raise ConfigError("threshold_bcd must be positive")
     # the working-scale gain combines the power fields through a power of
-    # ten, which overflows or underflows where every field is finite; one
+    # ten, which overflows or underflows where every field is finite. One
     # preamble's working-scale power over the noise floor sigma2 = 1 bounds
     # cond(Sigma) from below, and from 1/eps on, sigma2 is lost in the
-    # rounding of Sigma's entries
+    # rounding of Sigma's entries. The window is the longest preamble of a
+    # study, as the synchronous benchmark folds the delay budget into its
+    # preamble, so bounding it is one condition for both systems
     limit = 1.0 / np.finfo(float).eps
     try:
         gain = c.cell_edge_gain
     except OverflowError:
         gain = math.inf
-    if not 0.0 < gain * c.preamble_len < limit:
+    if not 0.0 < gain * c.window_len < limit:
         raise ConfigError(
             f"cell_edge_gain must be finite and positive, and cell_edge_gain * "
-            f"preamble_len below 1/eps = {limit:.4g}, got {gain:.4g} * {c.preamble_len} "
+            f"window_len below 1/eps = {limit:.4g}, got {gain:.4g} * {c.window_len} "
             f"from tx_power_dbm={c.tx_power_dbm!r}, "
             f"noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, "
             f"bandwidth_hz={c.bandwidth_hz!r}, "

@@ -7,6 +7,7 @@ import os
 os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import dataclasses
+import math
 import time
 from pathlib import Path
 
@@ -49,6 +50,12 @@ EXHAUSTIVE_FIELDS = dict(
 def make_config(**overrides) -> SystemConfig:
     """A small valid config, with any field overridable."""
     return SystemConfig(**{**DEFAULTS, **overrides})
+
+
+def window_edge_dbm(config: SystemConfig) -> float:
+    """The transmit power at which ``validate``'s ``gain * window_len`` is 1/eps."""
+    headroom_db = -10.0 * math.log10(np.finfo(float).eps * config.window_len)
+    return config.path_loss_db + config.noise_power_dbm + headroom_db
 
 
 def shipped(study: str, **fields) -> ExperimentPlan:

@@ -20,7 +20,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CONFIGS, DEFAULTS, dumps_without_runtime, make_config, package_env, shipped
+from conftest import (
+    CONFIGS, DEFAULTS, dumps_without_runtime, make_config, package_env, shipped, window_edge_dbm,
+)
 from covdet import cli as cli_module
 from covdet import detect, likelihood
 from covdet.cli import (
@@ -59,15 +61,10 @@ def no_trial(*args):
     raise AssertionError("a trial ran although its results cannot be written")
 
 
-# L=16, tau_max=2 at 173.3 dBm: gain * 16 < 1/eps <= gain * 18, so this
-# system is valid and its synchronous system (L=18, tau_max=0) is not
-SYNC_INVALID_FIELDS = dict(preamble_len=16, max_delay=2, tx_power_dbm=173.3)
-SYNC_INVALID = make_config(**SYNC_INVALID_FIELDS)
-
 # validate's message for a cell-edge gain out of range, on the micro
-# system: gain * preamble_len, tx_power_dbm, noise_psd_dbm_hz
+# system: gain * window_len, tx_power_dbm, noise_psd_dbm_hz
 GAIN_ERROR = (
-    "cell_edge_gain must be finite and positive, and cell_edge_gain * preamble_len "
+    "cell_edge_gain must be finite and positive, and cell_edge_gain * window_len "
     "below 1/eps = 4.504e+15, got {} from tx_power_dbm={}, noise_psd_dbm_hz={}, "
     "bandwidth_hz=10000000.0, cell_distance_km=1.0"
 )
@@ -83,33 +80,28 @@ def write_experiment_file(path, **keys):
 
 class TestSynchronousConfig:
     def test_window_preserved(self):
-        config = make_config(preamble_len=16, max_delay=2)
-        sync = synchronous_config(config)
-        assert sync.max_delay == 0
-        assert sync.preamble_len == 18
-        assert sync.window_len == config.window_len
+        sync = synchronous_config(make_config(preamble_len=16, max_delay=2))
+        assert (sync.preamble_len, sync.max_delay, sync.window_len) == (18, 0, 18)
 
     def test_other_fields_untouched(self):
-        config = make_config()
-        sync = synchronous_config(config)
-        for field in DEFAULTS:
-            if field not in ("preamble_len", "max_delay"):
-                assert getattr(sync, field) == getattr(config, field)
+        sync = synchronous_config(make_config())
+        assert dataclasses.replace(sync, preamble_len=16, max_delay=2) == make_config()
 
     def test_built_once_per_base_config(self):
         config = make_config()
         assert synchronous_config(config) is synchronous_config(config)
 
-    def test_invalid_synchronous_system_raises_every_time(self):
-        # gain * L is below 1/eps, gain * (L + tau_max) is not: the base
-        # system is valid and its synchronous system is not; a ConfigError
-        # is never cached, so the second call raises as the first did
-        limit = 1.0 / np.finfo(float).eps
-        gain = SYNC_INVALID.cell_edge_gain
-        assert gain * SYNC_INVALID.preamble_len < limit <= gain * SYNC_INVALID.window_len
-        for _ in range(2):
-            with pytest.raises(ConfigError, match="cell_edge_gain"):
-                synchronous_config(SYNC_INVALID)
+    @pytest.mark.parametrize(
+        "system", [shipped("desk").base, shipped("full").base, make_config()],
+        ids=["desk", "full", "defaults"],
+    )
+    def test_valid_system_has_a_valid_benchmark(self, system):
+        # validate once bounded gain * preamble_len: from the window's edge to
+        # the preamble's, a system was valid and its synchronous benchmark not
+        edge = window_edge_dbm(system)
+        synchronous_config(dataclasses.replace(system, tx_power_dbm=edge - 0.01))
+        with pytest.raises(ConfigError, match=r"cell_edge_gain \* window_len"):
+            dataclasses.replace(system, tx_power_dbm=edge + 0.01)
 
 
 class TestRunSingleTrial:
@@ -301,17 +293,15 @@ class TestExperimentPlan:
             (dict(detectors=("amp",)), "unknown detector"),
             (dict(antennas=(2, 2)), "antennas must not repeat"),
             (dict(detectors=("cd_e", "cd_e")), "detectors must not repeat"),
-            (dict(base=SYNC_INVALID, detectors=("cd_e_sync",)), "cell_edge_gain"),
         ],
         ids=["trials-0", "trials-minus-1", "trials-bool", "trials-float", "antennas-empty",
              "antennas-zero", "antennas-bool", "detectors-empty", "detectors-unknown",
-             "antennas-repeated", "detectors-repeated", "synchronous-system-invalid"],
+             "antennas-repeated", "detectors-repeated"],
     )
     def test_invalid_plan_rejected_when_built(self, overrides, message):
         # run_experiment once raised IndexError or a numpy ValueError on
         # these, or wrote a header-only CSV; a repeated entry ran its cell
-        # twice, with a second CSV row and an overwritten dump; an invalid
-        # synchronous system failed only inside the first cd_e_sync trial
+        # twice, with a second CSV row and an overwritten dump
         plan = dict(base=micro_config(), detectors=("cd_e",), antennas=(2,), trials=1)
         with pytest.raises(ConfigError, match=message):
             ExperimentPlan(**{**plan, **overrides})
@@ -553,16 +543,14 @@ class TestMain:
             ({}, ["--workers", "0"], "workers must be a positive integer, got 0"),
             ({}, ["--out", "missing/r.csv"], "output directory missing does not exist"),
             ({}, ["--out", "existing"], "output path existing is a directory"),
-            (dict(detectors=["cd_e_sync"], **SYNC_INVALID_FIELDS), [],
-             GAIN_ERROR.format("2.63e+14 * 18", 173.3, -169.0)),
             ({}, ["--per-trial-dump", "afile"], f"[Errno {errno.EEXIST}] File exists: 'afile'"),
-            (dict(tx_power_dbm=4000.0), [], GAIN_ERROR.format("inf * 8", 4000.0, -169.0)),
-            (dict(noise_psd_dbm_hz=-4000.0), [], GAIN_ERROR.format("inf * 8", 23.0, -4000.0)),
-            (dict(tx_power_dbm=3000.0), [], GAIN_ERROR.format("1.23e+297 * 8", 3000.0, -169.0)),
+            (dict(tx_power_dbm=4000.0), [], GAIN_ERROR.format("inf * 9", 4000.0, -169.0)),
+            (dict(noise_psd_dbm_hz=-4000.0), [], GAIN_ERROR.format("inf * 9", 23.0, -4000.0)),
+            (dict(tx_power_dbm=3000.0), [], GAIN_ERROR.format("1.23e+297 * 9", 3000.0, -169.0)),
             ({}, ["--seed", "-3"], "rng_seed must be non-negative, got -3"),
         ],
         ids=["missing-config", "bad-detector", "zero-workers", "missing-directory",
-             "out-is-directory", "synchronous-system-invalid", "dump-on-a-file",
+             "out-is-directory", "dump-on-a-file",
              "tx-power-4000", "noise-psd-minus-4000", "tx-power-3000", "negative-seed"],
     )
     def test_bad_run_exits_two_before_any_trial(

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import DEFAULTS, make_config, make_truth, shipped
+from conftest import DEFAULTS, make_config, make_truth, shipped, window_edge_dbm
 from covdet.sysmodel import ConfigError, GroundTruth, config_from_dict, validate
 
 
@@ -93,11 +93,15 @@ class TestSystemConfig:
             dict(noise_psd_dbm_hz=-4000.0),
             dict(tx_power_dbm=-4000.0),  # underflows to a zero gain
             dict(tx_power_dbm=3000.0),  # finite, but sigma2 is lost in Sigma
+            # 0.01 dB past the edge, with a delay budget and without one
+            dict(tx_power_dbm=window_edge_dbm(make_config()) + 0.01),
+            dict(max_delay=0, tx_power_dbm=window_edge_dbm(make_config(max_delay=0)) + 0.01),
         ],
-        ids=["tx-4000", "tx-1e308", "psd-minus-4000", "tx-minus-4000", "tx-3000"],
+        ids=["tx-4000", "tx-1e308", "psd-minus-4000", "tx-minus-4000", "tx-3000",
+             "window-edge", "window-edge-no-delay"],
     )
     def test_out_of_range_power_rejected(self, overrides):
-        with pytest.raises(ConfigError, match="cell_edge_gain must be finite and positive"):
+        with pytest.raises(ConfigError, match=r"cell_edge_gain \* window_len below 1/eps"):
             make_config(**overrides)
 
     @pytest.mark.parametrize("field", list(DEFAULTS))
