@@ -21,8 +21,8 @@ from covdet import (
 
 # A small cell: 12 devices share length-16 preambles, 3 transmit in this
 # slot, each arriving up to 2 symbols late. The base station has 32
-# antennas. Power fields set the common cell-edge SNR; the noise floor
-# is normalized to unit power internally.
+# antennas. tx_power_dbm sets the common cell-edge SNR on the fixed link
+# budget; the noise floor is normalized to unit power internally.
 config = SystemConfig(
     num_devices=12,
     num_active=3,
@@ -30,9 +30,6 @@ config = SystemConfig(
     max_delay=2,
     num_antennas=32,
     tx_power_dbm=23.0,
-    noise_psd_dbm_hz=-169.0,
-    bandwidth_hz=1e7,
-    cell_distance_km=1.0,
     convergence_delta=1e-3,
     threshold_cd=0.1,
     threshold_bcd=0.12,

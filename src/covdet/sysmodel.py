@@ -8,6 +8,10 @@ before any draw, and no consumer re-checks one.
 Conventions
 -----------
 - Device indices run 0..N-1 and delays 0..tau_max (all 0-based).
+- The link budget is fixed: ``PATH_LOSS_DB`` = 128.1 dB is the 3GPP
+  macro-cell path loss 128.1 + 37.6*log10(d_km) at the 1 km cell edge,
+  and ``NOISE_POWER_DBM`` = -99 dBm is -169 dBm/Hz over 10 MHz, so
+  ``tx_power_dbm`` is the only power field.
 - Powers are normalized so that the working noise power is 1: the
   per-device received power (transmit power times path-loss gain divided
   by physical noise power) is folded into the large-scale gain ``beta``.
@@ -32,9 +36,10 @@ from typing import Mapping
 
 import numpy as np
 
-# 3GPP macro-cell path loss: 128.1 + 37.6*log10(d_km)  [dB]
-PATH_LOSS_INTERCEPT_DB = 128.1
-PATH_LOSS_SLOPE_DB_PER_DECADE = 37.6
+# the fixed link budget: 3GPP macro-cell path loss at the 1 km cell edge
+# [dB], and the noise power of -169 dBm/Hz over 10 MHz [dBm]
+PATH_LOSS_DB = 128.1
+NOISE_POWER_DBM = -99.0
 
 
 class ConfigError(ValueError):
@@ -74,15 +79,9 @@ class SystemConfig:
     num_antennas:
         Number of receive antennas M at the base station.
     tx_power_dbm:
-        Per-device transmit power in dBm.
-    noise_psd_dbm_hz:
-        One-sided noise power spectral density in dBm/Hz.
-    bandwidth_hz:
-        System bandwidth in Hz; together with the PSD it fixes the
-        physical noise power.
-    cell_distance_km:
-        BS-to-device distance in km; all devices sit at this distance
-        (cell-edge worst case), so they share one large-scale gain.
+        Per-device transmit power in dBm, the only power field: every
+        device sits at the cell edge, on the fixed link budget
+        ``PATH_LOSS_DB`` and ``NOISE_POWER_DBM``.
     convergence_delta:
         Stop threshold on the per-sweep objective decrease.
     threshold_cd:
@@ -99,9 +98,6 @@ class SystemConfig:
     max_delay: int
     num_antennas: int
     tx_power_dbm: float
-    noise_psd_dbm_hz: float
-    bandwidth_hz: float
-    cell_distance_km: float
     convergence_delta: float
     threshold_cd: float
     threshold_bcd: float
@@ -121,25 +117,13 @@ class SystemConfig:
         return self.max_delay + 1
 
     @property
-    def path_loss_db(self) -> float:
-        """Distance-dependent path loss in dB."""
-        return PATH_LOSS_INTERCEPT_DB + PATH_LOSS_SLOPE_DB_PER_DECADE * math.log10(
-            self.cell_distance_km
-        )
-
-    @property
-    def noise_power_dbm(self) -> float:
-        """Physical noise power in dBm: PSD + 10*log10(bandwidth)."""
-        return self.noise_psd_dbm_hz + 10.0 * math.log10(self.bandwidth_hz)
-
-    @property
     def cell_edge_gain(self) -> float:
         """Working-scale received power per device (linear).
 
         Transmit power minus path loss, referenced to the physical noise
         power, i.e. the per-antenna per-symbol SNR of one device.
         """
-        return 10.0 ** ((self.tx_power_dbm - self.path_loss_db - self.noise_power_dbm) / 10.0)
+        return 10.0 ** ((self.tx_power_dbm - PATH_LOSS_DB - NOISE_POWER_DBM) / 10.0)
 
     @property
     def sigma2(self) -> float:
@@ -193,18 +177,14 @@ def validate(config: SystemConfig) -> SystemConfig:
         raise ConfigError("num_antennas must be positive")
     if c.rng_seed < 0:
         raise ConfigError(f"rng_seed must be non-negative, got {c.rng_seed}")
-    if c.bandwidth_hz <= 0:
-        raise ConfigError("bandwidth_hz must be positive")
-    if c.cell_distance_km <= 0:
-        raise ConfigError("cell_distance_km must be positive")
     if c.convergence_delta <= 0:
         raise ConfigError("convergence_delta must be positive")
     if c.threshold_cd <= 0:
         raise ConfigError("threshold_cd must be positive")
     if c.threshold_bcd <= 0:
         raise ConfigError("threshold_bcd must be positive")
-    # the working-scale gain combines the power fields through a power of
-    # ten, which overflows or underflows where every field is finite. One
+    # tx_power_dbm enters the working-scale gain through a power of ten,
+    # which overflows or underflows where the field is finite. One
     # preamble's working-scale power over the noise floor sigma2 = 1 bounds
     # cond(Sigma) from below, and from 1/eps on, sigma2 is lost in the
     # rounding of Sigma's entries. The window is the longest preamble of a
@@ -219,10 +199,7 @@ def validate(config: SystemConfig) -> SystemConfig:
         raise ConfigError(
             f"cell_edge_gain must be finite and positive, and cell_edge_gain * "
             f"window_len below 1/eps = {limit:.4g}, got {gain:.4g} * {c.window_len} "
-            f"from tx_power_dbm={c.tx_power_dbm!r}, "
-            f"noise_psd_dbm_hz={c.noise_psd_dbm_hz!r}, "
-            f"bandwidth_hz={c.bandwidth_hz!r}, "
-            f"cell_distance_km={c.cell_distance_km!r}"
+            f"from tx_power_dbm={c.tx_power_dbm!r}"
         )
     return c
 

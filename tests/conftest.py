@@ -19,7 +19,7 @@ import oracle
 from covdet import likelihood
 from covdet.cli import TRIAL_HEADER, ExperimentPlan, load_experiment, run_experiment
 from covdet.siggen import draw_scenario, sample_covariance
-from covdet.sysmodel import GroundTruth, SystemConfig
+from covdet.sysmodel import NOISE_POWER_DBM, PATH_LOSS_DB, GroundTruth, SystemConfig
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -30,9 +30,6 @@ DEFAULTS = dict(
     max_delay=2,
     num_antennas=64,
     tx_power_dbm=23.0,
-    noise_psd_dbm_hz=-169.0,
-    bandwidth_hz=1e7,
-    cell_distance_km=1.0,
     convergence_delta=1e-3,
     threshold_cd=0.1,
     threshold_bcd=0.12,
@@ -55,7 +52,7 @@ def make_config(**overrides) -> SystemConfig:
 def window_edge_dbm(config: SystemConfig) -> float:
     """The transmit power at which ``validate``'s ``gain * window_len`` is 1/eps."""
     headroom_db = -10.0 * math.log10(np.finfo(float).eps * config.window_len)
-    return config.path_loss_db + config.noise_power_dbm + headroom_db
+    return PATH_LOSS_DB + NOISE_POWER_DBM + headroom_db
 
 
 def shipped(study: str, **fields) -> ExperimentPlan:

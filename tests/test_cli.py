@@ -62,11 +62,10 @@ def no_trial(*args):
 
 
 # validate's message for a cell-edge gain out of range, on the micro
-# system: gain * window_len, tx_power_dbm, noise_psd_dbm_hz
+# system: gain * window_len, tx_power_dbm
 GAIN_ERROR = (
     "cell_edge_gain must be finite and positive, and cell_edge_gain * window_len "
-    "below 1/eps = 4.504e+15, got {} from tx_power_dbm={}, noise_psd_dbm_hz={}, "
-    "bandwidth_hz=10000000.0, cell_distance_km=1.0"
+    "below 1/eps = 4.504e+15, got {} from tx_power_dbm={}"
 )
 
 
@@ -544,14 +543,15 @@ class TestMain:
             ({}, ["--out", "missing/r.csv"], "output directory missing does not exist"),
             ({}, ["--out", "existing"], "output path existing is a directory"),
             ({}, ["--per-trial-dump", "afile"], f"[Errno {errno.EEXIST}] File exists: 'afile'"),
-            (dict(tx_power_dbm=4000.0), [], GAIN_ERROR.format("inf * 9", 4000.0, -169.0)),
-            (dict(noise_psd_dbm_hz=-4000.0), [], GAIN_ERROR.format("inf * 9", 23.0, -4000.0)),
-            (dict(tx_power_dbm=3000.0), [], GAIN_ERROR.format("1.23e+297 * 9", 3000.0, -169.0)),
+            (dict(tx_power_dbm=4000.0), [], GAIN_ERROR.format("inf * 9", 4000.0)),
+            (dict(noise_psd_dbm_hz=-169.0, bandwidth_hz=1e7, cell_distance_km=1.0), [],
+             "unknown config keys: ['bandwidth_hz', 'cell_distance_km', 'noise_psd_dbm_hz']"),
+            (dict(tx_power_dbm=3000.0), [], GAIN_ERROR.format("1.23e+297 * 9", 3000.0)),
             ({}, ["--seed", "-3"], "rng_seed must be non-negative, got -3"),
         ],
         ids=["missing-config", "bad-detector", "zero-workers", "missing-directory",
              "out-is-directory", "dump-on-a-file",
-             "tx-power-4000", "noise-psd-minus-4000", "tx-power-3000", "negative-seed"],
+             "tx-power-4000", "retired-power-fields", "tx-power-3000", "negative-seed"],
     )
     def test_bad_run_exits_two_before_any_trial(
         self, tmp_path, capsys, monkeypatch, keys, flags, message

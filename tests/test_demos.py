@@ -1,5 +1,5 @@
-"""Every demo runs standalone against the package as it stands, on the
-package root that README documents."""
+"""Every demo, and README's Library example, runs standalone against the
+package as it stands, on the package root that README documents."""
 
 import subprocess
 import sys
@@ -10,15 +10,25 @@ import pytest
 import covdet
 from conftest import package_env
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def library_example() -> str:
+    """The first ```python block in README's "## Library" section."""
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
 
 
 def test_demos_found():
     assert len(DEMOS) >= 3
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+@pytest.mark.parametrize("demo", [*DEMOS, None], ids=lambda p: p.stem if p else "README-library")
 def test_demo_runs_cleanly(demo, tmp_path):
+    if demo is None:  # README's Library example
+        demo = tmp_path / "library.py"
+        demo.write_text(library_example())
     # TMPDIR keeps the files a demo writes under tempfile inside tmp_path
     env = {**package_env(), "TMPDIR": str(tmp_path)}
     proc = subprocess.run(
