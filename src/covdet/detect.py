@@ -13,10 +13,11 @@ Both start from ``prepare``, the one statement of their setup, and run
 their passes in the kernel in ``likelihood`` (rank-one updates of
 Sigma^{-1}, closed-form objective increments, the fit form from a
 low-rank factor of the sample covariance): one ``column_sweep`` or
-``block_sweep`` call per pass, over column or block views of the
-Fortran-ordered dictionary that ``siggen.effective_dictionary`` builds
-once per run. One sweep driver owns the sweep count, the periodic dense
-refresh, the stop rule and the error location.
+``block_sweep`` call per pass, over column views or ``block_plan``'s
+windows of block views of the Fortran-ordered dictionary that
+``siggen.effective_dictionary`` builds once per run. One sweep driver
+owns the sweep count, the periodic dense refresh, the stop rule and the
+error location.
 ``bcd`` scores a device's whole delay block, the removal of its entry
 included, from the block's products and their two Gram matrices.
 
@@ -121,13 +122,15 @@ def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     return dictionary, st, likelihood.fit_factor(st), state
 
 
-def _descend(state, st, config, run_pass, unit, estimate):
+def _descend(state, st, config, track, run_pass, unit, estimate):
     """The sweep driver both detectors share.
 
-    Each sweep runs one ascending pass, ``run_pass(inv, objective)``,
-    which updates ``inv`` and gamma in place and returns the new
+    Each sweep runs one ascending pass, ``run_pass(tracked, objective)``,
+    which updates ``tracked`` and gamma in place and returns the new
     objective. Every ``RECOMPUTE_EVERY`` sweeps the state is densely
-    refreshed. Stops once a sweep improves the objective by at most
+    refreshed; ``track(state)`` builds ``tracked`` at the start and after
+    each refresh, and its top ``D`` rows are the state's inverse at the
+    end. Stops once a sweep improves the objective by at most
     ``config.convergence_delta`` and returns the result whose estimate is
     ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``. A sweep's
     improvement is read from its tracked objective before any refresh, so
@@ -137,14 +140,17 @@ def _descend(state, st, config, run_pass, unit, estimate):
     ``at sweep S, <unit> <index>`` from the pass, ``at sweep S`` from the
     dense refresh.
     """
+    tracked = track(state)
     trace = [state.objective]
     for sweep in range(1, MAX_SWEEPS + 1):
         try:
-            objective = run_pass(state.inv_sigma, state.objective)
+            objective = run_pass(tracked, state.objective)
             decrement = trace[-1] - objective
             state.objective = objective
             if sweep % RECOMPUTE_EVERY == 0:
+                del tracked  # freed before the refresh allocates its arrays
                 likelihood.refresh_state(state, st)
+                tracked = track(state)
         except NumericalDegeneracyError as exc:
             visit = "" if exc.index is None else f", {unit} {exc.index}"
             raise NumericalDegeneracyError(f"{exc} at sweep {sweep}{visit}") from exc
@@ -155,6 +161,8 @@ def _descend(state, st, config, run_pass, unit, estimate):
         raise ConvergenceError(
             f"no convergence within {MAX_SWEEPS} sweeps (last decrement {decrement:.3e})"
         )
+    if tracked is not state.inv_sigma:
+        state.inv_sigma[:] = tracked[: state.dim]
 
     return DetectionResult(estimate(state.gamma), np.asarray(trace))
 
@@ -175,9 +183,8 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
     flat_gamma = state.gamma.ravel()
     return _descend(
         state, st, config,
-        lambda inv, objective: likelihood.column_sweep(
-            inv, factor_h, columns, flat_gamma, objective
-        ),
+        lambda state: likelihood.column_stack(state, factor_h),
+        lambda stack, objective: likelihood.column_sweep(stack, columns, flat_gamma, objective),
         "column",
         lambda gamma: threshold(enforce_block_sparsity(gamma), config.threshold_cd),
     )
@@ -198,13 +205,11 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     ``config.threshold_bcd``. No enforcement pass is needed.
     """
     dictionary, st, factor_h, state = prepare(preambles, sigma_tilde, config)
-    k = config.num_delays
-    blocks = [dictionary[:, n * k : (n + 1) * k] for n in range(config.num_devices)]
+    plan = likelihood.block_plan(dictionary, config.num_delays)
     return _descend(
         state, st, config,
-        lambda inv, objective: likelihood.block_sweep(
-            inv, factor_h, blocks, state.gamma, objective
-        ),
+        lambda state: state.inv_sigma,
+        lambda inv, objective: likelihood.block_sweep(inv, factor_h, plan, state.gamma, objective),
         "device",
         lambda gamma: threshold(gamma, config.threshold_bcd),
     )

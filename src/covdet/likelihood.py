@@ -49,13 +49,13 @@ commits; when the entry goes back to the delay it came from, removal
 and commit are one rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
-LAPACK: one ``zgemv`` for a column, on the pass's stacked
-``[Sigma^{-1}; F^H Sigma^{-1}]`` that one ``zgemm`` builds per
-``column_sweep``, ``zdotc`` for the inner products of a column (a
-quarter of numpy's ``vdot`` call overhead), ``zgemm`` for a block of
-columns and for its Gram products, an in-place ``zgerc`` for a rank-one
-update of the Fortran-ordered ``Sigma^{-1}`` or stack, ``zherk`` over the
-held columns for a dense ``Sigma``, ``zpotrf`` and ``zpotri`` for its
+LAPACK: one ``zgemv`` for a column, on the ``column_stack`` that a run
+builds once and after each refresh, ``zdotc`` for the inner products of
+a column (a quarter of numpy's ``vdot`` call overhead), ``zgemm`` for
+``Sigma^{-1}`` times a window of blocks, for ``F^H`` times a block and
+for its Gram products, an in-place ``zgerc`` for a rank-one update of the
+Fortran-ordered ``Sigma^{-1}``, stack or pending columns, ``zherk`` over
+the held columns for a dense ``Sigma``, ``zpotrf`` and ``zpotri`` for its
 log-determinant and inverse, ``zpstrf`` for the fit factor, and ``zherk``
 and ``zlantr`` for the largest entry of what the factor leaves out. Keeping
 them in one library matters: numpy ships its own BLAS with its own
@@ -68,11 +68,12 @@ loaded by file from its ``linalg`` directory: the objects that
 package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
 0.3 s and 22 MB per process: half the start-up, a quarter of peak memory.
 
-The per-visit calls (``zgerc`` in ``_update``, the fit ``zdotc`` of
-``column_sweep``, the Gram ``zgemm`` calls of ``block_sweep``) pass
-optional arguments by position: f2py parses a keyword in about 0.3 us,
-what a ``D = 32`` product costs (that ``zgerc``: 3.0 us with keywords,
-2.0 us without); per-trial calls keep keywords.
+The per-visit calls (``zgerc`` in ``_update``, also the one on a window's
+pending columns, the fit ``zdotc`` of ``column_sweep``, the Gram
+``zgemm`` calls of ``block_sweep``) pass optional arguments by position:
+f2py parses a keyword in about 0.3 us, what a ``D = 32`` product costs
+(that ``zgerc``: 3.0 us with keywords, 2.0 us without); per-trial calls
+keep keywords.
 """
 
 from __future__ import annotations
@@ -281,9 +282,11 @@ def _step(quad, fit):
 
 def _update(inv: np.ndarray, x: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
     """Sherman-Morrison ``inv -= eta * x v^H / denom`` by one in-place
-    ``zgerc``, with ``x = v = Sigma^{-1} s`` or, on the stacked
-    ``[Sigma^{-1}; F^H Sigma^{-1}]``, ``x = [v; F^H v]``; the caller has
-    checked ``inv`` with :func:`_check_inverse`."""
+    ``zgerc``, with ``x = v = Sigma^{-1} s``; on the stacked
+    ``[Sigma^{-1}; F^H Sigma^{-1}]``, ``x = [v; F^H v]``; on a window's
+    pending columns ``Sigma^{-1} P``, ``v = P^H x``. The caller has
+    checked ``inv`` with :func:`_check_inverse` (a pending view is
+    Fortran-ordered by construction)."""
     # slots after alpha, x, y: incx, incy, a, overwrite_x, overwrite_y, overwrite_a
     zgerc(-eta / denom, x, v, 1, 1, inv, 1, 1, 1)
 
@@ -309,14 +312,21 @@ def step_increment(eta: float, quad: float, fit: float):
     return math.log1p(eta * quad) - eta * fit / denom, denom
 
 
-def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarray,
-                 objective: float) -> float:
+def column_stack(state: CovarianceState, factor_h: np.ndarray) -> np.ndarray:
+    """``[Sigma^{-1}; F^H Sigma^{-1}]`` of ``state``, Fortran-ordered, which
+    :func:`column_sweep` tracks: one ``zgemm``, none at gamma = 0, where
+    ``Sigma^{-1}`` is ``I/sigma2``."""
+    inv = state.inv_sigma
+    lower = zgemm(1.0, factor_h, inv) if state.gamma.any() else factor_h / state.sigma2
+    return np.asfortranarray(np.concatenate((inv, lower)))
+
+
+def column_sweep(stack: np.ndarray, columns, gamma: np.ndarray, objective: float) -> float:
     """One ascending coordinate-descent pass over dictionary ``columns``.
 
     ``columns[j]`` is the dictionary column of the flat coordinate ``j``
-    and ``gamma`` the flat ``(N*(tau_max+1),)`` estimate; ``factor_h`` is
-    :func:`fit_factor` of the sample covariance. The pass tracks
-    ``[Sigma^{-1}; F^H Sigma^{-1}]``, stacked from ``inv`` by one ``zgemm``.
+    and ``gamma`` the flat ``(N*(tau_max+1),)`` estimate; the pass updates
+    :func:`column_stack`'s ``[Sigma^{-1}; F^H Sigma^{-1}]`` in place.
     Each visit takes ``y = [v; F^H v]``, ``v = Sigma^{-1} s``, from one
     ``zgemv`` of it, ``quad = s^H v`` and ``fit = ||F^H v||^2`` (``zdotc``
     each), steps to ``max{(fit - quad)/quad^2, -gamma_j}`` and, for a
@@ -324,17 +334,14 @@ def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarr
     of ``y`` against ``v`` and adds the step's exact objective change to
     ``objective``. Returns the new objective.
 
-    ``inv`` must be Fortran-ordered complex128 (else ``ValueError``, with
-    nothing changed). Gamma is read as Python floats, and gamma and
-    ``inv`` (the stack's top block) are written back when the pass ends,
-    also when it raises; a ``NumericalDegeneracyError`` carries the
-    failing coordinate in ``index``.
+    ``stack`` must be Fortran-ordered complex128 (else ``ValueError``, with
+    nothing changed). Gamma is read as Python floats and written back
+    when the pass ends, also when it raises; a ``NumericalDegeneracyError``
+    carries the failing coordinate in ``index``.
     """
-    _check_inverse(inv)
-    dim, rank = inv.shape[0], factor_h.shape[0]
-    stack = np.empty((dim + rank, dim), dtype=np.complex128, order="F")
-    stack[:dim] = inv
-    stack[dim:] = zgemm(1.0, factor_h, inv)
+    _check_inverse(stack)
+    dim = stack.shape[1]
+    rank = stack.shape[0] - dim
     values = gamma.tolist()
     try:
         for j, s in enumerate(columns):
@@ -359,39 +366,61 @@ def column_sweep(inv: np.ndarray, factor_h: np.ndarray, columns, gamma: np.ndarr
         raise
     finally:
         gamma[:] = values
-        inv[:] = stack[:dim]
     return objective
 
 
-def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray,
-                objective: float) -> float:
-    """One ascending block pass over the devices' delay ``blocks``.
+# devices per Sigma^{-1} product in block_sweep: OpenBLAS spends most of a
+# D = 104 zgemm packing Sigma^{-1}. Against one product per device, bcd on
+# full.json M=4 read 1.32x at 4 and 1.26-1.29x at 2, 3, 6 and 8 (Xeon)
+WINDOW = 4
 
-    ``blocks[n]`` is device ``n``'s ``(D, tau_max+1)`` block of dictionary
+
+def block_plan(dictionary: np.ndarray, num_delays: int) -> list:
+    """:func:`block_sweep`'s plan: per device, in windows of ``WINDOW``,
+    ``(window, here, later, tail)``: the window's columns at its first device,
+    else ``None``; the column slices of its block and of the window's later
+    blocks (``None`` at the last) in the window's product; the columns of both."""
+    k, plan = num_delays, []
+    for first in range(0, dictionary.shape[1], WINDOW * k):
+        window = dictionary[:, first : first + WINDOW * k]
+        for here in range(0, window.shape[1], k):
+            later = slice(here + k, None) if here + k < window.shape[1] else None
+            plan.append((None if here else window, slice(here, here + k), later, window[:, here:]))
+    return plan
+
+
+def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
+                objective: float) -> float:
+    """One ascending block pass over the devices of a :func:`block_plan`.
+
+    Device ``n``'s block is its ``(D, tau_max+1)`` block of dictionary
     columns and ``gamma[n]`` its row of the ``(N, tau_max+1)`` estimate,
-    which holds at most one nonzero. Each visit makes the block terms of
-    the current state from one ``zgemm`` for ``v = Sigma^{-1} block``, one
-    for ``w = F^H v`` and one each for the Gram products
-    ``G_q = block^H v`` and ``G_f = w^H w``, whose diagonals are each
-    column's ``quad`` and ``fit``. Every column is scored from the state
-    with the block's entry removed, by its closed-form step and, where the
-    step is positive, its exact objective change, and the lowest negative
-    change is committed (ties to the smallest delay; none keeps the block
-    empty).
+    which holds at most one nonzero. A window's first visit makes
+    ``Sigma^{-1} window`` by one ``zgemm``; each visit reads its block
+    ``v = Sigma^{-1} block`` there and makes ``w = F^H v``,
+    ``G_q = tail^H v`` and ``G_f = w^H w``, one ``zgemm`` each, whose
+    diagonals (``G_q``'s top: ``block^H v``) are each column's ``quad``
+    and ``fit``. Every column is scored from the state with the block's
+    entry removed, by its closed-form step and, where the step is
+    positive, its exact objective change, and the lowest negative change
+    is committed (ties to the smallest delay; none keeps the block empty).
 
     Removing ``gamma`` from column ``tau0`` is the step ``-gamma``, so
     Sherman-Morrison gives the zeroed-state inverse
     ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with ``u = v[:, tau0]`` and
     ``c = gamma / denom``. With ``b = block^H u`` and
-    ``g = w^H w[:, tau0]``, column ``tau0`` of ``G_q`` and of ``G_f``,
+    ``g = w^H w[:, tau0]``, columns ``tau0`` of ``block^H v`` and ``G_f``,
     each column's zeroed-state terms are the scalars ``quad + c |b|^2``
     and ``fit + 2 c Re(conj(b) g) + c^2 |b|^2 fit[tau0]``; the zeroed-state
     ``v + c conj(b) u`` is built only for a commit to another delay.
 
     ``Sigma^{-1}`` changes only at the commit: a downdate and an update,
     or one update of the net change when the entry returns to its delay.
-    Re-inserting the removed entry is always a candidate, so a visit never
-    raises the objective. Returns the new objective.
+    Each ``Sigma^{-1} -= a x x^H`` moves the window's pending columns
+    ``Sigma^{-1} P`` by ``-a x (P^H x)^H``, one ``zgerc``, where ``P^H x``
+    comes from ``G_q``'s rows below the block. Re-inserting the removed
+    entry is always a candidate, so a visit never raises the objective.
+    Returns the new objective.
 
     ``inv``, gamma and errors are handled as in :func:`column_sweep`, with
     the failing device in ``index``; a visit that raises has changed
@@ -399,16 +428,19 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
     """
     _check_inverse(inv)
     rows = gamma.tolist()
+    k = gamma.shape[1]
     try:
-        for n, block in enumerate(blocks):
-            row = rows[n]
-            v = zgemm(1.0, inv, block)
+        for n, (window, here, later, tail) in enumerate(plan):
+            if window is not None:
+                products = zgemm(1.0, inv, window)
+            v = products[:, here]
             w = zgemm(1.0, factor_h, v)
             # slots after alpha, a, b: beta, c, trans_a (2 is a^H)
-            gram_q = zgemm(1.0, block, v, 0.0, None, 2)
+            gram_q = zgemm(1.0, tail, v, 0.0, None, 2)
             gram_f = zgemm(1.0, w, w, 0.0, None, 2)
             quads = gram_q.diagonal().real.tolist()
             fits = gram_f.diagonal().real.tolist()
+            row = rows[n]
             removed = max(row)
             if removed > 0.0:
                 old_tau = row.index(removed)
@@ -417,6 +449,7 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
                 _check_quad(quad_u)
                 delta, down_denom = step_increment(-removed, quad_u, fit_u)
                 c = removed / down_denom
+                # b holds P^H u below block^H u; zip stops at g's end
                 b = gram_q[:, old_tau].tolist()
                 g = gram_f[:, old_tau].tolist()
                 for tau, (bt, gt) in enumerate(zip(b, g)):
@@ -434,22 +467,33 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, blocks, gamma: np.ndarray
                 delta, denom = step_increment(eta, q, fit)
                 if delta < best_delta:
                     best, best_delta = (tau, eta, denom), delta
-            # the commit: row n and Sigma^-1 change only from here on
+            # the commit: row n, Sigma^-1 and the pending columns change
+            # only from here on
             if removed > 0.0 and (best is None or best[0] != old_tau):
                 _update(inv, u, u, -removed, down_denom)
+                if later is not None:
+                    _update(products[:, later], u, gram_q[k:, old_tau], -removed, down_denom)
                 row[old_tau] = 0.0
             if best is not None:
                 tau, eta, denom = best
+                step, scale = eta, 0.0
                 if removed > 0.0 and tau == old_tau:
                     # re-inserted where it was: removal and commit are one
                     # rank-one update of the net change
-                    net = eta - removed
-                    _update(inv, u, u, net, step_increment(net, quad_u, 0.0)[1])
+                    step = eta - removed
+                    denom = step_increment(step, quad_u, 0.0)[1]
+                    x = u
                 elif removed > 0.0:
-                    x = v[:, tau] + (c * b[tau].conjugate()) * u
-                    _update(inv, x, x, eta, denom)
+                    scale = c * b[tau].conjugate()
+                    x = v[:, tau] + scale * u
                 else:
-                    _update(inv, v[:, tau], v[:, tau], eta, denom)
+                    x = v[:, tau]
+                _update(inv, x, x, step, denom)
+                if later is not None:
+                    cross = gram_q[k:, tau]
+                    if scale:
+                        cross = cross + scale * gram_q[k:, old_tau]
+                    _update(products[:, later], x, cross, step, denom)
                 objective += best_delta
                 row[tau] = eta
     except NumericalDegeneracyError as exc:

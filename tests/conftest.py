@@ -86,14 +86,16 @@ def make_scenario(config: SystemConfig, seed: int):
 
 def kernel_visit(state, factor_h, n, tau):
     """Visit coordinate ``(n, tau)`` of ``state`` as a detector pass does,
-    by a one-column ``likelihood.column_sweep``; updates the state's
-    inverse, gamma and objective in place and returns the step taken."""
+    by a one-column ``likelihood.column_sweep`` on the state's stack;
+    updates the state's inverse, gamma and objective in place and returns
+    the step taken."""
     j = n * state.gamma.shape[1] + tau
     before = float(state.gamma[n, tau])
+    stack = likelihood.column_stack(state, factor_h)
     state.objective = likelihood.column_sweep(
-        state.inv_sigma, factor_h, [state.dictionary[:, j]], state.gamma.ravel()[j : j + 1],
-        state.objective,
+        stack, [state.dictionary[:, j]], state.gamma.ravel()[j : j + 1], state.objective
     )
+    state.inv_sigma[:] = stack[: state.dim]
     return float(state.gamma[n, tau]) - before
 
 

@@ -49,8 +49,8 @@ def desk_batch():
     block_sweep = likelihood.block_sweep
     audits: list[int] = []
 
-    def audited(inv, factor_h, blocks, gamma, objective):
-        objective = block_sweep(inv, factor_h, blocks, gamma, objective)
+    def audited(inv, factor_h, plan, gamma, objective):
+        objective = block_sweep(inv, factor_h, plan, gamma, objective)
         audits.append(int(np.count_nonzero(gamma, axis=1).max()))
         return objective
 

@@ -615,7 +615,7 @@ class TestMain:
         ]
 
     def test_failing_refresh_exits_one_naming_its_sweep(self, tmp_path, capsys):
-        # desk.json at 150 dBm: cd_e_sync's dense refresh of seed 12350 at
+        # desk.json at 150 dBm: cd_e_sync's dense refresh of seed 12347 at
         # M=4 finds Sigma not positive definite
         path = tmp_path / "desk150.json"
         path.write_text(json.dumps(
@@ -623,12 +623,12 @@ class TestMain:
         ))
         code = main([
             "run", "--config", str(path), "--out", str(tmp_path / "r.csv"),
-            "--detectors", "cd_e_sync", "--antennas", "4", "--trials", "1", "--seed", "12350",
+            "--detectors", "cd_e_sync", "--antennas", "4", "--trials", "1", "--seed", "12347",
         ])
         assert code == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert re.fullmatch(
-            r"error: trial failed \(detector=cd_e_sync, M=4, seed=12350\): "
+            r"error: trial failed \(detector=cd_e_sync, M=4, seed=12347\): "
             r"dense refresh failed: .* at sweep \d+",
             line,
         ), line

@@ -198,12 +198,12 @@ class TestRunCdE:
         column_sweep = likelihood.column_sweep
         calls = []
 
-        def corrupted(inv, factor_h, columns, gamma, objective):
+        def corrupted(stack, columns, gamma, objective):
             calls.append(len(columns))
             if len(calls) == 2:
                 columns = list(columns)
                 columns[7] = np.zeros_like(columns[7])
-            return column_sweep(inv, factor_h, columns, gamma, objective)
+            return column_sweep(stack, columns, gamma, objective)
 
         monkeypatch.setattr(likelihood, "column_sweep", corrupted)
         config = make_config(num_antennas=16)
