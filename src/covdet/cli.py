@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 
@@ -34,6 +34,7 @@ from .sysmodel import (
     SystemConfig,
     config_from_dict,
     is_int,
+    synchronous_config,
 )
 
 DETECTOR_NAMES = ("cd_e", "bcd", "cd_e_sync")
@@ -110,21 +111,6 @@ class ExperimentPlan:
             raise ConfigError(f"antennas must not repeat, got {self.antennas!r}")
         if not (is_int(self.trials) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-
-
-@lru_cache(maxsize=32)
-def synchronous_config(config: SystemConfig) -> SystemConfig:
-    """Zero-delay benchmark system: the delay budget is folded into the
-    preamble, keeping the effective sequence length (and thus the
-    observation window) identical.
-
-    Built once per distinct base config: every trial of a ``cd_e_sync``
-    cell gets the same object back from a small bounded cache. A
-    ``SystemConfig`` is frozen, and equal configs give equal results.
-    """
-    return dataclasses.replace(
-        config, preamble_len=config.window_len, max_delay=0
-    )
 
 
 def run_single_trial(config: SystemConfig, seed: int, detector: str) -> TrialRecord:

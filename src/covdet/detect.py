@@ -102,8 +102,8 @@ class DetectionResult:
 
 
 def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
-    """Shared detector setup: input checks, then ``(dictionary, sigma_tilde
-    as complex128, its fit factor F^H, the fresh state at gamma = 0)``.
+    """Shared detector setup: input checks, then ``(sigma_tilde as complex128,
+    its fit factor F^H, the fresh state at gamma = 0 on the dictionary)``.
 
     ``config`` is not re-checked: a ``SystemConfig`` is valid once built.
     The preambles are checked against it, and the sample covariance once
@@ -119,7 +119,7 @@ def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     dictionary = effective_dictionary(preambles, config.max_delay)
     state = likelihood.init_state(dictionary, config.sigma2, st, config.num_delays)
-    return dictionary, st, likelihood.fit_factor(st), state
+    return st, likelihood.fit_factor(st), state
 
 
 def _descend(state, st, config, track, run_pass, unit, estimate):
@@ -177,8 +177,8 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
     reduced to one delay per device (keep-max), thresholded at
     ``config.threshold_cd``, and converted to indicator pairs.
     """
-    dictionary, st, factor_h, state = prepare(preambles, sigma_tilde, config)
-    columns = list(dictionary.T)
+    st, factor_h, state = prepare(preambles, sigma_tilde, config)
+    columns = list(state.dictionary.T)
     # a view of the C-ordered gamma: the sweep writes through it
     flat_gamma = state.gamma.ravel()
     return _descend(
@@ -204,8 +204,8 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     ``config.convergence_delta``, then thresholds at
     ``config.threshold_bcd``. No enforcement pass is needed.
     """
-    dictionary, st, factor_h, state = prepare(preambles, sigma_tilde, config)
-    plan = likelihood.block_plan(dictionary, config.num_delays)
+    st, factor_h, state = prepare(preambles, sigma_tilde, config)
+    plan = likelihood.block_plan(state.dictionary, config.num_delays)
     return _descend(
         state, st, config,
         lambda state: state.inv_sigma,

@@ -3,9 +3,9 @@
 The fit objective is ``log det(Sigma) + trace(Sigma^{-1} S_tilde)`` where
 ``Sigma = sum_j gamma_j s_j s_j^H + sigma2 I`` over dictionary columns
 ``s_j`` and ``S_tilde`` is the sample covariance. A detector run tracks
-``Sigma^{-1}`` and the objective in one ``CovarianceState``, kept by
-Sherman-Morrison updates and matching closed-form objective increments,
-plus a dense refresh to bound accumulated drift.
+``Sigma^{-1}`` and the objective in one ``CovarianceState``, defined here
+with the calls that build, update and refresh it: Sherman-Morrison updates
+and matching closed-form objective increments, plus a dense refresh.
 Gamma is a plain ``(N, tau_max+1)`` float64 array, device-major like the
 dictionary columns, and ``assemble_covariance`` is the one dense builder
 of ``Sigma`` from the two.
@@ -80,13 +80,14 @@ from __future__ import annotations
 
 import math
 import os
+from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
 
 import numpy as np
 import scipy
 
-from .sysmodel import CovarianceState, NumericalDegeneracyError
+from .sysmodel import NumericalDegeneracyError
 
 
 def _linalg_extension(name: str):
@@ -113,6 +114,39 @@ zlantr, zpotrf, zpotri, zpstrf = (
 DENOMINATOR_GUARD = 1e-12
 # float64 machine epsilon, for fit_factor's remainder tolerance
 _EPS = float(np.finfo(np.float64).eps)
+
+
+@dataclass
+class CovarianceState:
+    """Tracked inverse model covariance, kept consistent with a gamma estimate.
+
+    ``gamma[n, tau]`` is the fitted power of device ``n`` at delay
+    ``tau``; one row per device is a "block". Single-writer: one
+    detection run owns and mutates it. ``inv_sigma`` and ``objective``
+    follow gamma by rank-one updates and exact objective increments, and
+    a periodic dense refresh bounds their drift.
+    """
+
+    dictionary: np.ndarray  # (D, N*(tau_max+1)) delayed signature columns
+    sigma2: float
+    inv_sigma: np.ndarray  # (D, D) Hermitian positive definite, Fortran-ordered
+    objective: float
+    gamma: np.ndarray  # (N, tau_max + 1) float64, C-ordered
+
+    @property
+    def dim(self) -> int:
+        return self.dictionary.shape[0]
+
+    def column(self, device: int, delay: int) -> np.ndarray:
+        """Dictionary column for hypothesis (device, delay); ``ValueError``
+        outside ``[0, N) x [0, tau_max]``, where the flat index would name
+        another coordinate's column."""
+        num_devices, num_delays = self.gamma.shape
+        if not (0 <= device < num_devices and 0 <= delay < num_delays):
+            raise ValueError(
+                f"coordinate ({device}, {delay}) outside [0, {num_devices}) x [0, {num_delays - 1}]"
+            )
+        return self.dictionary[:, device * num_delays + delay]
 
 
 def assemble_covariance(dictionary: np.ndarray, gamma: np.ndarray, sigma2: float) -> np.ndarray:
@@ -172,9 +206,8 @@ def evaluate_objective(mat: np.ndarray, sigma_tilde, *, inverse: bool = False) -
     return _dense_objective(mat, st, "covariance not positive definite", inverse)[0]
 
 
-def init_state(
-    dictionary: np.ndarray, sigma2: float, sigma_tilde, num_delays: int = 1
-) -> CovarianceState:
+def init_state(dictionary: np.ndarray, sigma2: float, sigma_tilde,
+               num_delays: int) -> CovarianceState:
     """Fresh state at gamma = 0: inverse is I/sigma2 and the objective is
     ``D log(sigma2) + trace(S_tilde)/sigma2``.
 
@@ -371,7 +404,8 @@ def column_sweep(stack: np.ndarray, columns, gamma: np.ndarray, objective: float
 
 # devices per Sigma^{-1} product in block_sweep: OpenBLAS spends most of a
 # D = 104 zgemm packing Sigma^{-1}. Against one product per device, bcd on
-# full.json M=4 read 1.32x at 4 and 1.26-1.29x at 2, 3, 6 and 8 (Xeon)
+# full.json M=4 read 1.32x at 4 and 1.26-1.29x at 2, 3, 6 and 8 (Xeon), but
+# 0.93x at 4 where D = 10 (desk.json with K=40, L=8, M=4096)
 WINDOW = 4
 
 

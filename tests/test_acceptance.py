@@ -75,7 +75,7 @@ def test_1_rank_one_inverse_fidelity():
         num_devices=10, num_active=3, preamble_len=30, max_delay=2
     )
     preambles, _, st = make_scenario(config, 7)
-    _, _, factor_h, state = prepare(preambles, st, config)
+    _, factor_h, state = prepare(preambles, st, config)
     rng = np.random.default_rng(11)
     start = time.perf_counter()
     for _ in range(500):
@@ -119,7 +119,7 @@ def test_2_coordinate_visit_optimality():
             num_antennas=int(rng.choice([8, 16, 32, 64])),
         )
         preambles, _, st = make_scenario(config, 1000 + i)
-        _, _, factor_h, state = prepare(preambles, st, config)
+        _, factor_h, state = prepare(preambles, st, config)
         for _ in range(3):
             n = int(rng.integers(config.num_devices))
             tau = int(rng.integers(config.num_delays))

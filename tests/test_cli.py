@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import (
-    CONFIGS, DEFAULTS, dumps_without_runtime, make_config, package_env, shipped, window_edge_dbm,
+    CONFIGS, DEFAULTS, dumps_without_runtime, make_config, package_env, shipped,
 )
 from covdet import cli as cli_module
 from covdet import detect, likelihood
@@ -35,7 +35,6 @@ from covdet.cli import (
     main,
     run_experiment,
     run_single_trial,
-    synchronous_config,
 )
 from covdet.detect import run_bcd, run_cd_e
 from covdet.metrics import compute_fap, compute_mdp
@@ -77,32 +76,6 @@ def write_experiment_file(path, **keys):
     return path
 
 
-class TestSynchronousConfig:
-    def test_window_preserved(self):
-        sync = synchronous_config(make_config(preamble_len=16, max_delay=2))
-        assert (sync.preamble_len, sync.max_delay, sync.window_len) == (18, 0, 18)
-
-    def test_other_fields_untouched(self):
-        sync = synchronous_config(make_config())
-        assert dataclasses.replace(sync, preamble_len=16, max_delay=2) == make_config()
-
-    def test_built_once_per_base_config(self):
-        config = make_config()
-        assert synchronous_config(config) is synchronous_config(config)
-
-    @pytest.mark.parametrize(
-        "system", [shipped("desk").base, shipped("full").base, make_config()],
-        ids=["desk", "full", "defaults"],
-    )
-    def test_valid_system_has_a_valid_benchmark(self, system):
-        # validate once bounded gain * preamble_len: from the window's edge to
-        # the preamble's, a system was valid and its synchronous benchmark not
-        edge = window_edge_dbm(system)
-        synchronous_config(dataclasses.replace(system, tx_power_dbm=edge - 0.01))
-        with pytest.raises(ConfigError, match=r"cell_edge_gain \* window_len"):
-            dataclasses.replace(system, tx_power_dbm=edge + 0.01)
-
-
 class TestRunSingleTrial:
     @pytest.mark.parametrize("detector", DETECTOR_NAMES)
     @pytest.mark.parametrize(
@@ -127,9 +100,12 @@ class TestRunSingleTrial:
         dictionary = effective_dictionary(preambles, system.max_delay)
         state = likelihood.init_state(dictionary, system.sigma2, st, system.num_delays)
         drawn = draw_scenario(system, seed)
-        *setup, got_state = detect.prepare(drawn[0], sample_covariance(drawn[2]), system)
+        got_st, got_factor_h, got_state = detect.prepare(
+            drawn[0], sample_covariance(drawn[2]), system
+        )
         for got, want in zip(
-            [drawn[0], drawn[2], *setup, got_state.inv_sigma, got_state.gamma],
+            [drawn[0], drawn[2], got_state.dictionary, got_st, got_factor_h,
+             got_state.inv_sigma, got_state.gamma],
             [preambles, received, dictionary, st, likelihood.fit_factor(st),
              state.inv_sigma, state.gamma],
         ):

@@ -276,10 +276,10 @@ def test_prepare_keeps_the_dictionary_it_builds(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(detect, "effective_dictionary", record)
-    dictionary, _, _, state = detect.prepare(preambles, st, config)
+    _, _, state = detect.prepare(preambles, st, config)
     assert len(built) == 1
-    assert dictionary is built[0] and state.dictionary is built[0]
-    assert dictionary.flags.f_contiguous
+    assert state.dictionary is built[0]
+    assert state.dictionary.flags.f_contiguous
 
 
 # desk.json at M=4; with convergence_delta=1e-9 its runs take 14-27
@@ -338,7 +338,7 @@ def test_final_state_matches_oracle(runner, seed, monkeypatch):
     monkeypatch.setattr(detect, "prepare", capture)
     result = runner(preambles, st, config)
     assert result.iterations > detect.RECOMPUTE_EVERY
-    ((_, _, _, state),) = setups
+    ((_, _, state),) = setups
     expected = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
     assert result.final_objective == pytest.approx(expected, rel=1e-10)
     dense = oracle.dense_inverse(oracle.dense_covariance(preambles, state.gamma, config.sigma2))
@@ -377,7 +377,7 @@ class TestRunBcd:
         # against the dense objective for every delay of one block
         config = make_config(num_antennas=32)
         preambles, _, st = make_scenario(config, 19)
-        _, _, factor_h, state = detect.prepare(preambles, st, config)
+        _, factor_h, state = detect.prepare(preambles, st, config)
         base = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
         for tau in range(config.num_delays):
             candidate = dataclasses.replace(
@@ -403,7 +403,7 @@ class TestRunBcd:
         # update), moves one to another delay and leaves a block empty
         config = make_config(num_antennas=num_antennas)
         preambles, _, st = make_scenario(config, seed)
-        state = detect.prepare(preambles, st, config)[3]
+        _, _, state = detect.prepare(preambles, st, config)
         objective = state.objective
         for _ in range(sweeps):
             # where each block's entry went; None for a block that held none

@@ -55,7 +55,7 @@ def random_state(seed, num_devices=5, preamble_len=10, max_delay=1, num_antennas
         num_antennas=num_antennas, num_active=num_active,
     )
     preambles, _, st = make_scenario(config, seed)
-    _, st, factor_h, state = detect.prepare(preambles, st, config)
+    st, factor_h, state = detect.prepare(preambles, st, config)
     rng = np.random.default_rng(seed + 1)
     for _ in range(updates):
         n = int(rng.integers(num_devices))
@@ -625,7 +625,7 @@ class TestSampleCovarianceChecked:
         # which 5.0 added at (1, 2) or (2, 1) would move to 0.03521
         config = make_config()
         preambles, _, st = make_scenario(config, 29)
-        state = detect.prepare(preambles, st, config)[3]
+        _, _, state = detect.prepare(preambles, st, config)
         _, quad, fit = likelihood.quadratic_terms(state, st, 0, 0)
         assert (fit - quad) / quad**2 == pytest.approx(0.03308, abs=1e-5)
         return state, st
@@ -661,7 +661,7 @@ class TestCoordinateRange:
     def test_out_of_range_rejected(self, device, delay):
         config = make_config()
         preambles, _, st = make_scenario(config, 29)
-        state = detect.prepare(preambles, st, config)[3]
+        _, _, state = detect.prepare(preambles, st, config)
         inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
         with pytest.raises(ValueError, match="outside"):
             state.column(device, delay)

@@ -71,7 +71,7 @@ class TestDenseObjective:
         preambles = make_scenario(config, 2)[0]
         gamma = np.random.default_rng(3).random((4, 2))
         cov = oracle.dense_covariance(preambles, gamma, 1.0)
-        _, _, factor_h, state = detect.prepare(preambles, cov, config)
+        _, factor_h, state = detect.prepare(preambles, cov, config)
         state.gamma = gamma.copy()
         likelihood.refresh_state(state, cov)
         for n in range(4):
@@ -102,7 +102,7 @@ class TestGridMin1d:
                 num_devices=4, preamble_len=8, max_delay=1, num_antennas=16
             )
             preambles, _, st = make_scenario(config, seed)
-            _, _, factor_h, state = detect.prepare(preambles, st, config)
+            _, factor_h, state = detect.prepare(preambles, st, config)
             rng = np.random.default_rng(seed)
             for _ in range(3):
                 kernel_visit(state, factor_h, int(rng.integers(4)), int(rng.integers(2)))
@@ -192,15 +192,23 @@ class TestExhaustiveSupportSearch:
                 preambles, st, 1.0, candidate_budget=100
             )
 
-    def test_beats_or_matches_bcd_objective(self):
-        # global enumeration can only do better than the greedy detector
+    @pytest.mark.parametrize(
+        "fields, seeds",
+        [
+            (dict(num_devices=4, num_active=2, preamble_len=8, num_antennas=32), range(5)),
+            # D = 3 windows overloaded by K = 4 and K = 5 active devices
+            (dict(num_devices=6, num_active=4, preamble_len=2, num_antennas=256), range(4)),
+            (dict(num_devices=6, num_active=5, preamble_len=2, num_antennas=1024), range(4)),
+        ],
+        ids=["K2-D9", "K4-D3", "K5-D3"],
+    )
+    def test_beats_or_matches_bcd_objective(self, fields, seeds):
+        # global enumeration can only do better than the greedy detector,
+        # also where more devices are active than the window is long
         from covdet.detect import run_bcd
 
-        config = make_config(
-            num_devices=4, num_active=2, preamble_len=8, max_delay=1,
-            num_antennas=32,
-        )
-        for seed in range(5):
+        config = make_config(max_delay=1, **fields)
+        for seed in seeds:
             preambles, _, st = make_scenario(config, seed)
             bcd = run_bcd(preambles, st, config)
             found = oracle.exhaustive_support_search(preambles, st, 1.0)

@@ -1,4 +1,4 @@
-"""Domain types, validation, and config parsing.
+"""Domain types, validation, config parsing and the synchronous system.
 
 ``test_wrong_type_rejected_before_any_range`` owns every field's type rule,
 through the constructor and ``config_from_dict`` alike.
@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import CONFIGS, DEFAULTS, make_config, make_truth, shipped, window_edge_dbm
-from covdet.sysmodel import ConfigError, GroundTruth, config_from_dict, validate
+from covdet import cli
+from covdet.sysmodel import (
+    ConfigError,
+    GroundTruth,
+    config_from_dict,
+    synchronous_config,
+    validate,
+)
 
 
 class TestSystemConfig:
@@ -103,6 +110,34 @@ class TestSystemConfig:
             make_config(**{field: bad})
         with pytest.raises(ConfigError, match=f"^{field} must be"):
             config_from_dict({**DEFAULTS, field: bad})
+
+
+class TestSynchronousConfig:
+    def test_window_preserved(self):
+        sync = synchronous_config(make_config(preamble_len=16, max_delay=2))
+        assert (sync.preamble_len, sync.max_delay, sync.window_len) == (18, 0, 18)
+
+    def test_other_fields_untouched(self):
+        sync = synchronous_config(make_config())
+        assert dataclasses.replace(sync, preamble_len=16, max_delay=2) == make_config()
+
+    def test_built_once_per_base_config(self):
+        config = make_config()
+        assert synchronous_config(config) is synchronous_config(config)
+        # the runner and perfbench call it through covdet.cli: the same
+        # function, so one cache
+        assert cli.synchronous_config is synchronous_config
+
+    @pytest.mark.parametrize("study", ["desk", "full"])
+    def test_valid_system_has_a_valid_benchmark(self, study):
+        # validate once bounded gain * preamble_len: from the window's edge to
+        # the preamble's, a system was valid and its synchronous benchmark
+        # not; test_out_of_range_power_rejected[window-edge] is make_config's case
+        system = shipped(study).base
+        edge = window_edge_dbm(system)
+        synchronous_config(dataclasses.replace(system, tx_power_dbm=edge - 0.01))
+        with pytest.raises(ConfigError, match=r"cell_edge_gain \* window_len below 1/eps"):
+            dataclasses.replace(system, tx_power_dbm=edge + 0.01)
 
 
 class TestConfigSerialization:
