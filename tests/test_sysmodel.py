@@ -128,12 +128,13 @@ class TestSynchronousConfig:
         # function, so one cache
         assert cli.synchronous_config is synchronous_config
 
-    @pytest.mark.parametrize("study", ["desk", "full"])
-    def test_valid_system_has_a_valid_benchmark(self, study):
+    @pytest.mark.parametrize(
+        "system", [shipped("desk").base, shipped("full").base, make_config()],
+        ids=["desk", "full", "defaults"],
+    )
+    def test_valid_system_has_a_valid_benchmark(self, system):
         # validate once bounded gain * preamble_len: from the window's edge to
-        # the preamble's, a system was valid and its synchronous benchmark
-        # not; test_out_of_range_power_rejected[window-edge] is make_config's case
-        system = shipped(study).base
+        # the preamble's, a system was valid and its synchronous benchmark not
         edge = window_edge_dbm(system)
         synchronous_config(dataclasses.replace(system, tx_power_dbm=edge - 0.01))
         with pytest.raises(ConfigError, match=r"cell_edge_gain \* window_len below 1/eps"):
