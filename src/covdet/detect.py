@@ -129,8 +129,7 @@ def _descend(state, st, config, track, run_pass, unit, estimate):
     which updates ``tracked`` and gamma in place and returns the new
     objective. Every ``RECOMPUTE_EVERY`` sweeps the state is densely
     refreshed; ``track(state)`` builds ``tracked`` at the start and after
-    each refresh, and its top ``D`` rows are the state's inverse at the
-    end. Stops once a sweep improves the objective by at most
+    each refresh. Stops once a sweep improves the objective by at most
     ``config.convergence_delta`` and returns the result whose estimate is
     ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``. A sweep's
     improvement is read from its tracked objective before any refresh, so
@@ -161,9 +160,6 @@ def _descend(state, st, config, track, run_pass, unit, estimate):
         raise ConvergenceError(
             f"no convergence within {MAX_SWEEPS} sweeps (last decrement {decrement:.3e})"
         )
-    if tracked is not state.inv_sigma:
-        state.inv_sigma[:] = tracked[: state.dim]
-
     return DetectionResult(estimate(state.gamma), np.asarray(trace))
 
 

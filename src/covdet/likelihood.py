@@ -247,8 +247,11 @@ def fit_factor(sigma_tilde) -> np.ndarray:
     An indefinite matrix also stops below rank ``D``, and the part left
     unfactored would be dropped silently. So below rank ``D`` the factor
     must reproduce the lower triangle of ``S_tilde`` (all that ``zpstrf``
-    reads) to within ``D * eps * max diag(S_tilde)``, checked by one
-    ``zherk``; otherwise ``ValueError``.
+    reads) to within ``(D + 2 rank + 2) * eps * max diag(S_tilde)``,
+    checked by one ``zherk``; otherwise ``ValueError``. ``D`` is the stop's
+    tolerance, and ``zpstrf`` and the check's ``zherk`` each round an entry
+    ``rank + 1`` times, on terms that Cauchy-Schwarz bounds by the largest
+    diagonal entry.
     """
     st = np.asarray(sigma_tilde, dtype=np.complex128)
     dim = st.shape[0]
@@ -263,7 +266,7 @@ def fit_factor(sigma_tilde) -> np.ndarray:
     if rank < dim:
         # S_tilde - F F^H in the lower triangle, the only one zlantr reads
         remainder = zlantr("M", zherk(-1.0, factor_h, 1.0, st, trans=2, lower=1), uplo="L")
-        if not remainder <= dim * _EPS * st.diagonal().real.max():
+        if not remainder <= (dim + 2 * rank + 2) * _EPS * st.diagonal().real.max():
             raise ValueError("sample covariance is not positive semidefinite")
     return factor_h
 

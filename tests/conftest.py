@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 import covdet
-import oracle
 from covdet import likelihood
 from covdet.cli import TRIAL_HEADER, ExperimentPlan, load_experiment, run_experiment
 from covdet.siggen import draw_scenario, sample_covariance
@@ -106,49 +105,6 @@ def coordinate_terms(state, factor_h, n, tau):
     s = state.column(n, tau)
     v = state.inv_sigma @ s
     return float(np.vdot(s, v).real), float(np.linalg.norm(factor_h @ v) ** 2)
-
-
-def block_visit_by_hand(preambles, state, sigma_tilde, n):
-    """One ``bcd`` visit of device ``n``'s block, densely, from
-    ``tests/oracle.py``.
-
-    The block's entry, if any, is removed; every delay's closed-form step
-    is taken from a dense inverse of that zeroed state; the candidates
-    are compared by their dense objectives and the best one is committed
-    (ties to the smallest delay), as ``likelihood.block_sweep`` does.
-    Gamma and the inverse, a dense one of the result, are set in place.
-    Returns the dense objective change and ``None``, ``"same"``,
-    ``"moved"`` or ``"emptied"`` for where the block's entry went.
-    """
-    st = np.asarray(sigma_tilde, dtype=np.complex128)
-    sigma2 = state.sigma2
-    before = oracle.dense_objective(preambles, state.gamma, sigma2, st)
-    old_tau = int(np.argmax(state.gamma[n]))
-    removed = float(state.gamma[n, old_tau])
-    zeroed = state.gamma.copy()
-    zeroed[n] = 0.0
-    inv = oracle.dense_inverse(oracle.dense_covariance(preambles, zeroed, sigma2))
-    best, best_gamma = None, zeroed
-    best_value = oracle.dense_objective(preambles, zeroed, sigma2, st)
-    for tau in range(state.gamma.shape[1]):
-        s = state.column(n, tau)
-        v = inv @ s
-        quad = np.vdot(s, v).real
-        eta = (np.vdot(v, st @ v).real - quad) / quad**2
-        if eta <= 0.0:
-            continue
-        candidate = zeroed.copy()
-        candidate[n, tau] = eta
-        value = oracle.dense_objective(preambles, candidate, sigma2, st)
-        if value < best_value:
-            best, best_gamma, best_value = tau, candidate, value
-    state.gamma[:] = best_gamma
-    state.inv_sigma = np.asfortranarray(
-        oracle.dense_inverse(oracle.dense_covariance(preambles, best_gamma, sigma2))
-    )
-    if removed == 0.0:
-        return best_value - before, None
-    return best_value - before, "emptied" if best is None else "same" if best == old_tau else "moved"
 
 
 def degenerate_removals(monkeypatch):

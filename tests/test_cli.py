@@ -609,6 +609,22 @@ class TestMain:
             line,
         ), line
 
+    def test_rank_one_draw_runs_every_detector(self, tmp_path):
+        # at M=1 and D=2, fit_factor once rejected seed 3's sample
+        # covariance as not positive semidefinite, and the run ended in a
+        # traceback
+        path = write_experiment_file(
+            tmp_path / "exp.json", num_devices=6, num_active=1, preamble_len=2,
+            max_delay=0, num_antennas=1, tx_power_dbm=23.0,
+        )
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--config", str(path), "--out", str(out),
+            "--detectors", ",".join(DETECTOR_NAMES), "--seed", "3", "--trials", "1",
+        ])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + len(DETECTOR_NAMES)
+
     def test_zero_active_runs_with_undefined_mdp(self, tmp_path):
         path = write_experiment_file(tmp_path / "exp.json", num_active=0)
         out = tmp_path / "results.csv"

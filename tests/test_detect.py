@@ -3,8 +3,9 @@ the result record.
 
 The acceptance gate (``tests/test_acceptance.py``) alone states criteria
 1-4 and 8; the tests here check what those criteria do not, or check it
-to a tighter bound. ``TestRunBcd::test_sweeps_match_dense_block_visits_by_hand``
-alone checks whole ``bcd`` sweeps against dense block visits by hand.
+to a tighter bound. ``test_whole_runs_match_the_dense_reference`` alone
+checks whole runs of both detectors against ``oracle.reference_run``, which
+takes every visit's ``Sigma^-1 s`` from a fresh dense solve.
 """
 
 import dataclasses
@@ -14,9 +15,7 @@ import pytest
 
 import oracle
 from conftest import (
-    block_visit_by_hand,
     degenerate_removals,
-    kernel_visit,
     make_config,
     make_scenario,
     shipped,
@@ -173,25 +172,6 @@ class TestRunCdE:
         with pytest.raises(ValueError, match=message):
             runner(*corrupt(preambles, st), config)
 
-    def test_first_sweep_matches_dense_visits_by_hand(self):
-        # one ascending sweep done densely by hand, each closed-form step
-        # from a dense inverse of the current estimate, lands on the
-        # detector's first recorded objective
-        config = make_config(num_antennas=16)
-        preambles, _, st = make_scenario(config, 27)
-        dictionary = effective_dictionary(preambles, config.max_delay)
-        gamma = np.zeros((config.num_devices, config.num_delays))
-        for n in range(config.num_devices):
-            for tau in range(config.num_delays):
-                cov = oracle.dense_covariance(preambles, gamma, config.sigma2)
-                s = dictionary[:, n * config.num_delays + tau]
-                v = oracle.dense_inverse(cov) @ s
-                quad = np.vdot(s, v).real
-                gamma[n, tau] += max((np.vdot(v, st @ v).real - quad) / quad**2, -gamma[n, tau])
-        objective = oracle.dense_objective(preambles, gamma, config.sigma2, st)
-        result = run_cd_e(preambles, st, config)
-        assert result.objective_trace[1] == pytest.approx(objective, abs=1e-12)
-
     def test_degenerate_state_reports_sweep_and_column(self, monkeypatch):
         # a quadratic form that is not positive stops the run with the
         # place it happened: column 7 is zeroed from the second pass on
@@ -322,30 +302,6 @@ def test_refresh_correction_is_not_progress(runner, monkeypatch):
 
 
 @pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
-@pytest.mark.parametrize("seed", [0, 1])
-def test_final_state_matches_oracle(runner, seed, monkeypatch):
-    # the tracked objective and inverse of a whole run, refreshes and all,
-    # against the brute-force reference at the relaxed estimate
-    config = DESK_M4
-    preambles, _, st = make_scenario(config, seed)
-    setups = []
-    prepare = detect.prepare
-
-    def capture(*args):
-        setups.append(prepare(*args))
-        return setups[-1]
-
-    monkeypatch.setattr(detect, "prepare", capture)
-    result = runner(preambles, st, config)
-    assert result.iterations > detect.RECOMPUTE_EVERY
-    ((_, _, state),) = setups
-    expected = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
-    assert result.final_objective == pytest.approx(expected, rel=1e-10)
-    dense = oracle.dense_inverse(oracle.dense_covariance(preambles, state.gamma, config.sigma2))
-    assert np.linalg.norm(state.inv_sigma - dense) <= 1e-9 * np.linalg.norm(dense)
-
-
-@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
 @pytest.mark.parametrize("shift", [0.5, 2.0])
 def test_indefinite_sample_covariance_rejected(runner, shift, monkeypatch):
     # S - cI is Hermitian but indefinite; its pivoted Cholesky stops below
@@ -372,51 +328,6 @@ def test_zero_sample_covariance_detects_nothing(runner):
 
 
 class TestRunBcd:
-    def test_candidate_bookkeeping_matches_dense_objective(self):
-        # the speculative (step, delta) pair BCD relies on, checked
-        # against the dense objective for every delay of one block
-        config = make_config(num_antennas=32)
-        preambles, _, st = make_scenario(config, 19)
-        _, factor_h, state = detect.prepare(preambles, st, config)
-        base = oracle.dense_objective(preambles, state.gamma, config.sigma2, st)
-        for tau in range(config.num_delays):
-            candidate = dataclasses.replace(
-                state, inv_sigma=state.inv_sigma.copy(order="F"), gamma=state.gamma.copy()
-            )
-            kernel_visit(candidate, factor_h, 3, tau)
-            delta = candidate.objective - state.objective
-            dense = oracle.dense_objective(preambles, candidate.gamma, config.sigma2, st)
-            assert base + delta == pytest.approx(dense, abs=1e-8)
-
-    @pytest.mark.parametrize(
-        "num_antennas, seed, sweeps, events, bound",
-        [(16, 28, 1, set(), 1e-12), (4, 32, 2, {"same", "moved", "emptied"}, 1e-10)],
-        ids=["first-sweep", "second-sweep"],
-    )
-    def test_sweeps_match_dense_block_visits_by_hand(
-        self, num_antennas, seed, sweeps, events, bound
-    ):
-        # ascending sweeps of dense block visits by hand land on the
-        # detector's recorded objective. Every block starts empty in the
-        # first sweep, so it removes nothing; the second sweep at M=4
-        # re-inserts an entry at its delay (the detector's net-change
-        # update), moves one to another delay and leaves a block empty
-        config = make_config(num_antennas=num_antennas)
-        preambles, _, st = make_scenario(config, seed)
-        _, _, state = detect.prepare(preambles, st, config)
-        objective = state.objective
-        for _ in range(sweeps):
-            # where each block's entry went; None for a block that held none
-            seen = set()
-            for n in range(config.num_devices):
-                delta, event = block_visit_by_hand(preambles, state, st, n)
-                objective += delta
-                seen.add(event)
-        assert seen - {None} == events
-        result = run_bcd(preambles, st, config)
-        assert result.iterations > sweeps
-        assert result.objective_trace[sweeps] == pytest.approx(objective, abs=bound)
-
     def test_degenerate_zeroed_state_reports_sweep_and_device(self, monkeypatch):
         # a zeroed-state quadratic form that is not positive stops the run
         # with the place it happened
@@ -426,6 +337,95 @@ class TestRunBcd:
         with pytest.raises(NumericalDegeneracyError, match=r"<= 0 at sweep 2, device \d+"):
             run_bcd(preambles, st, config)
 
+
+
+# whole runs against the dense reference
+
+# per setting: transmit power (dBm), convergence_delta, and the relative
+# gap allowed between the detector's objective trace and the reference's.
+# Rounding in either grows with cond(Sigma). At 13-23 dBm a held column
+# adds at most 0.25 L to Sigma's noise floor of 1, and the gaps read at
+# most 2e-15 over 600 other seeded systems per setting; at 43 dBm it adds
+# up to 25 L, and they read up to 2e-12 over 1000
+WHOLE_RUN_SETTINGS = {
+    "13dBm": (13.0, 1e-3, 1e-13),
+    "23dBm": (23.0, 1e-3, 1e-13),
+    "43dBm": (43.0, 1e-3, 1e-9),
+    # 23 of its 124 runs cross RECOMPUTE_EVERY's dense refresh, up to 41 sweeps
+    "23dBm-delta1e-9": (23.0, 1e-9, 1e-13),
+}
+
+
+def whole_run_systems(power, delta):
+    """The property's search at ``power`` and ``delta``: ``(config,
+    preambles, sample covariance)`` of 60 seeded small systems, N up to
+    two full windows and a short one, then of two pinned ones."""
+    rng = np.random.default_rng(36)
+    for seed in range(60):
+        num_devices = int(rng.integers(1, 2 * likelihood.WINDOW + 2))
+        config = make_config(
+            num_devices=num_devices, num_active=int(rng.integers(num_devices + 1)),
+            preamble_len=int(rng.integers(1, 9)), max_delay=int(rng.integers(3)),
+            num_antennas=int(rng.choice([1, 2, 4, 16, 64])),
+            tx_power_dbm=power, convergence_delta=delta,
+        )
+        preambles, _, st = make_scenario(config, seed)
+        yield config, preambles, st
+    # at 23 dBm, fit_factor once rejected seed 3's rank-one draw here as
+    # not positive semidefinite
+    config = make_config(
+        num_devices=6, num_active=1, preamble_len=2, max_delay=0, num_antennas=1,
+        tx_power_dbm=power, convergence_delta=delta,
+    )
+    preambles, _, st = make_scenario(config, 3)
+    yield config, preambles, st
+    # one-symbol preambles and S = 3 I: each delay column is one axis, so
+    # the first sweep's visits to devices 0 and 1 find delays that tie
+    # exactly, and only the tie rule picks among them
+    config = make_config(
+        num_devices=2 * likelihood.WINDOW + 1, num_active=0, preamble_len=1, max_delay=2,
+        tx_power_dbm=power, convergence_delta=delta,
+    )
+    yield config, make_scenario(config, 0)[0], 3.0 * np.eye(config.window_len)
+
+
+@pytest.mark.parametrize(
+    "power, delta, tolerance", WHOLE_RUN_SETTINGS.values(), ids=WHOLE_RUN_SETTINGS
+)
+def test_whole_runs_match_the_dense_reference(power, delta, tolerance, monkeypatch):
+    # run by run, each detector and oracle.reference_run agree on the
+    # sweep count, on the declared pairs once the reference's estimate has
+    # gone through the detector's keep-max and threshold, and on the
+    # objective trace; bcd's estimate is block-sparse after every pass
+    block_sweep = likelihood.block_sweep
+    audits = []
+
+    def audited(inv, factor_h, plan, gamma, objective):
+        objective = block_sweep(inv, factor_h, plan, gamma, objective)
+        audits.append(int(np.count_nonzero(gamma, axis=1).max()))
+        return objective
+
+    monkeypatch.setattr(likelihood, "block_sweep", audited)
+    bcd_sweeps = 0
+    for index, (config, preambles, st) in enumerate(whole_run_systems(power, delta)):
+        for runner, block, estimate in (
+            (run_cd_e, False, lambda g: threshold(enforce_block_sparsity(g), config.threshold_cd)),
+            (run_bcd, True, lambda g: threshold(g, config.threshold_bcd)),
+        ):
+            result = runner(preambles, st, config)
+            gamma, trace = oracle.reference_run(
+                preambles, st, config.sigma2, config.num_delays, delta, block
+            )
+            where = f"{runner.__name__} on system {index}, {config}"
+            assert result.iterations == trace.size - 1, where
+            assert result.theta_hat == to_indicators(estimate(gamma)), where
+            np.testing.assert_allclose(
+                result.objective_trace, trace, rtol=tolerance, atol=0, err_msg=where
+            )
+            if block:
+                bcd_sweeps += result.iterations
+    assert len(audits) == bcd_sweeps
+    assert max(audits) <= 1
 
 
 # the contract both detectors keep
@@ -448,16 +448,6 @@ def test_high_snr_exact_recovery(runner, seed):
     preambles, truth, st = make_scenario(config, seed)
     result = runner(preambles, st, config)
     assert result.theta_hat == truth.pairs
-
-
-@pytest.mark.parametrize("runner", [run_cd_e, run_bcd])
-def test_trace_non_increasing(runner):
-    for seed in range(5):
-        config = make_config(num_antennas=16)
-        preambles, _, st = make_scenario(config, seed)
-        result = runner(preambles, st, config)
-        assert np.all(np.diff(result.objective_trace) <= 1e-9)
-        assert result.objective_trace[0] > result.final_objective
 
 
 @pytest.mark.parametrize("runner, seed", [(run_cd_e, 15), (run_bcd, 23)])

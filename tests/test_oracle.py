@@ -136,6 +136,22 @@ class TestGridMin1d:
         assert abs(grid_eta) <= spacing
 
 
+class TestReferenceRun:
+    @pytest.mark.parametrize("block", [False, True], ids=["cd_e", "bcd"])
+    def test_noise_only_stops_after_one_empty_sweep(self, block):
+        # at S = sigma2 I every column's fit equals its quad, so no step is
+        # positive and the first sweep lowers the objective by nothing
+        config = make_config(num_devices=4, preamble_len=6, max_delay=1)
+        preambles = make_scenario(config, 0)[0]
+        dim = config.window_len
+        gamma, trace = oracle.reference_run(
+            preambles, np.eye(dim), 1.0, config.num_delays, 1e-3, block
+        )
+        assert gamma.shape == (4, 2)
+        assert not gamma.any()
+        assert trace.tolist() == pytest.approx([dim, dim])
+
+
 class TestExhaustiveSupportSearch:
     def test_recovers_noiseless_single_device(self):
         # the winning assignment may carry extra coordinates whose optimized
