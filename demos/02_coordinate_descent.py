@@ -20,7 +20,7 @@ from covdet import (
     sample_covariance,
     synthesize_received_signal,
 )
-from covdet.likelihood import column_stack, column_sweep, fit_factor, init_state
+from covdet.likelihood import column_plan, column_stack, column_sweep, fit_factor, init_state
 
 config = SystemConfig(
     num_devices=10,
@@ -53,17 +53,18 @@ factor_h = fit_factor(sigma_tilde)
 print(f"fit factor rank: {factor_h.shape[0]} of {factor_h.shape[1]}")
 
 # Visit a few coordinates by hand, as a detector pass does: a pass is one
-# column_sweep over dictionary columns, so a one-column sweep is one
-# visit. It takes the closed-form optimal step, updates the tracked
-# inverse (stacked over F^H times it) by a rank-one correction rather
-# than a fresh matrix inversion, and returns the objective plus the
-# step's exact change.
+# column_sweep over the plan column_plan makes of the dictionary's
+# columns, so a one-column sweep is one visit. It takes the closed-form
+# optimal step, updates the tracked inverse (stacked over F^H times it)
+# by a rank-one correction rather than a fresh matrix inversion, and
+# returns the objective plus the step's exact change.
 stack = column_stack(state, factor_h)
 gamma = state.gamma.ravel()  # a view: the sweep writes the power through it
 for device, delay in sorted(truth.pairs):
     j = device * config.num_delays + delay
     before = state.objective
-    state.objective = column_sweep(stack, [dictionary[:, j]], gamma[j : j + 1], before)
+    plan = column_plan(dictionary[:, j : j + 1])
+    state.objective = column_sweep(stack, plan, gamma[j : j + 1], before)
     print(f"  visit ({device}, {delay}): power {gamma[j]:.4f}, "
           f"objective {state.objective:.4f} ({state.objective - before:+.4f})")
 

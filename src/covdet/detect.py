@@ -13,9 +13,13 @@ Both start from ``prepare``, the one statement of their setup, and run
 their passes in the kernel in ``likelihood`` (rank-one updates of
 Sigma^{-1}, closed-form objective increments, the fit form from a
 low-rank factor of the sample covariance): one ``column_sweep`` or
-``block_sweep`` call per pass, over column views or ``block_plan``'s
-windows of block views of the Fortran-ordered dictionary that
-``siggen.effective_dictionary`` builds once per run. One sweep driver
+``block_sweep`` call per pass, over ``column_plan``'s or
+``block_plan``'s views of the Fortran-ordered dictionary that
+``siggen.effective_dictionary`` builds once per run. ``column_plan``
+picks the column pass from the window length alone: column by column
+below ``likelihood.COLUMN_WINDOW_DIM`` (so at desk.json's D=32), in
+windows of ``COLUMN_WINDOW`` columns with one stack product each from it
+on (so at full.json's D=104). One sweep driver
 owns the sweep count, the periodic dense refresh, the stop rule and the
 error location.
 ``bcd`` scores a device's whole delay block, the removal of its entry
@@ -174,13 +178,13 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
     ``config.threshold_cd``, and converted to indicator pairs.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
-    columns = list(state.dictionary.T)
+    plan = likelihood.column_plan(state.dictionary)
     # a view of the C-ordered gamma: the sweep writes through it
     flat_gamma = state.gamma.ravel()
     return _descend(
         state, st, config,
         lambda state: likelihood.column_stack(state, factor_h),
-        lambda stack, objective: likelihood.column_sweep(stack, columns, flat_gamma, objective),
+        lambda stack, objective: likelihood.column_sweep(stack, plan, flat_gamma, objective),
         "column",
         lambda gamma: threshold(enforce_block_sparsity(gamma), config.threshold_cd),
     )
@@ -193,7 +197,9 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     current nonzero entry (if any) is removed; each candidate delay is
     then scored speculatively from that zeroed state with its own
     closed-form optimum and objective increment; the candidate with
-    minimal objective is committed (ties to the smallest delay). Because
+    minimal objective is committed (ties to the smallest delay, among
+    changes equal as computed: after a removal, exact ties in the zeroed
+    state are split by the rounding of its closed form). Because
     re-inserting the removed entry is always among the candidates, a
     block pass never increases the objective. Stops when a full pass over
     all blocks improves the objective by at most

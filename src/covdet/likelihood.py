@@ -13,13 +13,18 @@ of ``Sigma`` from the two.
 The coordinate math lives once, in the kernel that both detectors call.
 A detector pass is one call: ``column_sweep`` visits every dictionary
 column (``cd_e``, ``cd_e_sync``) and ``block_sweep`` every device's
-block of delay columns (``bcd``), each in a single loop that reads
-gamma as Python floats and writes it back when the pass ends; one
-coordinate is visited by a one-column ``column_sweep``. The
-formulas they share live once each: the step in ``_step``, the exact
-objective change and its denominator guard in ``step_increment``, the
-quadratic-form guard in ``_check_quad`` and the Sherman-Morrison update
-in ``_update``.
+block of delay columns (``bcd``), each over a plan that
+``column_plan`` or ``block_plan`` builds once per run; a pass reads
+gamma as Python floats and writes it back when it ends, and one
+coordinate is visited by a one-column ``column_sweep``. Below
+``COLUMN_WINDOW_DIM`` (64) rows, ``column_sweep`` visits column by
+column; from it on, in windows of ``COLUMN_WINDOW`` (32) columns, with
+one stack product per window and the window's steps applied to the stack
+at its end, so a step updates only the window's later products. The choice is
+made from the window length ``D`` alone. The formulas every loop shares
+live once each: the step in ``_step``, the exact objective change and its
+denominator guard in ``step_increment``, the quadratic-form guard in
+``_check_quad`` and the Sherman-Morrison update in ``_update``.
 
 The kernel never touches ``S_tilde`` itself. ``fit_factor`` returns
 ``F^H`` with ``S_tilde = F F^H`` from a pivoted Cholesky factor, whose
@@ -49,12 +54,16 @@ commits; when the entry goes back to the delay it came from, removal
 and commit are one rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
-LAPACK: one ``zgemv`` for a column, on the ``column_stack`` that a run
-builds once and after each refresh, ``zdotc`` for the inner products of
-a column (a quarter of numpy's ``vdot`` call overhead), ``zgemm`` for
+LAPACK: one ``zgemv`` for a column below ``COLUMN_WINDOW_DIM``, on the
+``column_stack`` that a run builds once and after each refresh, or one
+``zgemm`` for the stack times a window of columns from it on, with a
+``zgemv`` for a step's cross terms with the window's later columns and a
+rank-k ``zgemm`` for the window's steps; ``zdotc`` for the inner products
+of a column (a quarter of numpy's ``vdot`` call overhead), ``zgemm`` for
 ``Sigma^{-1}`` times a window of blocks, for ``F^H`` times a block and
 for its Gram products, an in-place ``zgerc`` for a rank-one update of the
-Fortran-ordered ``Sigma^{-1}``, stack or pending columns, ``zherk`` over
+Fortran-ordered ``Sigma^{-1}``, stack or a window's pending columns or
+products, ``zherk`` over
 the held columns for a dense ``Sigma``, ``zpotrf`` and ``zpotri`` for its
 log-determinant and inverse, ``zpstrf`` for the fit factor, and ``zherk``
 and ``zlantr`` for the largest entry of what the factor leaves out. Keeping
@@ -69,8 +78,10 @@ package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
 0.3 s and 22 MB per process: half the start-up, a quarter of peak memory.
 
 The per-visit calls (``zgerc`` in ``_update``, also the one on a window's
-pending columns, the fit ``zdotc`` of ``column_sweep``, the Gram
-``zgemm`` calls of ``block_sweep``) pass optional arguments by position:
+pending columns or products, the fit ``zdotc`` and the cross-term
+``zgemv`` of ``column_sweep``, the Gram ``zgemm`` calls of
+``block_sweep``) and the per-window ``zgemm`` calls of both sweeps pass
+optional arguments by position:
 f2py parses a keyword in about 0.3 us, what a ``D = 32`` product costs
 (that ``zgerc``: 3.0 us with keywords, 2.0 us without); per-trial calls
 keep keywords.
@@ -320,7 +331,8 @@ def _update(inv: np.ndarray, x: np.ndarray, v: np.ndarray, eta: float, denom: fl
     """Sherman-Morrison ``inv -= eta * x v^H / denom`` by one in-place
     ``zgerc``, with ``x = v = Sigma^{-1} s``; on the stacked
     ``[Sigma^{-1}; F^H Sigma^{-1}]``, ``x = [v; F^H v]``; on a window's
-    pending columns ``Sigma^{-1} P``, ``v = P^H x``. The caller has
+    pending columns ``Sigma^{-1} P``, ``v = P^H x``, and on a column
+    window's later products ``stack P``, ``v = P^H x[:D]``. The caller has
     checked ``inv`` with :func:`_check_inverse` (a pending view is
     Fortran-ordered by construction)."""
     # slots after alpha, x, y: incx, incy, a, overwrite_x, overwrite_y, overwrite_a
@@ -357,46 +369,133 @@ def column_stack(state: CovarianceState, factor_h: np.ndarray) -> np.ndarray:
     return np.asfortranarray(np.concatenate((inv, lower)))
 
 
-def column_sweep(stack: np.ndarray, columns, gamma: np.ndarray, objective: float) -> float:
-    """One ascending coordinate-descent pass over dictionary ``columns``.
+# columns per stack product of a windowed column_sweep pass
+COLUMN_WINDOW = 32
+# window length D from which column_sweep visits its columns in windows of
+# COLUMN_WINDOW: one stack product per window and one rank-k stack update
+# for the window's steps, against one zgemv per visit and one zgerc of the
+# whole stack per step. Per-visit over windowed time on the same trials
+# (above 1x the windows win), in process, pinned to one core (Xeon);
+# desk.json at M=4 (seeds 12345-12374) with preamble length L, so cd_e's
+# D is L+2 and cd_e_sync's is L:
+#   L=30 (desk; also M=64): cd_e 0.89-0.92x, cd_e_sync 0.76-0.88x
+#   L=46 / 48 / 54: cd_e 1.00-1.04 / 1.03-1.09 / 1.00-1.05x,
+#                   cd_e_sync 0.88-0.90 / 0.92 / 1.02-1.09x
+#   L=62 / 64 / 78: cd_e 1.19 / 1.17-1.22 / 1.08-1.09x,
+#                   cd_e_sync 0.96-1.02 / 1.07-1.18 / 1.18-1.24x
+#   full.json, D=104, M=2 / 4 / 64 (seeds 12345-12347):
+#     cd_e 1.37-1.41 / 1.42-1.51 / 1.27-1.41x, cd_e_sync 1.31-1.36 / 1.44-1.48 / 1.33-1.37x
+COLUMN_WINDOW_DIM = 64
 
-    ``columns[j]`` is the dictionary column of the flat coordinate ``j``
-    and ``gamma`` the flat ``(N*(tau_max+1),)`` estimate; the pass updates
-    :func:`column_stack`'s ``[Sigma^{-1}; F^H Sigma^{-1}]`` in place.
-    Each visit takes ``y = [v; F^H v]``, ``v = Sigma^{-1} s``, from one
-    ``zgemv`` of it, ``quad = s^H v`` and ``fit = ||F^H v||^2`` (``zdotc``
-    each), steps to ``max{(fit - quad)/quad^2, -gamma_j}`` and, for a
-    nonzero step, updates both blocks by one Sherman-Morrison ``zgerc``
-    of ``y`` against ``v`` and adds the step's exact objective change to
-    ``objective``. Returns the new objective.
+
+def column_plan(dictionary: np.ndarray) -> list:
+    """:func:`column_sweep`'s plan over the columns of the Fortran-ordered
+    ``dictionary``: below ``COLUMN_WINDOW_DIM`` rows, its column views; from
+    it on, per window of ``COLUMN_WINDOW`` columns, ``(window, its column
+    views)``."""
+    if dictionary.shape[0] < COLUMN_WINDOW_DIM:
+        return list(dictionary.T)
+    windows = (
+        dictionary[:, first : first + COLUMN_WINDOW]
+        for first in range(0, dictionary.shape[1], COLUMN_WINDOW)
+    )
+    return [(window, list(window.T)) for window in windows]
+
+
+def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -> float:
+    """One ascending coordinate-descent pass over the dictionary columns of
+    a :func:`column_plan`.
+
+    ``gamma`` is the flat ``(N*(tau_max+1),)`` estimate, one entry per
+    column; the pass updates :func:`column_stack`'s
+    ``[Sigma^{-1}; F^H Sigma^{-1}]`` in place. Each visit takes
+    ``y = [v; F^H v]``, ``v = Sigma^{-1} s``, ``quad = s^H v`` and
+    ``fit = ||F^H v||^2`` (``zdotc`` each), steps to
+    ``max{(fit - quad)/quad^2, -gamma_j}`` and, for a nonzero step, adds
+    the step's exact objective change to ``objective``. Returns the new
+    objective.
+
+    Below ``COLUMN_WINDOW_DIM`` rows (the plan is a list of columns), a
+    visit takes ``y`` from one ``zgemv`` of the stack, and a step updates
+    both blocks by one Sherman-Morrison ``zgerc`` of ``y`` against ``v``.
+    From it on, each window of the plan starts with one ``zgemm`` of the
+    stack with its columns, into a buffer of the pass, and a visit reads
+    ``y`` there. A step with ``a = eta/denom`` corrects the products of
+    the window's later columns ``P`` by ``-a y (P^H v)^H``: one ``zgemv``
+    for ``P^H v`` and one ``zgerc``. The stack takes the window's steps at
+    its end, or when a visit raises, by one rank-k ``zgemm``.
 
     ``stack`` must be Fortran-ordered complex128 (else ``ValueError``, with
     nothing changed). Gamma is read as Python floats and written back
     when the pass ends, also when it raises; a ``NumericalDegeneracyError``
-    carries the failing coordinate in ``index``.
+    carries the failing column in ``index``, and the stack then holds every
+    step before it.
     """
     _check_inverse(stack)
     dim = stack.shape[1]
     rank = stack.shape[0] - dim
     values = gamma.tolist()
     try:
-        for j, s in enumerate(columns):
-            y = zgemv(1.0, stack, s)
-            quad = zdotc(s, y).real
-            _check_quad(quad)
-            # slots after x, y: n, offx, incx, offy, incy
-            fit = zdotc(y, y, rank, dim, 1, dim, 1).real
-            eta = _step(quad, fit)
-            old = values[j]
-            if eta < -old:
-                eta = -old
-            if eta == 0.0:
-                continue
-            delta, denom = step_increment(eta, quad, fit)
-            _update(stack, y, y[:dim], eta, denom)
-            new = old + eta
-            values[j] = 0.0 if new < 0.0 else new
-            objective += delta
+        if dim < COLUMN_WINDOW_DIM:
+            for j, s in enumerate(plan):
+                y = zgemv(1.0, stack, s)
+                quad = zdotc(s, y).real
+                _check_quad(quad)
+                # slots after x, y: n, offx, incx, offy, incy
+                fit = zdotc(y, y, rank, dim, 1, dim, 1).real
+                eta = _step(quad, fit)
+                old = values[j]
+                if eta < -old:
+                    eta = -old
+                if eta == 0.0:
+                    continue
+                delta, denom = step_increment(eta, quad, fit)
+                _update(stack, y, y[:dim], eta, denom)
+                new = old + eta
+                values[j] = 0.0 if new < 0.0 else new
+                objective += delta
+        else:
+            buffer = np.empty((stack.shape[0], COLUMN_WINDOW), dtype=np.complex128, order="F")
+            first = 0
+            for window, columns in plan:
+                width = len(columns)
+                # slots after alpha, a, b: beta, c, trans_a, trans_b, overwrite_c
+                products = zgemm(1.0, stack, window, 0.0, buffer[:, :width], 0, 0, 1)
+                steps, scales = [], []
+                try:
+                    for i, (s, y) in enumerate(zip(columns, products.T)):
+                        j = first + i
+                        quad = zdotc(s, y).real
+                        _check_quad(quad)
+                        fit = zdotc(y, y, rank, dim, 1, dim, 1).real
+                        eta = _step(quad, fit)
+                        old = values[j]
+                        if eta < -old:
+                            eta = -old
+                        if eta == 0.0:
+                            continue
+                        delta, denom = step_increment(eta, quad, fit)
+                        steps.append(i)
+                        scales.append(eta / denom)
+                        if i + 1 < width:
+                            # slots after alpha, a, x: beta, y, offx, incx,
+                            # offy, incy, trans (2 is a^H)
+                            later = window[:, i + 1 :]
+                            cross = zgemv(1.0, later, y[:dim], 0.0, None, 0, 1, 0, 1, 2)
+                            _update(products[:, i + 1 :], y, cross, eta, denom)
+                        new = old + eta
+                        values[j] = 0.0 if new < 0.0 else new
+                        objective += delta
+                finally:
+                    if steps:
+                        # stack -= sum_k a_k y_k (y_k[:D])^H over the steps:
+                        # each y_k holds the window's earlier steps, so this
+                        # is their Sherman-Morrison updates made in turn
+                        ys = products[:, steps]
+                        # slots after alpha, a, b: beta, c, trans_a, trans_b
+                        # (2 is b^H), overwrite_c
+                        zgemm(-1.0, ys, ys[:dim] * scales, 1.0, stack, 0, 2, 1)
+                first += width
     except NumericalDegeneracyError as exc:
         exc.index = j
         raise
@@ -441,6 +540,10 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     entry removed, by its closed-form step and, where the step is
     positive, its exact objective change, and the lowest negative change
     is committed (ties to the smallest delay; none keeps the block empty).
+    The tie rule holds for changes that are equal as computed: after a
+    removal, each delay's zeroed-state terms come from the closed form
+    below, so delays that tie exactly in the zeroed state are split by its
+    rounding.
 
     Removing ``gamma`` from column ``tau0`` is the step ``-gamma``, so
     Sherman-Morrison gives the zeroed-state inverse

@@ -91,8 +91,9 @@ def kernel_visit(state, factor_h, n, tau):
     j = n * state.gamma.shape[1] + tau
     before = float(state.gamma[n, tau])
     stack = likelihood.column_stack(state, factor_h)
+    plan = likelihood.column_plan(state.dictionary[:, j : j + 1])
     state.objective = likelihood.column_sweep(
-        stack, [state.dictionary[:, j]], state.gamma.ravel()[j : j + 1], state.objective
+        stack, plan, state.gamma.ravel()[j : j + 1], state.objective
     )
     state.inv_sigma[:] = stack[: state.dim]
     return float(state.gamma[n, tau]) - before

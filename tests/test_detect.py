@@ -389,14 +389,33 @@ def whole_run_systems(power, delta):
     yield config, make_scenario(config, 0)[0], 3.0 * np.eye(config.window_len)
 
 
+def check_whole_run(runner, system, config, preambles, st, tolerance):
+    """Run ``runner`` and ``oracle.reference_run`` on one system; assert
+    that they agree on the sweep count, on the declared pairs once the
+    reference's estimate has gone through the detector's keep-max and
+    threshold, and on the objective trace. Returns the detector's sweeps."""
+    block = runner is run_bcd
+    result = runner(preambles, st, config)
+    gamma, trace = oracle.reference_run(
+        preambles, st, config.sigma2, config.num_delays, config.convergence_delta, block
+    )
+    estimate = (
+        threshold(gamma, config.threshold_bcd) if block
+        else threshold(enforce_block_sparsity(gamma), config.threshold_cd)
+    )
+    where = f"{runner.__name__} on system {system}, {config}"
+    assert result.iterations == trace.size - 1, where
+    assert result.theta_hat == to_indicators(estimate), where
+    np.testing.assert_allclose(result.objective_trace, trace, rtol=tolerance, atol=0, err_msg=where)
+    return result.iterations
+
+
 @pytest.mark.parametrize(
     "power, delta, tolerance", WHOLE_RUN_SETTINGS.values(), ids=WHOLE_RUN_SETTINGS
 )
 def test_whole_runs_match_the_dense_reference(power, delta, tolerance, monkeypatch):
-    # run by run, each detector and oracle.reference_run agree on the
-    # sweep count, on the declared pairs once the reference's estimate has
-    # gone through the detector's keep-max and threshold, and on the
-    # objective trace; bcd's estimate is block-sparse after every pass
+    # run by run, each detector agrees with oracle.reference_run, and
+    # bcd's estimate is block-sparse after every pass
     block_sweep = likelihood.block_sweep
     audits = []
 
@@ -408,24 +427,31 @@ def test_whole_runs_match_the_dense_reference(power, delta, tolerance, monkeypat
     monkeypatch.setattr(likelihood, "block_sweep", audited)
     bcd_sweeps = 0
     for index, (config, preambles, st) in enumerate(whole_run_systems(power, delta)):
-        for runner, block, estimate in (
-            (run_cd_e, False, lambda g: threshold(enforce_block_sparsity(g), config.threshold_cd)),
-            (run_bcd, True, lambda g: threshold(g, config.threshold_bcd)),
-        ):
-            result = runner(preambles, st, config)
-            gamma, trace = oracle.reference_run(
-                preambles, st, config.sigma2, config.num_delays, delta, block
-            )
-            where = f"{runner.__name__} on system {index}, {config}"
-            assert result.iterations == trace.size - 1, where
-            assert result.theta_hat == to_indicators(estimate(gamma)), where
-            np.testing.assert_allclose(
-                result.objective_trace, trace, rtol=tolerance, atol=0, err_msg=where
-            )
-            if block:
-                bcd_sweeps += result.iterations
+        check_whole_run(run_cd_e, index, config, preambles, st, tolerance)
+        bcd_sweeps += check_whole_run(run_bcd, index, config, preambles, st, tolerance)
     assert len(audits) == bcd_sweeps
     assert max(audits) <= 1
+
+
+@pytest.mark.parametrize(
+    "power, delta, tolerance", WHOLE_RUN_SETTINGS.values(), ids=WHOLE_RUN_SETTINGS
+)
+def test_windowed_column_passes_match_the_dense_reference(power, delta, tolerance):
+    # at D = COLUMN_WINDOW_DIM, cd_e's passes take their columns in windows
+    # of COLUMN_WINDOW: two full windows and a short one, at tau_max 2 and
+    # 0 (the form cd_e_sync runs)
+    width = likelihood.COLUMN_WINDOW
+    for seed, (max_delay, num_devices, num_active, num_antennas) in enumerate(
+        [(2, 2 * width // 3 + 2, 6, 16), (0, 2 * width + 5, 10, 4)]
+    ):
+        config = make_config(
+            num_devices=num_devices, num_active=num_active,
+            preamble_len=likelihood.COLUMN_WINDOW_DIM - max_delay, max_delay=max_delay,
+            num_antennas=num_antennas, tx_power_dbm=power, convergence_delta=delta,
+        )
+        assert 2 * width < config.num_devices * config.num_delays < 3 * width
+        preambles, _, st = make_scenario(config, seed)
+        check_whole_run(run_cd_e, seed, config, preambles, st, tolerance)
 
 
 # the contract both detectors keep

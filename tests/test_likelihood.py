@@ -386,7 +386,8 @@ class TestFitFactor:
         stack = np.asfortranarray(np.vstack([inv, factor_h]))
         blocks = np.asfortranarray(np.ones((dim, 6), dtype=complex))
         gamma = np.zeros((2, 3))
-        assert likelihood.column_sweep(stack, list(blocks[:, :3].T), gamma[0], 1.5) == 1.5
+        plan = likelihood.column_plan(blocks[:, :3])
+        assert likelihood.column_sweep(stack, plan, gamma[0], 1.5) == 1.5
         plan = likelihood.block_plan(blocks, 3)
         assert likelihood.block_sweep(inv, factor_h, plan, gamma, 1.5) == 1.5
         np.testing.assert_array_equal(gamma, 0.0)
@@ -419,10 +420,11 @@ def sweep_pass(state, factor_h, sweep, dictionary=None, units=None):
     if dictionary is None:
         dictionary = state.dictionary
     if sweep == "column_sweep":
-        columns = list(dictionary.T)[:units]
-        gamma = state.gamma.ravel()[: len(columns)]
+        columns = dictionary[:, :units]
+        plan = likelihood.column_plan(columns)
+        gamma = state.gamma.ravel()[: columns.shape[1]]
         return likelihood.column_stack(state, factor_h), (
-            lambda stack, objective: likelihood.column_sweep(stack, columns, gamma, objective)
+            lambda stack, objective: likelihood.column_sweep(stack, plan, gamma, objective)
         )
     plan = likelihood.block_plan(dictionary, state.gamma.shape[1])[:units]
     rows = state.gamma[: len(plan)]
@@ -639,6 +641,71 @@ class TestSweeps:
         steps = int(np.count_nonzero(state.gamma != before))
         assert steps >= 3
         assert calls == {"zgemv": state.gamma.size, "zgerc": steps, "zgemm": 0}
+
+    def test_failing_window_keeps_the_steps_before(self):
+        # at D = COLUMN_WINDOW_DIM column 40, the second window's ninth, is
+        # zero: the pass stops there, with gamma and the stack those of the
+        # pass cut before it; that pass's second window is narrower, so its
+        # product rounds differently, and it takes its steps at its end
+        width = likelihood.COLUMN_WINDOW
+        cut = width + 8
+        _, state, _, factor_h = random_state(
+            seed=81, num_devices=2 * width, preamble_len=likelihood.COLUMN_WINDOW_DIM,
+            max_delay=0, num_antennas=16, num_active=12, updates=0,
+        )
+        dictionary = state.dictionary.copy(order="F")
+        dictionary[:, cut] = 0.0
+        want = copy_state(state)
+        want_stack, run = sweep_pass(want, factor_h, "column_sweep", dictionary, units=cut)
+        run(want_stack, 0.0)
+        assert np.any(want.gamma.ravel()[width:cut])
+        stack, run = sweep_pass(state, factor_h, "column_sweep", dictionary)
+        with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
+            run(stack, 0.0)
+        assert info.value.index == cut
+        np.testing.assert_allclose(state.gamma, want.gamma, rtol=1e-12, atol=0)
+        assert np.linalg.norm(stack - want_stack) <= 1e-12 * np.linalg.norm(want_stack)
+
+    def test_column_window_is_one_product(self, monkeypatch):
+        # from COLUMN_WINDOW_DIM on, a window's visits read y off one zgemm
+        # of the stack; a step corrects the window's later columns by one
+        # zgemv and one zgerc, and the stack takes the window's steps by
+        # one rank-k zgemm at its end, never by a zgerc
+        width = likelihood.COLUMN_WINDOW
+        _, state, _, factor_h = random_state(
+            seed=83, num_devices=2 * width + 5, preamble_len=likelihood.COLUMN_WINDOW_DIM,
+            max_delay=0, num_antennas=16, num_active=12, updates=0,
+        )
+        stack, run = sweep_pass(state, factor_h, "column_sweep")
+        calls = dict.fromkeys(["product", "rank-k", "zgemv", "zgerc"], 0)
+        zgemm, zgemv, zgerc = likelihood.zgemm, likelihood.zgemv, likelihood.zgerc
+
+        def gemm(alpha, a, b, beta, c, *args):
+            calls["product" if a is stack else "rank-k"] += 1
+            assert a is stack or c is stack
+            return zgemm(alpha, a, b, beta, c, *args)
+
+        def gemv(*args):
+            calls["zgemv"] += 1
+            return zgemv(*args)
+
+        def gerc(alpha, x, y, incx, incy, a, *args):
+            calls["zgerc"] += 1
+            assert a.shape[1] < width
+            return zgerc(alpha, x, y, incx, incy, a, *args)
+
+        monkeypatch.setattr(likelihood, "zgemm", gemm)
+        monkeypatch.setattr(likelihood, "zgemv", gemv)
+        monkeypatch.setattr(likelihood, "zgerc", gerc)
+        run(stack, state.objective)
+        stepped = state.gamma.ravel() != 0.0
+        windows = [stepped[first : first + width] for first in range(0, stepped.size, width)]
+        later = sum(int(np.count_nonzero(window[:-1])) for window in windows)
+        assert len(windows) == 3 and later >= 3
+        assert calls == {
+            "product": 3, "rank-k": sum(bool(window.any()) for window in windows),
+            "zgemv": later, "zgerc": later,
+        }
 
     def test_failing_block_visit_leaves_its_row_and_inverse(self, monkeypatch):
         # device 2's zeroed-state scoring fails after its removal terms
