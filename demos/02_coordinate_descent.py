@@ -29,9 +29,6 @@ config = SystemConfig(
     max_delay=2,
     num_antennas=128,
     tx_power_dbm=23.0,
-    convergence_delta=1e-3,
-    threshold_cd=0.1,
-    threshold_bcd=0.12,
     rng_seed=3,
 )
 rng = np.random.default_rng(config.rng_seed)

@@ -27,9 +27,6 @@ base = SystemConfig(
     max_delay=2,
     num_antennas=64,
     tx_power_dbm=23.0,
-    convergence_delta=1e-3,
-    threshold_cd=0.1,
-    threshold_bcd=0.12,
     rng_seed=2024,
 )
 plan = ExperimentPlan(

@@ -25,6 +25,9 @@ error location.
 ``bcd`` scores a device's whole delay block, the removal of its entry
 included, from the block's products and their two Gram matrices.
 
+The detectors' settings (sweep cap, refresh cadence, stop tolerance and
+thresholds) are this module's constants, not config fields.
+
 A run returns a ``DetectionResult``: the final estimate and the
 objective trace. The declared (device, delay) pairs, the sweep count and
 the final objective are read off those two.
@@ -44,6 +47,13 @@ from .sysmodel import ConvergenceError, NumericalDegeneracyError, SystemConfig
 MAX_SWEEPS = 1000
 # dense Sigma^{-1} / objective refresh cadence, in full sweeps
 RECOMPUTE_EVERY = 10
+# stop once a sweep lowers the objective by at most this much
+CONVERGENCE_DELTA = 1e-3
+# detection thresholds of cd_e (after keep-max) and bcd: absolute powers on
+# the working scale of unit noise, so unlike the ML fit they do not scale
+# with the transmit power (ROADMAP item "Scale-free detection thresholds")
+THRESHOLD_CD = 0.1
+THRESHOLD_BCD = 0.12
 
 
 def enforce_block_sparsity(gamma: np.ndarray) -> np.ndarray:
@@ -126,7 +136,7 @@ def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
     return st, likelihood.fit_factor(st), state
 
 
-def _descend(state, st, config, track, run_pass, unit, estimate):
+def _descend(state, st, track, run_pass, unit, estimate):
     """The sweep driver both detectors share.
 
     Each sweep runs one ascending pass, ``run_pass(tracked, objective)``,
@@ -134,7 +144,7 @@ def _descend(state, st, config, track, run_pass, unit, estimate):
     objective. Every ``RECOMPUTE_EVERY`` sweeps the state is densely
     refreshed; ``track(state)`` builds ``tracked`` at the start and after
     each refresh. Stops once a sweep improves the objective by at most
-    ``config.convergence_delta`` and returns the result whose estimate is
+    ``CONVERGENCE_DELTA`` and returns the result whose estimate is
     ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``. A sweep's
     improvement is read from its tracked objective before any refresh, so
     the refresh's drift correction never counts as progress.
@@ -158,7 +168,7 @@ def _descend(state, st, config, track, run_pass, unit, estimate):
             visit = "" if exc.index is None else f", {unit} {exc.index}"
             raise NumericalDegeneracyError(f"{exc} at sweep {sweep}{visit}") from exc
         trace.append(state.objective)
-        if decrement <= config.convergence_delta:
+        if decrement <= CONVERGENCE_DELTA:
             break
     else:
         raise ConvergenceError(
@@ -173,20 +183,20 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
     Sweeps every (device, delay) coordinate in ascending order
     (``likelihood.column_sweep``), applying the closed-form step and the
     rank-one inverse update, until one full sweep improves the objective
-    by at most ``config.convergence_delta``. The relaxed estimate is then
+    by at most ``CONVERGENCE_DELTA``. The relaxed estimate is then
     reduced to one delay per device (keep-max), thresholded at
-    ``config.threshold_cd``, and converted to indicator pairs.
+    ``THRESHOLD_CD``, and converted to indicator pairs.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
     plan = likelihood.column_plan(state.dictionary)
     # a view of the C-ordered gamma: the sweep writes through it
     flat_gamma = state.gamma.ravel()
     return _descend(
-        state, st, config,
+        state, st,
         lambda state: likelihood.column_stack(state, factor_h),
         lambda stack, objective: likelihood.column_sweep(stack, plan, flat_gamma, objective),
         "column",
-        lambda gamma: threshold(enforce_block_sparsity(gamma), config.threshold_cd),
+        lambda gamma: threshold(enforce_block_sparsity(gamma), THRESHOLD_CD),
     )
 
 
@@ -202,16 +212,15 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     state are split by the rounding of its closed form). Because
     re-inserting the removed entry is always among the candidates, a
     block pass never increases the objective. Stops when a full pass over
-    all blocks improves the objective by at most
-    ``config.convergence_delta``, then thresholds at
-    ``config.threshold_bcd``. No enforcement pass is needed.
+    all blocks improves the objective by at most ``CONVERGENCE_DELTA``,
+    then thresholds at ``THRESHOLD_BCD``. No enforcement pass is needed.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
     plan = likelihood.block_plan(state.dictionary, config.num_delays)
     return _descend(
-        state, st, config,
+        state, st,
         lambda state: state.inv_sigma,
         lambda inv, objective: likelihood.block_sweep(inv, factor_h, plan, state.gamma, objective),
         "device",
-        lambda gamma: threshold(gamma, config.threshold_bcd),
+        lambda gamma: threshold(gamma, THRESHOLD_BCD),
     )

@@ -133,9 +133,12 @@ class CovarianceState:
 
     ``gamma[n, tau]`` is the fitted power of device ``n`` at delay
     ``tau``; one row per device is a "block". Single-writer: one
-    detection run owns and mutates it. ``inv_sigma`` and ``objective``
-    follow gamma by rank-one updates and exact objective increments, and
-    a periodic dense refresh bounds their drift.
+    detection run owns and mutates it. ``objective`` follows gamma by
+    exact increments, and in ``bcd`` passes so does ``inv_sigma``, by
+    rank-one updates. In ``cd_e`` and ``cd_e_sync`` passes the live inverse
+    is the top block of :func:`column_stack`'s stack, which is never
+    copied back: ``inv_sigma`` holds the last dense refresh's inverse, also
+    after the run. A periodic dense refresh bounds the drift.
     """
 
     dictionary: np.ndarray  # (D, N*(tau_max+1)) delayed signature columns

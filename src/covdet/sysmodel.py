@@ -17,11 +17,7 @@ Conventions
 - Powers are normalized so that the working noise power is 1: the
   per-device received power (transmit power times path-loss gain divided
   by physical noise power) is folded into the large-scale gain ``beta``.
-  The ML fit is invariant under this joint rescaling. The detection
-  thresholds ``threshold_cd`` and ``threshold_bcd`` are not: they are
-  absolute powers on the working scale, so the same value means a
-  different thing at another transmit power (ROADMAP open item
-  "Scale-free detection thresholds").
+  The ML fit is invariant under this joint rescaling.
 - Every device sits at the cell-edge distance and shares its gain
   ``SystemConfig.cell_edge_gain``, so a ``GroundTruth`` is the active
   devices' delays alone.
@@ -65,7 +61,8 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """All scenario parameters for one detection setup.
+    """All scenario parameters for one detection setup. The detectors'
+    settings (stop tolerance, thresholds) are ``detect``'s constants.
 
     Parameters
     ----------
@@ -85,12 +82,6 @@ class SystemConfig:
         Per-device transmit power in dBm, the only power field: every
         device sits at the cell edge, on the fixed link budget
         ``PATH_LOSS_DB`` and ``NOISE_POWER_DBM``.
-    convergence_delta:
-        Stop threshold on the per-sweep objective decrease.
-    threshold_cd:
-        Detection threshold applied to the CD-E estimate.
-    threshold_bcd:
-        Detection threshold applied to the BCD estimate.
     rng_seed:
         Base seed for all random draws (non-negative integer).
     """
@@ -101,9 +92,6 @@ class SystemConfig:
     max_delay: int
     num_antennas: int
     tx_power_dbm: float
-    convergence_delta: float
-    threshold_cd: float
-    threshold_bcd: float
     rng_seed: int
 
     def __post_init__(self):
@@ -180,12 +168,6 @@ def validate(config: SystemConfig) -> SystemConfig:
         raise ConfigError("num_antennas must be positive")
     if c.rng_seed < 0:
         raise ConfigError(f"rng_seed must be non-negative, got {c.rng_seed}")
-    if c.convergence_delta <= 0:
-        raise ConfigError("convergence_delta must be positive")
-    if c.threshold_cd <= 0:
-        raise ConfigError("threshold_cd must be positive")
-    if c.threshold_bcd <= 0:
-        raise ConfigError("threshold_bcd must be positive")
     # tx_power_dbm enters the working-scale gain through a power of ten,
     # which overflows or underflows where the field is finite. One
     # preamble's working-scale power over the noise floor sigma2 = 1 bounds

@@ -26,7 +26,7 @@ from conftest import (
     make_scenario,
     shipped,
 )
-from covdet import likelihood
+from covdet import detect, likelihood
 from covdet.cli import ExperimentPlan, run_experiment
 from covdet.detect import prepare, run_bcd, run_cd_e, threshold, to_indicators
 
@@ -162,7 +162,7 @@ def test_3_monotone_convergence(desk_batch):
     # objective sequences never increase (1e-9 roundoff slack across the
     # periodic dense refresh) and the final sweep decrement meets the
     # stopping rule within the sweep cap
-    delta = shipped("desk").base.convergence_delta
+    delta = detect.CONVERGENCE_DELTA
     worst_rise = -math.inf
     worst_last = -math.inf
     max_sweeps = 0
@@ -214,7 +214,7 @@ def test_5_tiny_instance_matches_exhaustive_search():
         found = oracle.exhaustive_support_search(
             preambles, st, config.sigma2
         )
-        best = to_indicators(threshold(found.gamma, config.threshold_bcd))
+        best = to_indicators(threshold(found.gamma, detect.THRESHOLD_BCD))
         matches += bcd.theta_hat == best
     elapsed = time.perf_counter() - start
     passed = matches >= math.ceil(0.95 * trials) and elapsed < 120.0

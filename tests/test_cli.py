@@ -524,10 +524,15 @@ class TestMain:
              "unknown config keys: ['bandwidth_hz', 'cell_distance_km', 'noise_psd_dbm_hz']"),
             (dict(tx_power_dbm=3000.0), [], GAIN_ERROR.format("1.23e+297 * 9", 3000.0)),
             ({}, ["--seed", "-3"], "rng_seed must be non-negative, got -3"),
+            # the detectors' settings are detect constants, no longer keys
+            (dict(convergence_delta=1e-3), [], "unknown config keys: ['convergence_delta']"),
+            (dict(threshold_cd=0.1), [], "unknown config keys: ['threshold_cd']"),
+            (dict(threshold_bcd=0.12), [], "unknown config keys: ['threshold_bcd']"),
         ],
         ids=["missing-config", "bad-detector", "zero-workers", "missing-directory",
              "out-is-directory", "dump-on-a-file",
-             "tx-power-4000", "retired-power-fields", "tx-power-3000", "negative-seed"],
+             "tx-power-4000", "retired-power-fields", "tx-power-3000", "negative-seed",
+             "retired-convergence-delta", "retired-threshold-cd", "retired-threshold-bcd"],
     )
     def test_bad_run_exits_two_before_any_trial(
         self, tmp_path, capsys, monkeypatch, keys, flags, message

@@ -6,6 +6,10 @@ The acceptance gate (``tests/test_acceptance.py``) alone states criteria
 to a tighter bound. ``test_whole_runs_match_the_dense_reference`` alone
 checks whole runs of both detectors against ``oracle.reference_run``, which
 takes every visit's ``Sigma^-1 s`` from a fresh dense solve.
+
+Tests that need another stop tolerance monkeypatch
+``detect.CONVERGENCE_DELTA``; a patched constant does not reach the
+workers of a process pool, so they run their detectors serially.
 """
 
 import dataclasses
@@ -262,9 +266,10 @@ def test_prepare_keeps_the_dictionary_it_builds(monkeypatch):
     assert state.dictionary.flags.f_contiguous
 
 
-# desk.json at M=4; with convergence_delta=1e-9 its runs take 14-27
-# sweeps, so each crosses at least one dense refresh
-DESK_M4 = shipped("desk", num_antennas=4, convergence_delta=1e-9).base
+# desk.json at M=4; with a stop tolerance of 1e-9 (DESK_M4_DELTA) its runs
+# take 14-27 sweeps, so each crosses at least one dense refresh
+DESK_M4 = shipped("desk", num_antennas=4).base
+DESK_M4_DELTA = 1e-9
 
 
 def test_failing_refresh_reports_its_sweep(monkeypatch):
@@ -273,6 +278,7 @@ def test_failing_refresh_reports_its_sweep(monkeypatch):
     def failing_refresh(state, sigma_tilde):
         raise NumericalDegeneracyError("dense refresh failed: leading minor 3")
 
+    monkeypatch.setattr(detect, "CONVERGENCE_DELTA", DESK_M4_DELTA)
     monkeypatch.setattr(likelihood, "refresh_state", failing_refresh)
     preambles, _, st = make_scenario(DESK_M4, 0)
     with pytest.raises(NumericalDegeneracyError, match=r"^dense refresh failed: .* at sweep 10$"):
@@ -283,6 +289,7 @@ def test_failing_refresh_reports_its_sweep(monkeypatch):
 def test_refresh_correction_is_not_progress(runner, monkeypatch):
     # the stop rule reads each sweep's own decrement, so a refresh that
     # moves the objective changes neither when a run stops nor what it finds
+    monkeypatch.setattr(detect, "CONVERGENCE_DELTA", DESK_M4_DELTA)
     config = DESK_M4
     preambles, _, st = make_scenario(config, 0)
     plain = runner(preambles, st, config)
@@ -341,12 +348,13 @@ class TestRunBcd:
 
 # whole runs against the dense reference
 
-# per setting: transmit power (dBm), convergence_delta, and the relative
-# gap allowed between the detector's objective trace and the reference's.
-# Rounding in either grows with cond(Sigma). At 13-23 dBm a held column
-# adds at most 0.25 L to Sigma's noise floor of 1, and the gaps read at
-# most 2e-15 over 600 other seeded systems per setting; at 43 dBm it adds
-# up to 25 L, and they read up to 2e-12 over 1000
+# per setting: transmit power (dBm), the stop tolerance that the tests
+# set as detect.CONVERGENCE_DELTA, and the relative gap allowed between the
+# detector's objective trace and the reference's. Rounding in either grows
+# with cond(Sigma). At 13-23 dBm a held column adds at most 0.25 L to
+# Sigma's noise floor of 1, and the gaps read at most 2e-15 over 600 other
+# seeded systems per setting; at 43 dBm it adds up to 25 L, and they read
+# up to 2e-12 over 1000
 WHOLE_RUN_SETTINGS = {
     "13dBm": (13.0, 1e-3, 1e-13),
     "23dBm": (23.0, 1e-3, 1e-13),
@@ -356,10 +364,10 @@ WHOLE_RUN_SETTINGS = {
 }
 
 
-def whole_run_systems(power, delta):
-    """The property's search at ``power`` and ``delta``: ``(config,
-    preambles, sample covariance)`` of 60 seeded small systems, N up to
-    two full windows and a short one, then of two pinned ones."""
+def whole_run_systems(power):
+    """The property's search at ``power``: ``(config, preambles, sample
+    covariance)`` of 60 seeded small systems, N up to two full windows and
+    a short one, then of two pinned ones."""
     rng = np.random.default_rng(36)
     for seed in range(60):
         num_devices = int(rng.integers(1, 2 * likelihood.WINDOW + 2))
@@ -367,7 +375,7 @@ def whole_run_systems(power, delta):
             num_devices=num_devices, num_active=int(rng.integers(num_devices + 1)),
             preamble_len=int(rng.integers(1, 9)), max_delay=int(rng.integers(3)),
             num_antennas=int(rng.choice([1, 2, 4, 16, 64])),
-            tx_power_dbm=power, convergence_delta=delta,
+            tx_power_dbm=power,
         )
         preambles, _, st = make_scenario(config, seed)
         yield config, preambles, st
@@ -375,7 +383,7 @@ def whole_run_systems(power, delta):
     # not positive semidefinite
     config = make_config(
         num_devices=6, num_active=1, preamble_len=2, max_delay=0, num_antennas=1,
-        tx_power_dbm=power, convergence_delta=delta,
+        tx_power_dbm=power,
     )
     preambles, _, st = make_scenario(config, 3)
     yield config, preambles, st
@@ -384,24 +392,25 @@ def whole_run_systems(power, delta):
     # exactly, and only the tie rule picks among them
     config = make_config(
         num_devices=2 * likelihood.WINDOW + 1, num_active=0, preamble_len=1, max_delay=2,
-        tx_power_dbm=power, convergence_delta=delta,
+        tx_power_dbm=power,
     )
     yield config, make_scenario(config, 0)[0], 3.0 * np.eye(config.window_len)
 
 
 def check_whole_run(runner, system, config, preambles, st, tolerance):
-    """Run ``runner`` and ``oracle.reference_run`` on one system; assert
-    that they agree on the sweep count, on the declared pairs once the
-    reference's estimate has gone through the detector's keep-max and
-    threshold, and on the objective trace. Returns the detector's sweeps."""
+    """Run ``runner`` and ``oracle.reference_run`` on one system, both at
+    ``detect.CONVERGENCE_DELTA``; assert that they agree on the sweep
+    count, on the declared pairs once the reference's estimate has gone
+    through the detector's keep-max and threshold, and on the objective
+    trace. Returns the detector's sweeps."""
     block = runner is run_bcd
     result = runner(preambles, st, config)
     gamma, trace = oracle.reference_run(
-        preambles, st, config.sigma2, config.num_delays, config.convergence_delta, block
+        preambles, st, config.sigma2, config.num_delays, detect.CONVERGENCE_DELTA, block
     )
     estimate = (
-        threshold(gamma, config.threshold_bcd) if block
-        else threshold(enforce_block_sparsity(gamma), config.threshold_cd)
+        threshold(gamma, detect.THRESHOLD_BCD) if block
+        else threshold(enforce_block_sparsity(gamma), detect.THRESHOLD_CD)
     )
     where = f"{runner.__name__} on system {system}, {config}"
     assert result.iterations == trace.size - 1, where
@@ -416,6 +425,7 @@ def check_whole_run(runner, system, config, preambles, st, tolerance):
 def test_whole_runs_match_the_dense_reference(power, delta, tolerance, monkeypatch):
     # run by run, each detector agrees with oracle.reference_run, and
     # bcd's estimate is block-sparse after every pass
+    monkeypatch.setattr(detect, "CONVERGENCE_DELTA", delta)
     block_sweep = likelihood.block_sweep
     audits = []
 
@@ -426,7 +436,7 @@ def test_whole_runs_match_the_dense_reference(power, delta, tolerance, monkeypat
 
     monkeypatch.setattr(likelihood, "block_sweep", audited)
     bcd_sweeps = 0
-    for index, (config, preambles, st) in enumerate(whole_run_systems(power, delta)):
+    for index, (config, preambles, st) in enumerate(whole_run_systems(power)):
         check_whole_run(run_cd_e, index, config, preambles, st, tolerance)
         bcd_sweeps += check_whole_run(run_bcd, index, config, preambles, st, tolerance)
     assert len(audits) == bcd_sweeps
@@ -436,10 +446,11 @@ def test_whole_runs_match_the_dense_reference(power, delta, tolerance, monkeypat
 @pytest.mark.parametrize(
     "power, delta, tolerance", WHOLE_RUN_SETTINGS.values(), ids=WHOLE_RUN_SETTINGS
 )
-def test_windowed_column_passes_match_the_dense_reference(power, delta, tolerance):
+def test_windowed_column_passes_match_the_dense_reference(power, delta, tolerance, monkeypatch):
     # at D = COLUMN_WINDOW_DIM, cd_e's passes take their columns in windows
     # of COLUMN_WINDOW: two full windows and a short one, at tau_max 2 and
     # 0 (the form cd_e_sync runs)
+    monkeypatch.setattr(detect, "CONVERGENCE_DELTA", delta)
     width = likelihood.COLUMN_WINDOW
     for seed, (max_delay, num_devices, num_active, num_antennas) in enumerate(
         [(2, 2 * width // 3 + 2, 6, 16), (0, 2 * width + 5, 10, 4)]
@@ -447,7 +458,7 @@ def test_windowed_column_passes_match_the_dense_reference(power, delta, toleranc
         config = make_config(
             num_devices=num_devices, num_active=num_active,
             preamble_len=likelihood.COLUMN_WINDOW_DIM - max_delay, max_delay=max_delay,
-            num_antennas=num_antennas, tx_power_dbm=power, convergence_delta=delta,
+            num_antennas=num_antennas, tx_power_dbm=power,
         )
         assert 2 * width < config.num_devices * config.num_delays < 3 * width
         preambles, _, st = make_scenario(config, seed)
@@ -485,16 +496,17 @@ def test_sweep_cap_enforced(runner, seed, monkeypatch):
         runner(preambles, st, config)
 
 
+# each runner's threshold, by its detect constant's name in lower case
 @pytest.mark.parametrize(
-    "runner, seed, field", [(run_cd_e, 9, "threshold_cd"), (run_bcd, 25, "threshold_bcd")]
+    "runner, seed, name", [(run_cd_e, 9, "threshold_cd"), (run_bcd, 25, "threshold_bcd")]
 )
-def test_estimate_is_block_sparse_and_thresholded(runner, seed, field):
+def test_estimate_is_block_sparse_and_thresholded(runner, seed, name):
     config = make_config(num_antennas=8)
     preambles, _, st = make_scenario(config, seed)
     result = runner(preambles, st, config)
     assert np.count_nonzero(result.gamma_hat, axis=1).max() <= 1
     survivors = result.gamma_hat[result.gamma_hat > 0]
-    assert np.all(survivors >= getattr(config, field))
+    assert np.all(survivors >= getattr(detect, name.upper()))
 
 
 @pytest.mark.parametrize("num_active", [12, 16])

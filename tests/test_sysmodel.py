@@ -59,21 +59,13 @@ class TestSystemConfig:
         with pytest.raises(ConfigError, match="rng_seed must be non-negative, got -3"):
             make_config(rng_seed=-3)
 
-    def test_nonpositive_tuning_rejected(self):
-        with pytest.raises(ConfigError, match="convergence_delta"):
-            make_config(convergence_delta=0.0)
-        with pytest.raises(ConfigError, match="threshold_cd"):
-            make_config(threshold_cd=0.0)
-        with pytest.raises(ConfigError, match="threshold_bcd"):
-            make_config(threshold_bcd=-0.1)
-
     def test_zero_active_is_valid(self):
         # K=0 measures false alarms on pure noise
         assert make_config(num_active=0).num_active == 0
         with pytest.raises(ConfigError, match="num_active must be non-negative"):
             make_config(num_active=-1)
 
-    @pytest.mark.parametrize("field", ["tx_power_dbm", "convergence_delta", "threshold_cd"])
+    @pytest.mark.parametrize("field", ["tx_power_dbm"])
     @pytest.mark.parametrize(
         "bad", [math.inf, -math.inf, math.nan, pytest.param(10**400, id="huge-int")]
     )
