@@ -214,6 +214,13 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     block pass never increases the objective. Stops when a full pass over
     all blocks improves the objective by at most ``CONVERGENCE_DELTA``,
     then thresholds at ``THRESHOLD_BCD``. No enforcement pass is needed.
+
+    A visit scores its block from ``v = Sigma^-1 block`` and the block's
+    own Gram products, ``G_q = block^H v`` and ``G_f``; from
+    ``likelihood.COLUMN_WINDOW_DIM`` on (so at full.json's D=104, not at
+    desk.json's D=32), Sigma^-1 takes a window's commits at its end. A
+    ``NumericalDegeneracyError`` names the sweep and the device, and
+    Sigma^-1 then holds every commit before it.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
     plan = likelihood.block_plan(state.dictionary, config.num_delays)

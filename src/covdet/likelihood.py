@@ -20,11 +20,16 @@ coordinate is visited by a one-column ``column_sweep``. Below
 ``COLUMN_WINDOW_DIM`` (64) rows, ``column_sweep`` visits column by
 column; from it on, in windows of ``COLUMN_WINDOW`` (32) columns, with
 one stack product per window and the window's steps applied to the stack
-at its end, so a step updates only the window's later products. The choice is
+at its end, so a step updates only the window's later products.
+``block_sweep`` makes one ``Sigma^{-1}`` product per window of ``WINDOW``
+(4) devices, and from ``COLUMN_WINDOW_DIM`` on it also applies the
+window's commits to ``Sigma^{-1}`` at the window's end. Each choice is
 made from the window length ``D`` alone. The formulas every loop shares
 live once each: the step in ``_step``, the exact objective change and its
 denominator guard in ``step_increment``, the quadratic-form guard in
-``_check_quad`` and the Sherman-Morrison update in ``_update``.
+``_check_quad``, the Sherman-Morrison update in ``_update``, the
+correction of a window's pending products in ``_correct`` and a window's
+rank-k update at its end in ``_apply_steps``.
 
 The kernel never touches ``S_tilde`` itself. ``fit_factor`` returns
 ``F^H`` with ``S_tilde = F F^H`` from a pivoted Cholesky factor, whose
@@ -48,22 +53,23 @@ are kept for the ``likelihood.step_us`` probe of ``perfbench/bench.py``.
 ``bcd`` scores a block from the state with the block's entry removed.
 Sherman-Morrison gives each column's zeroed-state terms in closed form,
 as scalars from its current-state terms and the removed column's cross
-terms, which the block's two Gram products already hold, so a visit
-neither downdates ``Sigma^{-1}`` nor multiplies again before it
+terms, which the block's two ``k x k`` Gram products already hold, so a
+visit neither downdates ``Sigma^{-1}`` nor multiplies again before it
 commits; when the entry goes back to the delay it came from, removal
 and commit are one rank-one update of the net change.
 
 Every dense product of a detector run goes through scipy's BLAS and
 LAPACK: one ``zgemv`` for a column below ``COLUMN_WINDOW_DIM``, on the
 ``column_stack`` that a run builds once and after each refresh, or one
-``zgemm`` for the stack times a window of columns from it on, with a
-``zgemv`` for a step's cross terms with the window's later columns and a
-rank-k ``zgemm`` for the window's steps; ``zdotc`` for the inner products
-of a column (a quarter of numpy's ``vdot`` call overhead), ``zgemm`` for
-``Sigma^{-1}`` times a window of blocks, for ``F^H`` times a block and
-for its Gram products, an in-place ``zgerc`` for a rank-one update of the
-Fortran-ordered ``Sigma^{-1}``, stack or a window's pending columns or
-products, ``zherk`` over
+``zgemm`` for the stack times a window of columns from it on; ``zdotc``
+for the inner products of a column (a quarter of numpy's ``vdot`` call
+overhead), ``zgemm`` for ``Sigma^{-1}`` times a window of blocks, for
+``F^H`` times a block and for its Gram products; for each step or
+commit, a ``zgemv`` for its cross terms with the window's later columns
+or blocks and a ``zgerc`` for the correction of their pending products;
+below ``COLUMN_WINDOW_DIM``, an in-place ``zgerc`` for each rank-one
+update of the Fortran-ordered stack or ``Sigma^{-1}``, and from it on one
+rank-k ``zgemm`` per window for the window's steps or commits; ``zherk`` over
 the held columns for a dense ``Sigma``, ``zpotrf`` and ``zpotri`` for its
 log-determinant and inverse, ``zpstrf`` for the fit factor, and ``zherk``
 and ``zlantr`` for the largest entry of what the factor leaves out. Keeping
@@ -77,11 +83,11 @@ loaded by file from its ``linalg`` directory: the objects that
 package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
 0.3 s and 22 MB per process: half the start-up, a quarter of peak memory.
 
-The per-visit calls (``zgerc`` in ``_update``, also the one on a window's
-pending columns or products, the fit ``zdotc`` and the cross-term
-``zgemv`` of ``column_sweep``, the Gram ``zgemm`` calls of
-``block_sweep``) and the per-window ``zgemm`` calls of both sweeps pass
-optional arguments by position:
+The per-visit calls (``zgerc`` in ``_update`` and ``block_sweep``, the
+cross-term ``zgemv`` and ``zgerc`` of ``_correct``, the fit ``zdotc`` of
+``column_sweep``, the Gram ``zgemm`` calls of ``block_sweep``) and the
+per-window ``zgemm`` calls of both sweeps pass optional arguments by
+position:
 f2py parses a keyword in about 0.3 us, what a ``D = 32`` product costs
 (that ``zgerc``: 3.0 us with keywords, 2.0 us without); per-trial calls
 keep keywords.
@@ -333,13 +339,31 @@ def _step(quad, fit):
 def _update(inv: np.ndarray, x: np.ndarray, v: np.ndarray, eta: float, denom: float) -> None:
     """Sherman-Morrison ``inv -= eta * x v^H / denom`` by one in-place
     ``zgerc``, with ``x = v = Sigma^{-1} s``; on the stacked
-    ``[Sigma^{-1}; F^H Sigma^{-1}]``, ``x = [v; F^H v]``; on a window's
-    pending columns ``Sigma^{-1} P``, ``v = P^H x``, and on a column
-    window's later products ``stack P``, ``v = P^H x[:D]``. The caller has
-    checked ``inv`` with :func:`_check_inverse` (a pending view is
-    Fortran-ordered by construction)."""
+    ``[Sigma^{-1}; F^H Sigma^{-1}]``, ``x = [v; F^H v]``. The caller has
+    checked ``inv`` with :func:`_check_inverse`."""
     # slots after alpha, x, y: incx, incy, a, overwrite_x, overwrite_y, overwrite_a
     zgerc(-eta / denom, x, v, 1, 1, inv, 1, 1, 1)
+
+
+def _correct(pending: np.ndarray, later: np.ndarray, x: np.ndarray, v: np.ndarray,
+             scale: float) -> None:
+    """Carry a rank-one change ``M -= scale * x v^H`` of a tracked matrix
+    ``M`` (``Sigma^{-1}`` or the column stack) into a window's pending
+    products ``pending = M later``: ``pending -= scale * x (later^H v)^H``,
+    one ``zgemv`` for the cross terms and one in-place ``zgerc`` (a pending
+    view of a Fortran-ordered product is Fortran-ordered)."""
+    # slots after alpha, a, x: beta, y, offx, incx, offy, incy, trans (2 is a^H)
+    cross = zgemv(1.0, later, v, 0.0, None, 0, 1, 0, 1, 2)
+    zgerc(-scale, x, cross, 1, 1, pending, 1, 1, 1)
+
+
+def _apply_steps(target: np.ndarray, xs: np.ndarray, vs: np.ndarray, scales: list) -> None:
+    """``target -= sum_k scales[k] * xs[:, k] vs[:, k]^H`` by one in-place
+    rank-k ``zgemm``: a window's rank-one changes made at its end. Each
+    ``xs[:, k]`` was read after the window's earlier changes, so this is
+    their Sherman-Morrison updates made in turn."""
+    # slots after alpha, a, b: beta, c, trans_a, trans_b (2 is b^H), overwrite_c
+    zgemm(-1.0, xs, vs * scales, 1.0, target, 0, 2, 1)
 
 
 def _project(inv: np.ndarray, s: np.ndarray):
@@ -388,6 +412,13 @@ COLUMN_WINDOW = 32
 #                   cd_e_sync 0.96-1.02 / 1.07-1.18 / 1.18-1.24x
 #   full.json, D=104, M=2 / 4 / 64 (seeds 12345-12347):
 #     cd_e 1.37-1.41 / 1.42-1.51 / 1.27-1.41x, cd_e_sync 1.31-1.36 / 1.44-1.48 / 1.33-1.37x
+# From the same D on, block_sweep applies a window's commits to Sigma^-1 by
+# one rank-k zgemm at the window's end, against one zgerc per rank-one
+# change. bcd time with one zgerc per change over time with the window's
+# update (same runs and settings, interleaved, best of 3-5):
+#   desk.json M=4, L=30 (D=32; 100 seeds): 0.94x
+#   desk.json M=4, L=62 / 78 (D=64 / 80; 30 seeds): 1.02-1.03 / 0.99x
+#   full.json M=2 / 4 (3 seeds): 1.04 / 1.05x
 COLUMN_WINDOW_DIM = 64
 
 
@@ -478,26 +509,18 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
                         if eta == 0.0:
                             continue
                         delta, denom = step_increment(eta, quad, fit)
+                        scale = eta / denom
                         steps.append(i)
-                        scales.append(eta / denom)
+                        scales.append(scale)
                         if i + 1 < width:
-                            # slots after alpha, a, x: beta, y, offx, incx,
-                            # offy, incy, trans (2 is a^H)
-                            later = window[:, i + 1 :]
-                            cross = zgemv(1.0, later, y[:dim], 0.0, None, 0, 1, 0, 1, 2)
-                            _update(products[:, i + 1 :], y, cross, eta, denom)
+                            _correct(products[:, i + 1 :], window[:, i + 1 :], y, y[:dim], scale)
                         new = old + eta
                         values[j] = 0.0 if new < 0.0 else new
                         objective += delta
                 finally:
                     if steps:
-                        # stack -= sum_k a_k y_k (y_k[:D])^H over the steps:
-                        # each y_k holds the window's earlier steps, so this
-                        # is their Sherman-Morrison updates made in turn
                         ys = products[:, steps]
-                        # slots after alpha, a, b: beta, c, trans_a, trans_b
-                        # (2 is b^H), overwrite_c
-                        zgemm(-1.0, ys, ys[:dim] * scales, 1.0, stack, 0, 2, 1)
+                        _apply_steps(stack, ys, ys[:dim], scales)
                 first += width
     except NumericalDegeneracyError as exc:
         exc.index = j
@@ -516,15 +539,17 @@ WINDOW = 4
 
 def block_plan(dictionary: np.ndarray, num_delays: int) -> list:
     """:func:`block_sweep`'s plan: per device, in windows of ``WINDOW``,
-    ``(window, here, later, tail)``: the window's columns at its first device,
-    else ``None``; the column slices of its block and of the window's later
-    blocks (``None`` at the last) in the window's product; the columns of both."""
+    ``(window, here, block, later)``: the window's columns at its first
+    device, else ``None``; the column slice of its block in the window's
+    product; the block's columns; the columns of the window's later blocks
+    (``None`` at the last), whose products follow the block's."""
     k, plan = num_delays, []
     for first in range(0, dictionary.shape[1], WINDOW * k):
         window = dictionary[:, first : first + WINDOW * k]
         for here in range(0, window.shape[1], k):
-            later = slice(here + k, None) if here + k < window.shape[1] else None
-            plan.append((None if here else window, slice(here, here + k), later, window[:, here:]))
+            later = window[:, here + k :] if here + k < window.shape[1] else None
+            plan.append((None if here else window, slice(here, here + k),
+                         window[:, here : here + k], later))
     return plan
 
 
@@ -537,12 +562,12 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     which holds at most one nonzero. A window's first visit makes
     ``Sigma^{-1} window`` by one ``zgemm``; each visit reads its block
     ``v = Sigma^{-1} block`` there and makes ``w = F^H v``,
-    ``G_q = tail^H v`` and ``G_f = w^H w``, one ``zgemm`` each, whose
-    diagonals (``G_q``'s top: ``block^H v``) are each column's ``quad``
-    and ``fit``. Every column is scored from the state with the block's
-    entry removed, by its closed-form step and, where the step is
-    positive, its exact objective change, and the lowest negative change
-    is committed (ties to the smallest delay; none keeps the block empty).
+    ``G_q = block^H v`` and ``G_f = w^H w``, one ``zgemm`` each, whose
+    diagonals are each column's ``quad`` and ``fit``. Every column is
+    scored from the state with the block's entry removed, by its
+    closed-form step and, where the step is positive, its exact objective
+    change, and the lowest negative change is committed (ties to the
+    smallest delay; none keeps the block empty).
     The tie rule holds for changes that are equal as computed: after a
     removal, each delay's zeroed-state terms come from the closed form
     below, so delays that tie exactly in the zeroed state are split by its
@@ -552,34 +577,41 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     Sherman-Morrison gives the zeroed-state inverse
     ``Sigma_0^{-1} = Sigma^{-1} + c u u^H`` with ``u = v[:, tau0]`` and
     ``c = gamma / denom``. With ``b = block^H u`` and
-    ``g = w^H w[:, tau0]``, columns ``tau0`` of ``block^H v`` and ``G_f``,
+    ``g = w^H w[:, tau0]``, columns ``tau0`` of ``G_q`` and ``G_f``,
     each column's zeroed-state terms are the scalars ``quad + c |b|^2``
     and ``fit + 2 c Re(conj(b) g) + c^2 |b|^2 fit[tau0]``; the zeroed-state
     ``v + c conj(b) u`` is built only for a commit to another delay.
 
     ``Sigma^{-1}`` changes only at the commit: a downdate and an update,
     or one update of the net change when the entry returns to its delay.
-    Each ``Sigma^{-1} -= a x x^H`` moves the window's pending columns
-    ``Sigma^{-1} P`` by ``-a x (P^H x)^H``, one ``zgerc``, where ``P^H x``
-    comes from ``G_q``'s rows below the block. Re-inserting the removed
-    entry is always a candidate, so a visit never raises the objective.
-    Returns the new objective.
+    Each rank-one change ``Sigma^{-1} -= a x x^H`` moves the window's
+    pending products ``Sigma^{-1} P`` of its later blocks by
+    ``-a x (P^H x)^H``: one ``zgemv`` for ``P^H x`` and one ``zgerc``.
+    Below ``COLUMN_WINDOW_DIM`` rows ``Sigma^{-1}`` takes each change by
+    one ``zgerc``; from it on, it takes the window's changes at the
+    window's end, or when a visit raises, by one rank-k ``zgemm``.
+    Re-inserting the removed entry is always a candidate, so a visit never
+    raises the objective. Returns the new objective.
 
     ``inv``, gamma and errors are handled as in :func:`column_sweep`, with
-    the failing device in ``index``; a visit that raises has changed
-    neither that device's row nor ``inv``.
+    the failing device in ``index``; ``inv`` then holds every commit
+    before that device's visit, which has changed neither its row nor
+    ``inv``.
     """
     _check_inverse(inv)
     rows = gamma.tolist()
-    k = gamma.shape[1]
+    # from COLUMN_WINDOW_DIM on, Sigma^-1 takes a window's rank-one changes
+    # at its end: their vectors and scales
+    defer = inv.shape[0] >= COLUMN_WINDOW_DIM
+    xs, scales = [], []
     try:
-        for n, (window, here, later, tail) in enumerate(plan):
+        for n, (window, here, block, later) in enumerate(plan):
             if window is not None:
                 products = zgemm(1.0, inv, window)
             v = products[:, here]
             w = zgemm(1.0, factor_h, v)
             # slots after alpha, a, b: beta, c, trans_a (2 is a^H)
-            gram_q = zgemm(1.0, tail, v, 0.0, None, 2)
+            gram_q = zgemm(1.0, block, v, 0.0, None, 2)
             gram_f = zgemm(1.0, w, w, 0.0, None, 2)
             quads = gram_q.diagonal().real.tolist()
             fits = gram_f.diagonal().real.tolist()
@@ -592,7 +624,6 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
                 _check_quad(quad_u)
                 delta, down_denom = step_increment(-removed, quad_u, fit_u)
                 c = removed / down_denom
-                # b holds P^H u below block^H u; zip stops at g's end
                 b = gram_q[:, old_tau].tolist()
                 g = gram_f[:, old_tau].tolist()
                 for tau, (bt, gt) in enumerate(zip(b, g)):
@@ -610,16 +641,22 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
                 delta, denom = step_increment(eta, q, fit)
                 if delta < best_delta:
                     best, best_delta = (tau, eta, denom), delta
-            # the commit: row n, Sigma^-1 and the pending columns change
-            # only from here on
+            # the commit: row n, Sigma^-1 and the pending products change
+            # only from here on; each rank-one change Sigma^-1 -= scale x x^H
+            # also corrects the products of the window's later blocks
             if removed > 0.0 and (best is None or best[0] != old_tau):
-                _update(inv, u, u, -removed, down_denom)
+                scale = -removed / down_denom
+                if defer:
+                    xs.append(u)
+                    scales.append(scale)
+                else:
+                    _update(inv, u, u, -removed, down_denom)
                 if later is not None:
-                    _update(products[:, later], u, gram_q[k:, old_tau], -removed, down_denom)
+                    _correct(products[:, here.stop :], later, u, u, scale)
                 row[old_tau] = 0.0
             if best is not None:
                 tau, eta, denom = best
-                step, scale = eta, 0.0
+                step = eta
                 if removed > 0.0 and tau == old_tau:
                     # re-inserted where it was: removal and commit are one
                     # rank-one update of the net change
@@ -627,23 +664,31 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
                     denom = step_increment(step, quad_u, 0.0)[1]
                     x = u
                 elif removed > 0.0:
-                    scale = c * b[tau].conjugate()
-                    x = v[:, tau] + scale * u
+                    x = v[:, tau] + c * b[tau].conjugate() * u
                 else:
                     x = v[:, tau]
-                _update(inv, x, x, step, denom)
+                scale = step / denom
+                if defer:
+                    xs.append(x)
+                    scales.append(scale)
+                else:
+                    _update(inv, x, x, step, denom)
                 if later is not None:
-                    cross = gram_q[k:, tau]
-                    if scale:
-                        cross = cross + scale * gram_q[k:, old_tau]
-                    _update(products[:, later], x, cross, step, denom)
+                    _correct(products[:, here.stop :], later, x, x, scale)
                 objective += best_delta
                 row[tau] = eta
+            if later is None and xs:
+                stacked = np.array(xs).T
+                _apply_steps(inv, stacked, stacked, scales)
+                xs, scales = [], []
     except NumericalDegeneracyError as exc:
         exc.index = n
         raise
     finally:
         gamma[:] = rows
+        if xs:
+            stacked = np.array(xs).T
+            _apply_steps(inv, stacked, stacked, scales)
     return objective
 
 

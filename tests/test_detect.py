@@ -443,14 +443,10 @@ def test_whole_runs_match_the_dense_reference(power, delta, tolerance, monkeypat
     assert max(audits) <= 1
 
 
-@pytest.mark.parametrize(
-    "power, delta, tolerance", WHOLE_RUN_SETTINGS.values(), ids=WHOLE_RUN_SETTINGS
-)
-def test_windowed_column_passes_match_the_dense_reference(power, delta, tolerance, monkeypatch):
-    # at D = COLUMN_WINDOW_DIM, cd_e's passes take their columns in windows
-    # of COLUMN_WINDOW: two full windows and a short one, at tau_max 2 and
-    # 0 (the form cd_e_sync runs)
-    monkeypatch.setattr(detect, "CONVERGENCE_DELTA", delta)
+def windowed_systems(power):
+    """``(seed, config, preambles, sample covariance)`` of two systems at
+    D = ``COLUMN_WINDOW_DIM``, at tau_max 2 and 0 (the form cd_e_sync
+    runs), each with two full column windows and a short one."""
     width = likelihood.COLUMN_WINDOW
     for seed, (max_delay, num_devices, num_active, num_antennas) in enumerate(
         [(2, 2 * width // 3 + 2, 6, 16), (0, 2 * width + 5, 10, 4)]
@@ -462,7 +458,29 @@ def test_windowed_column_passes_match_the_dense_reference(power, delta, toleranc
         )
         assert 2 * width < config.num_devices * config.num_delays < 3 * width
         preambles, _, st = make_scenario(config, seed)
-        check_whole_run(run_cd_e, seed, config, preambles, st, tolerance)
+        yield seed, config, preambles, st
+
+
+@pytest.mark.parametrize(
+    "power, delta, tolerance", WHOLE_RUN_SETTINGS.values(), ids=WHOLE_RUN_SETTINGS
+)
+def test_windowed_column_passes_match_the_dense_reference(power, delta, tolerance, monkeypatch):
+    # at D = COLUMN_WINDOW_DIM, cd_e's passes take their columns in windows
+    # of COLUMN_WINDOW
+    monkeypatch.setattr(detect, "CONVERGENCE_DELTA", delta)
+    for system in windowed_systems(power):
+        check_whole_run(run_cd_e, *system, tolerance)
+
+
+@pytest.mark.parametrize(
+    "power, delta, tolerance", WHOLE_RUN_SETTINGS.values(), ids=WHOLE_RUN_SETTINGS
+)
+def test_windowed_block_passes_match_the_dense_reference(power, delta, tolerance, monkeypatch):
+    # at D = COLUMN_WINDOW_DIM, bcd's Sigma^-1 takes each window's commits
+    # at the window's end
+    monkeypatch.setattr(detect, "CONVERGENCE_DELTA", delta)
+    for system in windowed_systems(power):
+        check_whole_run(run_bcd, *system, tolerance)
 
 
 # the contract both detectors keep

@@ -437,25 +437,61 @@ class TestBlockSweep:
     """``block_sweep``'s BLAS calls, its error location and its tie rule."""
 
     def test_one_product_per_window(self, monkeypatch):
-        # Sigma^-1 enters one zgemm per window of devices; each visit adds
-        # F^H v and its two Gram products, and takes its removal terms from
-        # them, so no visit makes a matrix-vector product
-        _, state, _, factor_h = random_state(seed=84, num_devices=2 * likelihood.WINDOW + 3)
-        inv, run = sweep_pass(state, factor_h, "block_sweep")
-        real = likelihood.zgemm
-        left = []
+        # on both sides of COLUMN_WINDOW_DIM, Sigma^-1 enters one zgemm per
+        # window of devices, and each visit adds F^H v and its two Gram
+        # products, three small zgemm calls. Each rank-one change of a
+        # commit reaches the products of the window's later blocks by one
+        # zgemv and one zgerc. Below the rule Sigma^-1 takes each change by
+        # one zgerc; from it on, a window's changes by one rank-k zgemm at
+        # its end, never by a zgerc. The second pass is the one counted, so
+        # removals, moves and re-inserts are among its commits
+        devices = 2 * likelihood.WINDOW + 3
+        zgemm, zgemv, zgerc = likelihood.zgemm, likelihood.zgemv, likelihood.zgerc
+        for preamble_len in (10, likelihood.COLUMN_WINDOW_DIM - 1):
+            _, state, _, factor_h = random_state(
+                seed=84, num_devices=devices, preamble_len=preamble_len, num_active=6, updates=0,
+            )
+            inv, run = sweep_pass(state, factor_h, "block_sweep")
+            state.objective = run(inv, state.objective)
+            before = state.gamma.copy()
+            calls = dict.fromkeys(
+                ["product", "small", "rank-k", "zgemv", "inverse zgerc", "pending zgerc"], 0
+            )
 
-        def spy(alpha, a, *args):
-            left.append(a is inv)
-            return real(alpha, a, *args)
+            def gemm(alpha, a, b, *args):
+                rank_k = len(args) > 1 and args[1] is inv
+                calls["product" if a is inv else "rank-k" if rank_k else "small"] += 1
+                return zgemm(alpha, a, b, *args)
 
-        def no_zgemv(*args, **kwargs):
-            raise AssertionError("block_sweep called zgemv")
+            def gemv(*args):
+                calls["zgemv"] += 1
+                return zgemv(*args)
 
-        monkeypatch.setattr(likelihood, "zgemm", spy)
-        monkeypatch.setattr(likelihood, "zgemv", no_zgemv)
-        run(inv, state.objective)
-        assert (sum(left), len(left)) == (3, 3 + 3 * (2 * likelihood.WINDOW + 3))
+            def gerc(alpha, x, y, incx, incy, a, *args):
+                calls["inverse zgerc" if a is inv else "pending zgerc"] += 1
+                return zgerc(alpha, x, y, incx, incy, a, *args)
+
+            monkeypatch.setattr(likelihood, "zgemm", gemm)
+            monkeypatch.setattr(likelihood, "zgemv", gemv)
+            monkeypatch.setattr(likelihood, "zgerc", gerc)
+            run(inv, state.objective)
+            monkeypatch.undo()
+            # a device's rank-one changes: a downdate of its old entry, an
+            # update to its new one, or one net change when they share a delay
+            held, holds = before.any(axis=1), state.gamma.any(axis=1)
+            same = held & holds & (before.argmax(axis=1) == state.gamma.argmax(axis=1))
+            changes = held.astype(int) + holds - same
+            windows = [changes[first : first + likelihood.WINDOW]
+                       for first in range(0, devices, likelihood.WINDOW)]
+            later = sum(int(window[:-1].sum()) for window in windows)
+            assert len(windows) == 3 and later >= 3 and (held & ~same).any()
+            deferred = state.dim >= likelihood.COLUMN_WINDOW_DIM
+            assert calls == {
+                "product": 3, "small": 3 * devices,
+                "rank-k": sum(bool(window.any()) for window in windows) if deferred else 0,
+                "zgemv": later, "inverse zgerc": 0 if deferred else int(changes.sum()),
+                "pending zgerc": later,
+            }
 
     def test_corrupted_block_detected(self):
         _, state, _, factor_h = random_state(seed=69)
@@ -665,6 +701,32 @@ class TestSweeps:
         assert info.value.index == cut
         np.testing.assert_allclose(state.gamma, want.gamma, rtol=1e-12, atol=0)
         assert np.linalg.norm(stack - want_stack) <= 1e-12 * np.linalg.norm(want_stack)
+
+    def test_failing_block_window_keeps_the_commits_before(self):
+        # at D = COLUMN_WINDOW_DIM device WINDOW + 2, the second window's
+        # third, has a zero block: the pass stops there, with gamma and
+        # Sigma^-1 those of the pass cut before it; that pass's second
+        # window is narrower, so its product rounds differently, and it
+        # takes the window's commits at its end, the failing pass when it
+        # raises
+        cut = likelihood.WINDOW + 2
+        _, state, _, factor_h = random_state(
+            seed=85, num_devices=2 * likelihood.WINDOW + 3,
+            preamble_len=likelihood.COLUMN_WINDOW_DIM - 1, num_active=6, updates=0,
+        )
+        k = state.gamma.shape[1]
+        dictionary = state.dictionary.copy(order="F")
+        dictionary[:, k * cut : k * (cut + 1)] = 0.0
+        want = copy_state(state)
+        want_inv, run = sweep_pass(want, factor_h, "block_sweep", dictionary[:, : k * cut])
+        run(want_inv, 0.0)
+        assert np.any(want.gamma[likelihood.WINDOW : cut])
+        inv, run = sweep_pass(state, factor_h, "block_sweep", dictionary)
+        with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
+            run(inv, 0.0)
+        assert info.value.index == cut
+        np.testing.assert_allclose(state.gamma, want.gamma, rtol=1e-12, atol=0)
+        assert np.linalg.norm(inv - want_inv) <= 1e-12 * np.linalg.norm(want_inv)
 
     def test_column_window_is_one_product(self, monkeypatch):
         # from COLUMN_WINDOW_DIM on, a window's visits read y off one zgemm
