@@ -60,7 +60,7 @@ gamma = state.gamma.ravel()  # a view: the sweep writes the power through it
 for device, delay in sorted(truth.pairs):
     j = device * config.num_delays + delay
     before = state.objective
-    plan = column_plan(dictionary[:, j : j + 1])
+    plan = column_plan(dictionary[:, j : j + 1], factor_h)
     state.objective = column_sweep(stack, plan, gamma[j : j + 1], before)
     print(f"  visit ({device}, {delay}): power {gamma[j]:.4f}, "
           f"objective {state.objective:.4f} ({state.objective - before:+.4f})")

@@ -15,7 +15,8 @@ Sigma^{-1}, closed-form objective increments, the fit form from a
 low-rank factor of the sample covariance): one ``column_sweep`` or
 ``block_sweep`` call per pass, over ``column_plan``'s or
 ``block_plan``'s views of the Fortran-ordered dictionary that
-``siggen.effective_dictionary`` builds once per run. ``column_plan``
+``siggen.effective_dictionary`` builds once per run, and of the buffers
+that the pass's products go into. ``column_plan``
 picks the column pass from the window length alone: column by column
 below ``likelihood.COLUMN_WINDOW_DIM`` (so at desk.json's D=32), in
 windows of ``COLUMN_WINDOW`` columns with one stack product each from it
@@ -188,7 +189,7 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
     ``THRESHOLD_CD``, and converted to indicator pairs.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
-    plan = likelihood.column_plan(state.dictionary)
+    plan = likelihood.column_plan(state.dictionary, factor_h)
     # a view of the C-ordered gamma: the sweep writes through it
     flat_gamma = state.gamma.ravel()
     return _descend(

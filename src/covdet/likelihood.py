@@ -83,11 +83,28 @@ loaded by file from its ``linalg`` directory: the objects that
 package init (``numpy.testing``, ``numpy.ma``, ``numpy.f2py``), which is
 0.3 s and 22 MB per process: half the start-up, a quarter of peak memory.
 
+Inside a pass every ``zgemm`` and ``zgemv`` writes into an array made
+once per run, in the plan, or once per pass, and the loops read their
+operands through views made with it: a visit or a step allocates nothing
+and slices nothing. A view costs 0.13-0.20 us to make on one Xeon core,
+and a ``bcd`` visit touches 5-10 outputs and views. Alone, a supplied
+output timed about as f2py's own allocation in a microbenchmark, but the
+two together ran desk.json's ``bcd`` 1.11x and ``cd_e`` 1.06x faster.
+A product is written with beta 0, so BLAS reads nothing the array held,
+and it overwrites all of its output before anything reads it: nothing
+that an earlier pass or window left, one that raised included, reaches a
+later one. The rank-k updates write into the tracked matrix itself. Per
+window only the gathered products of the window's steps, the stacked
+vectors of its commits and their scaled copy are made, for the rank-k
+update, and a ``bcd`` commit to another delay than the removed one
+builds its zeroed-state vector.
+
 The per-visit calls (``zgerc`` in ``_update`` and ``block_sweep``, the
-cross-term ``zgemv`` and ``zgerc`` of ``_correct``, the fit ``zdotc`` of
-``column_sweep``, the Gram ``zgemm`` calls of ``block_sweep``) and the
-per-window ``zgemm`` calls of both sweeps pass optional arguments by
-position:
+cross-term ``zgemv`` and ``zgerc`` of ``_correct``, the ``zgemv`` of
+``column_sweep``, the ``F^H v`` and Gram ``zgemm`` calls of
+``block_sweep``) and the per-window ``zgemm`` calls of both sweeps pass
+optional arguments by position, their output array and its overwrite
+flag included:
 f2py parses a keyword in about 0.3 us, what a ``D = 32`` product costs
 (that ``zgerc``: 3.0 us with keywords, 2.0 us without); per-trial calls
 keep keywords.
@@ -346,14 +363,16 @@ def _update(inv: np.ndarray, x: np.ndarray, v: np.ndarray, eta: float, denom: fl
 
 
 def _correct(pending: np.ndarray, later: np.ndarray, x: np.ndarray, v: np.ndarray,
-             scale: float) -> None:
+             scale: float, cross: np.ndarray) -> None:
     """Carry a rank-one change ``M -= scale * x v^H`` of a tracked matrix
     ``M`` (``Sigma^{-1}`` or the column stack) into a window's pending
     products ``pending = M later``: ``pending -= scale * x (later^H v)^H``,
-    one ``zgemv`` for the cross terms and one in-place ``zgerc`` (a pending
+    one ``zgemv`` for the cross terms into the caller's ``cross``, one
+    entry per column of ``later``, and one in-place ``zgerc`` (a pending
     view of a Fortran-ordered product is Fortran-ordered)."""
-    # slots after alpha, a, x: beta, y, offx, incx, offy, incy, trans (2 is a^H)
-    cross = zgemv(1.0, later, v, 0.0, None, 0, 1, 0, 1, 2)
+    # slots after alpha, a, x: beta, y, offx, incx, offy, incy, trans (2 is
+    # a^H), overwrite_y
+    zgemv(1.0, later, v, 0.0, cross, 0, 1, 0, 1, 2, 1)
     zgerc(-scale, x, cross, 1, 1, pending, 1, 1, 1)
 
 
@@ -422,18 +441,51 @@ COLUMN_WINDOW = 32
 COLUMN_WINDOW_DIM = 64
 
 
-def column_plan(dictionary: np.ndarray) -> list:
+def column_plan(dictionary: np.ndarray, factor_h: np.ndarray) -> list:
     """:func:`column_sweep`'s plan over the columns of the Fortran-ordered
-    ``dictionary``: below ``COLUMN_WINDOW_DIM`` rows, its column views; from
-    it on, per window of ``COLUMN_WINDOW`` columns, ``(window, its column
-    views)``."""
+    ``dictionary``, for the stack that :func:`column_stack` builds with the
+    fit factor ``factor_h``: below ``COLUMN_WINDOW_DIM`` rows, its column
+    views; from it on, per window of ``COLUMN_WINDOW`` columns,
+    ``(window, products, visits)``.
+
+    From ``COLUMN_WINDOW_DIM`` on, the plan owns one zeroed
+    Fortran-ordered buffer of ``COLUMN_WINDOW`` stack-height columns and
+    one of ``COLUMN_WINDOW - 1`` cross terms, and every view a pass reads
+    them through is made here, once per run: a window's ``products`` is
+    the buffer's first ``width`` columns, and visit ``i`` of the window is
+    ``(i, s, later, y, top, bottom, pending, cross)``: its column, the
+    window's later columns (``None`` at the last), its product column
+    ``y = [v; F^H v]`` with ``v = top`` and ``F^H v = bottom``, the
+    products of the later columns and the cross-term slice, one entry per
+    later column. Windows of the same width share these views, so the
+    last, shorter window has its own. Every window overwrites all its
+    product columns by its ``zgemm`` before a visit reads one, and a step
+    writes its cross terms before it reads them, so no entry that a pass
+    reads comes from an earlier pass or window, including one that
+    raised."""
     if dictionary.shape[0] < COLUMN_WINDOW_DIM:
         return list(dictionary.T)
-    windows = (
-        dictionary[:, first : first + COLUMN_WINDOW]
-        for first in range(0, dictionary.shape[1], COLUMN_WINDOW)
-    )
-    return [(window, list(window.T)) for window in windows]
+    dim, num_columns = dictionary.shape
+    buffer = np.zeros((dim + factor_h.shape[0], COLUMN_WINDOW), dtype=np.complex128, order="F")
+    crosses = np.zeros(COLUMN_WINDOW - 1, dtype=np.complex128)
+    slots, plan = {}, []
+    for first in range(0, num_columns, COLUMN_WINDOW):
+        window = dictionary[:, first : first + COLUMN_WINDOW]
+        width = window.shape[1]
+        if width not in slots:
+            products = buffer[:, :width]
+            slots[width] = products, [
+                (products[:, i], products[:dim, i], products[dim:, i],
+                 products[:, i + 1 :], crosses[: width - i - 1])
+                for i in range(width)
+            ]
+        products, views = slots[width]
+        visits = [
+            (i, window[:, i], window[:, i + 1 :] if i + 1 < width else None, *view)
+            for i, view in enumerate(views)
+        ]
+        plan.append((window, products, visits))
+    return plan
 
 
 def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -> float:
@@ -450,14 +502,18 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
     objective.
 
     Below ``COLUMN_WINDOW_DIM`` rows (the plan is a list of columns), a
-    visit takes ``y`` from one ``zgemv`` of the stack, and a step updates
-    both blocks by one Sherman-Morrison ``zgerc`` of ``y`` against ``v``.
-    From it on, each window of the plan starts with one ``zgemm`` of the
-    stack with its columns, into a buffer of the pass, and a visit reads
-    ``y`` there. A step with ``a = eta/denom`` corrects the products of
-    the window's later columns ``P`` by ``-a y (P^H v)^H``: one ``zgemv``
-    for ``P^H v`` and one ``zgerc``. The stack takes the window's steps at
-    its end, or when a visit raises, by one rank-k ``zgemm``.
+    visit takes ``y`` from one ``zgemv`` of the stack into a buffer made
+    once per pass, which each visit's ``zgemv`` overwrites before it reads
+    it, and a step updates both blocks by one Sherman-Morrison ``zgerc`` of
+    ``y`` against ``v``. From it on, each window of the plan starts with
+    one ``zgemm`` of the stack with its columns into the plan's buffer,
+    and a visit reads ``y`` there. A step with ``a = eta/denom`` corrects
+    the products of the window's later columns ``P`` by
+    ``-a y (P^H v)^H``: one ``zgemv`` for ``P^H v`` and one ``zgerc``. The
+    stack takes the window's steps at its end, or when a visit raises, by
+    one rank-k ``zgemm``. So the loops allocate nothing and slice nothing
+    per visit or step: every BLAS output and view they touch is made once
+    per run (in the plan) or per pass.
 
     ``stack`` must be Fortran-ordered complex128 (else ``ValueError``, with
     nothing changed). Gamma is read as Python floats and written back
@@ -467,16 +523,18 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
     """
     _check_inverse(stack)
     dim = stack.shape[1]
-    rank = stack.shape[0] - dim
     values = gamma.tolist()
     try:
         if dim < COLUMN_WINDOW_DIM:
+            y = np.zeros(stack.shape[0], dtype=np.complex128)
+            top, bottom = y[:dim], y[dim:]
             for j, s in enumerate(plan):
-                y = zgemv(1.0, stack, s)
-                quad = zdotc(s, y).real
+                # slots after alpha, a, x: beta, y, offx, incx, offy, incy,
+                # trans, overwrite_y
+                zgemv(1.0, stack, s, 0.0, y, 0, 1, 0, 1, 0, 1)
+                quad = zdotc(s, top).real
                 _check_quad(quad)
-                # slots after x, y: n, offx, incx, offy, incy
-                fit = zdotc(y, y, rank, dim, 1, dim, 1).real
+                fit = zdotc(bottom, bottom).real
                 eta = _step(quad, fit)
                 old = values[j]
                 if eta < -old:
@@ -484,24 +542,22 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
                 if eta == 0.0:
                     continue
                 delta, denom = step_increment(eta, quad, fit)
-                _update(stack, y, y[:dim], eta, denom)
+                _update(stack, y, top, eta, denom)
                 new = old + eta
                 values[j] = 0.0 if new < 0.0 else new
                 objective += delta
         else:
-            buffer = np.empty((stack.shape[0], COLUMN_WINDOW), dtype=np.complex128, order="F")
             first = 0
-            for window, columns in plan:
-                width = len(columns)
+            for window, products, visits in plan:
                 # slots after alpha, a, b: beta, c, trans_a, trans_b, overwrite_c
-                products = zgemm(1.0, stack, window, 0.0, buffer[:, :width], 0, 0, 1)
+                zgemm(1.0, stack, window, 0.0, products, 0, 0, 1)
                 steps, scales = [], []
                 try:
-                    for i, (s, y) in enumerate(zip(columns, products.T)):
+                    for i, s, later, y, top, bottom, pending, cross in visits:
                         j = first + i
-                        quad = zdotc(s, y).real
+                        quad = zdotc(s, top).real
                         _check_quad(quad)
-                        fit = zdotc(y, y, rank, dim, 1, dim, 1).real
+                        fit = zdotc(bottom, bottom).real
                         eta = _step(quad, fit)
                         old = values[j]
                         if eta < -old:
@@ -512,8 +568,8 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
                         scale = eta / denom
                         steps.append(i)
                         scales.append(scale)
-                        if i + 1 < width:
-                            _correct(products[:, i + 1 :], window[:, i + 1 :], y, y[:dim], scale)
+                        if later is not None:
+                            _correct(pending, later, y, top, scale, cross)
                         new = old + eta
                         values[j] = 0.0 if new < 0.0 else new
                         objective += delta
@@ -521,7 +577,7 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
                     if steps:
                         ys = products[:, steps]
                         _apply_steps(stack, ys, ys[:dim], scales)
-                first += width
+                first += len(visits)
     except NumericalDegeneracyError as exc:
         exc.index = j
         raise
@@ -539,17 +595,42 @@ WINDOW = 4
 
 def block_plan(dictionary: np.ndarray, num_delays: int) -> list:
     """:func:`block_sweep`'s plan: per device, in windows of ``WINDOW``,
-    ``(window, here, block, later)``: the window's columns at its first
-    device, else ``None``; the column slice of its block in the window's
-    product; the block's columns; the columns of the window's later blocks
-    (``None`` at the last), whose products follow the block's."""
+    ``(window, products, v, columns, block, later, pending, cross)``.
+
+    The plan owns one zeroed Fortran-ordered buffer of ``D x WINDOW k``
+    for the windows' ``Sigma^{-1}`` products and one of ``(WINDOW - 1) k``
+    cross terms, and every view of them a pass reads is made here, once
+    per run. ``window`` is the window's columns at its first device, else
+    ``None``, and ``products`` the buffer's columns that take its product;
+    ``v`` is the device's block of the product, ``columns`` its column
+    views and ``block`` the device's dictionary columns; ``later`` holds
+    the columns of the window's later blocks (``None`` at the window's last
+    device), ``pending`` their products and ``cross`` one cross term per
+    later column.
+
+    Each window's ``zgemm`` overwrites all its product columns before a
+    visit reads one, and a rank-one change writes its cross terms before
+    it reads them, so no entry that a pass reads comes from an earlier
+    pass or window, including one that raised. A device's own product
+    columns are written only by its window's product: the corrections of
+    its commits reach only the later blocks. So a column view of ``v``
+    held for the window's rank-k update stays valid until the window's
+    end."""
     k, plan = num_delays, []
+    buffer = np.zeros((dictionary.shape[0], WINDOW * k), dtype=np.complex128, order="F")
+    crosses = np.zeros((WINDOW - 1) * k, dtype=np.complex128)
     for first in range(0, dictionary.shape[1], WINDOW * k):
         window = dictionary[:, first : first + WINDOW * k]
-        for here in range(0, window.shape[1], k):
-            later = window[:, here + k :] if here + k < window.shape[1] else None
-            plan.append((None if here else window, slice(here, here + k),
-                         window[:, here : here + k], later))
+        width = window.shape[1]
+        products = buffer[:, :width]
+        for here in range(0, width, k):
+            end = here + k
+            v = products[:, here:end]
+            plan.append((
+                None if here else window, products, v, list(v.T), window[:, here:end],
+                window[:, end:] if end < width else None, products[:, end:],
+                crosses[: width - end],
+            ))
     return plan
 
 
@@ -560,10 +641,13 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     Device ``n``'s block is its ``(D, tau_max+1)`` block of dictionary
     columns and ``gamma[n]`` its row of the ``(N, tau_max+1)`` estimate,
     which holds at most one nonzero. A window's first visit makes
-    ``Sigma^{-1} window`` by one ``zgemm``; each visit reads its block
-    ``v = Sigma^{-1} block`` there and makes ``w = F^H v``,
-    ``G_q = block^H v`` and ``G_f = w^H w``, one ``zgemm`` each, whose
-    diagonals are each column's ``quad`` and ``fit``. Every column is
+    ``Sigma^{-1} window`` by one ``zgemm`` into the plan's buffer; each
+    visit reads its block ``v = Sigma^{-1} block`` there and makes
+    ``w = F^H v``, ``G_q = block^H v`` and ``G_f = w^H w``, one ``zgemm``
+    each into a buffer made once per pass, which every visit overwrites
+    before it reads it; their diagonals are each column's ``quad`` and
+    ``fit``, read through diagonal views made once per pass, as are the
+    columns of ``G_q`` and ``G_f``. Every column is
     scored from the state with the block's entry removed, by its
     closed-form step and, where the step is positive, its exact objective
     change, and the lowest negative change is committed (ties to the
@@ -586,7 +670,8 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     or one update of the net change when the entry returns to its delay.
     Each rank-one change ``Sigma^{-1} -= a x x^H`` moves the window's
     pending products ``Sigma^{-1} P`` of its later blocks by
-    ``-a x (P^H x)^H``: one ``zgemv`` for ``P^H x`` and one ``zgerc``.
+    ``-a x (P^H x)^H``: one ``zgemv`` for ``P^H x`` into the plan's cross
+    terms and one ``zgerc``.
     Below ``COLUMN_WINDOW_DIM`` rows ``Sigma^{-1}`` takes each change by
     one ``zgerc``; from it on, it takes the window's changes at the
     window's end, or when a visit raises, by one rank-k ``zgemm``.
@@ -600,32 +685,38 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     """
     _check_inverse(inv)
     rows = gamma.tolist()
+    k = gamma.shape[1]
+    w = np.zeros((factor_h.shape[0], k), dtype=np.complex128, order="F")
+    gram_q = np.zeros((k, k), dtype=np.complex128, order="F")
+    gram_f = np.zeros((k, k), dtype=np.complex128, order="F")
+    quad_view, fit_view = gram_q.diagonal().real, gram_f.diagonal().real
+    q_columns, f_columns = list(gram_q.T), list(gram_f.T)
     # from COLUMN_WINDOW_DIM on, Sigma^-1 takes a window's rank-one changes
     # at its end: their vectors and scales
     defer = inv.shape[0] >= COLUMN_WINDOW_DIM
     xs, scales = [], []
     try:
-        for n, (window, here, block, later) in enumerate(plan):
+        for n, (window, products, v, columns, block, later, pending, cross) in enumerate(plan):
+            # slots after alpha, a, b: beta, c, trans_a (2 is a^H), trans_b,
+            # overwrite_c
             if window is not None:
-                products = zgemm(1.0, inv, window)
-            v = products[:, here]
-            w = zgemm(1.0, factor_h, v)
-            # slots after alpha, a, b: beta, c, trans_a (2 is a^H)
-            gram_q = zgemm(1.0, block, v, 0.0, None, 2)
-            gram_f = zgemm(1.0, w, w, 0.0, None, 2)
-            quads = gram_q.diagonal().real.tolist()
-            fits = gram_f.diagonal().real.tolist()
+                zgemm(1.0, inv, window, 0.0, products, 0, 0, 1)
+            zgemm(1.0, factor_h, v, 0.0, w, 0, 0, 1)
+            zgemm(1.0, block, v, 0.0, gram_q, 2, 0, 1)
+            zgemm(1.0, w, w, 0.0, gram_f, 2, 0, 1)
+            quads = quad_view.tolist()
+            fits = fit_view.tolist()
             row = rows[n]
             removed = max(row)
             if removed > 0.0:
                 old_tau = row.index(removed)
-                u = v[:, old_tau]
+                u = columns[old_tau]
                 quad_u, fit_u = quads[old_tau], fits[old_tau]
                 _check_quad(quad_u)
                 delta, down_denom = step_increment(-removed, quad_u, fit_u)
                 c = removed / down_denom
-                b = gram_q[:, old_tau].tolist()
-                g = gram_f[:, old_tau].tolist()
+                b = q_columns[old_tau].tolist()
+                g = f_columns[old_tau].tolist()
                 for tau, (bt, gt) in enumerate(zip(b, g)):
                     p = c * (bt.real * bt.real + bt.imag * bt.imag)
                     quads[tau] += p
@@ -652,7 +743,7 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
                 else:
                     _update(inv, u, u, -removed, down_denom)
                 if later is not None:
-                    _correct(products[:, here.stop :], later, u, u, scale)
+                    _correct(pending, later, u, u, scale, cross)
                 row[old_tau] = 0.0
             if best is not None:
                 tau, eta, denom = best
@@ -664,9 +755,9 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
                     denom = step_increment(step, quad_u, 0.0)[1]
                     x = u
                 elif removed > 0.0:
-                    x = v[:, tau] + c * b[tau].conjugate() * u
+                    x = columns[tau] + c * b[tau].conjugate() * u
                 else:
-                    x = v[:, tau]
+                    x = columns[tau]
                 scale = step / denom
                 if defer:
                     xs.append(x)
@@ -674,7 +765,7 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
                 else:
                     _update(inv, x, x, step, denom)
                 if later is not None:
-                    _correct(products[:, here.stop :], later, x, x, scale)
+                    _correct(pending, later, x, x, scale, cross)
                 objective += best_delta
                 row[tau] = eta
             if later is None and xs:

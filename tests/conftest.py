@@ -69,6 +69,51 @@ def desk_study(tmp_path_factory):
     return out, rows, time.perf_counter() - start
 
 
+def trend_violations(rows, rules: str = "abc") -> list:
+    """Criterion 6's violations among the aggregate ``rows`` of a study of
+    the three detectors, for the rules named in ``rules``, each led by its
+    rule: (a) MDP and FAP non-increasing in M for every detector, each step
+    down or within one standard error of the difference; (b) the block
+    detector's FAP at the largest M no worse than the entrywise one's,
+    within one standard error; (c) at the largest M the asynchronous
+    detectors' MDP within two standard errors of the zero-delay
+    benchmark's."""
+    cells = {(r["detector"], r["M"]): r for r in rows}
+    antennas = sorted({m for _, m in cells})
+    violations = []
+    if "a" in rules:
+        for det in ("cd_e", "bcd", "cd_e_sync"):
+            for metric in ("mdp", "fap"):
+                for m_lo, m_hi in zip(antennas, antennas[1:]):
+                    lo, hi = cells[(det, m_lo)], cells[(det, m_hi)]
+                    diff = hi[f"{metric}_mean"] - lo[f"{metric}_mean"]
+                    se = math.hypot(lo[f"{metric}_stderr"], hi[f"{metric}_stderr"])
+                    if diff > se:
+                        violations.append(
+                            f"(a) {det} {metric} rises {diff:.4g} > {se:.4g} "
+                            f"se at M {m_lo}->{m_hi}"
+                        )
+    top = antennas[-1]
+    if "b" in rules:
+        bcd, cde = cells[("bcd", top)], cells[("cd_e", top)]
+        se_b = math.hypot(bcd["fap_stderr"], cde["fap_stderr"])
+        if bcd["fap_mean"] > cde["fap_mean"] + se_b:
+            violations.append(
+                f"(b) fap {bcd['fap_mean']:.4g} > {cde['fap_mean']:.4g} + {se_b:.4g}"
+            )
+    if "c" in rules:
+        sync = cells[("cd_e_sync", top)]
+        for det in ("cd_e", "bcd"):
+            cell = cells[(det, top)]
+            gap = abs(cell["mdp_mean"] - sync["mdp_mean"])
+            se_c = math.hypot(cell["mdp_stderr"], sync["mdp_stderr"])
+            if gap > 2 * se_c:
+                violations.append(
+                    f"(c) {det} mdp gap to benchmark {gap:.4g} > {2 * se_c:.4g}"
+                )
+    return violations
+
+
 def make_truth(pairs) -> GroundTruth:
     """The ground truth whose active devices and delays are ``pairs``."""
     return GroundTruth({int(n): int(tau) for n, tau in pairs})
@@ -88,7 +133,7 @@ def kernel_visit(state, factor_h, n, tau):
     j = n * state.gamma.shape[1] + tau
     before = float(state.gamma[n, tau])
     stack = likelihood.column_stack(state, factor_h)
-    plan = likelihood.column_plan(state.dictionary[:, j : j + 1])
+    plan = likelihood.column_plan(state.dictionary[:, j : j + 1], factor_h)
     state.objective = likelihood.column_sweep(
         stack, plan, state.gamma.ravel()[j : j + 1], state.objective
     )

@@ -25,6 +25,7 @@ from conftest import (
     make_config,
     make_scenario,
     shipped,
+    trend_violations,
 )
 from covdet import detect, likelihood
 from covdet.cli import ExperimentPlan, run_experiment
@@ -227,43 +228,14 @@ def test_5_tiny_instance_matches_exhaustive_search():
 
 def test_6_error_rates_trend_with_antennas(desk_study):
     # the trend experiment is the desk study: three detectors, M in
-    # {4, 16, 64}, 200 paired trials per cell. (a) MDP and FAP
-    # non-increasing in M for every detector, each step down or within one
-    # standard error of the difference; (b) the block detector's FAP at the
-    # largest M no worse than the entrywise one's; (c) at the largest M the
-    # asynchronous detectors match the zero-delay benchmark within two
-    # standard errors
+    # {4, 16, 64}, 200 paired trials per cell, under conftest's
+    # trend_violations: (a) MDP and FAP non-increasing in M for every
+    # detector, each step down or within one standard error of the
+    # difference; (b) the block detector's FAP at the largest M no worse
+    # than the entrywise one's; (c) at the largest M the asynchronous
+    # detectors match the zero-delay benchmark within two standard errors
     _, rows, elapsed = desk_study
-    cells = {(r["detector"], r["M"]): r for r in rows}
-    antennas = (4, 16, 64)
-    violations = []
-    for det in ("cd_e", "bcd", "cd_e_sync"):
-        for metric in ("mdp", "fap"):
-            for m_lo, m_hi in zip(antennas, antennas[1:]):
-                lo, hi = cells[(det, m_lo)], cells[(det, m_hi)]
-                diff = hi[f"{metric}_mean"] - lo[f"{metric}_mean"]
-                se = math.hypot(lo[f"{metric}_stderr"], hi[f"{metric}_stderr"])
-                if diff > se:
-                    violations.append(
-                        f"(a) {det} {metric} rises {diff:.4f} > {se:.4f} "
-                        f"se at M {m_lo}->{m_hi}"
-                    )
-    top = antennas[-1]
-    bcd, cde = cells[("bcd", top)], cells[("cd_e", top)]
-    se_b = math.hypot(bcd["fap_stderr"], cde["fap_stderr"])
-    if bcd["fap_mean"] > cde["fap_mean"] + se_b:
-        violations.append(
-            f"(b) fap {bcd['fap_mean']:.4f} > {cde['fap_mean']:.4f} + {se_b:.4f}"
-        )
-    sync = cells[("cd_e_sync", top)]
-    for det in ("cd_e", "bcd"):
-        cell = cells[(det, top)]
-        gap = abs(cell["mdp_mean"] - sync["mdp_mean"])
-        se_c = math.hypot(cell["mdp_stderr"], sync["mdp_stderr"])
-        if gap > 2 * se_c:
-            violations.append(
-                f"(c) {det} mdp gap to benchmark {gap:.4f} > {2 * se_c:.4f}"
-            )
+    violations = trend_violations(rows)
     passed = not violations and elapsed < 900.0
     _report(
         6, "antenna scaling trends", passed,

@@ -386,7 +386,7 @@ class TestFitFactor:
         stack = np.asfortranarray(np.vstack([inv, factor_h]))
         blocks = np.asfortranarray(np.ones((dim, 6), dtype=complex))
         gamma = np.zeros((2, 3))
-        plan = likelihood.column_plan(blocks[:, :3])
+        plan = likelihood.column_plan(blocks[:, :3], factor_h)
         assert likelihood.column_sweep(stack, plan, gamma[0], 1.5) == 1.5
         plan = likelihood.block_plan(blocks, 3)
         assert likelihood.block_sweep(inv, factor_h, plan, gamma, 1.5) == 1.5
@@ -421,7 +421,7 @@ def sweep_pass(state, factor_h, sweep, dictionary=None, units=None):
         dictionary = state.dictionary
     if sweep == "column_sweep":
         columns = dictionary[:, :units]
-        plan = likelihood.column_plan(columns)
+        plan = likelihood.column_plan(columns, factor_h)
         gamma = state.gamma.ravel()[: columns.shape[1]]
         return likelihood.column_stack(state, factor_h), (
             lambda stack, objective: likelihood.column_sweep(stack, plan, gamma, objective)
@@ -431,6 +431,22 @@ def sweep_pass(state, factor_h, sweep, dictionary=None, units=None):
     return state.inv_sigma, (
         lambda inv, objective: likelihood.block_sweep(inv, factor_h, plan, rows, objective)
     )
+
+
+# positions of the output array and of its overwrite flag in a call
+OUTPUT_SLOTS = {"zgemm": (4, 7), "zgemv": (4, 10)}
+
+
+def into_supplied_output(name, real, args):
+    """``real(*args)`` for a ``zgemm`` or ``zgemv`` call in a pass, after
+    checking that it passes its output array and the overwrite flag by
+    position, and then that BLAS wrote into that array, not into a copy
+    that f2py made."""
+    out, flag = OUTPUT_SLOTS[name]
+    assert len(args) > flag and args[out] is not None and args[flag] == 1
+    result = real(*args)
+    assert result is args[out]
+    return result
 
 
 class TestBlockSweep:
@@ -444,7 +460,8 @@ class TestBlockSweep:
         # zgemv and one zgerc. Below the rule Sigma^-1 takes each change by
         # one zgerc; from it on, a window's changes by one rank-k zgemm at
         # its end, never by a zgerc. The second pass is the one counted, so
-        # removals, moves and re-inserts are among its commits
+        # removals, moves and re-inserts are among its commits. Every zgemm
+        # and zgemv writes into an output array the run or the pass made
         devices = 2 * likelihood.WINDOW + 3
         zgemm, zgemv, zgerc = likelihood.zgemm, likelihood.zgemv, likelihood.zgerc
         for preamble_len in (10, likelihood.COLUMN_WINDOW_DIM - 1):
@@ -461,11 +478,11 @@ class TestBlockSweep:
             def gemm(alpha, a, b, *args):
                 rank_k = len(args) > 1 and args[1] is inv
                 calls["product" if a is inv else "rank-k" if rank_k else "small"] += 1
-                return zgemm(alpha, a, b, *args)
+                return into_supplied_output("zgemm", zgemm, (alpha, a, b, *args))
 
             def gemv(*args):
                 calls["zgemv"] += 1
-                return zgemv(*args)
+                return into_supplied_output("zgemv", zgemv, args)
 
             def gerc(alpha, x, y, incx, incy, a, *args):
                 calls["inverse zgerc" if a is inv else "pending zgerc"] += 1
@@ -655,8 +672,8 @@ class TestSweeps:
     def test_column_visit_is_one_matvec(self, monkeypatch):
         # the stack [Sigma^-1; F^H Sigma^-1] is built outside the pass and
         # kept across passes; a visit takes v = Sigma^-1 s and F^H v from
-        # one zgemv of it, and a nonzero step updates both blocks by one
-        # zgerc
+        # one zgemv of it, into a buffer of the pass, and a nonzero step
+        # updates both blocks by one zgerc
         _, state, _, factor_h = random_state(seed=83)
         stack, run = sweep_pass(state, factor_h, "column_sweep")
         before = state.gamma.copy()
@@ -667,7 +684,10 @@ class TestSweeps:
 
             def spy(*args, **kwargs):
                 calls[name] += 1
-                return real(*args, **kwargs)
+                if name == "zgerc":
+                    return real(*args, **kwargs)
+                assert not kwargs
+                return into_supplied_output(name, real, args)
 
             return spy
 
@@ -728,11 +748,51 @@ class TestSweeps:
         np.testing.assert_allclose(state.gamma, want.gamma, rtol=1e-12, atol=0)
         assert np.linalg.norm(inv - want_inv) <= 1e-12 * np.linalg.norm(want_inv)
 
+    @pytest.mark.parametrize("sweep", ["column_sweep", "block_sweep"])
+    @pytest.mark.parametrize(
+        "dim", [likelihood.COLUMN_WINDOW_DIM - 1, likelihood.COLUMN_WINDOW_DIM],
+        ids=["below-window-dim", "at-window-dim"],
+    )
+    def test_plan_left_by_a_raising_pass_carries_no_state(self, sweep, dim):
+        # the zero-column and zero-block systems of the two tests above, on
+        # both sides of COLUMN_WINDOW_DIM: a pass raises mid-window, the
+        # unit's columns come back (the plan views the dictionary), and the
+        # next pass over that plan equals, exactly, the same pass over a
+        # fresh plan from the same state
+        if sweep == "column_sweep":
+            cut, max_delay = likelihood.COLUMN_WINDOW + 8, 0
+            fields = dict(seed=81, num_devices=2 * likelihood.COLUMN_WINDOW,
+                          num_antennas=16, num_active=12)
+        else:
+            cut, max_delay = likelihood.WINDOW + 2, 1
+            fields = dict(seed=85, num_devices=2 * likelihood.WINDOW + 3, num_active=6)
+        _, state, _, factor_h = random_state(
+            preamble_len=dim - max_delay, max_delay=max_delay, updates=0, **fields
+        )
+        assert state.dim == dim
+        k = state.gamma.shape[1]
+        dictionary = state.dictionary.copy(order="F")
+        unit = slice(k * cut, k * (cut + 1))
+        kept = dictionary[:, unit].copy()
+        dictionary[:, unit] = 0.0
+        tracked, run = sweep_pass(state, factor_h, sweep, dictionary)
+        with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
+            run(tracked, 0.0)
+        assert info.value.index == cut
+        dictionary[:, unit] = kept
+        fresh, fresh_tracked = copy_state(state), tracked.copy(order="F")
+        _, fresh_run = sweep_pass(fresh, factor_h, sweep, dictionary)
+        assert run(tracked, 1.0) == fresh_run(fresh_tracked, 1.0)
+        assert np.any(state.gamma.ravel()[cut * k + k :])
+        np.testing.assert_array_equal(state.gamma, fresh.gamma)
+        np.testing.assert_array_equal(tracked, fresh_tracked)
+
     def test_column_window_is_one_product(self, monkeypatch):
         # from COLUMN_WINDOW_DIM on, a window's visits read y off one zgemm
         # of the stack; a step corrects the window's later columns by one
         # zgemv and one zgerc, and the stack takes the window's steps by
-        # one rank-k zgemm at its end, never by a zgerc
+        # one rank-k zgemm at its end, never by a zgerc; every zgemm and
+        # zgemv writes into an output array the plan made
         width = likelihood.COLUMN_WINDOW
         _, state, _, factor_h = random_state(
             seed=83, num_devices=2 * width + 5, preamble_len=likelihood.COLUMN_WINDOW_DIM,
@@ -745,11 +805,11 @@ class TestSweeps:
         def gemm(alpha, a, b, beta, c, *args):
             calls["product" if a is stack else "rank-k"] += 1
             assert a is stack or c is stack
-            return zgemm(alpha, a, b, beta, c, *args)
+            return into_supplied_output("zgemm", zgemm, (alpha, a, b, beta, c, *args))
 
         def gemv(*args):
             calls["zgemv"] += 1
-            return zgemv(*args)
+            return into_supplied_output("zgemv", zgemv, args)
 
         def gerc(alpha, x, y, incx, incy, a, *args):
             calls["zgerc"] += 1
