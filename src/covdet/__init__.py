@@ -1,13 +1,9 @@
 """Covariance-based joint activity and delay detection.
 
-Library for detecting which devices transmitted, and with what symbol
-delay, from the sample covariance of a multi-antenna received signal:
-scenario synthesis, two coordinate-descent maximum-likelihood detectors
-and scoring metrics. Preambles, received signals, sample covariances
-and gamma estimates are plain arrays; the detectors check the sample
-covariance for shape, finiteness, Hermitian symmetry and positive
-semidefiniteness where they take it. The seeded Monte Carlo experiment
-runner is ``covdet.cli``.
+Which devices transmitted, and at what symbol delay, from the sample
+covariance of a multi-antenna received signal: scenario synthesis, two
+coordinate-descent maximum-likelihood detectors and scoring metrics, on
+plain arrays. The seeded Monte Carlo experiment runner is ``covdet.cli``.
 """
 
 from .detect import run_bcd, run_cd_e

@@ -2,8 +2,7 @@
 
 Sweeps detectors and antenna counts over seeded independent trials,
 aggregates missed-detection and false-alarm rates with standard errors,
-and writes a CSV. Every trial regenerates preambles, activity pattern,
-and received signal from its own seed by ``siggen.draw_scenario``, so
+and writes a CSV. Every trial draws its scenario from its own seed, so
 any row is reproducible from (config, seed) alone.
 """
 
@@ -77,12 +76,10 @@ def _check_detector(name) -> None:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A full sweep: base system, detector list, antenna list, trial count.
-
-    Valid by construction: ``detectors`` is a non-empty tuple of distinct
-    known names, ``antennas`` a non-empty tuple of distinct counts that
-    each give a valid system with ``base``, and ``trials`` a positive
-    integer. Raises ``ConfigError`` otherwise.
+    """A full sweep, valid by construction: ``detectors`` is a non-empty
+    tuple of distinct known names, ``antennas`` a non-empty tuple of
+    distinct counts that each give a valid system with ``base``, and
+    ``trials`` a positive integer; ``ConfigError`` otherwise.
     """
 
     base: SystemConfig
@@ -192,6 +189,23 @@ def _write_lines(path: Path, header: str, lines: list[str]) -> None:
     os.replace(temporary, path)
 
 
+def _pin_blas() -> None:
+    """Set one thread in the OpenBLAS copies that the scipy and numpy
+    wheels bundle, loaded by file, so that a run's results do not depend
+    on ``OPENBLAS_NUM_THREADS``. A copy or setter not found is skipped."""
+    import ctypes
+
+    import scipy
+
+    for package, setter in ((scipy, "scipy_openblas_set_num_threads"),
+                            (np, "scipy_openblas_set_num_threads64_")):
+        libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+        for path in libs.glob("libscipy_openblas*"):
+            function = getattr(ctypes.CDLL(str(path)), setter, None)
+            if function is not None:
+                function(1)
+
+
 def run_experiment(
     plan: ExperimentPlan,
     out_path,
@@ -201,19 +215,18 @@ def run_experiment(
 ) -> list[dict]:
     """Run the full sweep and write the aggregate CSV.
 
-    Rows appear detector-major in the order given, antennas inner. Every
-    (detector, M) cell reuses the same seed sequence base_seed + trial,
-    so detectors face identical scenarios. After each cell, the CSV (all
-    rows so far) and the cell's dump are replaced atomically, so a trial
-    that raises keeps the finished cells; then ``progress``, if given, is
-    called with the row. Returns the aggregate rows. Before the first
-    trial, raises ``ConfigError`` for ``workers`` that is not a positive
-    integer or an ``out_path`` that is a directory or has none, and
-    ``OSError`` when ``per_trial_dir`` cannot be made. At most
-    ``min(workers, plan.trials, cpus)`` worker processes start, none when
-    that is 1, where ``cpus`` counts the CPUs this process may run on
-    (``os.sched_getaffinity``, or ``os.cpu_count()`` where the platform
-    lacks it); the results do not depend on the count.
+    Rows are detector-major, antennas inner, and every cell uses the seeds
+    base_seed + trial. After each cell the CSV and the cell's dump are
+    replaced atomically, so a trial that raises keeps the finished cells;
+    then ``progress``, if given, is called with the row. Returns the
+    aggregate rows. Before the first trial, raises ``ConfigError`` for
+    ``workers`` that is not a positive integer or an ``out_path`` that is
+    a directory or has none, and ``OSError`` when ``per_trial_dir`` cannot
+    be made. At most ``min(workers, plan.trials, cpus)`` worker processes
+    start, none when that is 1, where ``cpus`` counts the CPUs this
+    process may run on; the results do not depend on the count. Nor on
+    ``OPENBLAS_NUM_THREADS``: the run sets one BLAS thread in its own
+    process and in each worker.
     """
     if not (is_int(workers) and workers >= 1):
         raise ConfigError(f"workers must be a positive integer, got {workers!r}")
@@ -229,11 +242,12 @@ def run_experiment(
     rows, lines = [], []
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = min(workers, plan.trials, cpus or 1)
+    _pin_blas()
     pool = contextlib.nullcontext()
     if workers > 1:
         # imported here, so that a serial run loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(workers)
+        pool = ProcessPoolExecutor(workers, initializer=_pin_blas)
     with pool:
         # map preserves task order, so merging is by trial index;
         # about four chunks per worker keeps every worker busy
@@ -264,13 +278,11 @@ def run_experiment(
 def load_experiment(path, overrides: dict | None = None) -> ExperimentPlan:
     """Parse a JSON experiment file plus optional override values.
 
-    The UTF-8 file holds every system field, with optional sweep keys: a
-    ``detectors`` list of names, an ``antennas`` list of integers and a
-    ``trials`` integer. Overrides (typically from command-line flags) win
-    over file contents; a ``seed`` override replaces ``rng_seed``. The
-    lists become tuples. Raises ``ConfigError`` for a file that is not a
-    JSON object, and, through the ``SystemConfig`` and ``ExperimentPlan``
-    constructors, for a value that breaks their rules.
+    The UTF-8 file holds every system field and optional sweep keys
+    (``detectors``, ``antennas``, ``trials``). Overrides win over the file,
+    and a ``seed`` override replaces ``rng_seed``. Raises ``ConfigError``
+    for a file that is not one JSON object, and, through the constructors,
+    for a value that breaks their rules.
     """
     overrides = dict(overrides or {})
     try:
@@ -309,6 +321,7 @@ def _parse_name_list(text: str) -> list[str]:
 
 
 def main(argv=None) -> int:
+    """``covdet run``: exit 0, or 2 for bad input and 1 for a failed trial."""
     parser = argparse.ArgumentParser(
         prog="covdet",
         description="Monte Carlo benchmarks for covariance-based activity "

@@ -1,37 +1,10 @@
 """Joint activity and delay detectors.
 
-Two detectors over the same covariance-matching objective:
-
-* ``run_cd_e``: plain coordinate descent over all (device, delay)
-  coordinates, then a per-device keep-max enforcement pass, then
-  thresholding.
-* ``run_bcd``: block coordinate descent that re-optimizes one device's
-  delay block at a time, keeping at most one nonzero delay per device
-  at every step, then thresholding.
-
-Both start from ``prepare``, the one statement of their setup, and run
-their passes in the kernel in ``likelihood`` (rank-one updates of
-Sigma^{-1}, closed-form objective increments, the fit form from a
-low-rank factor of the sample covariance): one ``column_sweep`` or
-``block_sweep`` call per pass, over ``column_plan``'s or
-``block_plan``'s views of the Fortran-ordered dictionary that
-``siggen.effective_dictionary`` builds once per run, and of the buffers
-that the pass's products go into. ``column_plan``
-picks the column pass from the window length alone: column by column
-below ``likelihood.COLUMN_WINDOW_DIM`` (so at desk.json's D=32), in
-windows of ``COLUMN_WINDOW`` columns with one stack product each from it
-on (so at full.json's D=104). One sweep driver
-owns the sweep count, the periodic dense refresh, the stop rule and the
-error location.
-``bcd`` scores a device's whole delay block, the removal of its entry
-included, from the block's products and their two Gram matrices.
-
-The detectors' settings (sweep cap, refresh cadence, stop tolerance and
+Both detectors, ``run_cd_e`` and ``run_bcd``, fit the covariance-matching
+objective of ``likelihood``: they start from ``prepare`` and run one
+``likelihood`` pass per sweep under ``_descend``, which owns the sweep
+count, the periodic dense refresh, the stop rule and the error location. Their settings (sweep cap, refresh cadence, stop tolerance and
 thresholds) are this module's constants, not config fields.
-
-A run returns a ``DetectionResult``: the final estimate and the
-objective trace. The declared (device, delay) pairs, the sweep count and
-the final objective are read off those two.
 """
 
 from __future__ import annotations
@@ -58,10 +31,8 @@ THRESHOLD_BCD = 0.12
 
 
 def enforce_block_sparsity(gamma: np.ndarray) -> np.ndarray:
-    """Keep only each device's maximal gamma entry, zeroing the rest.
-
-    Ties go to the smallest delay. All-zero blocks stay all-zero.
-    """
+    """Keep only each device's maximal gamma entry, zeroing the rest; ties
+    go to the smallest delay, and all-zero blocks stay all-zero."""
     best = gamma.argmax(axis=1)  # first occurrence wins ties
     return np.where(np.arange(gamma.shape[1]) == best[:, None], gamma, 0.0)
 
@@ -76,10 +47,8 @@ def threshold(gamma: np.ndarray, t: float) -> np.ndarray:
 
 def to_indicators(gamma: np.ndarray) -> frozenset:
     """Detected (device, delay) pairs: coordinates with gamma > 0.
-
-    Requires a block-sparse estimate (at most one nonzero per device row)
-    so each device maps to one delay.
-    """
+    ``ValueError`` unless the estimate is block-sparse (at most one nonzero
+    per device row)."""
     devices = gamma.nonzero()[0].tolist()
     # a device listed twice holds two nonzero delays
     if len(set(devices)) < len(devices):
@@ -90,14 +59,10 @@ def to_indicators(gamma: np.ndarray) -> frozenset:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """Final output of one detector run, ready for scoring.
-
-    ``gamma_hat`` is the ``(N, tau_max+1)`` estimate, at most one nonzero
-    delay per device; ``theta_hat`` holds the (device, delay) pairs
-    ``to_indicators`` reads off it. ``objective_trace`` records the
-    objective after initialization and after each full sweep, before any
-    enforcement or thresholding.
-    """
+    """One detector run's ``(N, tau_max+1)`` estimate ``gamma_hat``, at most
+    one nonzero delay per device, its (device, delay) pairs ``theta_hat``,
+    and ``objective_trace``: the objective after initialization and after
+    each full sweep, before any enforcement or thresholding."""
 
     gamma_hat: np.ndarray  # (N, tau_max + 1) float64
     objective_trace: np.ndarray  # (sweeps + 1,)
@@ -117,18 +82,12 @@ class DetectionResult:
 
 
 def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
-    """Shared detector setup: input checks, then ``(sigma_tilde as complex128,
-    its fit factor F^H, the fresh state at gamma = 0 on the dictionary)``.
+    """Shared detector setup: ``(sigma_tilde as complex128, its fit factor
+    F^H, the fresh state at gamma = 0 on the effective dictionary)``.
 
-    ``config`` is not re-checked: a ``SystemConfig`` is valid once built.
-    The preambles are checked against it, and the sample covariance once
-    per run, by ``likelihood.init_state``: a ``(window, window)`` array,
-    finite, and Hermitian to within ``1e-10 * max(1, max|S|)``; then
-    ``likelihood.fit_factor`` rejects one that is not positive
-    semidefinite.
-
-    ``effective_dictionary`` builds the dictionary Fortran-ordered, so a
-    column or a device's block of columns reaches BLAS without a copy.
+    Raises ``ValueError`` for preambles or a sample covariance that
+    ``check_preambles``, ``likelihood.init_state`` or ``fit_factor``
+    rejects. ``config`` is valid once built, so it is not re-checked.
     """
     preambles = check_preambles(preambles, config)
     st = np.asarray(sigma_tilde, dtype=np.complex128)
@@ -140,19 +99,14 @@ def prepare(preambles: np.ndarray, sigma_tilde, config: SystemConfig):
 def _descend(state, st, track, run_pass, unit, estimate):
     """The sweep driver both detectors share.
 
-    Each sweep runs one ascending pass, ``run_pass(tracked, objective)``,
-    which updates ``tracked`` and gamma in place and returns the new
-    objective. Every ``RECOMPUTE_EVERY`` sweeps the state is densely
-    refreshed; ``track(state)`` builds ``tracked`` at the start and after
-    each refresh. Stops once a sweep improves the objective by at most
-    ``CONVERGENCE_DELTA`` and returns the result whose estimate is
-    ``estimate(state.gamma)``; raises after ``MAX_SWEEPS``. A sweep's
-    improvement is read from its tracked objective before any refresh, so
-    the refresh's drift correction never counts as progress.
-
-    A ``NumericalDegeneracyError`` is re-raised with where it happened:
-    ``at sweep S, <unit> <index>`` from the pass, ``at sweep S`` from the
-    dense refresh.
+    Each sweep runs ``run_pass(tracked, objective)``, which updates
+    ``tracked`` and gamma in place and returns the new objective;
+    ``track(state)`` builds ``tracked`` at the start and after each dense
+    refresh. Stops once a sweep, read before any refresh's drift
+    correction, improves the objective by at most ``CONVERGENCE_DELTA``,
+    and returns ``estimate(state.gamma)``'s result; ``ConvergenceError``
+    after ``MAX_SWEEPS``. A ``NumericalDegeneracyError`` is re-raised with
+    ``at sweep S, <unit> <index>``, or ``at sweep S`` from the refresh.
     """
     tracked = track(state)
     trace = [state.objective]
@@ -181,12 +135,8 @@ def _descend(state, st, track, run_pass, unit, estimate):
 def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> DetectionResult:
     """Coordinate descent over all coordinates, then enforcement.
 
-    Sweeps every (device, delay) coordinate in ascending order
-    (``likelihood.column_sweep``), applying the closed-form step and the
-    rank-one inverse update, until one full sweep improves the objective
-    by at most ``CONVERGENCE_DELTA``. The relaxed estimate is then
-    reduced to one delay per device (keep-max), thresholded at
-    ``THRESHOLD_CD``, and converted to indicator pairs.
+    Sweeps every (device, delay) coordinate in ascending order, then
+    keeps each device's largest entry and thresholds at ``THRESHOLD_CD``.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
     plan = likelihood.column_plan(state.dictionary, factor_h)
@@ -204,24 +154,9 @@ def run_cd_e(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detect
 def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> DetectionResult:
     """Block coordinate descent with one delay per device by construction.
 
-    For each device block (``likelihood.block_sweep``): the block's
-    current nonzero entry (if any) is removed; each candidate delay is
-    then scored speculatively from that zeroed state with its own
-    closed-form optimum and objective increment; the candidate with
-    minimal objective is committed (ties to the smallest delay, among
-    changes equal as computed: after a removal, exact ties in the zeroed
-    state are split by the rounding of its closed form). Because
-    re-inserting the removed entry is always among the candidates, a
-    block pass never increases the objective. Stops when a full pass over
-    all blocks improves the objective by at most ``CONVERGENCE_DELTA``,
-    then thresholds at ``THRESHOLD_BCD``. No enforcement pass is needed.
-
-    A visit scores its block from ``v = Sigma^-1 block`` and the block's
-    own Gram products, ``G_q = block^H v`` and ``G_f``; from
-    ``likelihood.COLUMN_WINDOW_DIM`` on (so at full.json's D=104, not at
-    desk.json's D=32), Sigma^-1 takes a window's commits at its end. A
-    ``NumericalDegeneracyError`` names the sweep and the device, and
-    Sigma^-1 then holds every commit before it.
+    Each device's visit removes the block's entry, scores every delay from
+    that zeroed state and commits the best, with ``likelihood.block_sweep``'s
+    tie rule; then thresholds at ``THRESHOLD_BCD``.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
     plan = likelihood.block_plan(state.dictionary, config.num_delays)

@@ -1,15 +1,10 @@
 """Synthetic scenario generation: preambles, ground truth, channels, noise.
 
-``draw_scenario`` is the one statement of a trial's draw order, from one
-seed: preambles, activity and delays, channels, noise. Each step takes an
-explicit ``numpy.random.Generator``, so a whole trial is reproduced
-bit-for-bit from (config, seed), and independent trials use independent seeds.
-
-Each array is built once, in the layout its consumer needs: complex
-draws are written into their output, the received window places the
-active devices' delayed signatures straight into a C-ordered
-``(window, K)`` block, and the effective dictionary the detectors sweep
-is built Fortran-ordered.
+Each step takes an explicit ``numpy.random.Generator``, and
+``draw_scenario`` states a trial's draw order from one seed, so a whole
+trial is reproduced bit-for-bit from (config, seed), and independent
+trials use independent seeds. Each array is built once, in the layout
+its consumer needs.
 """
 
 from __future__ import annotations
@@ -20,12 +15,8 @@ from .sysmodel import GroundTruth, SystemConfig, is_int
 
 
 def complex_gaussian(rng: np.random.Generator, shape, variance: float = 1.0) -> np.ndarray:
-    """Circularly-symmetric complex Gaussian draws, entrywise CN(0, variance).
-
-    The real parts are the first ``shape``-sized block of standard normal
-    draws and the imaginary parts the second, each scaled by
-    ``sqrt(variance / 2)``; both are written straight into the output.
-    """
+    """Entrywise CN(0, variance) draws: the real parts are the first
+    ``shape``-sized block of standard normal draws, the imaginary the second."""
     out = np.empty(shape, dtype=np.complex128)
     real, imag = rng.standard_normal((2, *out.shape))
     scale = np.sqrt(variance / 2.0)
@@ -56,12 +47,9 @@ def check_preambles(preambles, config: SystemConfig) -> np.ndarray:
 
 
 def effective_dictionary(preambles, max_delay: int) -> np.ndarray:
-    """Stack all delayed signatures into one (L+tau_max) x N*(tau_max+1) matrix.
-
-    Columns are grouped per device, delay-major within a device: column
-    ``n * (tau_max + 1) + tau`` is device ``n`` delayed by ``tau``. The
-    matrix is Fortran-ordered, so a column or a device's block of columns
-    reaches BLAS without a copy. Raises ``ValueError`` unless
+    """Stack all delayed signatures into one Fortran-ordered
+    (L+tau_max) x N*(tau_max+1) matrix: column ``n * (tau_max + 1) + tau``
+    is device ``n`` delayed by ``tau``. Raises ``ValueError`` unless
     ``preambles`` is 2-D and ``max_delay`` a non-negative int.
     """
     preambles = np.asarray(preambles, dtype=np.complex128)
@@ -82,11 +70,8 @@ def effective_dictionary(preambles, max_delay: int) -> np.ndarray:
 
 
 def draw_ground_truth(config: SystemConfig, rng: np.random.Generator) -> GroundTruth:
-    """Draw the active set and the active devices' delays.
-
-    The active set is uniform without replacement; delays are uniform on
-    {0, ..., tau_max}.
-    """
+    """Draw the active set, uniform without replacement, and the active
+    devices' delays, uniform on {0, ..., tau_max}."""
     active = rng.choice(config.num_devices, size=config.num_active, replace=False)
     active.sort()
     drawn = rng.integers(0, config.num_delays, size=config.num_active)
@@ -98,15 +83,12 @@ def synthesize_received_signal(
 ) -> np.ndarray:
     """Superpose the delayed signatures of the active devices plus noise.
 
-    Returns the ``(L + tau_max, M)`` received window, one column per
-    receive antenna. Each active device contributes sqrt(cell_edge_gain)
-    times its column of the effective dictionary (its signature at its
-    delay) times its CN(0, I) antenna channel row; the noise is entrywise
-    CN(0, sigma2).
-    Channels are drawn in ascending device order, then the noise block,
-    so one generator reproduces the signal exactly. Raises ``ValueError``
-    before any draw for an active device outside ``[0, N)`` or a delay
-    outside ``[0, tau_max]``.
+    Returns the ``(L + tau_max, M)`` window: each active device's
+    effective-dictionary column at its delay, times sqrt(cell_edge_gain)
+    and its CN(0, I) channel row, plus CN(0, sigma2) noise. Channels are
+    drawn in ascending device order, then the noise block. Raises
+    ``ValueError`` before any draw for preambles that ``check_preambles``
+    rejects, or an active device or delay out of range.
     """
     preambles = check_preambles(preambles, config)
     devices = truth.active.tolist()
@@ -145,10 +127,9 @@ def draw_scenario(config: SystemConfig, seed: int) -> tuple[np.ndarray, GroundTr
 
 def sample_covariance(received: np.ndarray) -> np.ndarray:
     """Average outer product of the antenna snapshots, (1/M) Y Y^H, of
-    the ``(L + tau_max, M)`` received window, as a complex128 array.
-
-    Averaging it with its conjugate transpose makes it exactly Hermitian,
-    the property the detectors check of any covariance they take.
+    the ``(L + tau_max, M)`` received window, as an exactly Hermitian
+    complex128 array; ``ValueError`` unless the window is 2-D with at
+    least one antenna and the result is finite.
     """
     y = np.asarray(received, dtype=np.complex128)
     if y.ndim != 2:

@@ -3,24 +3,14 @@
 A ``SystemConfig`` is valid by construction: its ``__post_init__`` runs
 ``validate``, so the constructor, ``dataclasses.replace`` and
 ``config_from_dict`` all reject a bad system with a ``ConfigError``
-before any draw, and no consumer re-checks one; the window bound there
-keeps ``synchronous_config``'s benchmark system valid with its base.
-The fit state a detector tracks lives in ``likelihood``.
+before any draw, and no consumer re-checks one. Conventions:
 
-Conventions
------------
 - Device indices run 0..N-1 and delays 0..tau_max (all 0-based).
-- The link budget is fixed: ``PATH_LOSS_DB`` = 128.1 dB is the 3GPP
-  macro-cell path loss 128.1 + 37.6*log10(d_km) at the 1 km cell edge,
-  and ``NOISE_POWER_DBM`` = -99 dBm is -169 dBm/Hz over 10 MHz, so
-  ``tx_power_dbm`` is the only power field.
-- Powers are normalized so that the working noise power is 1: the
-  per-device received power (transmit power times path-loss gain divided
-  by physical noise power) is folded into the large-scale gain ``beta``.
-  The ML fit is invariant under this joint rescaling.
-- Every device sits at the cell-edge distance and shares its gain
-  ``SystemConfig.cell_edge_gain``, so a ``GroundTruth`` is the active
-  devices' delays alone.
+- Powers are normalized so that the working noise power is 1, which
+  leaves the ML fit unchanged. Every device sits at the cell edge on the
+  fixed link budget and shares its working-scale gain
+  ``SystemConfig.cell_edge_gain``, so ``tx_power_dbm`` is the only power
+  field and a ``GroundTruth`` is the active devices' delays alone.
 - Complex Gaussian CN(0, v) means real and imaginary parts are
   independent N(0, v/2).
 """
@@ -35,8 +25,9 @@ from typing import Mapping
 
 import numpy as np
 
-# the fixed link budget: 3GPP macro-cell path loss at the 1 km cell edge
-# [dB], and the noise power of -169 dBm/Hz over 10 MHz [dBm]
+# the fixed link budget: the 3GPP macro-cell path loss
+# 128.1 + 37.6 log10(d_km) at the 1 km cell edge [dB], and the noise power
+# of -169 dBm/Hz over 10 MHz [dBm]
 PATH_LOSS_DB = 128.1
 NOISE_POWER_DBM = -99.0
 
@@ -46,11 +37,8 @@ class ConfigError(ValueError):
 
 
 class NumericalDegeneracyError(ArithmeticError):
-    """The tracked covariance state has become numerically unusable.
-
-    A detector pass that raises it sets ``index`` to the column or device
-    it was visiting.
-    """
+    """The tracked covariance state has become numerically unusable; a
+    pass that raises it sets ``index`` to the column or device it visited."""
 
     index: int | None = None
 
@@ -61,29 +49,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """All scenario parameters for one detection setup. The detectors'
-    settings (stop tolerance, thresholds) are ``detect``'s constants.
+    """All scenario parameters for one detection setup.
 
-    Parameters
-    ----------
-    num_devices:
-        Total number of devices N sharing the access channel.
-    num_active:
-        Number of simultaneously active devices K (0 <= K <= N). K=0
-        measures false alarms on pure noise; its MDP is undefined (NaN).
-    preamble_len:
-        Length L of each device's signature sequence, in symbols.
-    max_delay:
-        Largest possible symbol delay tau_max (>= 0). The observation
-        window spans ``preamble_len + max_delay`` symbols.
-    num_antennas:
-        Number of receive antennas M at the base station.
-    tx_power_dbm:
-        Per-device transmit power in dBm, the only power field: every
-        device sits at the cell edge, on the fixed link budget
-        ``PATH_LOSS_DB`` and ``NOISE_POWER_DBM``.
-    rng_seed:
-        Base seed for all random draws (non-negative integer).
+    ``num_devices`` N share the access channel, ``num_active`` K of them at
+    once (0 <= K <= N; K = 0 measures false alarms on pure noise, and its
+    MDP is undefined). Each active device sends its signature of
+    ``preamble_len`` L symbols at a delay of at most ``max_delay`` tau_max,
+    so the observation window spans L + tau_max symbols, to
+    ``num_antennas`` M receive antennas. ``tx_power_dbm`` is the
+    per-device transmit power and ``rng_seed`` the base seed of all draws.
     """
 
     num_devices: int
@@ -109,11 +83,8 @@ class SystemConfig:
 
     @property
     def cell_edge_gain(self) -> float:
-        """Working-scale received power per device (linear).
-
-        Transmit power minus path loss, referenced to the physical noise
-        power, i.e. the per-antenna per-symbol SNR of one device.
-        """
+        """Working-scale received power per device (linear): the
+        per-antenna per-symbol SNR of one device."""
         return 10.0 ** ((self.tx_power_dbm - PATH_LOSS_DB - NOISE_POWER_DBM) / 10.0)
 
     @property
@@ -128,17 +99,11 @@ def is_int(value) -> bool:
 
 
 def validate(config: SystemConfig) -> SystemConfig:
-    """Check every invariant of ``config`` and return it unchanged.
+    """Check every invariant of ``config`` and return it unchanged; raises
+    ``ConfigError`` naming the violated field.
 
-    ``SystemConfig.__post_init__`` calls it, so every config that exists
-    has passed it. Every field's type is checked before any range: an
-    int field takes an int, any other a finite int or float, and no
-    field a bool.
-
-    Raises
-    ------
-    ConfigError
-        Naming the violated field.
+    Every field's type is checked before any range: an int field takes an
+    int, any other a finite int or float, and no field a bool.
     """
     c = config
     for f in fields(c):
@@ -168,13 +133,11 @@ def validate(config: SystemConfig) -> SystemConfig:
         raise ConfigError("num_antennas must be positive")
     if c.rng_seed < 0:
         raise ConfigError(f"rng_seed must be non-negative, got {c.rng_seed}")
-    # tx_power_dbm enters the working-scale gain through a power of ten,
-    # which overflows or underflows where the field is finite. One
-    # preamble's working-scale power over the noise floor sigma2 = 1 bounds
-    # cond(Sigma) from below, and from 1/eps on, sigma2 is lost in the
-    # rounding of Sigma's entries. The window is the longest preamble of a
-    # study, as synchronous_config folds the delay budget into its
-    # preamble, so bounding it is one condition for both systems
+    # the gain, a power of ten, can overflow or underflow. One preamble's
+    # working-scale power over sigma2 = 1 bounds cond(Sigma) from below,
+    # and from 1/eps on, sigma2 is lost in Sigma's rounding. The window is
+    # the longest preamble of a study, as synchronous_config folds the
+    # delay budget into its preamble, so one bound covers both systems
     limit = 1.0 / np.finfo(float).eps
     try:
         gain = c.cell_edge_gain
@@ -192,12 +155,9 @@ def validate(config: SystemConfig) -> SystemConfig:
 @lru_cache(maxsize=32)
 def synchronous_config(config: SystemConfig) -> SystemConfig:
     """Zero-delay benchmark system: the delay budget is folded into the
-    preamble, keeping the effective sequence length (and thus the
-    observation window, which ``validate`` bounds) identical.
-
-    Built once per distinct base config: every trial of a ``cd_e_sync``
-    cell gets the same object back from a small bounded cache. A
-    ``SystemConfig`` is frozen, and equal configs give equal results.
+    preamble, keeping the observation window, and so its validity,
+    identical. Cached, so every trial of a ``cd_e_sync`` cell gets the
+    same object back.
     """
     return replace(config, preamble_len=config.window_len, max_delay=0)
 
@@ -219,13 +179,10 @@ def config_from_dict(data: Mapping) -> SystemConfig:
 class GroundTruth:
     """True activity pattern behind one synthesized received signal.
 
-    ``delays`` maps each active device to its delay. ``active`` lists the
-    active devices ascending, so that draws consuming it (channel
-    generation) are order-deterministic. Every device sits at the
-    config's ``cell_edge_gain``. Raises ``ValueError`` for a device or
-    delay that is not a Python or numpy integer, or is a bool: the int64
-    ``active`` and the synthesized window would otherwise truncate or
-    convert it, while ``pairs`` kept the original.
+    ``delays`` maps each active device to its delay; ``active`` lists the
+    active devices ascending, the channels' draw order. ``ValueError`` for
+    a device or delay that is not a Python or numpy integer, or is a bool:
+    ``active`` and the window would truncate it while ``pairs`` kept it.
     """
 
     delays: dict[int, int]  # active device -> delay

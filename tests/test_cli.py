@@ -355,7 +355,7 @@ class TestRunExperiment:
         sizes = []
 
         class SerialPool(concurrent.futures.Executor):
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
             def map(self, fn, *iterables, chunksize=1):
@@ -399,6 +399,28 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="workers must be a positive integer"):
             run_experiment(self.plan(), out, workers=workers)
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_do_not_hang_on_blas_threads(self, tmp_path, workers):
+        # under OPENBLAS_NUM_THREADS=2 an unpinned run once moved the final
+        # objectives of both detectors on these trials in their last digits
+        dump = tmp_path / "trials"
+        subprocess.run(
+            [sys.executable, "-m", "covdet", "run", "--config", str(CONFIGS / "full.json"),
+             "--detectors", "cd_e,bcd", "--antennas", "4", "--trials", "2",
+             "--seed", "12346", "--workers", str(workers),
+             "--out", str(tmp_path / "r.csv"), "--per-trial-dump", str(dump)],
+            check=True, capture_output=True, env={**package_env(), "OPENBLAS_NUM_THREADS": "2"},
+            timeout=120,
+        )
+        config = shipped("full", num_antennas=4).base
+        column = cli_module.TRIAL_HEADER.split(",").index("final_objective")
+        for detector in ("cd_e", "bcd"):
+            lines = (dump / f"trials_{detector}_M4.csv").read_text().splitlines()[1:]
+            assert [float(line.split(",")[column]) for line in lines] == [
+                run_single_trial(config, seed, detector).final_objective
+                for seed in (12346, 12347)
+            ]
 
     def test_progress_callback_sees_every_row(self, tmp_path):
         seen = []
