@@ -159,7 +159,7 @@ def run_bcd(preambles: np.ndarray, sigma_tilde, config: SystemConfig) -> Detecti
     tie rule; then thresholds at ``THRESHOLD_BCD``.
     """
     st, factor_h, state = prepare(preambles, sigma_tilde, config)
-    plan = likelihood.block_plan(state.dictionary, config.num_delays)
+    plan = likelihood.block_plan(state.dictionary, factor_h, config.num_delays)
     return _descend(
         state, st,
         lambda state: state.inv_sigma,

@@ -20,9 +20,10 @@ Rules that hold throughout:
 - A pass chooses its loop from the window length ``D`` alone: from
   ``COLUMN_WINDOW_DIM`` on it applies a window's changes at its end.
 - Every BLAS output and view a pass touches is made once per run or per
-  pass, and each product overwrites all of its output before anything
-  reads it, so nothing an earlier pass or window left, one that raised
-  included, reaches a later one (CHANGES, "allocation-free sweep loops").
+  pass (``bcd``'s Gram buffers belong to its plan), and each product
+  overwrites all of its output before anything reads it, so nothing an
+  earlier pass or window left, one that raised included, reaches a later
+  one (CHANGES, "allocation-free sweep loops").
 - A pass writes gamma back when it ends, also when it raises; a
   ``NumericalDegeneracyError`` then carries the failing column or device
   in ``index``.
@@ -382,10 +383,13 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
                 # trans, overwrite_y
                 zgemv(1.0, stack, s, 0.0, y, 0, 1, 0, 1, 0, 1)
                 quad = zdotc(s, top).real
-                _check_quad(quad)
                 fit = zdotc(bottom, bottom).real
-                eta = _step(quad, fit)
                 old = values[j]
+                # a zero coordinate with no gain: its step would clip to 0
+                if old == 0.0 and 0.0 < quad >= fit:
+                    continue
+                _check_quad(quad)
+                eta = _step(quad, fit)
                 if eta < -old:
                     eta = -old
                 if eta == 0.0:
@@ -405,10 +409,12 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
                     for i, s, later, y, top, bottom, pending, cross in visits:
                         j = first + i
                         quad = zdotc(s, top).real
-                        _check_quad(quad)
                         fit = zdotc(bottom, bottom).real
-                        eta = _step(quad, fit)
                         old = values[j]
+                        if old == 0.0 and 0.0 < quad >= fit:
+                            continue
+                        _check_quad(quad)
+                        eta = _step(quad, fit)
                         if eta < -old:
                             eta = -old
                         if eta == 0.0:
@@ -441,34 +447,45 @@ def column_sweep(stack: np.ndarray, plan, gamma: np.ndarray, objective: float) -
 WINDOW = 4
 
 
-def block_plan(dictionary: np.ndarray, num_delays: int) -> list:
-    """:func:`block_sweep`'s plan: per device, in windows of ``WINDOW``,
-    ``(window, products, v, columns, block, later, pending, cross)``.
+def block_plan(dictionary: np.ndarray, factor_h: np.ndarray, num_delays: int) -> tuple:
+    """:func:`block_sweep`'s plan ``(grams, devices)`` for the fit factor
+    ``factor_h``: ``grams`` is ``(w, G_q, G_f, quads, fits, q_columns,
+    f_columns)``, a visit's small product buffers with their real diagonals
+    and columns; ``devices`` holds per device, in windows of ``WINDOW``,
+    ``(window, block, later, products, v, columns, pending, cross)``.
 
-    ``window`` is the window's columns at its first device, else ``None``;
-    ``products`` are the plan buffer's columns for its ``Sigma^{-1}``
-    product, ``v`` the device's block of it, ``columns`` its column views
-    and ``block`` the device's dictionary columns; ``later`` holds the
-    window's later blocks (``None`` at its last device), ``pending`` their
-    products and ``cross`` one cross term per later column. A device's
-    commits correct only the later blocks, so a view of ``v`` held for the
-    window's rank-k update stays valid until the window's end."""
-    k, plan = num_delays, []
+    A device's own views are ``window``, the window's columns at its first
+    device, else ``None``, ``block``, its columns, and ``later``, the
+    window's later blocks (``None`` at its last device). Every window of one
+    width shares the plan buffer's other views, and every visit the grams:
+    ``products`` for the window's ``Sigma^{-1}`` product, ``v`` the device's
+    block of it, ``columns`` its column views, ``pending`` the later blocks'
+    products and ``cross`` one cross term per later column. That is safe:
+    each product overwrites its output (beta 0) before it is read, a
+    window's rank-k update ends before the next window's product, and a
+    device's commits correct only the later blocks, so the views of ``v``
+    held for the rank-k update stay valid."""
+    k, slots, devices = num_delays, {}, []
+    w, gram_q, gram_f = (np.zeros(shape, dtype=np.complex128, order="F")
+                         for shape in ((factor_h.shape[0], k), (k, k), (k, k)))
+    grams = (w, gram_q, gram_f, gram_q.diagonal().real, gram_f.diagonal().real,
+             list(gram_q.T), list(gram_f.T))
     buffer = np.zeros((dictionary.shape[0], WINDOW * k), dtype=np.complex128, order="F")
     crosses = np.zeros((WINDOW - 1) * k, dtype=np.complex128)
     for first in range(0, dictionary.shape[1], WINDOW * k):
         window = dictionary[:, first : first + WINDOW * k]
         width = window.shape[1]
-        products = buffer[:, :width]
-        for here in range(0, width, k):
-            end = here + k
-            v = products[:, here:end]
-            plan.append((
-                None if here else window, products, v, list(v.T), window[:, here:end],
-                window[:, end:] if end < width else None, products[:, end:],
-                crosses[: width - end],
-            ))
-    return plan
+        if width not in slots:
+            products = buffer[:, :width]
+            slots[width] = [
+                (products, products[:, here : here + k], list(products[:, here : here + k].T),
+                 products[:, here + k :], crosses[: width - here - k])
+                for here in range(0, width, k)
+            ]
+        for here, views in zip(range(0, width, k), slots[width]):
+            later = window[:, here + k :] if here + k < width else None
+            devices.append((None if here else window, window[:, here : here + k], later, *views))
+    return grams, devices
 
 
 def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
@@ -478,7 +495,8 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     Device ``n``'s block is its ``(D, tau_max+1)`` block of dictionary
     columns and ``gamma[n]`` its row of the ``(N, tau_max+1)`` estimate,
     which holds at most one nonzero. A visit takes ``v = Sigma^{-1} block``,
-    ``w = F^H v``, ``G_q = block^H v`` and ``G_f = w^H w``, whose diagonals
+    ``w = F^H v``, ``G_q = block^H v`` and ``G_f = w^H w`` into the plan's
+    shared views, each overwritten before it is read; the Gram diagonals
     are each column's ``quad`` and ``fit``. Every column is scored from the
     state with the block's entry removed, by its closed-form step and,
     where the step is positive, its exact objective change, and the lowest
@@ -506,18 +524,13 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
     """
     _check_inverse(inv)
     rows = gamma.tolist()
-    k = gamma.shape[1]
-    w = np.zeros((factor_h.shape[0], k), dtype=np.complex128, order="F")
-    gram_q = np.zeros((k, k), dtype=np.complex128, order="F")
-    gram_f = np.zeros((k, k), dtype=np.complex128, order="F")
-    quad_view, fit_view = gram_q.diagonal().real, gram_f.diagonal().real
-    q_columns, f_columns = list(gram_q.T), list(gram_f.T)
+    (w, gram_q, gram_f, quad_view, fit_view, q_columns, f_columns), devices = plan
     # from COLUMN_WINDOW_DIM on, Sigma^-1 takes a window's rank-one changes
     # at its end: their vectors and scales
     defer = inv.shape[0] >= COLUMN_WINDOW_DIM
     xs, scales = [], []
     try:
-        for n, (window, products, v, columns, block, later, pending, cross) in enumerate(plan):
+        for n, (window, block, later, products, v, columns, pending, cross) in enumerate(devices):
             # slots after alpha, a, b: beta, c, trans_a (2 is a^H), trans_b,
             # overwrite_c
             if window is not None:
@@ -546,6 +559,8 @@ def block_sweep(inv: np.ndarray, factor_h: np.ndarray, plan, gamma: np.ndarray,
             best = None
             best_delta = 0.0
             for tau, (q, fit) in enumerate(zip(quads, fits)):
+                if 0.0 < q >= fit:
+                    continue
                 _check_quad(q)
                 eta = _step(q, fit)
                 if eta <= 0.0:

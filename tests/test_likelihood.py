@@ -375,9 +375,12 @@ class TestFitFactor:
         with pytest.raises(ValueError, match="not positive semidefinite"):
             likelihood.fit_factor(matrix)
 
-    def test_zero_sample_covariance_gives_zero_fit(self):
+    def test_zero_sample_covariance_gives_zero_fit(self, monkeypatch):
         # quad = 7 and fit = 0 on every column: every step is negative, so
-        # neither pass moves from gamma = 0
+        # neither pass moves from gamma = 0, and neither computes a step
+        # for a zero coordinate with fit <= quad
+        steps, step = [], likelihood._step
+        monkeypatch.setattr(likelihood, "_step", lambda quad, fit: steps.append(quad) or step(quad, fit))
         dim = 7
         factor_h = likelihood.fit_factor(np.zeros((dim, dim)))
         assert factor_h.shape == (1, dim)
@@ -388,11 +391,12 @@ class TestFitFactor:
         gamma = np.zeros((2, 3))
         plan = likelihood.column_plan(blocks[:, :3], factor_h)
         assert likelihood.column_sweep(stack, plan, gamma[0], 1.5) == 1.5
-        plan = likelihood.block_plan(blocks, 3)
+        plan = likelihood.block_plan(blocks, factor_h, 3)
         assert likelihood.block_sweep(inv, factor_h, plan, gamma, 1.5) == 1.5
         np.testing.assert_array_equal(gamma, 0.0)
         np.testing.assert_array_equal(inv, np.eye(dim))
         np.testing.assert_array_equal(stack[:dim], np.eye(dim))
+        assert steps == []
 
 
 def block_state(seed):
@@ -426,8 +430,9 @@ def sweep_pass(state, factor_h, sweep, dictionary=None, units=None):
         return likelihood.column_stack(state, factor_h), (
             lambda stack, objective: likelihood.column_sweep(stack, plan, gamma, objective)
         )
-    plan = likelihood.block_plan(dictionary, state.gamma.shape[1])[:units]
-    rows = state.gamma[: len(plan)]
+    grams, devices = likelihood.block_plan(dictionary, factor_h, state.gamma.shape[1])
+    plan = grams, devices[:units]
+    rows = state.gamma[: len(plan[1])]
     return state.inv_sigma, (
         lambda inv, objective: likelihood.block_sweep(inv, factor_h, plan, rows, objective)
     )
@@ -461,7 +466,8 @@ class TestBlockSweep:
         # one zgerc; from it on, a window's changes by one rank-k zgemm at
         # its end, never by a zgerc. The second pass is the one counted, so
         # removals, moves and re-inserts are among its commits. Every zgemm
-        # and zgemv writes into an output array the run or the pass made
+        # and zgemv writes into an output array the plan made, and the
+        # small products go into the same three arrays in both passes
         devices = 2 * likelihood.WINDOW + 3
         zgemm, zgemv, zgerc = likelihood.zgemm, likelihood.zgemv, likelihood.zgerc
         for preamble_len in (10, likelihood.COLUMN_WINDOW_DIM - 1):
@@ -469,15 +475,15 @@ class TestBlockSweep:
                 seed=84, num_devices=devices, preamble_len=preamble_len, num_active=6, updates=0,
             )
             inv, run = sweep_pass(state, factor_h, "block_sweep")
-            state.objective = run(inv, state.objective)
-            before = state.gamma.copy()
-            calls = dict.fromkeys(
-                ["product", "small", "rank-k", "zgemv", "inverse zgerc", "pending zgerc"], 0
-            )
+            kinds = ["product", "small", "rank-k", "zgemv", "inverse zgerc", "pending zgerc"]
+            calls, small = dict.fromkeys(kinds, 0), []
 
             def gemm(alpha, a, b, *args):
                 rank_k = len(args) > 1 and args[1] is inv
-                calls["product" if a is inv else "rank-k" if rank_k else "small"] += 1
+                kind = "product" if a is inv else "rank-k" if rank_k else "small"
+                calls[kind] += 1
+                if kind == "small":
+                    small.append(args[1])
                 return into_supplied_output("zgemm", zgemm, (alpha, a, b, *args))
 
             def gemv(*args):
@@ -491,6 +497,9 @@ class TestBlockSweep:
             monkeypatch.setattr(likelihood, "zgemm", gemm)
             monkeypatch.setattr(likelihood, "zgemv", gemv)
             monkeypatch.setattr(likelihood, "zgerc", gerc)
+            state.objective = run(inv, state.objective)
+            before, buffers = state.gamma.copy(), small[:3]
+            calls, small[:] = dict.fromkeys(kinds, 0), []
             run(inv, state.objective)
             monkeypatch.undo()
             # a device's rank-one changes: a downdate of its old entry, an
@@ -509,6 +518,9 @@ class TestBlockSweep:
                 "zgemv": later, "inverse zgerc": 0 if deferred else int(changes.sum()),
                 "pending zgerc": later,
             }
+            # w, G_q and G_f of every visit of both passes
+            assert len({id(out) for out in buffers}) == 3
+            assert all(out is want for out, want in zip(small, buffers * devices))
 
     def test_corrupted_block_detected(self):
         _, state, _, factor_h = random_state(seed=69)
@@ -522,7 +534,7 @@ class TestBlockSweep:
         state, factor_h, block = block_state(74)
         twins = np.asfortranarray(np.repeat(block[:, :1], 3, axis=1))
         gamma = np.zeros((1, 3))
-        plan = likelihood.block_plan(twins, 3)
+        plan = likelihood.block_plan(twins, factor_h, 3)
         likelihood.block_sweep(state.inv_sigma, factor_h, plan, gamma, 0.0)
         assert gamma[0, 0] > 0.0
         np.testing.assert_array_equal(gamma[0, 1:], 0.0)
@@ -539,7 +551,7 @@ class TestBlockRemoval:
         quad_u, _ = coordinate_terms(state, factor_h, 2, 1)
         state.gamma[2, 1] = 1.0 / quad_u
         inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
-        plan = likelihood.block_plan(block, 3)
+        plan = likelihood.block_plan(block, factor_h, 3)
         with pytest.raises(NumericalDegeneracyError, match="denominator") as info:
             likelihood.block_sweep(state.inv_sigma, factor_h, plan, state.gamma[2:3], 0.0)
         assert info.value.index == 0
@@ -835,7 +847,7 @@ class TestSweeps:
         state, factor_h, block = block_state(82)
         degenerate_removals(monkeypatch)
         inv, gamma = state.inv_sigma.copy(), state.gamma.copy()
-        plan = likelihood.block_plan(block, 3)
+        plan = likelihood.block_plan(block, factor_h, 3)
         with pytest.raises(NumericalDegeneracyError, match="<= 0") as info:
             likelihood.block_sweep(state.inv_sigma, factor_h, plan, state.gamma[2:3], 0.0)
         assert info.value.index == 0
